@@ -18,7 +18,6 @@ import numpy as np
 
 from .qmath import (
     dagger,
-    embed_operator,
     matrix_from_pairs,
     matrix_to_pairs,
     maximally_entangled,
@@ -148,19 +147,59 @@ def kraus_from_choi(c: ChoiMatrix, tol: float = 1e-10) -> KrausChannel:
     return KrausChannel(dim=n, kraus=tuple(ops))
 
 
+def _apply_on_legs(ch: KrausChannel, t: np.ndarray, row: int, col: int) -> np.ndarray:
+    """Apply the channel, as one superoperator, to the (row, col) legs of a tensor."""
+    k = np.stack(ch.kraus)
+    superop = np.einsum("eik,ejl->ijkl", k, k.conj())
+    out = np.tensordot(superop, t, axes=([2, 3], [row, col]))
+    return np.moveaxis(out, (0, 1), (row, col))
+
+
 def apply_on_factor(ch: KrausChannel, rho: np.ndarray, dims, which: int) -> np.ndarray:
     """Apply the channel to one tensor factor of a multipartite state."""
     dims = tuple(int(d) for d in dims)
+    if not 0 <= which < len(dims):
+        raise ValueError(f"factor index {which} out of range for {len(dims)} factors")
     if dims[which] != ch.dim:
         raise ValueError(
             f"factor {which} has dim {dims[which]} but channel dim is {ch.dim}"
         )
+    total = int(np.prod(dims))
     rho = np.asarray(rho, dtype=complex)
-    out = np.zeros_like(rho)
-    for k in ch.kraus:
-        full = embed_operator(k, dims, [which])
-        out += full @ rho @ dagger(full)
-    return out
+    if rho.shape != (total, total):
+        raise ValueError(f"state shape {rho.shape} does not match factor dims {dims}")
+    out = _apply_on_legs(ch, rho.reshape(dims * 2), which, len(dims) + which)
+    return out.reshape(total, total)
+
+
+def _simulate(rho, resource, branches, ch: KrausChannel, receivers):
+    """Run a one-way protocol around one use of the channel by contraction.
+
+    ``rho`` lives on A (x) R (R a passive reference leg), ``resource`` on
+    a (x) b, the M ``branches`` on A (x) a and the M ``receivers`` on
+    channel-output (x) b.  a is traced out once the branch is applied, so the
+    channel and receivers act on (A, b).  Returns the output on B (x) R and
+    the branch probabilities.
+    """
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("input state has non-finite entries")
+    n = ch.dim
+    m, d, _ = branches.shape
+    p, r = d // n, len(rho) // n
+    # f[m, a', (A' b), A] = sum_a <A' a'| L_m |A a> resource[a, b]
+    f = np.tensordot(branches.reshape(m, n, p, n, p), resource.reshape(p, p),
+                     axes=(4, 0))
+    f = f.transpose(0, 2, 1, 4, 3).reshape(m, p, d, n)
+    # the N x N blocks of rho, one per reference index pair t = (r, s)
+    x = rho.reshape(n, r, n, r).transpose(0, 2, 1, 3).reshape(n, n, r * r)
+    # y[m] = sum_a' f[m, a'] x f[m, a']^dag: the branch applied, a' traced out
+    y = np.einsum("mxyat,mxza->myzt", np.tensordot(f, x, axes=(3, 0)), f.conj())
+    probs = np.einsum("myyrr->m", y.reshape(m, d, d, r, r)).real
+    y = _apply_on_legs(ch, y.reshape(m, n, p, n, p, r * r), 1, 3)
+    # out[B, B', t] = sum over m and b of <B b| W_m y_m W_m^dag |B' b>
+    q = np.matmul(receivers, y.reshape(m, d, d * r * r)).reshape(m, n, p, d, r * r)
+    out = np.einsum("mbcyt,mdcy->bdt", q, receivers.reshape(m, n, p, d).conj())
+    return out.reshape(n, n, r, r).transpose(0, 2, 1, 3).reshape(n * r, n * r), probs
 
 
 def identity_channel(n: int) -> KrausChannel:

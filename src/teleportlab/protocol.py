@@ -25,17 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChoiMatrix, KrausChannel, apply_on_factor, choi
-from .qmath import (
-    dagger,
-    embed_operator,
-    haar_unitary,
-    matrix_from_pairs,
-    matrix_to_pairs,
-    maximally_entangled,
-    partial_trace,
-    projector,
-)
+from .channels import ChoiMatrix, KrausChannel, _simulate, choi
+from .qmath import (dagger, haar_unitary, matrix_from_pairs, matrix_to_pairs,
+                    maximally_entangled, projector)
 from .teleport import bell_state, correction_unitary
 
 
@@ -161,28 +153,22 @@ class LambdaOperators:
         return self.ops.reshape(m * p * p, d, d)
 
 
+def _run(proto: ResourceProtocol, ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
+    if ch.dim != proto.n:
+        raise ValueError(f"channel dim {ch.dim} does not match protocol dim {proto.n}")
+    return _simulate(rho, proto.resource.state(), np.stack(proto.sender_ops()), ch,
+                     np.stack(proto.receiver_unitaries))[0]
+
+
 def apply_protocol(
     proto: ResourceProtocol, ch: KrausChannel, rho: np.ndarray
 ) -> np.ndarray:
     """Run the protocol around one use of the channel, tracing the ancillas."""
-    n, p = proto.n, proto.local_dim
-    if ch.dim != n:
-        raise ValueError(f"channel dim {ch.dim} does not match protocol dim {n}")
+    n = proto.n
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n, n):
         raise ValueError(f"state shape {rho.shape} does not match protocol dim {n}")
-
-    dims = (n, p, p)
-    state = np.kron(rho, projector(proto.resource.state()))
-    out = np.zeros((n, n), dtype=complex)
-    for branch, recv in zip(proto.sender_ops(), proto.receiver_unitaries):
-        full_branch = np.kron(branch, np.eye(p))
-        sigma = full_branch @ state @ dagger(full_branch)
-        sigma = apply_on_factor(ch, sigma, dims, which=0)
-        full_recv = embed_operator(recv, dims, targets=(0, 2))
-        sigma = full_recv @ sigma @ dagger(full_recv)
-        out += partial_trace(sigma, dims, keep=0)
-    return out
+    return _run(proto, ch, rho)
 
 
 def block_operators(proto: ResourceProtocol) -> BlockOperators:
@@ -217,23 +203,19 @@ def control_map(proto: ResourceProtocol, r: ChoiMatrix) -> ChoiMatrix:
             f"Choi dims {r.dim_out}x{r.dim_in} do not match protocol dim {n}"
         )
     lam = lambda_operators(proto).flat()
-    out = np.einsum("jab,bc,jdc->ad", lam, r.matrix, lam.conj())
+    out = np.einsum("jac,jdc->ad", lam @ r.matrix, lam.conj())
     return ChoiMatrix.from_matrix(out, dim_out=n, dim_in=n, tol=1e-8)
 
 
 def effective_choi(proto: ResourceProtocol, ch: KrausChannel) -> ChoiMatrix:
-    """Choi state of the end-to-end map, by direct tomography of a basis.
+    """Choi state of the end-to-end map, by direct simulation of the protocol.
 
-    Independent of the control-operator route: reconstructs the effective
-    channel by running the full protocol on every basis matrix element.
+    Independent of the control-operator route: runs the full protocol once on
+    |psi_0><psi_0| over the input and a passive reference copy, which by
+    linearity is sum_ij E(|i><j|) (x) |i><j| / N.
     """
     n = proto.n
-    out = np.zeros((n * n, n * n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            unit = np.zeros((n, n), dtype=complex)
-            unit[i, j] = 1.0
-            out += np.kron(apply_protocol(proto, ch, unit), unit) / n
+    out = _run(proto, ch, projector(maximally_entangled(n)))
     return ChoiMatrix.from_matrix(out, dim_out=n, dim_in=n, tol=1e-8)
 
 

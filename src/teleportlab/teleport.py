@@ -1,11 +1,10 @@
 """Standard N-level teleportation: Bell basis, corrections, end-to-end map.
 
-System layout during the protocol: the global state lives on A (x) a (x) b,
-where A carries the input, a and b the shared pair.  The noisy channel acts
-on the A factor only (it is the physical system that would traverse the
-channel); the correction unitary then acts on channel-output (x) b, and
-finishes with a swap so the result appears on the channel-output factor
-before the ancillas are discarded.
+The input lives on A and the shared pair on a (x) b.  Each Bell outcome is a
+branch on A (x) a, after which a is traced out; the noisy channel acts on A
+only (the system that would traverse the channel), and the correction acts
+on channel-output (x) b, ending with a swap that moves the result onto the
+channel-output leg before b is traced out (see ``channels._simulate``).
 """
 
 from __future__ import annotations
@@ -14,16 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import KrausChannel, apply_on_factor
-from .qmath import (
-    assert_pure_state,
-    dagger,
-    embed_operator,
-    maximally_entangled,
-    partial_trace,
-    projector,
-    swap_matrix,
-)
+from .channels import KrausChannel, _simulate
+from .qmath import assert_pure_state, maximally_entangled, projector, swap_matrix
 
 
 @dataclass(frozen=True)
@@ -85,21 +76,9 @@ def _run(rho: np.ndarray, ch: KrausChannel, resource: np.ndarray):
             f"resource dim {resource.size} is not bipartite with local dim {n}"
         )
     assert_pure_state(resource, tol=1e-10)
-
-    dims = (n, n, n)
-    state = np.kron(rho, projector(resource))
-    bell_projectors = bell_basis(n).projectors
-    out = np.zeros((n, n), dtype=complex)
-    probs = []
-    for eta in range(n * n):
-        proj = np.kron(bell_projectors[eta], np.eye(n))
-        branch = proj @ state @ proj
-        branch = apply_on_factor(ch, branch, dims, which=0)
-        corr = embed_operator(correction_unitary(n, eta), dims, targets=(0, 2))
-        branch = corr @ branch @ dagger(corr)
-        probs.append(float(np.trace(branch).real))
-        out += partial_trace(branch, dims, keep=0)
-    return out, np.array(probs)
+    branches = np.stack(bell_basis(n).projectors)
+    receivers = np.stack([correction_unitary(n, eta) for eta in range(n * n)])
+    return _simulate(rho, resource, branches, ch, receivers)
 
 
 def teleport(rho: np.ndarray, ch: KrausChannel) -> np.ndarray:

@@ -21,6 +21,7 @@ from teleportlab.channels import (
 )
 from teleportlab.qmath import (
     dagger,
+    embed_operator,
     maximally_entangled,
     projector,
     random_pure,
@@ -104,6 +105,35 @@ def test_apply_on_factor_preserves_trace_and_positivity():
     out = apply_on_factor(depolarizing(0.3, 3), rho, (2, 3), which=1)
     assert abs(np.trace(out).real - 1.0) < 1e-12
     assert np.min(np.linalg.eigvalsh(out)) > -1e-10
+
+
+def test_apply_on_factor_matches_embed_operator():
+    # reference: sum_k E_k rho E_k^dag with each Kraus operator embedded densely
+    rng = np.random.default_rng(3)
+    for which in (0, 1, 2, 1):
+        dims = tuple(int(d) for d in rng.integers(2, 4, size=3))
+        ch = random_channel(dims[which], int(rng.integers(1, dims[which] ** 2 + 1)),
+                            seed=int(rng.integers(1000)))
+        rho = random_state(int(np.prod(dims)), seed=int(rng.integers(1000)))
+        expected = sum(
+            embed_operator(k, dims, [which]) @ rho
+            @ dagger(embed_operator(k, dims, [which]))
+            for k in ch.kraus
+        )
+        np.testing.assert_allclose(
+            apply_on_factor(ch, rho, dims, which), expected, atol=1e-13
+        )
+
+
+@pytest.mark.parametrize("which", [2, -1])
+def test_apply_on_factor_rejects_bad_factor_index(which):
+    with pytest.raises(ValueError, match="out of range"):
+        apply_on_factor(depolarizing(0.5), np.eye(4) / 4, (2, 2), which=which)
+
+
+def test_apply_on_factor_rejects_state_shape_mismatch():
+    with pytest.raises(ValueError, match="does not match factor dims"):
+        apply_on_factor(depolarizing(0.5), np.eye(6) / 6, (2, 2), which=0)
 
 
 def test_choi_identity_channel():

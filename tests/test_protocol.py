@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from teleportlab.channels import choi, depolarizing, identity_channel, random_channel
+from teleportlab.channels import (
+    choi,
+    depolarizing,
+    identity_channel,
+    random_channel,
+    rank,
+)
 from teleportlab.protocol import (
     AncillaResource,
     ResourceProtocol,
@@ -76,6 +82,13 @@ def test_random_protocols_trace_preserving():
         out = apply_protocol(proto, ch, random_state(2, seed=seed + 200))
         assert abs(np.trace(out).real - 1.0) < 1e-10
         assert np.min(np.linalg.eigvalsh(out)) > -1e-10
+
+
+def test_apply_protocol_rejects_non_finite_state():
+    rho = np.eye(2) / 2
+    rho[1, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_protocol(random_protocol(2, 2, 2, seed=1), depolarizing(0.5), rho)
 
 
 def test_protocol_rejects_non_deterministic():
@@ -163,6 +176,31 @@ def test_control_map_matches_tomography(p, m):
         control_map(proto, choi(ch)).matrix - effective_choi(proto, ch).matrix
     )
     assert gap < 1e-9
+
+
+@pytest.mark.parametrize("m", [1, 8])
+def test_control_map_matches_effective_choi_n4(m):
+    proto = random_protocol(4, 2, m, seed=40 + m)
+    ch = random_channel(4, 16, seed=41 + m)
+    assert rank(ch) == 16
+    gap = np.linalg.norm(
+        control_map(proto, choi(ch)).matrix - effective_choi(proto, ch).matrix
+    )
+    assert gap < 1e-9
+
+
+def test_effective_choi_matches_basis_reference():
+    # one batched run on |psi_0><psi_0| equals sum_ij E(|i><j|) (x) |i><j| / N
+    n = 3
+    proto = random_protocol(n, 3, 9, seed=60)
+    ch = random_channel(n, 9, seed=61)
+    expected = np.zeros((n * n, n * n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            unit = np.zeros((n, n), dtype=complex)
+            unit[i, j] = 1.0
+            expected += np.kron(apply_protocol(proto, ch, unit), unit) / n
+    np.testing.assert_allclose(effective_choi(proto, ch).matrix, expected, atol=1e-12)
 
 
 def test_residual_examples():

@@ -114,6 +114,30 @@ def test_branch_probabilities_uniform():
         np.testing.assert_allclose(probs, np.full(n * n, 1 / n**2), atol=1e-10)
 
 
+@pytest.mark.parametrize("mu", [(1.0, 0.0), (np.cos(np.pi / 8), np.sin(np.pi / 8))])
+def test_branch_probabilities_partial_resource(mu):
+    # with resource sum_k mu_k |kk>, outcome (phase, shift) has probability
+    # sum_k rho_kk mu_{k+shift}^2 / N, whatever the phase
+    rho = random_state(2, seed=7)
+    resource = np.zeros(4, dtype=complex)
+    resource[0], resource[3] = mu
+    _, probs = teleport_detailed(rho, depolarizing(0.5), resource)
+    assert np.all(probs >= 0)
+    assert abs(probs.sum() - 1.0) < 1e-12
+    diag = np.diag(rho).real
+    by_shift = [(diag[0] * mu[0] ** 2 + diag[1] * mu[1] ** 2) / 2,
+                (diag[0] * mu[1] ** 2 + diag[1] * mu[0] ** 2) / 2]
+    # outcome index eta = phase * N + shift
+    np.testing.assert_allclose(probs, np.tile(by_shift, 2), atol=1e-12)
+
+
+def test_teleport_rejects_non_finite_state():
+    rho = np.eye(2) / 2
+    rho[0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        teleport(rho, depolarizing(0.5))
+
+
 def test_teleport_linear_in_state():
     ch = depolarizing(0.5)
     rho1 = random_state(2, seed=21)
