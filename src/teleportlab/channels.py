@@ -47,6 +47,8 @@ class KrausChannel:
                 raise ValueError(
                     f"Kraus operator shape {k.shape} does not match dim {self.dim}"
                 )
+            if not np.all(np.isfinite(k)):
+                raise ValueError("Kraus operator has non-finite entries")
         total = sum(dagger(k) @ k for k in self.kraus)
         dev = float(np.max(np.abs(total - np.eye(self.dim))))
         if dev > 1e-10:
@@ -85,6 +87,8 @@ class ChoiMatrix:
                 f"Choi matrix shape {matrix.shape} does not match dims "
                 f"{dim_out}x{dim_in}"
             )
+        if not np.all(np.isfinite(matrix)):
+            raise ValueError("Choi matrix has non-finite entries")
         herm_dev = float(np.max(np.abs(matrix - dagger(matrix))))
         if herm_dev > tol:
             raise ValueError(f"Choi matrix not Hermitian: deviation {herm_dev:.3e}")

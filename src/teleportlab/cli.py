@@ -324,7 +324,10 @@ def cmd_optimize(files, depolarizing_p, dim, seed_override, trace_file, out):
         cfg = _config_from_json(data)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _fail(EXIT_INPUT_ERROR, f"invalid config: {exc}")
-    result = run_optimize(ch, base, cfg)
+    try:
+        result = run_optimize(ch, base, cfg)
+    except ValueError as exc:
+        _fail(EXIT_INPUT_ERROR, str(exc))
     if trace_file:
         with open(trace_file, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -359,7 +362,10 @@ def cmd_sweep(files, theta_grid, depolarizing_p, dim, seed_override, out):
         cfg = _config_from_json(data)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         _fail(EXIT_INPUT_ERROR, f"invalid input: {exc}")
-    rows = sweep_mu(ch, grid, cfg)
+    try:
+        rows = sweep_mu(ch, grid, cfg)
+    except ValueError as exc:
+        _fail(EXIT_INPUT_ERROR, str(exc))
     lines = ["theta,sumMu,bestFidelity,seed"]
     for row in rows:
         lines.append(

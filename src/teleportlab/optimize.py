@@ -11,6 +11,11 @@ two-point gradient estimate proposes a move of the current step length, the
 move is accepted only if it improves the objective, and the step decays
 geometrically on rejection.  Restarts are independent and seeded, so runs
 reproduce bit-identically.
+
+The objective is compiled once per search (:func:`_compile_objective`): it
+maps parameter vectors straight to fidelities with batched array code and
+the same determinism checks, and builds no protocol objects; only the
+winning point is decoded into a :class:`ResourceProtocol`.
 """
 
 from __future__ import annotations
@@ -23,10 +28,16 @@ from .channels import KrausChannel, choi
 from .protocol import (
     AncillaResource,
     ResourceProtocol,
+    _blocks,
+    _check_determinism,
+    _check_schmidt,
+    _control_operators,
+    _overlap,
+    basis_projections,
     residual as protocol_residual,
-    target_overlap,
 )
-from .teleport import bell_state, correction_unitary
+from .qmath import maximally_entangled
+from .teleport import bell_rotation, correction_unitary
 
 MEASUREMENT_CHOICES = ("none", "ancilla", "full")
 
@@ -58,6 +69,14 @@ def unitary_from_generator(h: np.ndarray) -> np.ndarray:
     h = (h + h.conj().T) / 2.0
     vals, vecs = np.linalg.eigh(h)
     return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+
+
+def _squared_softmax(params: np.ndarray) -> np.ndarray:
+    """Schmidt vector(s) from P-1 free parameters per row (last logit pinned at 0)."""
+    z = np.concatenate([params, np.zeros(params.shape[:-1] + (1,))], axis=-1)
+    z = z - np.max(z, axis=-1, keepdims=True)
+    weights = np.exp(z)
+    return np.sqrt(weights / np.sum(weights, axis=-1, keepdims=True))
 
 
 def generator_from_unitary(u: np.ndarray) -> np.ndarray:
@@ -126,14 +145,22 @@ class ProtocolParameterization:
             return self.local_dim
         return self.n * self.local_dim
 
+    def projections(self) -> np.ndarray:
+        """The sender's measurement: stacked computational projectors on A (x) a.
+
+        ``"ancilla"`` measures a only, so its projectors interleave (basis
+        state r*P + i goes to outcome i); the other two are contiguous.
+        """
+        d = self.n * self.local_dim
+        labels = {"none": np.zeros(d, dtype=int), "full": np.arange(d),
+                  "ancilla": np.arange(d) % self.local_dim}[self.measured]
+        return basis_projections(labels)
+
     def mu(self) -> np.ndarray:
         """Schmidt coefficients: pinned vector, or squared-softmax of params."""
         if self.mu_fixed is not None:
             return self.mu_fixed / np.linalg.norm(self.mu_fixed)
-        z = np.append(self.mu_params, 0.0)
-        z = z - np.max(z)
-        weights = np.exp(z)
-        return np.sqrt(weights / np.sum(weights))
+        return _squared_softmax(self.mu_params)
 
 
 def zero_parameterization(
@@ -162,7 +189,6 @@ def zero_parameterization(
 
 def qt_parameterization(n: int) -> ProtocolParameterization:
     """Generators whose decoded protocol is the teleportation protocol."""
-    bell_rotation = np.array([bell_state(n, eta).conj() for eta in range(n * n)])
     receivers = np.stack(
         [generator_from_unitary(correction_unitary(n, eta)) for eta in range(n * n)]
     )
@@ -170,49 +196,94 @@ def qt_parameterization(n: int) -> ProtocolParameterization:
         n=n,
         local_dim=n,
         measured="full",
-        sender_generator=generator_from_unitary(bell_rotation),
+        sender_generator=generator_from_unitary(bell_rotation(n)),
         receiver_generators=receivers,
         mu_params=np.zeros(n - 1),
     )
-
-
-def _projections(params: ProtocolParameterization) -> list:
-    n, p = params.n, params.local_dim
-    d = n * p
-    if params.measured == "none":
-        return [np.eye(d, dtype=complex)]
-    if params.measured == "ancilla":
-        out = []
-        for idx in range(p):
-            pr = np.zeros((p, p), dtype=complex)
-            pr[idx, idx] = 1.0
-            out.append(np.kron(np.eye(n), pr))
-        return out
-    out = []
-    for idx in range(d):
-        pr = np.zeros((d, d), dtype=complex)
-        pr[idx, idx] = 1.0
-        out.append(pr)
-    return out
 
 
 def decode(params: ProtocolParameterization) -> ResourceProtocol:
     """Materialize the parameterization as a deterministic protocol."""
     sender = unitary_from_generator(params.sender_generator)
     receivers = tuple(unitary_from_generator(g) for g in params.receiver_generators)
-    projections = _projections(params)
+    projections = params.projections()
     return ResourceProtocol(
         n=params.n,
         resource=AncillaResource(mu=params.mu()),
         sender_projections=tuple(projections),
-        sender_unitaries=tuple(sender for _ in projections),
+        sender_unitaries=(sender,) * len(projections),
         receiver_unitaries=receivers,
     )
 
 
+def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
+                       fix_mu: bool):
+    """The search objective over parameter vectors laid out as :func:`_pack`.
+
+    Everything that does not depend on the point (index sets, projections,
+    the pinned Schmidt vector, the Choi matrix) is built once here.  The
+    returned function takes one vector, giving a float, or a (B, dim) stack,
+    giving B values, and computes what
+    ``target_overlap(decode(_unpack(base, theta, fix_mu)), choi(ch))`` does
+    with the same arithmetic: all generators filled in one write, one batched
+    ``eigh``, the same contraction and overlap.  The determinism and Schmidt
+    checks of ``decode`` run batched, with the same tolerance and messages.
+    """
+    n, p = base.n, base.local_dim
+    if ch.dim != n:
+        raise ValueError(
+            f"channel dim {ch.dim} does not match protocol dim {n} of the search"
+        )
+    d = n * p
+    projections = base.projections()
+    m = len(projections)
+    rows, cols = np.triu_indices(d, k=1)
+    diag = np.arange(d)
+    split = d + rows.size  # real parts of the upper triangle end here
+    n_gen = (1 + m) * d * d
+    free_mu = not fix_mu and base.mu_fixed is None
+    size = n_gen + (p - 1 if free_mu else 0)
+    pinned = None if free_mu else base.mu()
+    if pinned is not None:
+        _check_schmidt(pinned)
+    psi0 = maximally_entangled(n)
+    r = choi(ch).matrix
+
+    def fun(theta):
+        theta = np.asarray(theta, dtype=float)
+        if theta.ndim not in (1, 2) or theta.shape[-1] != size:
+            raise ValueError(
+                f"parameter shape {theta.shape} is not (dim,) or (B, dim), dim {size}"
+            )
+        stack = theta.reshape(-1, size)
+        vec = stack[:, :n_gen].reshape(len(stack), 1 + m, d * d)
+        h = np.zeros((len(stack), 1 + m, d, d), dtype=complex)
+        h[..., diag, diag] = vec[..., :d]
+        upper = vec[..., d:split] + 1j * vec[..., split:]
+        h[..., rows, cols] = upper
+        h[..., cols, rows] = upper.conj()
+        # h is Hermitian by construction, so the symmetrization in
+        # unitary_from_generator would not change a bit of it
+        vals, vecs = np.linalg.eigh(h)
+        u = (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+        senders = projections @ u[:, :1]
+        receivers = u[:, 1:]
+        _check_determinism(senders, receivers, 1e-10)
+        if free_mu:
+            mu = _squared_softmax(stack[:, n_gen:])
+            _check_schmidt(mu)
+        else:
+            mu = pinned  # broadcasts over the stack
+        lam = _control_operators(mu, _blocks(senders, n, p), _blocks(receivers, n, p))
+        out = _overlap(lam.reshape(len(stack), -1, n * n, n * n), r, psi0)
+        return float(out[0]) if theta.ndim == 1 else out
+
+    return fun
+
+
 def objective(params: ProtocolParameterization, ch: KrausChannel) -> float:
     """Entanglement fidelity of the decoded protocol through the channel."""
-    return target_overlap(decode(params), choi(ch))
+    return _compile_objective(ch, params, fix_mu=False)(_pack(params, fix_mu=False))
 
 
 @dataclass(frozen=True)
@@ -238,6 +309,11 @@ class OptimizationConfig:
             raise ValueError("evaluation budget must be >= 1")
         if self.restarts < 1:
             raise ValueError("restart count must be >= 1")
+        if self.restarts > self.evaluation_budget // 4:
+            raise ValueError(
+                f"{self.restarts} restarts need an evaluation budget of at least "
+                f"{4 * self.restarts} (4 per restart), got {self.evaluation_budget}"
+            )
 
 
 @dataclass(frozen=True)
@@ -286,7 +362,9 @@ def _ascend(fun, theta0, budget, step_init, stop_delta, decay, rng):
     """Accept-if-improve SPSA-style ascent; returns best point and trace.
 
     The step shrinks geometrically on rejected proposals and relaxes back
-    toward its initial value on accepted ones, never exceeding it.
+    toward its initial value on accepted ones, never exceeding it.  ``fun``
+    takes a (2, dim) stack too: the two probes of each step go in one call,
+    which still counts as two evaluations.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     best = fun(theta)
@@ -295,8 +373,7 @@ def _ascend(fun, theta0, budget, step_init, stop_delta, decay, rng):
     step = step_init
     while evals + 3 <= budget and step > stop_delta:
         delta = rng.integers(0, 2, theta.size) * 2.0 - 1.0
-        up = fun(theta + step * delta)
-        down = fun(theta - step * delta)
+        up, down = fun(np.stack([theta + step * delta, theta - step * delta])).tolist()
         evals += 2
         improved = False
         grad = (up - down) / (2.0 * step) * delta
@@ -323,14 +400,10 @@ def optimize(
     cfg: OptimizationConfig,
 ) -> OptimizationResult:
     """Multi-restart ascent of the entanglement fidelity; seeded, monotone."""
-    r = choi(ch)
     fix_mu = cfg.fix_mu
-
-    def fun(theta: np.ndarray) -> float:
-        return target_overlap(decode(_unpack(base, theta, fix_mu)), r)
-
+    fun = _compile_objective(ch, base, fix_mu)
     dim = _pack(base, fix_mu).size
-    per_restart = max(cfg.evaluation_budget // cfg.restarts, 4)
+    per_restart = cfg.evaluation_budget // cfg.restarts
     bests, thetas, traces = [], [], []
     used = 0
     any_hit_budget = False

@@ -26,9 +26,54 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChoiMatrix, KrausChannel, _simulate, choi
-from .qmath import (dagger, haar_unitary, matrix_from_pairs, matrix_to_pairs,
+from .qmath import (haar_unitary, matrix_from_pairs, matrix_to_pairs,
                     maximally_entangled, projector)
-from .teleport import bell_state, correction_unitary
+from .teleport import bell_rotation, correction_unitary
+
+
+def _check_schmidt(mu: np.ndarray) -> None:
+    """Raise unless every row of mu is a finite, non-negative unit vector."""
+    dev = float(np.abs((mu**2).sum(axis=-1) - 1.0).max())
+    if dev <= 1e-10 and mu.min() >= 0:  # false for NaN and inf too
+        return
+    if not np.all(np.isfinite(mu)):
+        raise ValueError("Schmidt coefficients must be finite")
+    if np.any(mu < 0):
+        raise ValueError("Schmidt coefficients must be non-negative")
+    raise ValueError(
+        f"squared Schmidt coefficients must sum to 1, deviation {dev:.3e}"
+    )
+
+
+def _check_determinism(ops: np.ndarray, receivers: np.ndarray, tol: float) -> float:
+    """Determinism residuals of stacked branch operators and receivers.
+
+    ``ops`` and ``receivers`` are (..., M, d, d); leading axes index
+    independent protocols.  Raises on the first protocol whose worst residual
+    exceeds tol, otherwise returns the worst residual over all of them.
+    """
+    *lead, m, d, _ = ops.shape
+    eye = np.eye(d)
+    column = ops.reshape(*lead, m * d, d)  # the L_eta stacked vertically
+    row = ops.swapaxes(-3, -2).reshape(*lead, d, m * d)  # and side by side
+    res_left = np.abs(column.conj().swapaxes(-1, -2) @ column - eye).max(axis=(-2, -1))
+    res_right = np.abs(row @ row.conj().swapaxes(-1, -2) - eye).max(axis=(-2, -1))
+    res_recv = np.abs(receivers @ receivers.conj().swapaxes(-1, -2) - eye).max(
+        axis=(-3, -2, -1))
+    worst = np.maximum(np.maximum(res_left, res_right), res_recv)
+    bad = np.flatnonzero(~(worst <= tol))  # NaN residuals fail too
+    if bad.size:
+        i = bad[0]
+        if not (np.all(np.isfinite(ops)) and np.all(np.isfinite(receivers))):
+            raise ValueError("protocol is not deterministic: operators have "
+                             "non-finite entries")
+        raise ValueError(
+            "protocol is not deterministic: "
+            f"sum L^dag L residual {res_left.flat[i]:.3e}, "
+            f"sum L L^dag residual {res_right.flat[i]:.3e}, "
+            f"receiver unitarity residual {res_recv.flat[i]:.3e}"
+        )
+    return float(np.max(worst))
 
 
 @dataclass(frozen=True)
@@ -40,13 +85,7 @@ class AncillaResource:
     def __post_init__(self):
         mu = np.asarray(self.mu, dtype=float).reshape(-1)
         object.__setattr__(self, "mu", mu)
-        if np.any(mu < 0):
-            raise ValueError("Schmidt coefficients must be non-negative")
-        dev = abs(float(np.sum(mu**2)) - 1.0)
-        if dev > 1e-10:
-            raise ValueError(
-                f"squared Schmidt coefficients must sum to 1, deviation {dev:.3e}"
-            )
+        _check_schmidt(mu)
 
     @property
     def local_dim(self) -> int:
@@ -82,6 +121,8 @@ class ResourceProtocol:
             == len(self.receiver_unitaries)
         ):
             raise ValueError("sender and receiver operator counts must match")
+        if not self.sender_projections:
+            raise ValueError("protocol needs at least one branch")
         if self.validate:
             self.check_determinism()
 
@@ -99,34 +140,24 @@ class ResourceProtocol:
             p @ u for p, u in zip(self.sender_projections, self.sender_unitaries)
         )
 
+    def _check_shapes(self) -> None:
+        """Raise unless every operator is (N*P) x (N*P)."""
+        d = self.n * self.local_dim
+        for kind, ops in (("sender projection", self.sender_projections),
+                          ("sender unitary", self.sender_unitaries),
+                          ("receiver", self.receiver_unitaries)):
+            for op in ops:
+                if op.shape != (d, d):
+                    raise ValueError(
+                        f"{kind} shape {op.shape} does not match "
+                        f"N*P = {self.n}*{self.local_dim} = {d}"
+                    )
+
     def check_determinism(self, tol: float = 1e-10) -> float:
         """Validate the determinism invariants; returns the worst residual."""
-        d = self.n * self.local_dim
-        ops = self.sender_ops()
-        for op in ops:
-            if op.shape != (d, d):
-                raise ValueError(
-                    f"sender operator shape {op.shape} does not match A x a dim {d}"
-                )
-        eye = np.eye(d)
-        res_left = float(np.max(np.abs(sum(dagger(o) @ o for o in ops) - eye)))
-        res_right = float(np.max(np.abs(sum(o @ dagger(o) for o in ops) - eye)))
-        res_recv = 0.0
-        for w in self.receiver_unitaries:
-            if w.shape != (d, d):
-                raise ValueError(
-                    f"receiver operator shape {w.shape} does not match B x b dim {d}"
-                )
-            res_recv = max(res_recv, float(np.max(np.abs(w @ dagger(w) - eye))))
-        worst = max(res_left, res_right, res_recv)
-        if worst > tol:
-            raise ValueError(
-                "protocol is not deterministic: "
-                f"sum L^dag L residual {res_left:.3e}, "
-                f"sum L L^dag residual {res_right:.3e}, "
-                f"receiver unitarity residual {res_recv:.3e}"
-            )
-        return worst
+        self._check_shapes()
+        return _check_determinism(np.stack(self.sender_ops()),
+                                  np.stack(self.receiver_unitaries), tol)
 
 
 @dataclass(frozen=True)
@@ -156,6 +187,7 @@ class LambdaOperators:
 def _run(proto: ResourceProtocol, ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     if ch.dim != proto.n:
         raise ValueError(f"channel dim {ch.dim} does not match protocol dim {proto.n}")
+    proto._check_shapes()
     return _simulate(rho, proto.resource.state(), np.stack(proto.sender_ops()), ch,
                      np.stack(proto.receiver_unitaries))[0]
 
@@ -171,28 +203,46 @@ def apply_protocol(
     return _run(proto, ch, rho)
 
 
+def _blocks(ops: np.ndarray, n: int, p: int) -> np.ndarray:
+    """[..., i, j] -> the N x N block <i| op |j> of each (..., N*P, N*P) operator."""
+    lead = ops.ndim - 2
+    t = ops.reshape(*ops.shape[:-2], n, p, n, p)
+    return t.transpose(*range(lead), lead + 1, lead + 3, lead, lead + 2)
+
+
+def _control_operators(mu: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lambda[..., eta, k, l] = sum_i mu_i B[k,i] (x) A[l,i]^T from stacked blocks.
+
+    Leading axes of mu (..., P) and of the (..., M, P, P, N, N) blocks index
+    independent protocols.
+    """
+    # indices: B[k,i] carries (b_out, b_in), A[l,i]^T carries (a_out, a_in)
+    # with A^T[x, y] = A[y, x]; rows (b_out, a_out), cols (b_in, a_in).
+    ops = np.einsum("...i,...ekibc,...elida->...eklbacd", mu, b, a)
+    *lead, m, p, _, n, _, _, _ = ops.shape
+    return ops.reshape(*lead, m, p, p, n * n, n * n)
+
+
+def _overlap(lam: np.ndarray, r: np.ndarray, psi0: np.ndarray) -> np.ndarray:
+    """<psi0| sum_j Lam_j R Lam_j^dag |psi0> per stack of (..., J, N^2, N^2)
+    control operators, clipped to [0, 1]."""
+    moved = lam.conj().swapaxes(-1, -2) @ psi0
+    val = np.einsum("...ja,ab,...jb->...", moved.conj(), r, moved)
+    return np.clip(val.real, 0.0, 1.0)
+
+
 def block_operators(proto: ResourceProtocol) -> BlockOperators:
     """Extract the ancilla-indexed blocks of all sender and receiver ops."""
     n, p = proto.n, proto.local_dim
-    a = np.stack(
-        [op.reshape(n, p, n, p).transpose(1, 3, 0, 2) for op in proto.sender_ops()]
-    )
-    b = np.stack(
-        [w.reshape(n, p, n, p).transpose(1, 3, 0, 2) for w in proto.receiver_unitaries]
-    )
-    return BlockOperators(a=a, b=b)
+    return BlockOperators(a=_blocks(np.stack(proto.sender_ops()), n, p),
+                          b=_blocks(np.stack(proto.receiver_unitaries), n, p))
 
 
 def lambda_operators(proto: ResourceProtocol) -> LambdaOperators:
     """Control operators Lambda[eta, k, l] = sum_i mu_i B[k,i] (x) A[l,i]^T."""
     blocks = block_operators(proto)
-    mu = proto.resource.mu
-    # indices: B[k,i] carries (b_out, b_in), A[l,i]^T carries (a_out, a_in)
-    # with A^T[x, y] = A[y, x]; rows (b_out, a_out), cols (b_in, a_in).
-    ops = np.einsum("i,ekibc,elida->eklbacd", mu, blocks.b, blocks.a)
-    m, p = proto.m, proto.local_dim
-    n2 = proto.n * proto.n
-    return LambdaOperators(ops=ops.reshape(m, p, p, n2, n2))
+    return LambdaOperators(
+        ops=_control_operators(proto.resource.mu, blocks.a, blocks.b))
 
 
 def control_map(proto: ResourceProtocol, r: ChoiMatrix) -> ChoiMatrix:
@@ -228,11 +278,8 @@ def residual(proto: ResourceProtocol, ch: KrausChannel) -> float:
 
 def target_overlap(proto: ResourceProtocol, r: ChoiMatrix) -> float:
     """Overlap of the controlled Choi state with the ideal target."""
-    psi0 = maximally_entangled(proto.n)
     lam = lambda_operators(proto).flat()
-    moved = lam.conj().transpose(0, 2, 1) @ psi0
-    val = np.einsum("ja,ab,jb->", moved.conj(), r.matrix, moved)
-    return float(np.clip(val.real, 0.0, 1.0))
+    return float(_overlap(lam, r.matrix, maximally_entangled(proto.n)))
 
 
 def entanglement_fidelity(proto: ResourceProtocol, ch: KrausChannel) -> float:
@@ -249,22 +296,13 @@ def qt_protocol(n: int) -> ResourceProtocol:
     the Bell states directly, since the measured system is discarded.
     """
     mu = np.full(n, 1.0 / np.sqrt(n))
-    bell_rotation = np.array([bell_state(n, eta).conj() for eta in range(n * n)])
-    projections = []
-    unitaries = []
-    receivers = []
-    for eta in range(n * n):
-        pr = np.zeros((n * n, n * n), dtype=complex)
-        pr[eta, eta] = 1.0
-        projections.append(pr)
-        unitaries.append(bell_rotation)
-        receivers.append(correction_unitary(n, eta))
+    rotation = bell_rotation(n)
     return ResourceProtocol(
         n=n,
         resource=AncillaResource(mu=mu),
-        sender_projections=tuple(projections),
-        sender_unitaries=tuple(unitaries),
-        receiver_unitaries=tuple(receivers),
+        sender_projections=tuple(basis_projections(np.arange(n * n))),
+        sender_unitaries=(rotation,) * (n * n),
+        receiver_unitaries=tuple(correction_unitary(n, eta) for eta in range(n * n)),
     )
 
 
@@ -284,17 +322,20 @@ def bare_protocol(n: int, local_dim: int = 1, mu=None) -> ResourceProtocol:
     )
 
 
-def _partition_projections(dim: int, m: int) -> list:
-    """Split the computational basis of `dim` into m orthogonal projectors."""
+def basis_projections(labels) -> np.ndarray:
+    """Stacked orthogonal projectors, one per label 0..max: projector k keeps
+    the computational basis states j with labels[j] == k."""
+    labels = np.asarray(labels)
+    keep = labels == np.arange(labels.max() + 1)[:, None]
+    return keep[:, :, None] * np.eye(labels.size, dtype=complex)
+
+
+def _partition_projections(dim: int, m: int) -> np.ndarray:
+    """Split the computational basis of `dim` into m contiguous projectors."""
     if not 1 <= m <= dim:
         raise ValueError(f"branch count must lie in 1..{dim}, got {m}")
     bounds = np.linspace(0, dim, m + 1).astype(int)
-    projections = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        pr = np.zeros((dim, dim), dtype=complex)
-        pr[lo:hi, lo:hi] = np.eye(hi - lo)
-        projections.append(pr)
-    return projections
+    return basis_projections(np.searchsorted(bounds, np.arange(dim), side="right") - 1)
 
 
 def random_protocol(n: int, local_dim: int, m: int, seed) -> ResourceProtocol:
@@ -313,7 +354,7 @@ def random_protocol(n: int, local_dim: int, m: int, seed) -> ResourceProtocol:
         n=n,
         resource=AncillaResource(mu=mu),
         sender_projections=tuple(projections),
-        sender_unitaries=tuple(sender for _ in range(m)),
+        sender_unitaries=(sender,) * m,
         receiver_unitaries=receivers,
     )
 

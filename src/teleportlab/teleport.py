@@ -10,6 +10,7 @@ channel-output leg before b is traced out (see ``channels._simulate``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,6 +50,11 @@ def bell_basis(n: int) -> BellBasis:
     return BellBasis(dim=n, states=tuple(bell_state(n, eta) for eta in range(n * n)))
 
 
+def bell_rotation(n: int) -> np.ndarray:
+    """Unitary on N (x) N mapping Bell state eta onto computational basis state eta."""
+    return np.array([bell_state(n, eta).conj() for eta in range(n * n)])
+
+
 def correction_unitary(n: int, eta: int) -> np.ndarray:
     """Outcome-conditioned correction on output (x) b, swap included.
 
@@ -65,6 +71,17 @@ def correction_unitary(n: int, eta: int) -> np.ndarray:
     return swap_matrix(n, n) @ np.kron(np.eye(n), undo)
 
 
+@lru_cache(maxsize=8)
+def _operators(n: int) -> tuple:
+    """Bell projectors and outcome corrections for local dimension n, stacked
+    and read-only (the cache hands the same arrays to every caller)."""
+    branches = np.stack(bell_basis(n).projectors)
+    receivers = np.stack([correction_unitary(n, eta) for eta in range(n * n)])
+    branches.flags.writeable = False
+    receivers.flags.writeable = False
+    return branches, receivers
+
+
 def _run(rho: np.ndarray, ch: KrausChannel, resource: np.ndarray):
     n = ch.dim
     rho = np.asarray(rho, dtype=complex)
@@ -76,8 +93,7 @@ def _run(rho: np.ndarray, ch: KrausChannel, resource: np.ndarray):
             f"resource dim {resource.size} is not bipartite with local dim {n}"
         )
     assert_pure_state(resource, tol=1e-10)
-    branches = np.stack(bell_basis(n).projectors)
-    receivers = np.stack([correction_unitary(n, eta) for eta in range(n * n)])
+    branches, receivers = _operators(n)
     return _simulate(rho, resource, branches, ch, receivers)
 
 

@@ -195,6 +195,7 @@ def test_criterion_10_necessity_search_ceilings():
     run_a = optimize(ch, base_a, cfg_a)
     rerun_a = optimize(ch, base_a, cfg_a)
     assert run_a.best_fidelity <= 0.999
+    assert f"{run_a.best_fidelity:.6f}" == "0.624928"  # README ceiling
     assert run_a.best_fidelity == rerun_a.best_fidelity
     assert run_a.per_restart_bests == rerun_a.per_restart_bests
     assert run_a.best_residual == rerun_a.best_residual
@@ -206,6 +207,7 @@ def test_criterion_10_necessity_search_ceilings():
     run_b = optimize(ch, base_b, cfg_b)
     rerun_b = optimize(ch, base_b, cfg_b)
     assert run_b.best_fidelity <= 0.999
+    assert f"{run_b.best_fidelity:.6f}" == "0.793157"  # README ceiling
     assert run_b.best_fidelity == rerun_b.best_fidelity
     assert run_b.per_restart_bests == rerun_b.per_restart_bests
 

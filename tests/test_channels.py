@@ -241,6 +241,20 @@ def test_locc_simulable_threshold():
         depolarizing_locc_simulable(-0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_channel_rejects_non_finite_kraus(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        KrausChannel(2, (np.full((2, 2), bad),))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_choi_matrix_rejects_non_finite(bad):
+    matrix = np.eye(4) / 4
+    matrix[0, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        ChoiMatrix.from_matrix(matrix, 2, 2)
+
+
 def test_choi_matrix_validation():
     with pytest.raises(ValueError, match="trace"):
         ChoiMatrix.from_matrix(np.eye(4), 2, 2)

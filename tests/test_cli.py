@@ -222,6 +222,29 @@ def test_optimize_invalid_config(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_optimize_dimension_mismatch_exits_2(runner, tmp_path):
+    path = _optimize_config(tmp_path)  # n = 2
+    result = runner.invoke(
+        main, ["optimize", "--depolarizing", "0.3", "--dim", "3", str(path)]
+    )
+    assert result.exit_code == 2
+    assert "channel dim 3" in result.output and "dim 2" in result.output
+    assert "Traceback" not in result.output
+
+
+def test_sweep_dimension_mismatch_exits_2(runner, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        {"evaluation_budget": 40, "restarts": 1, "seed": 4}
+    ))
+    result = runner.invoke(
+        main, ["sweep", "--depolarizing", "0.3", "--dim", "3", str(config),
+               "--theta-grid", "0.2"]
+    )
+    assert result.exit_code == 2
+    assert "channel dim 3" in result.output and "dim 2" in result.output
+
+
 def test_sweep_csv(runner, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from teleportlab.channels import depolarizing
+from teleportlab.channels import choi, depolarizing, random_channel
 from teleportlab.optimize import (
     OptimizationConfig,
     ProtocolParameterization,
+    _compile_objective,
+    _pack,
+    _unpack,
     decode,
     generator_from_unitary,
     hermitian_to_vec,
@@ -16,7 +19,7 @@ from teleportlab.optimize import (
     vec_to_hermitian,
     zero_parameterization,
 )
-from teleportlab.protocol import apply_protocol, residual
+from teleportlab.protocol import apply_protocol, residual, target_overlap
 from teleportlab.qmath import haar_unitary, random_state
 
 
@@ -171,6 +174,71 @@ def test_config_validation():
         OptimizationConfig(evaluation_budget=0, restarts=1, seed=0)
     with pytest.raises(ValueError):
         OptimizationConfig(evaluation_budget=10, restarts=0, seed=0)
+
+
+@pytest.mark.parametrize("pin", ["free", "fix_mu", "mu_fixed"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("measured", ["none", "ancilla", "full"])
+def test_compiled_objective_equals_decoded_path(measured, n, pin):
+    # the compiled objective must reproduce the protocol-object route bit for
+    # bit, for one vector and for a stack of two
+    rng = np.random.default_rng([n, len(measured), len(pin)])
+    ch = random_channel(n, n * n, seed=n)
+    zero = zero_parameterization(n, 2, measured)
+    base = ProtocolParameterization(
+        n=n, local_dim=2, measured=measured,
+        sender_generator=zero.sender_generator,
+        receiver_generators=zero.receiver_generators,
+        mu_params=rng.standard_normal(1),
+        mu_fixed=rng.random(2) if pin == "mu_fixed" else None,
+    )
+    fix_mu = pin == "fix_mu"
+    fun = _compile_objective(ch, base, fix_mu)
+    thetas = rng.standard_normal((6, _pack(base, fix_mu).size))
+    ref = [target_overlap(decode(_unpack(base, t, fix_mu)), choi(ch)) for t in thetas]
+    assert [fun(t) for t in thetas] == ref
+    assert fun(thetas[:2]).tolist() == ref[:2]
+    assert isinstance(fun(thetas[0]), float)
+
+
+def test_compiled_objective_rejects_dimension_mismatch():
+    base = zero_parameterization(2, 2, "full")
+    with pytest.raises(ValueError, match="channel dim 3 .* dim 2"):
+        optimize(depolarizing(0.3, 3), base,
+                 OptimizationConfig(evaluation_budget=8, restarts=1, seed=0))
+    fun = _compile_objective(depolarizing(0.3), base, False)
+    with pytest.raises(ValueError, match="parameter shape"):
+        fun(np.zeros(3))
+
+
+@pytest.mark.parametrize("index, message", [
+    (3, "not deterministic: operators have non-finite entries"),
+    (-1, "Schmidt coefficients must be finite"),  # squared softmax of inf is NaN
+])
+def test_compiled_objective_keeps_decode_checks(index, message):
+    base = zero_parameterization(2, 2, "none")
+    theta = _pack(base, False)
+    theta[index] = np.inf
+    fun = _compile_objective(depolarizing(0.3), base, False)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match=message):
+            fun(np.stack([np.zeros_like(theta), theta]))
+        with pytest.raises(ValueError, match=message):
+            decode(_unpack(base, theta, False))
+
+
+def test_evaluation_budget_is_hard_cap():
+    ch = depolarizing(0.5)
+    base = zero_parameterization(2, 2, "none")
+    for budget in (4, 5, 7, 10, 23, 41):
+        for restarts in (1, 2, 3, 5):
+            if restarts > budget // 4:
+                with pytest.raises(ValueError, match="evaluation budget"):
+                    OptimizationConfig(budget, restarts, seed=0)
+                continue
+            result = optimize(ch, base, OptimizationConfig(budget, restarts, seed=1))
+            assert result.evaluations_used <= budget
+            assert len(result.per_restart_bests) == restarts
 
 
 def test_sweep_structure_and_monotonicity():

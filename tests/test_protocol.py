@@ -49,6 +49,39 @@ def test_ancilla_resource_validation():
         AncillaResource(mu=np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_ancilla_resource_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        AncillaResource(mu=np.array([bad, bad]))
+
+
+def test_check_determinism_rejects_non_finite():
+    qt = qt_protocol(2)
+    receivers = list(qt.receiver_unitaries)
+    receivers[1] = np.full((4, 4), np.nan)
+    broken = ResourceProtocol(
+        n=2, resource=qt.resource, sender_projections=qt.sender_projections,
+        sender_unitaries=qt.sender_unitaries, receiver_unitaries=tuple(receivers),
+        validate=False,
+    )
+    with pytest.raises(ValueError, match="non-finite"):
+        broken.check_determinism()
+
+
+def test_unvalidated_protocol_with_wrong_operator_shape_is_named():
+    # 3x3 operators where N*P = 2*1 = 2
+    eye = np.eye(3, dtype=complex)
+    proto = ResourceProtocol(
+        n=2, resource=AncillaResource(mu=np.array([1.0])),
+        sender_projections=(eye,), sender_unitaries=(eye,), receiver_unitaries=(eye,),
+        validate=False,
+    )
+    with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match N\*P = 2\*1 = 2"):
+        apply_protocol(proto, depolarizing(0.5), np.eye(2) / 2)
+    with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match N\*P"):
+        effective_choi(proto, depolarizing(0.5))
+
+
 def test_qt_protocol_reproduces_input():
     qt = qt_protocol(2)
     ch = depolarizing(0.5)

@@ -12,7 +12,9 @@ from teleportlab.qmath import (
     trace_distance,
 )
 from teleportlab.teleport import (
+    _operators,
     bell_basis,
+    bell_rotation,
     bell_state,
     correction_unitary,
     teleport,
@@ -129,6 +131,25 @@ def test_branch_probabilities_partial_resource(mu):
                 (diag[0] * mu[1] ** 2 + diag[1] * mu[0] ** 2) / 2]
     # outcome index eta = phase * N + shift
     np.testing.assert_allclose(probs, np.tile(by_shift, 2), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bell_rotation_maps_bell_states_to_basis(n):
+    rotation = bell_rotation(n)
+    np.testing.assert_allclose(rotation @ rotation.conj().T, np.eye(n * n), atol=1e-12)
+    for eta in range(n * n):
+        np.testing.assert_allclose(rotation @ bell_state(n, eta), np.eye(n * n)[eta],
+                                   atol=1e-12)
+
+
+def test_cached_operators_are_shared_and_read_only():
+    branches, receivers = _operators(3)
+    assert _operators(3)[0] is branches
+    np.testing.assert_array_equal(branches, np.stack(bell_basis(3).projectors))
+    np.testing.assert_array_equal(
+        receivers, np.stack([correction_unitary(3, eta) for eta in range(9)]))
+    with pytest.raises(ValueError, match="read-only"):
+        receivers[0, 0, 0] = 0.0
 
 
 def test_teleport_rejects_non_finite_state():
