@@ -24,7 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import KrausChannel, choi
+from .channels import ChoiMatrix, KrausChannel, choi
 from .protocol import (
     AncillaResource,
     ResourceProtocol,
@@ -33,11 +33,11 @@ from .protocol import (
     _check_schmidt,
     _control_operators,
     _overlap,
+    _residual,
     basis_projections,
-    residual as protocol_residual,
 )
 from .qmath import maximally_entangled
-from .teleport import bell_rotation, correction_unitary
+from .teleport import qt_protocol
 
 MEASUREMENT_CHOICES = ("none", "ancilla", "full")
 
@@ -189,14 +189,13 @@ def zero_parameterization(
 
 def qt_parameterization(n: int) -> ProtocolParameterization:
     """Generators whose decoded protocol is the teleportation protocol."""
-    receivers = np.stack(
-        [generator_from_unitary(correction_unitary(n, eta)) for eta in range(n * n)]
-    )
+    qt = qt_protocol(n)
+    receivers = np.stack([generator_from_unitary(w) for w in qt.receiver_unitaries])
     return ProtocolParameterization(
         n=n,
         local_dim=n,
         measured="full",
-        sender_generator=generator_from_unitary(bell_rotation(n)),
+        sender_generator=generator_from_unitary(qt.sender_unitaries[0]),
         receiver_generators=receivers,
         mu_params=np.zeros(n - 1),
     )
@@ -217,14 +216,14 @@ def decode(params: ProtocolParameterization) -> ResourceProtocol:
 
 
 def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
-                       fix_mu: bool):
+                       fix_mu: bool, r: ChoiMatrix | None = None):
     """The search objective over parameter vectors laid out as :func:`_pack`.
 
     Everything that does not depend on the point (index sets, projections,
-    the pinned Schmidt vector, the Choi matrix) is built once here.  The
-    returned function takes one vector, giving a float, or a (B, dim) stack,
-    giving B values, and computes what
-    ``target_overlap(decode(_unpack(base, theta, fix_mu)), choi(ch))`` does
+    the pinned Schmidt vector, ``r = choi(ch)`` unless given) is built once
+    here.  The returned function takes one vector, giving a float, or a
+    (B, dim) stack, giving B values, and computes what
+    ``target_overlap(decode(_unpack(base, theta, fix_mu)), r)`` does
     with the same arithmetic: all generators filled in one write, one batched
     ``eigh``, the same contraction and overlap.  The determinism and Schmidt
     checks of ``decode`` run batched, with the same tolerance and messages.
@@ -247,7 +246,7 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
     if pinned is not None:
         _check_schmidt(pinned)
     psi0 = maximally_entangled(n)
-    r = choi(ch).matrix
+    r = choi(ch) if r is None else r
 
     def fun(theta):
         theta = np.asarray(theta, dtype=float)
@@ -275,7 +274,7 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
         else:
             mu = pinned  # broadcasts over the stack
         lam = _control_operators(mu, _blocks(senders, n, p), _blocks(receivers, n, p))
-        out = _overlap(lam.reshape(len(stack), -1, n * n, n * n), r, psi0)
+        out = _overlap(lam.reshape(len(stack), -1, n * n, n * n), r.matrix, psi0)
         return float(out[0]) if theta.ndim == 1 else out
 
     return fun
@@ -401,7 +400,8 @@ def optimize(
 ) -> OptimizationResult:
     """Multi-restart ascent of the entanglement fidelity; seeded, monotone."""
     fix_mu = cfg.fix_mu
-    fun = _compile_objective(ch, base, fix_mu)
+    r = choi(ch)
+    fun = _compile_objective(ch, base, fix_mu, r)
     dim = _pack(base, fix_mu).size
     per_restart = cfg.evaluation_budget // cfg.restarts
     bests, thetas, traces = [], [], []
@@ -428,7 +428,7 @@ def optimize(
     best_protocol = decode(best_params)
     return OptimizationResult(
         best_fidelity=float(bests[winner]),
-        best_residual=float(protocol_residual(best_protocol, ch)),
+        best_residual=_residual(best_protocol, r),
         best_protocol=best_protocol,
         per_restart_bests=tuple(float(b) for b in bests),
         evaluations_used=used,
@@ -447,12 +447,12 @@ class SweepPoint:
 
 
 def sweep_mu(ch: KrausChannel, theta_grid, cfg: OptimizationConfig) -> list:
-    """Best fidelity per entanglement angle, mu(theta) = (cos t, sin t)."""
+    """Best fidelity per angle, mu(theta) = (cos t, sin t), at N = ch.dim, P = 2."""
     rows = []
     for theta in theta_grid:
         theta = float(theta)
         base = zero_parameterization(
-            n=2, local_dim=2, measured="full",
+            n=ch.dim, local_dim=2, measured="full",
             mu_fixed=np.array([np.cos(theta), np.sin(theta)]),
         )
         result = optimize(ch, base, cfg)

@@ -28,7 +28,6 @@ import numpy as np
 from .channels import ChoiMatrix, KrausChannel, _simulate, choi
 from .qmath import (haar_unitary, matrix_from_pairs, matrix_to_pairs,
                     maximally_entangled, projector)
-from .teleport import bell_rotation, correction_unitary
 
 
 def _check_schmidt(mu: np.ndarray) -> None:
@@ -160,30 +159,6 @@ class ResourceProtocol:
                                   np.stack(self.receiver_unitaries), tol)
 
 
-@dataclass(frozen=True)
-class BlockOperators:
-    """Sender/receiver operator blocks in the resource's Schmidt bases.
-
-    a[eta, i, j] and b[eta, k, l] are N x N matrices; see the module
-    docstring for the exact matrix elements they hold.
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-
-
-@dataclass(frozen=True)
-class LambdaOperators:
-    """Control operators on the output (x) input space, indexed [eta, k, l]."""
-
-    ops: np.ndarray
-
-    def flat(self) -> np.ndarray:
-        """All operators as one (M*P*P, N^2, N^2) stack."""
-        m, p, _, d, _ = self.ops.shape
-        return self.ops.reshape(m * p * p, d, d)
-
-
 def _run(proto: ResourceProtocol, ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     if ch.dim != proto.n:
         raise ValueError(f"channel dim {ch.dim} does not match protocol dim {proto.n}")
@@ -231,30 +206,36 @@ def _overlap(lam: np.ndarray, r: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     return np.clip(val.real, 0.0, 1.0)
 
 
-def block_operators(proto: ResourceProtocol) -> BlockOperators:
-    """Extract the ancilla-indexed blocks of all sender and receiver ops."""
+def block_operators(proto: ResourceProtocol) -> tuple:
+    """The ancilla-indexed N x N blocks a[eta, i, j] and b[eta, k, l] of all
+    sender and receiver ops, as the pair (a, b); see the module docstring."""
     n, p = proto.n, proto.local_dim
-    return BlockOperators(a=_blocks(np.stack(proto.sender_ops()), n, p),
-                          b=_blocks(np.stack(proto.receiver_unitaries), n, p))
+    return (_blocks(np.stack(proto.sender_ops()), n, p),
+            _blocks(np.stack(proto.receiver_unitaries), n, p))
 
 
-def lambda_operators(proto: ResourceProtocol) -> LambdaOperators:
-    """Control operators Lambda[eta, k, l] = sum_i mu_i B[k,i] (x) A[l,i]^T."""
-    blocks = block_operators(proto)
-    return LambdaOperators(
-        ops=_control_operators(proto.resource.mu, blocks.a, blocks.b))
+def lambda_operators(proto: ResourceProtocol) -> np.ndarray:
+    """Control operators Lambda[eta, k, l] = sum_i mu_i B[k,i] (x) A[l,i]^T,
+    on the output (x) input space, as an (M, P, P, N^2, N^2) array."""
+    return _control_operators(proto.resource.mu, *block_operators(proto))
 
 
-def control_map(proto: ResourceProtocol, r: ChoiMatrix) -> ChoiMatrix:
-    """Transform a Choi state through the protocol's control operators."""
+def _flat_control_operators(proto: ResourceProtocol, r: ChoiMatrix) -> np.ndarray:
+    """All control operators as one (M*P*P, N^2, N^2) stack, after checking
+    that the Choi state's dims match the protocol's."""
     n = proto.n
     if r.dim_out != n or r.dim_in != n:
         raise ValueError(
             f"Choi dims {r.dim_out}x{r.dim_in} do not match protocol dim {n}"
         )
-    lam = lambda_operators(proto).flat()
+    return lambda_operators(proto).reshape(-1, n * n, n * n)
+
+
+def control_map(proto: ResourceProtocol, r: ChoiMatrix) -> ChoiMatrix:
+    """Transform a Choi state through the protocol's control operators."""
+    lam = _flat_control_operators(proto, r)
     out = np.einsum("jac,jdc->ad", lam @ r.matrix, lam.conj())
-    return ChoiMatrix.from_matrix(out, dim_out=n, dim_in=n, tol=1e-8)
+    return ChoiMatrix.from_matrix(out, dim_out=proto.n, dim_in=proto.n, tol=1e-8)
 
 
 def effective_choi(proto: ResourceProtocol, ch: KrausChannel) -> ChoiMatrix:
@@ -271,39 +252,25 @@ def effective_choi(proto: ResourceProtocol, ch: KrausChannel) -> ChoiMatrix:
 
 def residual(proto: ResourceProtocol, ch: KrausChannel) -> float:
     """Frobenius distance of the controlled Choi state from the ideal target."""
+    return _residual(proto, choi(ch))
+
+
+def _residual(proto: ResourceProtocol, r: ChoiMatrix) -> float:
+    """:func:`residual` from the channel's Choi state."""
     target = projector(maximally_entangled(proto.n))
-    out = control_map(proto, choi(ch))
+    out = control_map(proto, r)
     return float(np.linalg.norm(out.matrix - target))
 
 
 def target_overlap(proto: ResourceProtocol, r: ChoiMatrix) -> float:
     """Overlap of the controlled Choi state with the ideal target."""
-    lam = lambda_operators(proto).flat()
+    lam = _flat_control_operators(proto, r)
     return float(_overlap(lam, r.matrix, maximally_entangled(proto.n)))
 
 
 def entanglement_fidelity(proto: ResourceProtocol, ch: KrausChannel) -> float:
     """Overlap of the controlled Choi state with the ideal target; 1 iff faithful."""
     return target_overlap(proto, choi(ch))
-
-
-def qt_protocol(n: int) -> ResourceProtocol:
-    """The teleportation protocol as a resource protocol.
-
-    Sender branches are computational projections after the rotation that
-    maps the Bell basis onto the computational basis; receivers are the
-    standard outcome corrections.  Physically identical to projecting onto
-    the Bell states directly, since the measured system is discarded.
-    """
-    mu = np.full(n, 1.0 / np.sqrt(n))
-    rotation = bell_rotation(n)
-    return ResourceProtocol(
-        n=n,
-        resource=AncillaResource(mu=mu),
-        sender_projections=tuple(basis_projections(np.arange(n * n))),
-        sender_unitaries=(rotation,) * (n * n),
-        receiver_unitaries=tuple(correction_unitary(n, eta) for eta in range(n * n)),
-    )
 
 
 def bare_protocol(n: int, local_dim: int = 1, mu=None) -> ResourceProtocol:

@@ -7,8 +7,6 @@ are pure; randomness only enters through explicitly passed seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_TOL = 1e-10
@@ -97,30 +95,13 @@ def swap_matrix(dim_a: int, dim_b: int) -> np.ndarray:
     return factor_permutation((dim_a, dim_b), (1, 0))
 
 
-@dataclass(frozen=True)
-class SchmidtForm:
-    """Schmidt data of a bipartite pure state.
+def schmidt(psi: np.ndarray, dim_a: int, dim_b: int) -> tuple:
+    """Schmidt decomposition (coefficients, basis_a, basis_b) of a bipartite
+    pure state.
 
-    ``coefficients`` are non-negative and sorted descending; ``basis_a`` and
+    The coefficients are non-negative and sorted descending; ``basis_a`` and
     ``basis_b`` hold the corresponding orthonormal local vectors as columns.
     """
-
-    coefficients: np.ndarray
-    basis_a: np.ndarray
-    basis_b: np.ndarray
-    local_dim: int
-
-    def reconstruct(self) -> np.ndarray:
-        """Rebuild the state vector from coefficients and local bases."""
-        vecs = [
-            c * np.kron(self.basis_a[:, k], self.basis_b[:, k])
-            for k, c in enumerate(self.coefficients)
-        ]
-        return np.sum(vecs, axis=0)
-
-
-def schmidt(psi: np.ndarray, dim_a: int, dim_b: int) -> SchmidtForm:
-    """Schmidt decomposition of a bipartite pure state."""
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != dim_a * dim_b:
         raise ValueError(
@@ -129,12 +110,7 @@ def schmidt(psi: np.ndarray, dim_a: int, dim_b: int) -> SchmidtForm:
     coeff = psi.reshape(dim_a, dim_b)
     u, s, vh = np.linalg.svd(coeff)
     r = min(dim_a, dim_b)
-    return SchmidtForm(
-        coefficients=s[:r],
-        basis_a=u[:, :r],
-        basis_b=vh[:r, :].T,
-        local_dim=r,
-    )
+    return s[:r], u[:, :r], vh[:r, :].T
 
 
 def _matrix_sqrt(rho: np.ndarray) -> np.ndarray:

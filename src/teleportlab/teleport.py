@@ -1,58 +1,46 @@
-"""Standard N-level teleportation: Bell basis, corrections, end-to-end map.
+"""Standard N-level teleportation: Bell states, corrections, ``qt_protocol``.
 
-The input lives on A and the shared pair on a (x) b.  Each Bell outcome is a
-branch on A (x) a, after which a is traced out; the noisy channel acts on A
-only (the system that would traverse the channel), and the correction acts
-on channel-output (x) b, ending with a swap that moves the result onto the
-channel-output leg before b is traced out (see ``channels._simulate``).
+``teleport`` runs the operators of ``qt_protocol(n)``.  The input lives on A
+and the shared pair on a (x) b.  Each outcome eta is a branch Pi_eta R on
+A (x) a (R maps the Bell basis onto the computational one), after which a is
+traced out; the noisy channel acts on A only (the system that would traverse
+the channel), and the correction acts on channel-output (x) b, ending with a
+swap that moves the result onto the channel-output leg before b is traced
+out (see ``channels._simulate``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .channels import KrausChannel, _simulate
-from .qmath import assert_pure_state, maximally_entangled, projector, swap_matrix
-
-
-@dataclass(frozen=True)
-class BellBasis:
-    """The N^2 maximally entangled basis states on an N (x) N space.
-
-    Index convention: eta = n*N + m, where n sets the phase gradient and m
-    the cyclic shift between the two factors.
-    """
-
-    dim: int
-    states: tuple
-
-    @property
-    def projectors(self) -> tuple:
-        return tuple(projector(v) for v in self.states)
+from .channels import KrausChannel, _simulate, weyl_operator
+from .protocol import AncillaResource, ResourceProtocol, basis_projections
+from .qmath import assert_pure_state, maximally_entangled
 
 
 def bell_state(n: int, eta: int) -> np.ndarray:
-    """Vector (1/sqrt(N)) sum_k exp(2 pi i k n_/N) |k>|(k+m) mod N>."""
-    phase_idx, shift = divmod(eta, n)
-    vec = np.zeros(n * n, dtype=complex)
-    for k in range(n):
-        vec[k * n + (k + shift) % n] = np.exp(2j * np.pi * k * phase_idx / n)
-    return vec / np.sqrt(n)
+    """Vector (1/sqrt(N)) sum_k exp(2 pi i k n_/N) |k>|(k+m) mod N>, with
+    (n_, m) = divmod(eta, N); its coefficient matrix is the transposed Weyl
+    operator W(n_, m) over sqrt(N)."""
+    return weyl_operator(n, *divmod(eta, n)).T.reshape(-1) / np.sqrt(n)
 
 
-def bell_basis(n: int) -> BellBasis:
-    """Complete orthonormal Bell basis for local dimension n >= 2."""
+def bell_basis(n: int) -> np.ndarray:
+    """The N^2 Bell states of an N (x) N space, one per row, for n >= 2.
+
+    Index convention: row eta = n_*N + m, where n_ sets the phase gradient
+    and m the cyclic shift between the two factors.
+    """
     if n < 2:
         raise ValueError(f"local dimension must be >= 2, got {n}")
-    return BellBasis(dim=n, states=tuple(bell_state(n, eta) for eta in range(n * n)))
+    return np.array([bell_state(n, eta) for eta in range(n * n)])
 
 
 def bell_rotation(n: int) -> np.ndarray:
     """Unitary on N (x) N mapping Bell state eta onto computational basis state eta."""
-    return np.array([bell_state(n, eta).conj() for eta in range(n * n)])
+    return bell_basis(n).conj()
 
 
 def correction_unitary(n: int, eta: int) -> np.ndarray:
@@ -64,19 +52,38 @@ def correction_unitary(n: int, eta: int) -> np.ndarray:
     """
     if not 0 <= eta < n * n:
         raise ValueError(f"outcome index must lie in 0..{n * n - 1}, got {eta}")
-    phase_idx, shift = divmod(eta, n)
-    undo = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        undo[k, (k + shift) % n] = np.exp(2j * np.pi * k * phase_idx / n)
-    return swap_matrix(n, n) @ np.kron(np.eye(n), undo)
+    undo = weyl_operator(n, *divmod(eta, n)).T
+    # <x y| W |z w> = undo[x, w] delta(y, z): undo applied to b lands on the
+    # output leg, and the output's old content moves to b
+    return np.einsum("yz,xw->xyzw", np.eye(n), undo).reshape(n * n, n * n)
+
+
+def qt_protocol(n: int) -> ResourceProtocol:
+    """The teleportation protocol as a resource protocol.
+
+    Sender branches are computational projections after the rotation that
+    maps the Bell basis onto the computational basis; receivers are the
+    standard outcome corrections.  Physically identical to projecting onto
+    the Bell states directly, since the measured system is discarded.
+    """
+    mu = np.full(n, 1.0 / np.sqrt(n))
+    rotation = bell_rotation(n)
+    return ResourceProtocol(
+        n=n,
+        resource=AncillaResource(mu=mu),
+        sender_projections=tuple(basis_projections(np.arange(n * n))),
+        sender_unitaries=(rotation,) * (n * n),
+        receiver_unitaries=tuple(correction_unitary(n, eta) for eta in range(n * n)),
+    )
 
 
 @lru_cache(maxsize=8)
 def _operators(n: int) -> tuple:
-    """Bell projectors and outcome corrections for local dimension n, stacked
+    """``qt_protocol(n)``'s branch operators Pi_eta R and corrections, stacked
     and read-only (the cache hands the same arrays to every caller)."""
-    branches = np.stack(bell_basis(n).projectors)
-    receivers = np.stack([correction_unitary(n, eta) for eta in range(n * n)])
+    qt = qt_protocol(n)
+    branches = np.stack(qt.sender_ops())
+    receivers = np.stack(qt.receiver_unitaries)
     branches.flags.writeable = False
     receivers.flags.writeable = False
     return branches, receivers
@@ -103,18 +110,14 @@ def teleport(rho: np.ndarray, ch: KrausChannel) -> np.ndarray:
     return out
 
 
-def teleport_with_resource(
-    rho: np.ndarray, ch: KrausChannel, resource: np.ndarray
-) -> np.ndarray:
-    """Run the standard protocol with an arbitrary pure entangled resource."""
-    out, _ = _run(rho, ch, resource)
-    return out
-
-
 def teleport_detailed(
     rho: np.ndarray, ch: KrausChannel, resource: np.ndarray | None = None
 ):
-    """Teleport and also report the Bell-outcome branch probabilities."""
+    """Teleport and also report the Bell-outcome branch probabilities.
+
+    ``resource`` may be any pure state on a (x) b; the default is the
+    maximally entangled pair.
+    """
     if resource is None:
         resource = maximally_entangled(ch.dim)
     return _run(rho, ch, resource)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .protocol import AncillaResource, BlockOperators, ResourceProtocol, block_operators
+from .protocol import AncillaResource, ResourceProtocol, block_operators
 
 
 @dataclass(frozen=True)
@@ -50,13 +50,14 @@ class ProofReport:
         }
 
 
-def check_relations_13(blocks: BlockOperators) -> float:
-    """Worst residual of the four determinism relations on the blocks.
+def check_relations_13(blocks: tuple) -> float:
+    """Worst residual of the four determinism relations on the (a, b) blocks
+    of :func:`block_operators`.
 
     Sender relations sum over branches and one ancilla index; receiver
     relations hold separately for every branch.
     """
-    a, b = blocks.a, blocks.b
+    a, b = blocks
     n = a.shape[-1]
     eye = np.eye(n)
     delta = np.eye(a.shape[1])
@@ -84,10 +85,8 @@ def check_relations_13(blocks: BlockOperators) -> float:
 
 def _inner_product_tensor(proto: ResourceProtocol) -> np.ndarray:
     """G[eta, k, l, n, m] = sum_i mu_i <n| A[l,i] B[k,i] |m>."""
-    blocks = block_operators(proto)
-    return np.einsum(
-        "i,elinx,ekixm->eklnm", proto.resource.mu, blocks.a, blocks.b
-    )
+    a, b = block_operators(proto)
+    return np.einsum("i,elinx,ekixm->eklnm", proto.resource.mu, a, b)
 
 
 def _matching_mask(local_dim: int, n: int) -> np.ndarray:
@@ -184,10 +183,10 @@ def cauchy_schwarz_check(proto: ResourceProtocol) -> float:
     valid for every protocol, not only faithful ones.  Returns
     max(|inner|^2 - product), which stays <= 0 up to rounding.
     """
-    blocks = block_operators(proto)
+    a, b = block_operators(proto)
     mu = proto.resource.mu
-    prod_a = np.einsum("i,elinj->eln", mu, np.abs(blocks.a) ** 2)
-    prod_b = np.einsum("p,ekpqm->ekm", mu, np.abs(blocks.b) ** 2)
+    prod_a = np.einsum("i,elinj->eln", mu, np.abs(a) ** 2)
+    prod_b = np.einsum("p,ekpqm->ekm", mu, np.abs(b) ** 2)
     product = np.einsum("eln,ekm->eklnm", prod_a, prod_b)
     g = _inner_product_tensor(proto)
     return float(np.max(np.abs(g) ** 2 - product))

@@ -28,12 +28,11 @@ from teleportlab.protocol import (
     bare_protocol,
     control_map,
     effective_choi,
-    qt_protocol,
     random_protocol,
     residual,
 )
 from teleportlab.qmath import fidelity, projector, random_pure, random_state
-from teleportlab.teleport import teleport
+from teleportlab.teleport import qt_protocol, teleport
 from teleportlab.theorem import (
     cauchy_schwarz_check,
     entanglement_bound,

@@ -6,8 +6,9 @@ from click.testing import CliRunner
 
 from teleportlab.channels import depolarizing, save_channel
 from teleportlab.cli import main
-from teleportlab.protocol import bare_protocol, protocol_to_dict, qt_protocol, save_protocol
+from teleportlab.protocol import bare_protocol, protocol_to_dict, save_protocol
 from teleportlab.qmath import matrix_to_pairs, random_state
+from teleportlab.teleport import qt_protocol
 
 
 @pytest.fixture
@@ -232,17 +233,19 @@ def test_optimize_dimension_mismatch_exits_2(runner, tmp_path):
     assert "Traceback" not in result.output
 
 
-def test_sweep_dimension_mismatch_exits_2(runner, tmp_path):
+def test_sweep_takes_dimension_from_channel(runner, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(
         {"evaluation_budget": 40, "restarts": 1, "seed": 4}
     ))
-    result = runner.invoke(
-        main, ["sweep", "--depolarizing", "0.3", "--dim", "3", str(config),
-               "--theta-grid", "0.2"]
+    result = _invoke(
+        runner, ["sweep", "--depolarizing", "0.3", "--dim", "3", str(config),
+                 "--theta-grid", "0.2,0.5"]
     )
-    assert result.exit_code == 2
-    assert "channel dim 3" in result.output and "dim 2" in result.output
+    assert result.exit_code == 0
+    lines = result.output.strip().splitlines()
+    assert lines[0] == "theta,sumMu,bestFidelity,seed"
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.2, 0.5]
 
 
 def test_sweep_csv(runner, tmp_path):

@@ -23,7 +23,6 @@ from teleportlab.protocol import (
     load_protocol,
     protocol_from_dict,
     protocol_to_dict,
-    qt_protocol,
     random_protocol,
     residual,
     save_protocol,
@@ -36,7 +35,7 @@ from teleportlab.qmath import (
     random_state,
     trace_distance,
 )
-from teleportlab.teleport import teleport
+from teleportlab.teleport import qt_protocol, teleport
 
 FEASIBLE_COMBOS = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 4), (4, 1), (4, 2), (4, 4)]
 
@@ -90,10 +89,11 @@ def test_qt_protocol_reproduces_input():
     assert trace_distance(out, rho) < 1e-9
 
 
-def test_qt_protocol_matches_teleport_module():
-    qt = qt_protocol(3)
-    ch = random_channel(3, 9, seed=1)
-    rho = random_state(3, seed=2)
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_qt_protocol_matches_teleport_module(n):
+    qt = qt_protocol(n)
+    ch = random_channel(n, n * n, seed=1)
+    rho = random_state(n, seed=2)
     np.testing.assert_allclose(
         apply_protocol(qt, ch, rho), teleport(rho, ch), atol=1e-12
     )
@@ -138,32 +138,32 @@ def test_protocol_rejects_non_deterministic():
 
 def test_blocks_of_identity_sender():
     proto = bare_protocol(2, local_dim=2, mu=np.array([1.0, 0.0]))
-    blocks = block_operators(proto)
+    a, _ = block_operators(proto)
     for i in range(2):
         for j in range(2):
             expected = np.eye(2) if i == j else np.zeros((2, 2))
-            np.testing.assert_allclose(blocks.a[0, i, j], expected, atol=1e-14)
+            np.testing.assert_allclose(a[0, i, j], expected, atol=1e-14)
 
 
 def test_qt_block_entries():
-    blocks = block_operators(qt_protocol(2))
+    a, _ = block_operators(qt_protocol(2))
     allowed = np.array([0, 1 / np.sqrt(2), -1 / np.sqrt(2),
                         1j / np.sqrt(2), -1j / np.sqrt(2)])
-    entries = blocks.a.reshape(-1)
+    entries = a.reshape(-1)
     dist = np.min(np.abs(entries[:, None] - allowed[None, :]), axis=1)
     assert np.max(dist) < 1e-12
 
 
 def test_lambda_bare_is_identity():
     lam = lambda_operators(bare_protocol(2))
-    assert lam.ops.shape == (1, 1, 1, 4, 4)
-    np.testing.assert_allclose(lam.ops[0, 0, 0], np.eye(4), atol=1e-14)
+    assert lam.shape == (1, 1, 1, 4, 4)
+    np.testing.assert_allclose(lam[0, 0, 0], np.eye(4), atol=1e-14)
 
 
 def test_lambda_qt_completeness():
     # one control operator per (branch, k, l) with k, l over the ancilla
     # Schmidt range: M * P^2 of them for the teleportation protocol
-    lam = lambda_operators(qt_protocol(2)).flat()
+    lam = lambda_operators(qt_protocol(2)).reshape(-1, 4, 4)
     assert lam.shape == (16, 4, 4)
     total = sum(op.conj().T @ op for op in lam)
     np.testing.assert_allclose(total, np.eye(4), atol=1e-9)
@@ -171,17 +171,17 @@ def test_lambda_qt_completeness():
 
 def test_lambda_reconstruction_from_blocks():
     proto = random_protocol(2, 2, 2, seed=7)
-    blocks = block_operators(proto)
+    a, b = block_operators(proto)
     lam = lambda_operators(proto)
     mu = proto.resource.mu
     for eta in range(proto.m):
         for k in range(proto.local_dim):
             for l in range(proto.local_dim):
                 expected = sum(
-                    mu[i] * np.kron(blocks.b[eta, k, i], blocks.a[eta, l, i].T)
+                    mu[i] * np.kron(b[eta, k, i], a[eta, l, i].T)
                     for i in range(proto.local_dim)
                 )
-                np.testing.assert_allclose(lam.ops[eta, k, l], expected, atol=1e-12)
+                np.testing.assert_allclose(lam[eta, k, l], expected, atol=1e-12)
 
 
 def test_control_map_bare_is_identity_map():
@@ -332,6 +332,17 @@ def test_target_overlap_matches_entanglement_fidelity():
     assert abs(
         target_overlap(proto, choi(ch)) - entanglement_fidelity(proto, ch)
     ) < 1e-14
+
+
+def test_target_overlap_rejects_choi_dimension_mismatch():
+    qt = qt_protocol(2)
+    message = "Choi dims 3x3 do not match protocol dim 2"
+    with pytest.raises(ValueError, match=message):
+        target_overlap(qt, choi(depolarizing(0.5, 3)))
+    with pytest.raises(ValueError, match=message):
+        entanglement_fidelity(qt, depolarizing(0.5, 3))
+    with pytest.raises(ValueError, match=message):
+        control_map(qt, choi(depolarizing(0.5, 3)))
 
 
 def test_protocol_json_round_trip(tmp_path):

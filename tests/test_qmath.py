@@ -88,17 +88,17 @@ def test_partial_trace_dim_mismatch():
 
 
 def test_schmidt_maximally_entangled():
-    form = schmidt(maximally_entangled(2), 2, 2)
+    coefficients, _, _ = schmidt(maximally_entangled(2), 2, 2)
     np.testing.assert_allclose(
-        form.coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12
+        coefficients, [1 / np.sqrt(2)] * 2, atol=1e-12
     )
 
 
 def test_schmidt_product_state():
     psi = np.zeros(4, dtype=complex)
     psi[1] = 1.0  # |0> (x) |1>
-    form = schmidt(psi, 2, 2)
-    np.testing.assert_allclose(form.coefficients, [1.0, 0.0], atol=1e-12)
+    coefficients, _, _ = schmidt(psi, 2, 2)
+    np.testing.assert_allclose(coefficients, [1.0, 0.0], atol=1e-12)
 
 
 def test_schmidt_partial_entanglement():
@@ -106,22 +106,23 @@ def test_schmidt_partial_entanglement():
     psi = np.zeros(4, dtype=complex)
     psi[0] = np.cos(theta)
     psi[3] = np.sin(theta)
-    form = schmidt(psi, 2, 2)
+    coefficients, _, _ = schmidt(psi, 2, 2)
     np.testing.assert_allclose(
-        form.coefficients, [np.cos(theta), np.sin(theta)], atol=1e-12
+        coefficients, [np.cos(theta), np.sin(theta)], atol=1e-12
     )
 
 
 def test_schmidt_reconstruction_random():
     for seed in range(5):
         psi = random_pure(6, seed)
-        form = schmidt(psi, 2, 3)
-        rebuilt = form.reconstruct()
+        coefficients, basis_a, basis_b = schmidt(psi, 2, 3)
+        rebuilt = sum(c * np.kron(basis_a[:, k], basis_b[:, k])
+                      for k, c in enumerate(coefficients))
         np.testing.assert_allclose(
             fix_global_phase(rebuilt), fix_global_phase(psi), atol=1e-10
         )
-        gram_a = form.basis_a.conj().T @ form.basis_a
-        gram_b = form.basis_b.conj().T @ form.basis_b
+        gram_a = basis_a.conj().T @ basis_a
+        gram_b = basis_b.conj().T @ basis_b
         np.testing.assert_allclose(gram_a, np.eye(2), atol=1e-10)
         np.testing.assert_allclose(gram_b, np.eye(2), atol=1e-10)
 
@@ -172,9 +173,9 @@ def test_maximally_entangled_explicit():
 
 def test_maximally_entangled_uniform_schmidt():
     for n in (2, 3, 4):
-        form = schmidt(maximally_entangled(n), n, n)
+        coefficients, _, _ = schmidt(maximally_entangled(n), n, n)
         np.testing.assert_allclose(
-            form.coefficients, np.full(n, 1 / np.sqrt(n)), atol=1e-12
+            coefficients, np.full(n, 1 / np.sqrt(n)), atol=1e-12
         )
 
 

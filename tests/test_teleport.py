@@ -1,7 +1,10 @@
+import importlib.resources
+
 import numpy as np
 import pytest
 
 from teleportlab.channels import depolarizing, identity_channel, random_channel
+from teleportlab.protocol import load_protocol
 from teleportlab.qmath import (
     fidelity,
     maximally_entangled,
@@ -17,9 +20,9 @@ from teleportlab.teleport import (
     bell_rotation,
     bell_state,
     correction_unitary,
+    qt_protocol,
     teleport,
     teleport_detailed,
-    teleport_with_resource,
 )
 
 
@@ -33,9 +36,8 @@ def test_bell_state_eta1_shift():
 
 
 def test_bell_projectors_match_states():
-    basis = bell_basis(2)
     np.testing.assert_allclose(
-        basis.projectors[0], projector(maximally_entangled(2)), atol=1e-15
+        projector(bell_basis(2)[0]), projector(maximally_entangled(2)), atol=1e-15
     )
 
 
@@ -43,10 +45,10 @@ def test_bell_projectors_match_states():
 def test_bell_basis_orthonormal_complete(n):
     basis = bell_basis(n)
     gram = np.array([
-        [np.vdot(u, v) for v in basis.states] for u in basis.states
+        [np.vdot(u, v) for v in basis] for u in basis
     ])
     np.testing.assert_allclose(gram, np.eye(n * n), atol=1e-12)
-    total = sum(basis.projectors)
+    total = sum(projector(v) for v in basis)
     np.testing.assert_allclose(total, np.eye(n * n), atol=1e-12)
 
 
@@ -142,12 +144,23 @@ def test_bell_rotation_maps_bell_states_to_basis(n):
                                    atol=1e-12)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_bundled_qt_protocol_equals_qt_protocol(n):
+    assets = importlib.resources.files("teleportlab") / "assets"
+    bundled = load_protocol(assets / f"qt_protocol_n{n}.json")
+    built = qt_protocol(n)
+    np.testing.assert_array_equal(bundled.resource.mu, built.resource.mu)
+    for field in ("sender_projections", "sender_unitaries", "receiver_unitaries"):
+        np.testing.assert_array_equal(np.stack(getattr(bundled, field)),
+                                      np.stack(getattr(built, field)))
+
+
 def test_cached_operators_are_shared_and_read_only():
     branches, receivers = _operators(3)
     assert _operators(3)[0] is branches
-    np.testing.assert_array_equal(branches, np.stack(bell_basis(3).projectors))
-    np.testing.assert_array_equal(
-        receivers, np.stack([correction_unitary(3, eta) for eta in range(9)]))
+    qt = qt_protocol(3)
+    np.testing.assert_array_equal(branches, np.stack(qt.sender_ops()))
+    np.testing.assert_array_equal(receivers, np.stack(qt.receiver_unitaries))
     with pytest.raises(ValueError, match="read-only"):
         receivers[0, 0, 0] = 0.0
 
@@ -173,7 +186,7 @@ def test_resource_default_matches_maximally_entangled():
     rho = random_state(2, seed=30)
     ch = depolarizing(0.25)
     np.testing.assert_allclose(
-        teleport_with_resource(rho, ch, maximally_entangled(2)),
+        teleport_detailed(rho, ch, maximally_entangled(2))[0],
         teleport(rho, ch),
         atol=1e-13,
     )
@@ -184,11 +197,11 @@ def test_product_resource_kills_coherence():
     product = np.zeros(4, dtype=complex)
     product[0] = 1.0  # |00>
     plus = projector(np.array([1, 1]) / np.sqrt(2))
-    out = teleport_with_resource(plus, ch, product)
+    out = teleport_detailed(plus, ch, product)[0]
     np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-12)
     assert abs(fidelity(out, plus) - 0.5) < 1e-10
     # output depends only on the input's diagonal
-    out_diag = teleport_with_resource(np.diag(np.diag(plus)), ch, product)
+    out_diag = teleport_detailed(np.diag(np.diag(plus)), ch, product)[0]
     np.testing.assert_allclose(out, out_diag, atol=1e-12)
 
 
@@ -203,7 +216,7 @@ def test_partial_resource_average_fidelity():
     count = 1000
     for seed in range(count):
         psi = random_pure(2, seed)
-        out = teleport_with_resource(projector(psi), ch, resource)
+        out = teleport_detailed(projector(psi), ch, resource)[0]
         total += float(np.real(psi.conj() @ out @ psi))
     average = total / count
     expected = (2 * ((c + s) ** 2 / 2) + 1) / 3
@@ -213,7 +226,7 @@ def test_partial_resource_average_fidelity():
 
 def test_resource_dim_mismatch():
     with pytest.raises(ValueError):
-        teleport_with_resource(random_state(2, 0), depolarizing(0.5), np.zeros(9))
+        teleport_detailed(random_state(2, 0), depolarizing(0.5), np.zeros(9))
 
 
 def test_teleport_does_not_depend_on_channel():
