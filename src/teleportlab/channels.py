@@ -117,17 +117,22 @@ def choi(ch: KrausChannel) -> ChoiMatrix:
     """Choi state of a channel: (channel (x) id) applied to |psi_0><psi_0|."""
     n = ch.dim
     psi0 = projector(maximally_entangled(n))
-    mat = sum(
-        np.kron(k, np.eye(n)) @ psi0 @ dagger(np.kron(k, np.eye(n)))
-        for k in ch.kraus
-    )
+    # all K_e (x) I at once, entry for entry what np.kron gives, so the sum
+    # is bit-identical to adding the operators' terms one at a time
+    k = np.stack(ch.kraus)
+    kk = (k[:, :, None, :, None] * np.eye(n)[:, None, :]).reshape(-1, n * n, n * n)
+    mat = (kk @ psi0 @ kk.conj().swapaxes(-1, -2)).sum(axis=0)
     return ChoiMatrix.from_matrix(mat, dim_out=n, dim_in=n)
+
+
+def _rank(eigenvalues: np.ndarray, tol: float) -> int:
+    """Count of descending eigenvalues above tol relative to the largest."""
+    return int(np.sum(eigenvalues > tol * eigenvalues[0]))
 
 
 def rank(ch: KrausChannel, tol: float = 1e-10) -> int:
     """Channel rank: Choi eigenvalues above tol relative to the largest."""
-    vals = choi(ch).eigenvalues
-    return int(np.sum(vals > tol * vals[0]))
+    return _rank(choi(ch).eigenvalues, tol)
 
 
 def kraus_from_choi(c: ChoiMatrix, tol: float = 1e-10) -> KrausChannel:
@@ -151,11 +156,16 @@ def kraus_from_choi(c: ChoiMatrix, tol: float = 1e-10) -> KrausChannel:
     return KrausChannel(dim=n, kraus=tuple(ops))
 
 
+def _superoperator(ch: KrausChannel) -> np.ndarray:
+    """S[i, j, k, l] = sum_e K_e[i, k] conj(K_e[j, l]), the channel acting on a
+    (row, column) leg pair."""
+    k = np.stack(ch.kraus)
+    return np.einsum("eik,ejl->ijkl", k, k.conj())
+
+
 def _apply_on_legs(ch: KrausChannel, t: np.ndarray, row: int, col: int) -> np.ndarray:
     """Apply the channel, as one superoperator, to the (row, col) legs of a tensor."""
-    k = np.stack(ch.kraus)
-    superop = np.einsum("eik,ejl->ijkl", k, k.conj())
-    out = np.tensordot(superop, t, axes=([2, 3], [row, col]))
+    out = np.tensordot(_superoperator(ch), t, axes=([2, 3], [row, col]))
     return np.moveaxis(out, (0, 1), (row, col))
 
 
@@ -184,6 +194,12 @@ def _simulate(rho, resource, branches, ch: KrausChannel, receivers):
     channel-output (x) b.  a is traced out once the branch is applied, so the
     channel and receivers act on (A, b).  Returns the output on B (x) R and
     the branch probabilities.
+
+    Each contraction is one GEMM, or one matmul batched over the branches,
+    on transposed and reshaped copies, so BLAS does the arithmetic: the
+    branch with a traced out, the channel as an N^2 x N^2 superoperator on
+    the two A legs, the receivers, and the trace over b, summed over the
+    branches in the same product.
     """
     if not np.all(np.isfinite(rho)):
         raise ValueError("input state has non-finite entries")
@@ -194,16 +210,23 @@ def _simulate(rho, resource, branches, ch: KrausChannel, receivers):
     f = np.tensordot(branches.reshape(m, n, p, n, p), resource.reshape(p, p),
                      axes=(4, 0))
     f = f.transpose(0, 2, 1, 4, 3).reshape(m, p, d, n)
-    # the N x N blocks of rho, one per reference index pair t = (r, s)
-    x = rho.reshape(n, r, n, r).transpose(0, 2, 1, 3).reshape(n, n, r * r)
-    # y[m] = sum_a' f[m, a'] x f[m, a']^dag: the branch applied, a' traced out
-    y = np.einsum("mxyat,mxza->myzt", np.tensordot(f, x, axes=(3, 0)), f.conj())
-    probs = np.einsum("myyrr->m", y.reshape(m, d, d, r, r)).real
-    y = _apply_on_legs(ch, y.reshape(m, n, p, n, p, r * r), 1, 3)
-    # out[B, B', t] = sum over m and b of <B b| W_m y_m W_m^dag |B' b>
-    q = np.matmul(receivers, y.reshape(m, d, d * r * r)).reshape(m, n, p, d, r * r)
-    out = np.einsum("mbcyt,mdcy->bdt", q, receivers.reshape(m, n, p, d).conj())
-    return out.reshape(n, n, r, r).transpose(0, 2, 1, 3).reshape(n * r, n * r), probs
+    # u[m, a'] = (f[m, a'] (x) I_R) rho, axes [m, a', (A' b), R, A, S]
+    u = (f.reshape(m * p * d, n) @ rho.reshape(n, r * n * r)).reshape(m, p, d, r, n, r)
+    # y[m] = sum over a' of u[m, a'] (f[m, a'] (x) I_R)^dag, axes [m, A, b, R, S, A', b']
+    y = np.matmul(u.transpose(0, 2, 3, 5, 1, 4).reshape(m, d * r * r, p * n),
+                  f.conj().transpose(0, 1, 3, 2).reshape(m, p * n, d))
+    y = y.reshape(m, n, p, r, r, n, p)
+    probs = np.einsum("mabrrab->m", y).real
+    # the channel on the two A legs, then back to [m, (B b), (R S B' b')]
+    y = (_superoperator(ch).reshape(n * n, n * n)
+         @ y.transpose(1, 5, 0, 2, 3, 4, 6).reshape(n * n, -1))
+    y = y.reshape(n, n, m, p, r, r, p).transpose(2, 0, 3, 4, 5, 1, 6)
+    # q[m] = W_m y[m]; out[B R, B' S] = sum over m, b and (B'' b'') of
+    # q[m, (B b), R, S, (B'' b'')] conj(W_m[(B' b), (B'' b'')])
+    q = np.matmul(receivers, y.reshape(m, d, r * r * d)).reshape(m, n, p, r, r, d)
+    w = receivers.reshape(m, n, p, d).conj().transpose(0, 2, 3, 1).reshape(-1, n)
+    out = q.transpose(1, 3, 4, 0, 2, 5).reshape(n * r * r, m * p * d) @ w
+    return out.reshape(n, r, r, n).transpose(0, 1, 3, 2).reshape(n * r, n * r), probs
 
 
 def identity_channel(n: int) -> KrausChannel:

@@ -18,10 +18,10 @@ import numpy as np
 from . import __version__
 from .channels import (
     KrausChannel,
+    _rank,
     choi,
     depolarizing,
     load_channel,
-    rank,
 )
 from .optimize import (
     OptimizationConfig,
@@ -32,11 +32,11 @@ from .optimize import (
     zero_parameterization,
 )
 from .protocol import (
+    _residual,
     control_map,
     effective_choi,
     load_protocol,
     protocol_to_dict,
-    residual as protocol_residual,
     target_overlap,
 )
 from .qmath import (
@@ -127,7 +127,7 @@ def cmd_channel_info(channel_file, depolarizing_p, dim, tol, out):
         "dim": ch.dim,
         "kraus_count": len(ch.kraus),
         "choi_eigenvalues": [float(v) for v in r.eigenvalues],
-        "rank": rank(ch, tol),
+        "rank": _rank(r.eigenvalues, tol),
         "cptp_residuals": {
             "trace_preserving": tp_residual,
             "choi_min_eigenvalue": float(r.eigenvalues[-1]),
@@ -220,7 +220,7 @@ def cmd_protocol_verify(protocol_file, channel_file, qt_dim, depolarizing_p,
     controlled = control_map(proto, r)
     direct = effective_choi(proto, ch)
     consistency_gap = float(np.linalg.norm(controlled.matrix - direct.matrix))
-    res = protocol_residual(proto, ch)
+    res = _residual(controlled)
     ent_fid = target_overlap(proto, r)
     report = proof_report(proto, tol=tol)
     bound_ok = report.verdicts["entanglement_bound_satisfied"]

@@ -35,6 +35,7 @@ from .protocol import (
     _overlap,
     _residual,
     basis_projections,
+    control_map,
 )
 from .qmath import maximally_entangled
 from .teleport import qt_protocol
@@ -89,6 +90,16 @@ def generator_from_unitary(u: np.ndarray) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
+def _branch_count(measured: str, n: int, p: int) -> int:
+    """Outcomes of the sender's measurement: 1 for ``"none"``, P for
+    ``"ancilla"``, N*P for ``"full"``; raises for any other ``measured``."""
+    if measured not in MEASUREMENT_CHOICES:
+        raise ValueError(
+            f"measured must be one of {MEASUREMENT_CHOICES}, got {measured!r}"
+        )
+    return {"none": 1, "ancilla": p, "full": n * p}[measured]
+
+
 @dataclass(frozen=True)
 class ProtocolParameterization:
     """Point in protocol space: generators, measurement structure, mu map."""
@@ -102,10 +113,7 @@ class ProtocolParameterization:
     mu_fixed: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.measured not in MEASUREMENT_CHOICES:
-            raise ValueError(
-                f"measured must be one of {MEASUREMENT_CHOICES}, got {self.measured!r}"
-            )
+        count = _branch_count(self.measured, self.n, self.local_dim)
         d = self.n * self.local_dim
         object.__setattr__(
             self, "sender_generator",
@@ -115,9 +123,9 @@ class ProtocolParameterization:
             self, "receiver_generators",
             np.asarray(self.receiver_generators, dtype=complex).reshape(-1, d, d),
         )
-        if self.receiver_generators.shape[0] != self.branch_count:
+        if self.receiver_generators.shape[0] != count:
             raise ValueError(
-                f"need {self.branch_count} receiver generators for "
+                f"need {count} receiver generators for "
                 f"measured={self.measured!r}, got {self.receiver_generators.shape[0]}"
             )
         object.__setattr__(
@@ -139,11 +147,7 @@ class ProtocolParameterization:
 
     @property
     def branch_count(self) -> int:
-        if self.measured == "none":
-            return 1
-        if self.measured == "ancilla":
-            return self.local_dim
-        return self.n * self.local_dim
+        return _branch_count(self.measured, self.n, self.local_dim)
 
     def projections(self) -> np.ndarray:
         """The sender's measurement: stacked computational projectors on A (x) a.
@@ -170,12 +174,8 @@ def zero_parameterization(
     mu_fixed=None,
 ) -> ProtocolParameterization:
     """All-zero generators and flat mu; decodes to identity operations."""
-    if measured not in MEASUREMENT_CHOICES:
-        raise ValueError(
-            f"measured must be one of {MEASUREMENT_CHOICES}, got {measured!r}"
-        )
     d = n * local_dim
-    branches = {"none": 1, "ancilla": local_dim, "full": d}[measured]
+    branches = _branch_count(measured, n, local_dim)
     return ProtocolParameterization(
         n=n,
         local_dim=local_dim,
@@ -428,7 +428,7 @@ def optimize(
     best_protocol = decode(best_params)
     return OptimizationResult(
         best_fidelity=float(bests[winner]),
-        best_residual=_residual(best_protocol, r),
+        best_residual=_residual(control_map(best_protocol, r)),
         best_protocol=best_protocol,
         per_restart_bests=tuple(float(b) for b in bests),
         evaluations_used=used,

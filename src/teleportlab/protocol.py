@@ -234,7 +234,10 @@ def _flat_control_operators(proto: ResourceProtocol, r: ChoiMatrix) -> np.ndarra
 def control_map(proto: ResourceProtocol, r: ChoiMatrix) -> ChoiMatrix:
     """Transform a Choi state through the protocol's control operators."""
     lam = _flat_control_operators(proto, r)
-    out = np.einsum("jac,jdc->ad", lam @ r.matrix, lam.conj())
+    nn = lam.shape[-1]
+    # [Lam_1 | Lam_2 | ...] times its R-weighted copy: sum_j Lam_j R Lam_j^dag
+    rows = lam.transpose(1, 0, 2).reshape(nn, -1)
+    out = (rows.reshape(-1, nn) @ r.matrix).reshape(nn, -1) @ rows.conj().T
     return ChoiMatrix.from_matrix(out, dim_out=proto.n, dim_in=proto.n, tol=1e-8)
 
 
@@ -252,14 +255,13 @@ def effective_choi(proto: ResourceProtocol, ch: KrausChannel) -> ChoiMatrix:
 
 def residual(proto: ResourceProtocol, ch: KrausChannel) -> float:
     """Frobenius distance of the controlled Choi state from the ideal target."""
-    return _residual(proto, choi(ch))
+    return _residual(control_map(proto, choi(ch)))
 
 
-def _residual(proto: ResourceProtocol, r: ChoiMatrix) -> float:
-    """:func:`residual` from the channel's Choi state."""
-    target = projector(maximally_entangled(proto.n))
-    out = control_map(proto, r)
-    return float(np.linalg.norm(out.matrix - target))
+def _residual(controlled: ChoiMatrix) -> float:
+    """:func:`residual` from the controlled Choi state."""
+    target = projector(maximally_entangled(controlled.dim_out))
+    return float(np.linalg.norm(controlled.matrix - target))
 
 
 def target_overlap(proto: ResourceProtocol, r: ChoiMatrix) -> float:

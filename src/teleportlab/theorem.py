@@ -83,10 +83,9 @@ def check_relations_13(blocks: tuple) -> float:
     return res
 
 
-def _inner_product_tensor(proto: ResourceProtocol) -> np.ndarray:
+def _inner_product_tensor(mu: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """G[eta, k, l, n, m] = sum_i mu_i <n| A[l,i] B[k,i] |m>."""
-    a, b = block_operators(proto)
-    return np.einsum("i,elinx,ekixm->eklnm", proto.resource.mu, a, b)
+    return np.einsum("i,elinx,ekixm->eklnm", mu, a, b)
 
 
 def _matching_mask(local_dim: int, n: int) -> np.ndarray:
@@ -106,12 +105,17 @@ def beta_scalars(proto: ResourceProtocol) -> np.ndarray:
     is the matched-tuple average, and reduces to the exact scalar whenever
     the relation holds.
     """
-    g = _inner_product_tensor(proto)
-    n = proto.n
-    mask = _matching_mask(proto.local_dim, n)
+    a, b = block_operators(proto)
+    g = _inner_product_tensor(proto.resource.mu, a, b)
+    return _beta_scalars(g, proto.n, proto.local_dim)
+
+
+def _beta_scalars(g: np.ndarray, n: int, local_dim: int) -> np.ndarray:
+    """:func:`beta_scalars` from the inner-product tensor G."""
+    mask = _matching_mask(local_dim, n)
     count = int(np.sum(mask))
     if count == 0:
-        return np.zeros(proto.m, dtype=complex)
+        return np.zeros(len(g), dtype=complex)
     matched = np.where(mask[np.newaxis], g, 0.0)
     return matched.sum(axis=(1, 2, 3, 4)) / (np.sqrt(n) * count)
 
@@ -134,12 +138,13 @@ def no_cc_contradiction(proto: ResourceProtocol, tol: float = 1e-9) -> ProofRepo
 
 def proof_report(proto: ResourceProtocol, tol: float = 1e-9) -> ProofReport:
     """Assemble all proof-machinery numbers and verdicts for a protocol."""
-    n = proto.n
-    blocks = block_operators(proto)
-    r13 = check_relations_13(blocks)
+    n, mu = proto.n, proto.resource.mu
+    a, b = block_operators(proto)
+    g = _inner_product_tensor(mu, a, b)
+    r13 = check_relations_13((a, b))
     ent_sum, satisfied = entanglement_bound(proto.resource, n)
-    betas = beta_scalars(proto)
-    cs = cauchy_schwarz_check(proto)
+    betas = _beta_scalars(g, n, proto.local_dim)
+    cs = _cauchy_schwarz(mu, a, b, g)
 
     verdicts = {
         "deterministic": bool(r13 <= tol),
@@ -148,7 +153,6 @@ def proof_report(proto: ResourceProtocol, tol: float = 1e-9) -> ProofReport:
     }
     lhs = rhs = None
     if proto.m == 1:
-        g = _inner_product_tensor(proto)
         per_m = np.sum(np.abs(g[0]) ** 2, axis=(0, 1, 2))
         lhs = float(np.mean(per_m))
         rhs = float(n * proto.local_dim)
@@ -185,10 +189,15 @@ def cauchy_schwarz_check(proto: ResourceProtocol) -> float:
     """
     a, b = block_operators(proto)
     mu = proto.resource.mu
+    return _cauchy_schwarz(mu, a, b, _inner_product_tensor(mu, a, b))
+
+
+def _cauchy_schwarz(mu: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    g: np.ndarray) -> float:
+    """:func:`cauchy_schwarz_check` from the blocks and G."""
     prod_a = np.einsum("i,elinj->eln", mu, np.abs(a) ** 2)
     prod_b = np.einsum("p,ekpqm->ekm", mu, np.abs(b) ** 2)
     product = np.einsum("eln,ekm->eklnm", prod_a, prod_b)
-    g = _inner_product_tensor(proto)
     return float(np.max(np.abs(g) ** 2 - product))
 
 

@@ -161,6 +161,20 @@ def test_choi_unitary_channel_rank_one():
     assert np.sum(r.eigenvalues > 1e-12) == 1
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("full_rank", [False, True])
+def test_choi_equals_kron_reference(n, full_rank):
+    # bit-identical to the per-operator Kronecker sum, so the optimizer's
+    # Choi state, hence its seeded searches, cannot move
+    eye = np.eye(n)
+    psi0 = projector(maximally_entangled(n))
+    for seed in range(4):
+        ch = random_channel(n, n * n if full_rank else 1, seed=70 + 10 * n + seed)
+        expected = sum(np.kron(k, eye) @ psi0 @ np.kron(k, eye).conj().T
+                       for k in ch.kraus)
+        assert np.array_equal(choi(ch).matrix, expected)
+
+
 def test_rank_examples():
     assert rank(identity_channel(2)) == 1
     assert rank(depolarizing(0.5)) == 4

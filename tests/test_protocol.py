@@ -2,8 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teleportlab.channels import (
+    ChoiMatrix,
     choi,
     depolarizing,
     identity_channel,
@@ -30,6 +33,7 @@ from teleportlab.protocol import (
 )
 from teleportlab.qmath import (
     maximally_entangled,
+    partial_trace,
     projector,
     random_pure,
     random_state,
@@ -220,6 +224,53 @@ def test_control_map_matches_effective_choi_n4(m):
         control_map(proto, choi(ch)).matrix - effective_choi(proto, ch).matrix
     )
     assert gap < 1e-9
+
+
+@st.composite
+def protocols_and_channels(draw):
+    n = draw(st.sampled_from([2, 3]), label="N")
+    p = draw(st.integers(1, 3), label="P")
+    m = draw(st.integers(1, n * p), label="M")
+    k = draw(st.integers(1, n * n), label="rank")
+    seed = draw(st.integers(0, 2**32 - 1), label="seed")
+    return random_protocol(n, p, m, seed=seed), random_channel(n, k, seed=[seed, 1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(protocols_and_channels())
+def test_control_map_equals_effective_choi_property(case):
+    proto, ch = case
+    controlled = control_map(proto, choi(ch))
+    direct = effective_choi(proto, ch)
+    assert np.max(np.abs(controlled.matrix - direct.matrix)) <= 1e-10
+    ChoiMatrix.from_matrix(direct.matrix, dim_out=ch.dim, dim_in=ch.dim)
+
+
+def test_control_map_matches_operator_sum_reference():
+    proto = random_protocol(3, 2, 5, seed=90)
+    r = choi(random_channel(3, 9, seed=91))
+    expected = sum(lam @ r.matrix @ lam.conj().T
+                   for lam in lambda_operators(proto).reshape(-1, 9, 9))
+    np.testing.assert_allclose(control_map(proto, r).matrix, expected,
+                               rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n,p,m", [(2, 1, 1), (2, 3, 4), (3, 2, 6)])
+def test_apply_protocol_matches_dense_reference(n, p, m):
+    # every operator embedded in the full A (x) a (x) b space, one branch at a time
+    proto = random_protocol(n, p, m, seed=95 + m)
+    ch = random_channel(n, 3, seed=96 + m)
+    rho = random_state(n, seed=97 + m)
+    sigma = np.kron(rho, projector(proto.resource.state()))
+    expected = np.zeros((n, n), dtype=complex)
+    for op, w in zip(proto.sender_ops(), proto.receiver_unitaries):
+        big = np.kron(op, np.eye(p))
+        s = partial_trace(big @ sigma @ big.conj().T, (n, p, p), keep=(0, 2))
+        s = sum(np.kron(k, np.eye(p)) @ s @ np.kron(k, np.eye(p)).conj().T
+                for k in ch.kraus)
+        expected += partial_trace(w @ s @ w.conj().T, (n, p), keep=0)
+    np.testing.assert_allclose(apply_protocol(proto, ch, rho), expected,
+                               rtol=0, atol=1e-12)
 
 
 def test_effective_choi_matches_basis_reference():

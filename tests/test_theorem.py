@@ -15,6 +15,7 @@ from teleportlab.protocol import (
 )
 from teleportlab.teleport import qt_protocol
 from teleportlab.theorem import (
+    ProofReport,
     beta_scalars,
     cauchy_schwarz_check,
     check_relations_13,
@@ -240,6 +241,38 @@ def test_proof_report_serializes():
     import json
 
     json.dumps(data)  # must be JSON-serializable
+
+
+@pytest.mark.parametrize("proto", [
+    qt_protocol(2), qt_protocol(3),
+    bare_protocol(2, local_dim=2, mu=np.full(2, 1 / np.sqrt(2))),
+    random_protocol(2, 2, 1, seed=80), random_protocol(3, 2, 4, seed=81),
+    random_protocol(3, 3, 9, seed=82),
+], ids=["qt2", "qt3", "bare", "n2m1", "n3m4", "n3m9"])
+def test_proof_report_equals_separate_checks(proto):
+    # the report computes the blocks and G once; the public checks, each
+    # building its own, must give the very same numbers
+    n, p, mu = proto.n, proto.local_dim, proto.resource.mu
+    r13 = check_relations_13(block_operators(proto))
+    cs = cauchy_schwarz_check(proto)
+    ent_sum, satisfied = entanglement_bound(proto.resource, n)
+    verdicts = {"deterministic": bool(r13 <= 1e-9),
+                "entanglement_bound_satisfied": bool(satisfied),
+                "cauchy_schwarz_ok": bool(cs <= 1e-9)}
+    lhs = rhs = None
+    if proto.m == 1:
+        a, b = block_operators(proto)
+        g = np.einsum("i,elinx,ekixm->eklnm", mu, a, b)
+        lhs = float(np.mean(np.sum(np.abs(g[0]) ** 2, axis=(0, 1, 2))))
+        rhs = float(n * p)
+        verdicts["faithful_correction_possible"] = bool(abs(lhs - rhs) <= 1e-9)
+    expected = ProofReport(
+        relation13_max_residual=r13, entanglement_sum=ent_sum,
+        bound=float(np.sqrt(n)), branch_scalars=tuple(beta_scalars(proto)),
+        cauchy_schwarz_violation=cs, verdicts=verdicts,
+        contradiction_lhs=lhs, contradiction_rhs=rhs,
+    )
+    assert proof_report(proto).to_dict() == expected.to_dict()
 
 
 def test_proof_report_m1_verdicts():
