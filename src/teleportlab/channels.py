@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qmath import (
+    _operator_stack,
     dagger,
+    fix_global_phase,
     matrix_from_pairs,
     matrix_to_pairs,
     maximally_entangled,
@@ -28,29 +30,29 @@ from .qmath import (
 LOCC_SIMULABLE_THRESHOLD = 2.0 / 3.0
 
 
+def _tp_deviation(kraus: np.ndarray) -> float:
+    """Largest entry of |sum_e K_e^dag K_e - I| for an (E, N, N) Kraus stack."""
+    total = sum(dagger(k) @ k for k in kraus)
+    return float(np.max(np.abs(total - np.eye(kraus.shape[-1]))))
+
+
 @dataclass(frozen=True)
 class KrausChannel:
-    """Completely positive trace-preserving map as a list of Kraus operators."""
+    """Completely positive trace-preserving map; ``kraus`` is a read-only
+    (E, N, N) stack of the Kraus operators."""
 
     dim: int
-    kraus: tuple
+    kraus: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "kraus",
-            tuple(np.asarray(k, dtype=complex) for k in self.kraus),
-        )
-        if not self.kraus:
+        if len(self.kraus) == 0:
             raise ValueError("channel needs at least one Kraus operator")
-        for k in self.kraus:
-            if k.shape != (self.dim, self.dim):
-                raise ValueError(
-                    f"Kraus operator shape {k.shape} does not match dim {self.dim}"
-                )
-            if not np.all(np.isfinite(k)):
-                raise ValueError("Kraus operator has non-finite entries")
-        total = sum(dagger(k) @ k for k in self.kraus)
-        dev = float(np.max(np.abs(total - np.eye(self.dim))))
+        kraus = _operator_stack(self.kraus, self.dim, "Kraus operator",
+                                f"dim {self.dim}")
+        object.__setattr__(self, "kraus", kraus)
+        if not np.all(np.isfinite(kraus)):
+            raise ValueError("Kraus operator has non-finite entries")
+        dev = _tp_deviation(kraus)
         if dev > 1e-10:
             raise ValueError(
                 f"channel not trace-preserving: sum K^dag K deviates from I by {dev:.3e}"
@@ -119,7 +121,7 @@ def choi(ch: KrausChannel) -> ChoiMatrix:
     psi0 = projector(maximally_entangled(n))
     # all K_e (x) I at once, entry for entry what np.kron gives, so the sum
     # is bit-identical to adding the operators' terms one at a time
-    k = np.stack(ch.kraus)
+    k = ch.kraus
     kk = (k[:, :, None, :, None] * np.eye(n)[:, None, :]).reshape(-1, n * n, n * n)
     mat = (kk @ psi0 @ kk.conj().swapaxes(-1, -2)).sum(axis=0)
     return ChoiMatrix.from_matrix(mat, dim_out=n, dim_in=n)
@@ -144,23 +146,16 @@ def kraus_from_choi(c: ChoiMatrix, tol: float = 1e-10) -> KrausChannel:
     if c.dim_out != c.dim_in:
         raise ValueError("only square channels are supported")
     n = c.dim_out
-    ops = []
-    for val, vec in zip(c.eigenvalues, c.eigenvectors.T):
-        if val <= tol * c.eigenvalues[0]:
-            continue
-        k = np.sqrt(n * val) * vec.reshape(n, n)
-        pivot = k.reshape(-1)[int(np.argmax(np.abs(k)))]
-        if abs(pivot) > 0:
-            k = k * (pivot.conjugate() / abs(pivot))
-        ops.append(k)
-    return KrausChannel(dim=n, kraus=tuple(ops))
+    keep = c.eigenvalues > tol * c.eigenvalues[0]
+    ops = [fix_global_phase(np.sqrt(n * val) * vec).reshape(n, n)
+           for val, vec in zip(c.eigenvalues[keep], c.eigenvectors.T[keep])]
+    return KrausChannel(dim=n, kraus=ops)
 
 
 def _superoperator(ch: KrausChannel) -> np.ndarray:
     """S[i, j, k, l] = sum_e K_e[i, k] conj(K_e[j, l]), the channel acting on a
     (row, column) leg pair."""
-    k = np.stack(ch.kraus)
-    return np.einsum("eik,ejl->ijkl", k, k.conj())
+    return np.einsum("eik,ejl->ijkl", ch.kraus, ch.kraus.conj())
 
 
 def _apply_on_legs(ch: KrausChannel, t: np.ndarray, row: int, col: int) -> np.ndarray:
@@ -231,7 +226,7 @@ def _simulate(rho, resource, branches, ch: KrausChannel, receivers):
 
 def identity_channel(n: int) -> KrausChannel:
     """The noiseless channel on an n-level system."""
-    return KrausChannel(dim=n, kraus=(np.eye(n, dtype=complex),))
+    return KrausChannel(dim=n, kraus=np.eye(n, dtype=complex)[None])
 
 
 def weyl_operator(n: int, shift_phase: int, shift: int) -> np.ndarray:
@@ -255,7 +250,7 @@ def depolarizing(p: float, n: int = 2) -> KrausChannel:
             if a == 0 and b == 0:
                 continue
             ops.append(scale * weyl_operator(n, a, b))
-    return KrausChannel(dim=n, kraus=tuple(ops))
+    return KrausChannel(dim=n, kraus=ops)
 
 
 def random_channel(n: int, target_rank: int, seed) -> KrausChannel:
@@ -274,8 +269,7 @@ def random_channel(n: int, target_rank: int, seed) -> KrausChannel:
     phases = np.diagonal(r).copy()
     phases /= np.abs(phases)
     isometry = (q * phases).reshape(n, target_rank, n)
-    ops = tuple(isometry[:, e, :] for e in range(target_rank))
-    return KrausChannel(dim=n, kraus=ops)
+    return KrausChannel(dim=n, kraus=isometry.transpose(1, 0, 2))
 
 
 def depolarizing_locc_simulable(p: float) -> bool:
@@ -294,9 +288,8 @@ def channel_from_dict(data: dict) -> KrausChannel:
     """Build and validate a channel from its JSON form."""
     if not isinstance(data, dict) or "dim" not in data or "kraus" not in data:
         raise ValueError('channel JSON must have "dim" and "kraus" keys')
-    dim = int(data["dim"])
-    ops = tuple(matrix_from_pairs(k) for k in data["kraus"])
-    return KrausChannel(dim=dim, kraus=ops)
+    ops = [matrix_from_pairs(k) for k in data["kraus"]]
+    return KrausChannel(dim=int(data["dim"]), kraus=ops)
 
 
 def load_channel(path) -> KrausChannel:

@@ -19,6 +19,7 @@ from . import __version__
 from .channels import (
     KrausChannel,
     _rank,
+    _tp_deviation,
     choi,
     depolarizing,
     load_channel,
@@ -41,7 +42,6 @@ from .protocol import (
 )
 from .qmath import (
     assert_density_matrix,
-    dagger,
     fidelity,
     matrix_from_pairs,
     matrix_to_pairs,
@@ -120,16 +120,13 @@ def cmd_channel_info(channel_file, depolarizing_p, dim, tol, out):
     """Report dimension, Choi spectrum, rank, and CPTP residuals."""
     ch, echo = _resolve_channel(channel_file, depolarizing_p, dim)
     r = choi(ch)
-    tp_residual = float(np.max(np.abs(
-        sum(dagger(k) @ k for k in ch.kraus) - np.eye(ch.dim)
-    )))
     outputs = {
         "dim": ch.dim,
         "kraus_count": len(ch.kraus),
         "choi_eigenvalues": [float(v) for v in r.eigenvalues],
         "rank": _rank(r.eigenvalues, tol),
         "cptp_residuals": {
-            "trace_preserving": tp_residual,
+            "trace_preserving": _tp_deviation(ch.kraus),
             "choi_min_eigenvalue": float(r.eigenvalues[-1]),
             "choi_trace_deviation": abs(float(np.trace(r.matrix).real) - 1.0),
         },

@@ -21,6 +21,7 @@ winning point is decoded into a :class:`ResourceProtocol`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,33 +44,45 @@ from .teleport import qt_protocol
 MEASUREMENT_CHOICES = ("none", "ancilla", "full")
 
 
+@lru_cache(maxsize=None)
+def _hermitian_indices(d: int) -> tuple:
+    """(diag, rows, cols): the diagonal and the strict upper triangle of a
+    d x d matrix, read-only (the cache shares them)."""
+    index = (np.arange(d), *np.triu_indices(d, k=1))
+    for a in index:
+        a.flags.writeable = False
+    return index
+
+
 def hermitian_to_vec(h: np.ndarray) -> np.ndarray:
     """Real parameter vector (length d^2) for a Hermitian matrix."""
     h = np.asarray(h, dtype=complex)
-    d = h.shape[0]
-    iu = np.triu_indices(d, k=1)
-    return np.concatenate([np.real(np.diagonal(h)), h[iu].real, h[iu].imag])
+    _, rows, cols = _hermitian_indices(h.shape[0])
+    upper = h[rows, cols]
+    return np.concatenate([np.real(np.diagonal(h)), upper.real, upper.imag])
 
 
 def vec_to_hermitian(vec: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`hermitian_to_vec`."""
+    """Inverse of :func:`hermitian_to_vec`; a (..., d^2) stack of vectors
+    gives a (..., d, d) stack of matrices."""
     vec = np.asarray(vec, dtype=float)
-    h = np.zeros((d, d), dtype=complex)
-    np.fill_diagonal(h, vec[:d])
-    iu = np.triu_indices(d, k=1)
-    k = d + iu[0].size
-    upper = vec[d:k] + 1j * vec[k:]
-    h[iu] = upper
-    h[(iu[1], iu[0])] = upper.conj()
+    diag, rows, cols = _hermitian_indices(d)
+    split = d + rows.size  # real parts of the upper triangle end here
+    h = np.zeros(vec.shape[:-1] + (d, d), dtype=complex)
+    h[..., diag, diag] = vec[..., :d]
+    upper = vec[..., d:split] + 1j * vec[..., split:]
+    h[..., rows, cols] = upper
+    h[..., cols, rows] = upper.conj()
     return h
 
 
 def unitary_from_generator(h: np.ndarray) -> np.ndarray:
-    """exp(i H) for Hermitian H, via the eigendecomposition."""
+    """exp(i H) for Hermitian H, via the eigendecomposition; a (..., d, d)
+    stack of generators gives a stack of unitaries."""
     h = np.asarray(h, dtype=complex)
-    h = (h + h.conj().T) / 2.0
+    h = (h + h.conj().swapaxes(-1, -2)) / 2.0
     vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * vals)) @ vecs.conj().T
+    return (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def _squared_softmax(params: np.ndarray) -> np.ndarray:
@@ -190,28 +203,27 @@ def zero_parameterization(
 def qt_parameterization(n: int) -> ProtocolParameterization:
     """Generators whose decoded protocol is the teleportation protocol."""
     qt = qt_protocol(n)
-    receivers = np.stack([generator_from_unitary(w) for w in qt.receiver_unitaries])
     return ProtocolParameterization(
         n=n,
         local_dim=n,
         measured="full",
         sender_generator=generator_from_unitary(qt.sender_unitaries[0]),
-        receiver_generators=receivers,
+        receiver_generators=[generator_from_unitary(w) for w in qt.receiver_unitaries],
         mu_params=np.zeros(n - 1),
     )
 
 
 def decode(params: ProtocolParameterization) -> ResourceProtocol:
     """Materialize the parameterization as a deterministic protocol."""
-    sender = unitary_from_generator(params.sender_generator)
-    receivers = tuple(unitary_from_generator(g) for g in params.receiver_generators)
+    u = unitary_from_generator(np.concatenate(
+        [params.sender_generator[None], params.receiver_generators]))
     projections = params.projections()
     return ResourceProtocol(
         n=params.n,
         resource=AncillaResource(mu=params.mu()),
-        sender_projections=tuple(projections),
-        sender_unitaries=(sender,) * len(projections),
-        receiver_unitaries=receivers,
+        sender_projections=projections,
+        sender_unitaries=np.broadcast_to(u[0], projections.shape),
+        receiver_unitaries=u[1:],
     )
 
 
@@ -236,9 +248,6 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
     d = n * p
     projections = base.projections()
     m = len(projections)
-    rows, cols = np.triu_indices(d, k=1)
-    diag = np.arange(d)
-    split = d + rows.size  # real parts of the upper triangle end here
     n_gen = (1 + m) * d * d
     free_mu = not fix_mu and base.mu_fixed is None
     size = n_gen + (p - 1 if free_mu else 0)
@@ -255,12 +264,7 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
                 f"parameter shape {theta.shape} is not (dim,) or (B, dim), dim {size}"
             )
         stack = theta.reshape(-1, size)
-        vec = stack[:, :n_gen].reshape(len(stack), 1 + m, d * d)
-        h = np.zeros((len(stack), 1 + m, d, d), dtype=complex)
-        h[..., diag, diag] = vec[..., :d]
-        upper = vec[..., d:split] + 1j * vec[..., split:]
-        h[..., rows, cols] = upper
-        h[..., cols, rows] = upper.conj()
+        h = vec_to_hermitian(stack[:, :n_gen].reshape(len(stack), 1 + m, d * d), d)
         # h is Hermitian by construction, so the symmetrization in
         # unitary_from_generator would not change a bit of it
         vals, vecs = np.linalg.eigh(h)
@@ -339,22 +343,13 @@ def _unpack(
     base: ProtocolParameterization, theta: np.ndarray, fix_mu: bool
 ) -> ProtocolParameterization:
     d = base.n * base.local_dim
-    block = d * d
-    sender = vec_to_hermitian(theta[:block], d)
-    offset = block
-    receivers = []
-    for _ in range(base.branch_count):
-        receivers.append(vec_to_hermitian(theta[offset:offset + block], d))
-        offset += block
+    n_gen = (1 + base.branch_count) * d * d
+    h = vec_to_hermitian(theta[:n_gen].reshape(-1, d * d), d)
     mu_params = base.mu_params
     if not fix_mu and base.mu_fixed is None:
-        mu_params = theta[offset:]
-    return replace(
-        base,
-        sender_generator=sender,
-        receiver_generators=np.stack(receivers),
-        mu_params=mu_params,
-    )
+        mu_params = theta[n_gen:]
+    return replace(base, sender_generator=h[0], receiver_generators=h[1:],
+                   mu_params=mu_params)
 
 
 def _ascend(fun, theta0, budget, step_init, stop_delta, decay, rng):

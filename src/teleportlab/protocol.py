@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChoiMatrix, KrausChannel, _simulate, choi
-from .qmath import (haar_unitary, matrix_from_pairs, matrix_to_pairs,
-                    maximally_entangled, projector)
+from .qmath import (_operator_stack, haar_unitary, matrix_from_pairs,
+                    matrix_to_pairs, maximally_entangled, projector)
 
 
 def _check_schmidt(mu: np.ndarray) -> None:
@@ -77,12 +77,13 @@ def _check_determinism(ops: np.ndarray, receivers: np.ndarray, tol: float) -> fl
 
 @dataclass(frozen=True)
 class AncillaResource:
-    """Schmidt coefficients of the shared pure ancilla pair."""
+    """Schmidt coefficients of the shared pure ancilla pair (a read-only copy)."""
 
     mu: np.ndarray
 
     def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float).reshape(-1)
+        mu = np.array(self.mu, dtype=float).reshape(-1)
+        mu.flags.writeable = False
         object.__setattr__(self, "mu", mu)
         _check_schmidt(mu)
 
@@ -100,28 +101,39 @@ class AncillaResource:
 
 @dataclass(frozen=True)
 class ResourceProtocol:
-    """One round of: sender branch, single channel use, receiver correction."""
+    """One round of: sender branch, single channel use, receiver correction.
+
+    Each operator family is held as one read-only (M, N*P, N*P) stack, and
+    ``branches`` is the stack of branch operators L_eta = Pi_eta U_eta on
+    A (x) a.  Operators that are not (N*P) x (N*P) are rejected here;
+    ``validate`` governs only the determinism check.
+    """
 
     n: int
     resource: AncillaResource
-    sender_projections: tuple
-    sender_unitaries: tuple
-    receiver_unitaries: tuple
+    sender_projections: np.ndarray
+    sender_unitaries: np.ndarray
+    receiver_unitaries: np.ndarray
     validate: bool = field(default=True, repr=False)
+    branches: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        as_ops = lambda ops: tuple(np.asarray(o, dtype=complex) for o in ops)
-        object.__setattr__(self, "sender_projections", as_ops(self.sender_projections))
-        object.__setattr__(self, "sender_unitaries", as_ops(self.sender_unitaries))
-        object.__setattr__(self, "receiver_unitaries", as_ops(self.receiver_unitaries))
-        if not (
-            len(self.sender_projections)
-            == len(self.sender_unitaries)
-            == len(self.receiver_unitaries)
-        ):
+        counts = {len(self.sender_projections), len(self.sender_unitaries),
+                  len(self.receiver_unitaries)}
+        if len(counts) > 1:
             raise ValueError("sender and receiver operator counts must match")
-        if not self.sender_projections:
+        if counts == {0}:
             raise ValueError("protocol needs at least one branch")
+        d = self.n * self.local_dim
+        expected = f"N*P = {self.n}*{self.local_dim} = {d}"
+        for name, kind in (("sender_projections", "sender projection"),
+                           ("sender_unitaries", "sender unitary"),
+                           ("receiver_unitaries", "receiver")):
+            stack = _operator_stack(getattr(self, name), d, kind, expected)
+            object.__setattr__(self, name, stack)
+        branches = self.sender_projections @ self.sender_unitaries
+        branches.flags.writeable = False
+        object.__setattr__(self, "branches", branches)
         if self.validate:
             self.check_determinism()
 
@@ -133,38 +145,16 @@ class ResourceProtocol:
     def local_dim(self) -> int:
         return self.resource.local_dim
 
-    def sender_ops(self) -> tuple:
-        """Branch operators L_eta = Pi_eta U_eta on A (x) a."""
-        return tuple(
-            p @ u for p, u in zip(self.sender_projections, self.sender_unitaries)
-        )
-
-    def _check_shapes(self) -> None:
-        """Raise unless every operator is (N*P) x (N*P)."""
-        d = self.n * self.local_dim
-        for kind, ops in (("sender projection", self.sender_projections),
-                          ("sender unitary", self.sender_unitaries),
-                          ("receiver", self.receiver_unitaries)):
-            for op in ops:
-                if op.shape != (d, d):
-                    raise ValueError(
-                        f"{kind} shape {op.shape} does not match "
-                        f"N*P = {self.n}*{self.local_dim} = {d}"
-                    )
-
     def check_determinism(self, tol: float = 1e-10) -> float:
         """Validate the determinism invariants; returns the worst residual."""
-        self._check_shapes()
-        return _check_determinism(np.stack(self.sender_ops()),
-                                  np.stack(self.receiver_unitaries), tol)
+        return _check_determinism(self.branches, self.receiver_unitaries, tol)
 
 
 def _run(proto: ResourceProtocol, ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     if ch.dim != proto.n:
         raise ValueError(f"channel dim {ch.dim} does not match protocol dim {proto.n}")
-    proto._check_shapes()
-    return _simulate(rho, proto.resource.state(), np.stack(proto.sender_ops()), ch,
-                     np.stack(proto.receiver_unitaries))[0]
+    return _simulate(rho, proto.resource.state(), proto.branches, ch,
+                     proto.receiver_unitaries)[0]
 
 
 def apply_protocol(
@@ -210,8 +200,8 @@ def block_operators(proto: ResourceProtocol) -> tuple:
     """The ancilla-indexed N x N blocks a[eta, i, j] and b[eta, k, l] of all
     sender and receiver ops, as the pair (a, b); see the module docstring."""
     n, p = proto.n, proto.local_dim
-    return (_blocks(np.stack(proto.sender_ops()), n, p),
-            _blocks(np.stack(proto.receiver_unitaries), n, p))
+    return (_blocks(proto.branches, n, p),
+            _blocks(proto.receiver_unitaries, n, p))
 
 
 def lambda_operators(proto: ResourceProtocol) -> np.ndarray:
@@ -281,13 +271,13 @@ def bare_protocol(n: int, local_dim: int = 1, mu=None) -> ResourceProtocol:
         mu = np.zeros(local_dim)
         mu[0] = 1.0
     d = n * len(np.atleast_1d(mu))
-    eye = np.eye(d, dtype=complex)
+    eye = np.eye(d, dtype=complex)[None]
     return ResourceProtocol(
         n=n,
-        resource=AncillaResource(mu=np.asarray(mu, dtype=float)),
-        sender_projections=(eye,),
-        sender_unitaries=(eye,),
-        receiver_unitaries=(eye,),
+        resource=AncillaResource(mu=mu),
+        sender_projections=eye,
+        sender_unitaries=eye,
+        receiver_unitaries=eye,
     )
 
 
@@ -317,14 +307,12 @@ def random_protocol(n: int, local_dim: int, m: int, seed) -> ResourceProtocol:
     mu = np.abs(rng.standard_normal(local_dim))
     mu /= np.linalg.norm(mu)
     sender = haar_unitary(d, rng)
-    projections = _partition_projections(d, m)
-    receivers = tuple(haar_unitary(d, rng) for _ in range(m))
     return ResourceProtocol(
         n=n,
         resource=AncillaResource(mu=mu),
-        sender_projections=tuple(projections),
-        sender_unitaries=(sender,) * m,
-        receiver_unitaries=receivers,
+        sender_projections=_partition_projections(d, m),
+        sender_unitaries=np.broadcast_to(sender, (m, d, d)),
+        receiver_unitaries=[haar_unitary(d, rng) for _ in range(m)],
     )
 
 
@@ -359,13 +347,9 @@ def protocol_from_dict(data: dict, validate: bool = True) -> ResourceProtocol:
     return ResourceProtocol(
         n=int(data["N"]),
         resource=AncillaResource(mu=mu),
-        sender_projections=tuple(
-            matrix_from_pairs(entry["projection"]) for entry in data["sender"]
-        ),
-        sender_unitaries=tuple(
-            matrix_from_pairs(entry["unitary"]) for entry in data["sender"]
-        ),
-        receiver_unitaries=tuple(matrix_from_pairs(w) for w in data["receiver"]),
+        sender_projections=[matrix_from_pairs(e["projection"]) for e in data["sender"]],
+        sender_unitaries=[matrix_from_pairs(e["unitary"]) for e in data["sender"]],
+        receiver_unitaries=[matrix_from_pairs(w) for w in data["receiver"]],
         validate=validate,
     )
 

@@ -187,6 +187,24 @@ def fix_global_phase(vec: np.ndarray) -> np.ndarray:
     return v * (pivot.conjugate() / abs(pivot))
 
 
+def _operator_stack(ops, d: int, kind: str, expected: str) -> np.ndarray:
+    """An owned, read-only (M, d, d) complex copy of a family of d x d operators.
+
+    Raises ``"<kind> shape <shape> does not match <expected>"`` naming the
+    first operator of another shape, also when the shapes differ among the
+    operators so that they do not stack at all.
+    """
+    try:
+        stack = np.array(ops, dtype=complex)
+    except ValueError:  # ragged: the operators differ in shape
+        stack = np.empty(0)
+    if stack.shape[1:] != (d, d):
+        bad = next(np.shape(op) for op in ops if np.shape(op) != (d, d))
+        raise ValueError(f"{kind} shape {bad} does not match {expected}")
+    stack.flags.writeable = False
+    return stack
+
+
 def assert_pure_state(vec: np.ndarray, tol: float = 1e-12) -> None:
     """Raise ValueError if the vector is not normalized or not finite."""
     v = np.asarray(vec, dtype=complex).reshape(-1)

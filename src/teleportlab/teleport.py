@@ -58,6 +58,7 @@ def correction_unitary(n: int, eta: int) -> np.ndarray:
     return np.einsum("yz,xw->xyzw", np.eye(n), undo).reshape(n * n, n * n)
 
 
+@lru_cache(maxsize=8)
 def qt_protocol(n: int) -> ResourceProtocol:
     """The teleportation protocol as a resource protocol.
 
@@ -65,28 +66,16 @@ def qt_protocol(n: int) -> ResourceProtocol:
     maps the Bell basis onto the computational basis; receivers are the
     standard outcome corrections.  Physically identical to projecting onto
     the Bell states directly, since the measured system is discarded.
+    Cached: every caller shares one protocol, whose arrays are read-only.
     """
-    mu = np.full(n, 1.0 / np.sqrt(n))
-    rotation = bell_rotation(n)
+    d = n * n
     return ResourceProtocol(
         n=n,
-        resource=AncillaResource(mu=mu),
-        sender_projections=tuple(basis_projections(np.arange(n * n))),
-        sender_unitaries=(rotation,) * (n * n),
-        receiver_unitaries=tuple(correction_unitary(n, eta) for eta in range(n * n)),
+        resource=AncillaResource(mu=np.full(n, 1.0 / np.sqrt(n))),
+        sender_projections=basis_projections(np.arange(d)),
+        sender_unitaries=np.broadcast_to(bell_rotation(n), (d, d, d)),
+        receiver_unitaries=[correction_unitary(n, eta) for eta in range(d)],
     )
-
-
-@lru_cache(maxsize=8)
-def _operators(n: int) -> tuple:
-    """``qt_protocol(n)``'s branch operators Pi_eta R and corrections, stacked
-    and read-only (the cache hands the same arrays to every caller)."""
-    qt = qt_protocol(n)
-    branches = np.stack(qt.sender_ops())
-    receivers = np.stack(qt.receiver_unitaries)
-    branches.flags.writeable = False
-    receivers.flags.writeable = False
-    return branches, receivers
 
 
 def _run(rho: np.ndarray, ch: KrausChannel, resource: np.ndarray):
@@ -100,8 +89,8 @@ def _run(rho: np.ndarray, ch: KrausChannel, resource: np.ndarray):
             f"resource dim {resource.size} is not bipartite with local dim {n}"
         )
     assert_pure_state(resource, tol=1e-10)
-    branches, receivers = _operators(n)
-    return _simulate(rho, resource, branches, ch, receivers)
+    qt = qt_protocol(n)
+    return _simulate(rho, resource, qt.branches, ch, qt.receiver_unitaries)
 
 
 def teleport(rho: np.ndarray, ch: KrausChannel) -> np.ndarray:

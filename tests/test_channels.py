@@ -306,3 +306,18 @@ def test_channel_loader_rejects_invalid(tmp_path):
 def test_channel_from_dict_shape_checks():
     with pytest.raises(ValueError):
         channel_from_dict({"dim": 2, "kraus": [[[1.0, 0.0]]]})
+    # ragged operators do not stack; the odd one out is named
+    ops = [np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.eye(3)]
+    with pytest.raises(ValueError, match=r"Kraus operator shape \(3, 3\) does not match dim 2"):
+        KrausChannel(dim=2, kraus=ops)
+
+
+def test_kraus_stack_is_an_owned_read_only_copy():
+    ops = np.array(depolarizing(0.5).kraus)
+    ch = KrausChannel(dim=2, kraus=ops)
+    assert ch.kraus.shape == (4, 2, 2)
+    assert ops.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        ch.kraus[0] = 0.0
+    ops[0] = 0.0
+    np.testing.assert_array_equal(ch.kraus, depolarizing(0.5).kraus)

@@ -135,6 +135,21 @@ def test_protocol_verify_non_deterministic_exits_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def test_protocol_verify_wrong_operator_shape_exits_2(runner, tmp_path):
+    # a malformed file is invalid input (2), not a determinism failure (3)
+    data = protocol_to_dict(bare_protocol(2))
+    data["receiver"][0] = matrix_to_pairs(np.eye(3))
+    path = tmp_path / "misshapen.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(
+        main, ["protocol-verify", str(path), "--depolarizing", "0.5"]
+    )
+    assert result.exit_code == 2
+    assert result.output.strip().splitlines() == [
+        "error: receiver shape (3, 3) does not match N*P = 2*1 = 2"]
+    assert "Traceback" not in result.output
+
+
 def test_protocol_verify_dim_mismatch_exit_2(runner, tmp_path):
     path = tmp_path / "qt3.json"
     save_protocol(qt_protocol(3), path)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teleportlab.channels import choi, depolarizing, random_channel
 from teleportlab.optimize import (
+    MEASUREMENT_CHOICES,
     OptimizationConfig,
     ProtocolParameterization,
     _compile_objective,
@@ -37,6 +40,40 @@ def test_unitary_generator_round_trip():
     h = generator_from_unitary(u)
     np.testing.assert_allclose(h, h.conj().T, atol=1e-12)
     np.testing.assert_allclose(unitary_from_generator(h), u, atol=1e-11)
+
+
+def test_stacked_generator_calls_equal_per_matrix_calls():
+    rng = np.random.default_rng(2)
+    vecs = rng.standard_normal((3, 5, 16))
+    h = vec_to_hermitian(vecs, 4)
+    assert h.shape == (3, 5, 4, 4)
+    np.testing.assert_array_equal(h, [[vec_to_hermitian(v, 4) for v in row]
+                                      for row in vecs])
+    # a non-Hermitian stack too: each matrix is symmetrized on its own
+    raw = h + 0.1 * rng.standard_normal(h.shape)
+    for gens in (h, raw):
+        np.testing.assert_array_equal(
+            unitary_from_generator(gens),
+            [[unitary_from_generator(g) for g in row] for row in gens])
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 3), p=st.integers(1, 2),
+       measured=st.sampled_from(MEASUREMENT_CHOICES),
+       pin=st.sampled_from(["free", "fix_mu", "mu_fixed"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_pack_unpack_round_trip_property(n, p, measured, pin, seed):
+    base = zero_parameterization(n, p, measured,
+                                 mu_fixed=np.ones(p) if pin == "mu_fixed" else None)
+    fix_mu = pin == "fix_mu"
+    theta = np.random.default_rng(seed).standard_normal(_pack(base, fix_mu).size)
+    params = _unpack(base, theta, fix_mu)
+    packed = _pack(params, fix_mu)
+    np.testing.assert_array_equal(packed, theta)
+    back = _unpack(base, packed, fix_mu)
+    for name in ("sender_generator", "receiver_generators", "mu_params"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(params, name))
+    assert decode(back).check_determinism() < 1e-10
 
 
 def test_zero_parameterization_is_bare_channel():

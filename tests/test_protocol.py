@@ -72,17 +72,36 @@ def test_check_determinism_rejects_non_finite():
 
 
 def test_unvalidated_protocol_with_wrong_operator_shape_is_named():
-    # 3x3 operators where N*P = 2*1 = 2
+    # 3x3 operators where N*P = 2*1 = 2; validate=False skips only determinism
     eye = np.eye(3, dtype=complex)
-    proto = ResourceProtocol(
-        n=2, resource=AncillaResource(mu=np.array([1.0])),
-        sender_projections=(eye,), sender_unitaries=(eye,), receiver_unitaries=(eye,),
-        validate=False,
-    )
     with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match N\*P = 2\*1 = 2"):
-        apply_protocol(proto, depolarizing(0.5), np.eye(2) / 2)
-    with pytest.raises(ValueError, match=r"shape \(3, 3\) does not match N\*P"):
-        effective_choi(proto, depolarizing(0.5))
+        ResourceProtocol(
+            n=2, resource=AncillaResource(mu=np.array([1.0])),
+            sender_projections=(eye,), sender_unitaries=(eye,),
+            receiver_unitaries=(eye,), validate=False,
+        )
+    # ragged operators do not stack; the odd one out is named all the same
+    two = np.eye(2, dtype=complex)
+    with pytest.raises(ValueError, match=r"receiver shape \(3, 3\) does not match N\*P = 2\*1 = 2"):
+        ResourceProtocol(
+            n=2, resource=AncillaResource(mu=np.array([1.0])),
+            sender_projections=(two, two), sender_unitaries=(two, two),
+            receiver_unitaries=(two, eye), validate=False,
+        )
+
+
+def test_operator_arrays_are_owned_copies():
+    # the protocol freezes its own copies, never the caller's arrays
+    proto = random_protocol(2, 2, 4, seed=3)
+    mu, receivers = np.array(proto.resource.mu), np.array(proto.receiver_unitaries)
+    copy = ResourceProtocol(
+        n=2, resource=AncillaResource(mu=mu),
+        sender_projections=proto.sender_projections,
+        sender_unitaries=proto.sender_unitaries, receiver_unitaries=receivers,
+    )
+    assert mu.flags.writeable and receivers.flags.writeable
+    receivers[0] = 0.0
+    np.testing.assert_array_equal(copy.receiver_unitaries, proto.receiver_unitaries)
 
 
 def test_qt_protocol_reproduces_input():
@@ -263,7 +282,7 @@ def test_apply_protocol_matches_dense_reference(n, p, m):
     rho = random_state(n, seed=97 + m)
     sigma = np.kron(rho, projector(proto.resource.state()))
     expected = np.zeros((n, n), dtype=complex)
-    for op, w in zip(proto.sender_ops(), proto.receiver_unitaries):
+    for op, w in zip(proto.branches, proto.receiver_unitaries):
         big = np.kron(op, np.eye(p))
         s = partial_trace(big @ sigma @ big.conj().T, (n, p, p), keep=(0, 2))
         s = sum(np.kron(k, np.eye(p)) @ s @ np.kron(k, np.eye(p)).conj().T

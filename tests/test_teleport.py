@@ -15,7 +15,6 @@ from teleportlab.qmath import (
     trace_distance,
 )
 from teleportlab.teleport import (
-    _operators,
     bell_basis,
     bell_rotation,
     bell_state,
@@ -151,18 +150,19 @@ def test_bundled_qt_protocol_equals_qt_protocol(n):
     built = qt_protocol(n)
     np.testing.assert_array_equal(bundled.resource.mu, built.resource.mu)
     for field in ("sender_projections", "sender_unitaries", "receiver_unitaries"):
-        np.testing.assert_array_equal(np.stack(getattr(bundled, field)),
-                                      np.stack(getattr(built, field)))
+        np.testing.assert_array_equal(getattr(bundled, field), getattr(built, field))
 
 
 def test_cached_operators_are_shared_and_read_only():
-    branches, receivers = _operators(3)
-    assert _operators(3)[0] is branches
     qt = qt_protocol(3)
-    np.testing.assert_array_equal(branches, np.stack(qt.sender_ops()))
-    np.testing.assert_array_equal(receivers, np.stack(qt.receiver_unitaries))
-    with pytest.raises(ValueError, match="read-only"):
-        receivers[0, 0, 0] = 0.0
+    assert qt_protocol(3) is qt
+    np.testing.assert_array_equal(
+        qt.branches,
+        [p @ u for p, u in zip(qt.sender_projections, qt.sender_unitaries)])
+    for arr in (qt.sender_projections, qt.sender_unitaries, qt.receiver_unitaries,
+                qt.branches, qt.resource.mu):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0.0
 
 
 def test_teleport_rejects_non_finite_state():
