@@ -36,7 +36,7 @@ def _tp_deviation(kraus: np.ndarray) -> float:
     return float(np.max(np.abs(total - np.eye(kraus.shape[-1]))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Completely positive trace-preserving map; ``kraus`` is a read-only
     (E, N, N) stack of the Kraus operators."""
@@ -68,7 +68,7 @@ class KrausChannel:
         return sum(k @ rho @ dagger(k) for k in self.kraus)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChoiMatrix:
     """Trace-1 Choi state on the output (x) input space, eigensystem cached."""
 

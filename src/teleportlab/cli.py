@@ -25,6 +25,7 @@ from .channels import (
     load_channel,
 )
 from .optimize import (
+    MEASUREMENT_CHOICES,
     OptimizationConfig,
     OptimizationResult,
     optimize as run_optimize,
@@ -91,6 +92,12 @@ def _resolve_channel(channel_file, depolarizing_p, dim) -> tuple[KrausChannel, d
         _fail(EXIT_INPUT_ERROR, str(exc))
 
 
+def _tolerance(ctx, param, tol: float) -> float:
+    if not 0 <= tol < np.inf:  # NaN fails too
+        _fail(EXIT_INPUT_ERROR, f"--tol must be finite and >= 0, got {tol}")
+    return tol
+
+
 def _load_state(path) -> np.ndarray:
     with open(path) as fh:
         data = json.load(fh)
@@ -114,7 +121,7 @@ def main():
 @click.option("--dim", type=int, default=2, show_default=True,
               help="System dimension for --depolarizing.")
 @click.option("--tol", type=float, default=1e-10, show_default=True,
-              help="Relative eigenvalue cutoff for the rank.")
+              callback=_tolerance, help="Relative eigenvalue cutoff for the rank.")
 @click.option("--out", type=click.Path(), default=None, help="Write JSON here.")
 def cmd_channel_info(channel_file, depolarizing_p, dim, tol, out):
     """Report dimension, Choi spectrum, rank, and CPTP residuals."""
@@ -158,6 +165,8 @@ def cmd_teleport(channel_file, depolarizing_p, dim, state_file, random_seed, mu,
         resource = None
         if mu is not None:
             coeffs = np.array([float(x) for x in mu.split(",")])
+            if not (np.all(np.isfinite(coeffs)) and np.any(coeffs)):
+                raise ValueError(f"--mu must be finite and not all zero, got {mu}")
             coeffs = coeffs / np.linalg.norm(coeffs)
             if coeffs.size != ch.dim:
                 raise ValueError(
@@ -192,7 +201,8 @@ def _bundled_qt_path(n: int):
               help="Verify the bundled teleportation protocol for this N.")
 @click.option("--depolarizing", "depolarizing_p", type=float, default=None)
 @click.option("--dim", type=int, default=2, show_default=True)
-@click.option("--tol", type=float, default=1e-9, show_default=True)
+@click.option("--tol", type=float, default=1e-9, show_default=True,
+              callback=_tolerance)
 @click.option("--out", type=click.Path(), default=None, help="Write JSON here.")
 def cmd_protocol_verify(protocol_file, channel_file, qt_dim, depolarizing_p,
                         dim, tol, out):
@@ -240,38 +250,61 @@ def cmd_protocol_verify(protocol_file, channel_file, qt_dim, depolarizing_p,
     _emit(_command_result("protocol-verify", inputs, outputs), out)
 
 
-def _parameterization_from_config(data: dict):
-    n = int(data.get("n", 2))
-    local_dim = int(data.get("p", 2))
-    measured = data.get("measured", "full")
-    mu_fixed = data.get("mu_fixed")
-    if mu_fixed is not None:
-        mu_fixed = np.asarray(mu_fixed, dtype=float)
-    if data.get("qt_warm_start"):
-        base = qt_parameterization(n)
+_INTEGER = (lambda v: type(v) is int, "an integer")  # JSON true is a bool
+
+# Every key an optimizer config may hold: a check of its JSON value, what the
+# check asks for, and its default (the last three keys have none: required).
+_CONFIG_KEYS = {
+    "n": (*_INTEGER, 2),
+    "p": (*_INTEGER, 2),
+    "measured": (lambda v: v in MEASUREMENT_CHOICES,
+                 f"one of {MEASUREMENT_CHOICES}", "full"),
+    "mu_fixed": (lambda v: v is None or type(v) is list and all(
+        type(x) in (int, float) for x in v), "a list of numbers or null", None),
+    "qt_warm_start": (lambda v: type(v) is bool, "true or false", False),
+    "evaluation_budget": _INTEGER,
+    "restarts": _INTEGER,
+    "seed": _INTEGER,
+}
+
+
+def _load_config(path, seed_override) -> tuple[dict, dict]:
+    """The config file's JSON object (``--seed`` applied) and its values by
+    key, defaults filled in; raises ValueError for an unknown key, a missing
+    required one, or a value its check rejects."""
+    with open(path) as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError("a config must be a JSON object")
+    if seed_override is not None:
+        data["seed"] = seed_override
+    unknown = [key for key in data if key not in _CONFIG_KEYS]
+    if unknown:
+        raise ValueError(
+            f"unknown key {unknown[0]!r}; the keys are {', '.join(_CONFIG_KEYS)}")
+    values = {}
+    for key, (check, wanted, *default) in _CONFIG_KEYS.items():
+        if key not in data and not default:
+            raise ValueError(f"missing key {key!r}")
+        values[key] = data.get(key, *default)
+        if not check(values[key]):
+            raise ValueError(f"{key!r} must be {wanted}, got {json.dumps(values[key])}")
+    return data, values
+
+
+def _parameterization_from_config(values: dict):
+    n, local_dim, measured, mu_fixed = (
+        values[key] for key in ("n", "p", "measured", "mu_fixed"))
+    if values["qt_warm_start"]:
         if mu_fixed is not None or measured != "full" or local_dim != n:
-            raise ValueError(
-                "qt_warm_start fixes p=n, measured=full, and free mu"
-            )
-        return base
+            raise ValueError("qt_warm_start fixes p=n, measured=full, and free mu")
+        return qt_parameterization(n)
     return zero_parameterization(n, local_dim, measured, mu_fixed=mu_fixed)
 
 
-def _config_from_json(data: dict) -> OptimizationConfig:
-    kwargs = {
-        "evaluation_budget": int(data["evaluation_budget"]),
-        "restarts": int(data["restarts"]),
-        "seed": int(data["seed"]),
-    }
-    for key in ("step_init", "stop_delta", "step_decay"):
-        if key in data:
-            kwargs[key] = float(data[key])
-    for key in ("fix_mu", "warm_start"):
-        if key in data:
-            kwargs[key] = bool(data[key])
-    if data.get("qt_warm_start"):
-        kwargs["warm_start"] = True
-    return OptimizationConfig(**kwargs)
+def _search_config(values: dict) -> OptimizationConfig:
+    return OptimizationConfig(values["evaluation_budget"], values["restarts"],
+                              values["seed"], warm_start=values["qt_warm_start"])
 
 
 def _result_outputs(result: OptimizationResult) -> dict:
@@ -313,18 +346,12 @@ def cmd_optimize(files, depolarizing_p, dim, seed_override, trace_file, out):
     channel_file, config_file = _split_channel_and_config(files, depolarizing_p)
     ch, echo = _resolve_channel(channel_file, depolarizing_p, dim)
     try:
-        with open(config_file) as fh:
-            data = json.load(fh)
-        if seed_override is not None:
-            data["seed"] = seed_override
-        base = _parameterization_from_config(data)
-        cfg = _config_from_json(data)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        _fail(EXIT_INPUT_ERROR, f"invalid config: {exc}")
-    try:
+        data, values = _load_config(config_file, seed_override)
+        base = _parameterization_from_config(values)
+        cfg = _search_config(values)
         result = run_optimize(ch, base, cfg)
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        _fail(EXIT_INPUT_ERROR, f"invalid config: {exc}")
     if trace_file:
         with open(trace_file, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -352,17 +379,10 @@ def cmd_sweep(files, theta_grid, depolarizing_p, dim, seed_override, out):
     ch, _ = _resolve_channel(channel_file, depolarizing_p, dim)
     try:
         grid = [float(x) for x in theta_grid.split(",")]
-        with open(config_file) as fh:
-            data = json.load(fh)
-        if seed_override is not None:
-            data["seed"] = seed_override
-        cfg = _config_from_json(data)
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        _fail(EXIT_INPUT_ERROR, f"invalid input: {exc}")
-    try:
+        cfg = _search_config(_load_config(config_file, seed_override)[1])
         rows = sweep_mu(ch, grid, cfg)
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
+    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        _fail(EXIT_INPUT_ERROR, f"invalid input: {exc}")
     lines = ["theta,sumMu,bestFidelity,seed"]
     for row in rows:
         lines.append(

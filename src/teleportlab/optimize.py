@@ -43,6 +43,12 @@ from .teleport import qt_protocol
 
 MEASUREMENT_CHOICES = ("none", "ancilla", "full")
 
+# step schedule of the ascent: initial (and largest) step, the step below
+# which a restart stops, and the factor a rejected move shrinks it by
+STEP_INIT = 0.5
+STOP_DELTA = 1e-9
+STEP_DECAY = 0.9
+
 
 @lru_cache(maxsize=None)
 def _hermitian_indices(d: int) -> tuple:
@@ -113,7 +119,7 @@ def _branch_count(measured: str, n: int, p: int) -> int:
     return {"none": 1, "ancilla": p, "full": n * p}[measured]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolParameterization:
     """Point in protocol space: generators, measurement structure, mu map."""
 
@@ -128,32 +134,25 @@ class ProtocolParameterization:
     def __post_init__(self):
         count = _branch_count(self.measured, self.n, self.local_dim)
         d = self.n * self.local_dim
-        object.__setattr__(
-            self, "sender_generator",
-            np.asarray(self.sender_generator, dtype=complex).reshape(d, d),
-        )
-        object.__setattr__(
-            self, "receiver_generators",
-            np.asarray(self.receiver_generators, dtype=complex).reshape(-1, d, d),
-        )
+        for name, dtype, shape in (("sender_generator", complex, (d, d)),
+                                   ("receiver_generators", complex, (-1, d, d)),
+                                   ("mu_params", float, (-1,)),
+                                   ("mu_fixed", float, (-1,))):
+            value = getattr(self, name)
+            if value is not None:  # only mu_fixed may be None
+                object.__setattr__(self, name,
+                                   np.asarray(value, dtype=dtype).reshape(shape))
         if self.receiver_generators.shape[0] != count:
             raise ValueError(
                 f"need {count} receiver generators for "
                 f"measured={self.measured!r}, got {self.receiver_generators.shape[0]}"
             )
-        object.__setattr__(
-            self, "mu_params", np.asarray(self.mu_params, dtype=float).reshape(-1)
-        )
-        if self.mu_fixed is not None:
-            object.__setattr__(
-                self, "mu_fixed", np.asarray(self.mu_fixed, dtype=float).reshape(-1)
+        if self.mu_fixed is not None and self.mu_fixed.size != self.local_dim:
+            raise ValueError(
+                f"mu_fixed length {self.mu_fixed.size} does not match "
+                f"local dim {self.local_dim}"
             )
-            if self.mu_fixed.size != self.local_dim:
-                raise ValueError(
-                    f"mu_fixed length {self.mu_fixed.size} does not match "
-                    f"local dim {self.local_dim}"
-                )
-        elif self.mu_params.size != self.local_dim - 1:
+        if self.mu_fixed is None and self.mu_params.size != self.local_dim - 1:
             raise ValueError(
                 f"need {self.local_dim - 1} free mu parameters, got {self.mu_params.size}"
             )
@@ -228,14 +227,14 @@ def decode(params: ProtocolParameterization) -> ResourceProtocol:
 
 
 def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
-                       fix_mu: bool, r: ChoiMatrix | None = None):
+                       r: ChoiMatrix | None = None):
     """The search objective over parameter vectors laid out as :func:`_pack`.
 
     Everything that does not depend on the point (index sets, projections,
     the pinned Schmidt vector, ``r = choi(ch)`` unless given) is built once
     here.  The returned function takes one vector, giving a float, or a
     (B, dim) stack, giving B values, and computes what
-    ``target_overlap(decode(_unpack(base, theta, fix_mu)), r)`` does
+    ``target_overlap(decode(_unpack(base, theta)), r)`` does
     with the same arithmetic: all generators filled in one write, one batched
     ``eigh``, the same contraction and overlap.  The determinism and Schmidt
     checks of ``decode`` run batched, with the same tolerance and messages.
@@ -249,7 +248,7 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
     projections = base.projections()
     m = len(projections)
     n_gen = (1 + m) * d * d
-    free_mu = not fix_mu and base.mu_fixed is None
+    free_mu = base.mu_fixed is None
     size = n_gen + (p - 1 if free_mu else 0)
     pinned = None if free_mu else base.mu()
     if pinned is not None:
@@ -286,25 +285,21 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
 
 def objective(params: ProtocolParameterization, ch: KrausChannel) -> float:
     """Entanglement fidelity of the decoded protocol through the channel."""
-    return _compile_objective(ch, params, fix_mu=False)(_pack(params, fix_mu=False))
+    return _compile_objective(ch, params)(_pack(params))
 
 
 @dataclass(frozen=True)
 class OptimizationConfig:
     """Search budget and reproducibility knobs.
 
-    ``fix_mu`` freezes the Schmidt profile at the base parameterization's
-    value; the measurement structure (hence the message count) is always
-    inherited from the base parameterization.
+    The measurement structure (hence the message count) and a pinned
+    Schmidt profile (``mu_fixed``) come from the base parameterization;
+    ``warm_start`` starts restart 0 at the base point instead of a random one.
     """
 
     evaluation_budget: int
     restarts: int
     seed: int
-    step_init: float = 0.5
-    stop_delta: float = 1e-9
-    step_decay: float = 0.9
-    fix_mu: bool = False
     warm_start: bool = False
 
     def __post_init__(self):
@@ -331,28 +326,24 @@ class OptimizationResult:
     restart_traces: tuple = field(repr=False, default=())
 
 
-def _pack(params: ProtocolParameterization, fix_mu: bool) -> np.ndarray:
+def _pack(params: ProtocolParameterization) -> np.ndarray:
     parts = [hermitian_to_vec(params.sender_generator)]
     parts += [hermitian_to_vec(g) for g in params.receiver_generators]
-    if not fix_mu and params.mu_fixed is None:
+    if params.mu_fixed is None:
         parts.append(params.mu_params)
     return np.concatenate(parts)
 
 
-def _unpack(
-    base: ProtocolParameterization, theta: np.ndarray, fix_mu: bool
-) -> ProtocolParameterization:
+def _unpack(base: ProtocolParameterization, theta: np.ndarray) -> ProtocolParameterization:
     d = base.n * base.local_dim
     n_gen = (1 + base.branch_count) * d * d
     h = vec_to_hermitian(theta[:n_gen].reshape(-1, d * d), d)
-    mu_params = base.mu_params
-    if not fix_mu and base.mu_fixed is None:
-        mu_params = theta[n_gen:]
+    mu_params = theta[n_gen:] if base.mu_fixed is None else base.mu_params
     return replace(base, sender_generator=h[0], receiver_generators=h[1:],
                    mu_params=mu_params)
 
 
-def _ascend(fun, theta0, budget, step_init, stop_delta, decay, rng):
+def _ascend(fun, theta0, budget, rng):
     """Accept-if-improve SPSA-style ascent; returns best point and trace.
 
     The step shrinks geometrically on rejected proposals and relaxes back
@@ -364,8 +355,8 @@ def _ascend(fun, theta0, budget, step_init, stop_delta, decay, rng):
     best = fun(theta)
     evals = 1
     trace = [best]
-    step = step_init
-    while evals + 3 <= budget and step > stop_delta:
+    step = STEP_INIT
+    while evals + 3 <= budget and step > STOP_DELTA:
         delta = rng.integers(0, 2, theta.size) * 2.0 - 1.0
         up, down = fun(np.stack([theta + step * delta, theta - step * delta])).tolist()
         evals += 2
@@ -382,10 +373,10 @@ def _ascend(fun, theta0, budget, step_init, stop_delta, decay, rng):
             theta, best, improved = theta + step * delta, up, True
         if not improved and down > best:
             theta, best, improved = theta - step * delta, down, True
-        step = min(step / decay, step_init) if improved else step * decay
+        step = min(step / STEP_DECAY, STEP_INIT) if improved else step * STEP_DECAY
         trace.append(best)
-    hit_budget = step > stop_delta  # loop ended by evaluations, not by decay
-    return best, theta, evals, trace, hit_budget
+    hit_budget = step > STOP_DELTA  # loop ended by evaluations, not by decay
+    return best, theta, evals, tuple(trace), hit_budget
 
 
 def optimize(
@@ -394,42 +385,28 @@ def optimize(
     cfg: OptimizationConfig,
 ) -> OptimizationResult:
     """Multi-restart ascent of the entanglement fidelity; seeded, monotone."""
-    fix_mu = cfg.fix_mu
     r = choi(ch)
-    fun = _compile_objective(ch, base, fix_mu, r)
-    dim = _pack(base, fix_mu).size
-    per_restart = cfg.evaluation_budget // cfg.restarts
-    bests, thetas, traces = [], [], []
-    used = 0
-    any_hit_budget = False
+    fun = _compile_objective(ch, base, r)
+    dim = _pack(base).size
+    runs = []
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
-        if cfg.warm_start and restart == 0:
-            theta0 = _pack(base, fix_mu)
-        else:
-            theta0 = rng.standard_normal(dim)
-        best, theta, evals, trace, hit_budget = _ascend(
-            fun, theta0, per_restart, cfg.step_init, cfg.stop_delta,
-            cfg.step_decay, rng,
-        )
-        bests.append(best)
-        thetas.append(theta)
-        traces.append(tuple(trace))
-        used += evals
-        any_hit_budget = any_hit_budget or hit_budget
+        warm = cfg.warm_start and restart == 0
+        theta0 = _pack(base) if warm else rng.standard_normal(dim)
+        runs.append(_ascend(fun, theta0, cfg.evaluation_budget // cfg.restarts, rng))
+    bests, thetas, evals, traces, hit_budget = zip(*runs)
 
     winner = int(np.argmax(bests))
-    best_params = _unpack(base, thetas[winner], fix_mu)
-    best_protocol = decode(best_params)
+    best_protocol = decode(_unpack(base, thetas[winner]))
     return OptimizationResult(
-        best_fidelity=float(bests[winner]),
+        best_fidelity=bests[winner],
         best_residual=_residual(control_map(best_protocol, r)),
         best_protocol=best_protocol,
-        per_restart_bests=tuple(float(b) for b in bests),
-        evaluations_used=used,
+        per_restart_bests=bests,
+        evaluations_used=sum(evals),
         seed=cfg.seed,
-        budget_exhausted=any_hit_budget,
-        restart_traces=tuple(traces),
+        budget_exhausted=any(hit_budget),
+        restart_traces=traces,
     )
 
 

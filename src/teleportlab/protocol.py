@@ -75,7 +75,7 @@ def _check_determinism(ops: np.ndarray, receivers: np.ndarray, tol: float) -> fl
     return float(np.max(worst))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AncillaResource:
     """Schmidt coefficients of the shared pure ancilla pair (a read-only copy)."""
 
@@ -99,7 +99,7 @@ class AncillaResource:
         return vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResourceProtocol:
     """One round of: sender branch, single channel use, receiver correction.
 
@@ -115,7 +115,7 @@ class ResourceProtocol:
     sender_unitaries: np.ndarray
     receiver_unitaries: np.ndarray
     validate: bool = field(default=True, repr=False)
-    branches: np.ndarray = field(init=False, repr=False, compare=False)
+    branches: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         counts = {len(self.sender_projections), len(self.sender_unitaries),

@@ -1,11 +1,13 @@
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from teleportlab.channels import depolarizing, save_channel
-from teleportlab.cli import main
+from teleportlab.cli import _CONFIG_KEYS, _load_config, main
 from teleportlab.protocol import bare_protocol, protocol_to_dict, save_protocol
 from teleportlab.qmath import matrix_to_pairs, random_state
 from teleportlab.teleport import qt_protocol
@@ -297,3 +299,60 @@ def test_sweep_out_file(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert len(out.read_text().strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("args", [
+    ["channel-info", "--depolarizing", "0.5"],
+    ["protocol-verify", "--qt", "2", "--depolarizing", "0.5"],
+], ids=["channel-info", "protocol-verify"])
+def test_bad_tol_exits_2(runner, args, tol):
+    result = runner.invoke(main, args + ["--tol", tol])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        f"error: --tol must be finite and >= 0, got {float(tol)}"]
+
+
+@pytest.mark.parametrize("mu", ["0,0", "nan,1"])
+def test_teleport_rejects_zero_or_non_finite_mu(runner, mu):
+    result = runner.invoke(
+        main, ["teleport", "--depolarizing", "0.5", "--random", "3", "--mu", mu])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        f"error: --mu must be finite and not all zero, got {mu}"]
+
+
+@pytest.mark.parametrize("override", [
+    {"fix_mu": True}, {"step_init": 0.1}, {"warm_start": True},
+    {"mu_fixd": [1, 0]}, {"qt_warm_start": "false"}, {"restarts": 2.5},
+    {"n": "3"}, {"seed": True}, {"evaluation_budget": None},
+    {"measured": "all"}, {"mu_fixed": [1, "a"]},
+], ids=lambda override: next(iter(override)))
+@pytest.mark.parametrize("command", ["optimize", "sweep"])
+def test_config_key_or_value_outside_the_table_exits_2(runner, tmp_path,
+                                                        command, override):
+    path = _optimize_config(tmp_path, **override)
+    args = [command, "--depolarizing", "0.5", str(path)]
+    if command == "sweep":
+        args += ["--theta-grid", "0.3"]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: invalid") and repr(next(iter(override))) in line
+
+
+def test_readme_config_section_matches_the_key_table(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("An optimizer config is")[1].split("\n## ")[0]
+    documented = re.findall(r"^\| `(\w+)` \|.*\| (`.+`|required) \|$",
+                            section, re.M)
+    assert documented == [
+        (key, f"`{json.dumps(spec[2])}`" if len(spec) == 3 else "required")
+        for key, spec in _CONFIG_KEYS.items()]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    path = tmp_path / "config.json"
+    path.write_text(block)
+    data, values = _load_config(path, None)
+    assert data == json.loads(block)
+    defaults = {key: spec[2] for key, spec in _CONFIG_KEYS.items() if len(spec) == 3}
+    assert values == {**defaults, **data}

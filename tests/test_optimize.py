@@ -10,6 +10,7 @@ from teleportlab.optimize import (
     ProtocolParameterization,
     _compile_objective,
     _pack,
+    _squared_softmax,
     _unpack,
     decode,
     generator_from_unitary,
@@ -60,17 +61,16 @@ def test_stacked_generator_calls_equal_per_matrix_calls():
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 3), p=st.integers(1, 2),
        measured=st.sampled_from(MEASUREMENT_CHOICES),
-       pin=st.sampled_from(["free", "fix_mu", "mu_fixed"]),
+       pin=st.sampled_from(["free", "mu_fixed"]),
        seed=st.integers(0, 2**32 - 1))
 def test_pack_unpack_round_trip_property(n, p, measured, pin, seed):
     base = zero_parameterization(n, p, measured,
                                  mu_fixed=np.ones(p) if pin == "mu_fixed" else None)
-    fix_mu = pin == "fix_mu"
-    theta = np.random.default_rng(seed).standard_normal(_pack(base, fix_mu).size)
-    params = _unpack(base, theta, fix_mu)
-    packed = _pack(params, fix_mu)
+    theta = np.random.default_rng(seed).standard_normal(_pack(base).size)
+    params = _unpack(base, theta)
+    packed = _pack(params)
     np.testing.assert_array_equal(packed, theta)
-    back = _unpack(base, packed, fix_mu)
+    back = _unpack(base, packed)
     for name in ("sender_generator", "receiver_generators", "mu_params"):
         np.testing.assert_array_equal(getattr(back, name), getattr(params, name))
     assert decode(back).check_determinism() < 1e-10
@@ -222,17 +222,19 @@ def test_compiled_objective_equals_decoded_path(measured, n, pin):
     rng = np.random.default_rng([n, len(measured), len(pin)])
     ch = random_channel(n, n * n, seed=n)
     zero = zero_parameterization(n, 2, measured)
+    mu_params = rng.standard_normal(1)
+    mu_fixed = rng.random(2) if pin == "mu_fixed" else None
+    if pin == "fix_mu":  # the profile mu_params decode to, pinned as mu_fixed
+        mu_fixed = _squared_softmax(mu_params)
     base = ProtocolParameterization(
         n=n, local_dim=2, measured=measured,
         sender_generator=zero.sender_generator,
         receiver_generators=zero.receiver_generators,
-        mu_params=rng.standard_normal(1),
-        mu_fixed=rng.random(2) if pin == "mu_fixed" else None,
+        mu_params=mu_params, mu_fixed=mu_fixed,
     )
-    fix_mu = pin == "fix_mu"
-    fun = _compile_objective(ch, base, fix_mu)
-    thetas = rng.standard_normal((6, _pack(base, fix_mu).size))
-    ref = [target_overlap(decode(_unpack(base, t, fix_mu)), choi(ch)) for t in thetas]
+    fun = _compile_objective(ch, base)
+    thetas = rng.standard_normal((6, _pack(base).size))
+    ref = [target_overlap(decode(_unpack(base, t)), choi(ch)) for t in thetas]
     assert [fun(t) for t in thetas] == ref
     assert fun(thetas[:2]).tolist() == ref[:2]
     assert isinstance(fun(thetas[0]), float)
@@ -243,7 +245,7 @@ def test_compiled_objective_rejects_dimension_mismatch():
     with pytest.raises(ValueError, match="channel dim 3 .* dim 2"):
         optimize(depolarizing(0.3, 3), base,
                  OptimizationConfig(evaluation_budget=8, restarts=1, seed=0))
-    fun = _compile_objective(depolarizing(0.3), base, False)
+    fun = _compile_objective(depolarizing(0.3), base)
     with pytest.raises(ValueError, match="parameter shape"):
         fun(np.zeros(3))
 
@@ -254,14 +256,14 @@ def test_compiled_objective_rejects_dimension_mismatch():
 ])
 def test_compiled_objective_keeps_decode_checks(index, message):
     base = zero_parameterization(2, 2, "none")
-    theta = _pack(base, False)
+    theta = _pack(base)
     theta[index] = np.inf
-    fun = _compile_objective(depolarizing(0.3), base, False)
+    fun = _compile_objective(depolarizing(0.3), base)
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match=message):
             fun(np.stack([np.zeros_like(theta), theta]))
         with pytest.raises(ValueError, match=message):
-            decode(_unpack(base, theta, False))
+            decode(_unpack(base, theta))
 
 
 def test_evaluation_budget_is_hard_cap():

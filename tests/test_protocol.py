@@ -13,6 +13,7 @@ from teleportlab.channels import (
     random_channel,
     rank,
 )
+from teleportlab.optimize import zero_parameterization
 from teleportlab.protocol import (
     AncillaResource,
     ResourceProtocol,
@@ -455,3 +456,21 @@ def test_protocol_from_dict_skips_validation_on_request():
     proto = protocol_from_dict(data, validate=False)
     with pytest.raises(ValueError, match="deterministic"):
         proto.check_determinism()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: random_protocol(2, 2, 4, seed=1),
+    lambda: depolarizing(0.5),
+    lambda: AncillaResource(mu=np.full(2, 2**-0.5)),
+    lambda: choi(depolarizing(0.5)),
+    lambda: zero_parameterization(2, 2, "full"),
+], ids=["ResourceProtocol", "KrausChannel", "AncillaResource", "ChoiMatrix",
+        "ProtocolParameterization"])
+def test_array_records_compare_by_identity(make):
+    # the generated __eq__ would compare ndarray fields and raise
+    x, twin = make(), make()
+    assert x == x
+    assert x != twin
+    assert hash(x) == hash(x)
+    assert x in {x} and twin not in {x}
+    assert len({x, twin, x}) == 2

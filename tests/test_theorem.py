@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from teleportlab.channels import random_channel
@@ -217,6 +219,33 @@ def test_nielsen_partial_order():
     for a, b, c in itertools.permutations(resources[:6], 3):
         if nielsen_convertible(a, b) and nielsen_convertible(b, c):
             assert nielsen_convertible(a, c)
+
+
+# Schmidt vectors of 1 to 4 coefficients from small integer weights, so that
+# ties and zero coefficients (the zero-padding case) come up often
+schmidt_vectors = st.lists(st.integers(0, 20), min_size=1, max_size=4).filter(
+    any).map(lambda w: AncillaResource(mu=np.sqrt(np.array(w) / sum(w))))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.lists(schmidt_vectors, min_size=3, max_size=3))
+def test_nielsen_reflexive_and_transitive_property(resources):
+    # most entangled first (smallest largest coefficient), so chains are common
+    a, b, c = sorted(resources, key=lambda r: r.mu.max())
+    for r in resources:
+        assert nielsen_convertible(r, r)
+    if nielsen_convertible(a, b) and nielsen_convertible(b, c):
+        assert nielsen_convertible(a, c)
+
+
+@settings(max_examples=45, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([2, 3, 4]), p=st.sampled_from([1, 2, 3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_no_communication_rules_out_faithful_correction_property(n, p, seed):
+    report = proof_report(random_protocol(n, p, 1, seed=seed))
+    assert report.verdicts["faithful_correction_possible"] is False
+    assert report.contradiction_rhs == n * p
+    assert abs(report.contradiction_lhs - 1.0) <= 1e-12
 
 
 def test_nielsen_against_lp_oracle_sample():
