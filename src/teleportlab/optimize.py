@@ -14,8 +14,13 @@ reproduce bit-identically.
 
 The objective is compiled once per search (:func:`_compile_objective`): it
 maps parameter vectors straight to fidelities with batched array code and
-the same determinism checks, and builds no protocol objects; only the
-winning point is decoded into a :class:`ResourceProtocol`.
+builds no protocol objects; only the winning point is decoded into a
+:class:`ResourceProtocol`.  Per evaluation it makes few array calls: one
+product of the parameters with a fixed 0/+-1 generator map, one batched
+``eigh``, the sender's branches as masked rows (the projections are
+diagonal), and one fused determinism residual, which falls back to the full
+checks of ``decode`` only when it fails.  Its values are bit-identical to
+decoding each point and calling ``target_overlap``.
 """
 
 from __future__ import annotations
@@ -94,9 +99,9 @@ def unitary_from_generator(h: np.ndarray) -> np.ndarray:
 def _squared_softmax(params: np.ndarray) -> np.ndarray:
     """Schmidt vector(s) from P-1 free parameters per row (last logit pinned at 0)."""
     z = np.concatenate([params, np.zeros(params.shape[:-1] + (1,))], axis=-1)
-    z = z - np.max(z, axis=-1, keepdims=True)
+    z = z - z.max(axis=-1, keepdims=True)
     weights = np.exp(z)
-    return np.sqrt(weights / np.sum(weights, axis=-1, keepdims=True))
+    return np.sqrt(weights / weights.sum(axis=-1, keepdims=True))
 
 
 def generator_from_unitary(u: np.ndarray) -> np.ndarray:
@@ -109,9 +114,18 @@ def generator_from_unitary(u: np.ndarray) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
+def _check_dims(n: int, p: int) -> None:
+    """Raise unless the system dimension N and ancilla dimension P are >= 1."""
+    for name, value in (("system dimension n", n), ("local dimension p", p)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _branch_count(measured: str, n: int, p: int) -> int:
     """Outcomes of the sender's measurement: 1 for ``"none"``, P for
-    ``"ancilla"``, N*P for ``"full"``; raises for any other ``measured``."""
+    ``"ancilla"``, N*P for ``"full"``; raises for any other ``measured`` and
+    for dimensions below 1."""
+    _check_dims(n, p)
     if measured not in MEASUREMENT_CHOICES:
         raise ValueError(
             f"measured must be one of {MEASUREMENT_CHOICES}, got {measured!r}"
@@ -147,11 +161,20 @@ class ProtocolParameterization:
                 f"need {count} receiver generators for "
                 f"measured={self.measured!r}, got {self.receiver_generators.shape[0]}"
             )
-        if self.mu_fixed is not None and self.mu_fixed.size != self.local_dim:
-            raise ValueError(
-                f"mu_fixed length {self.mu_fixed.size} does not match "
-                f"local dim {self.local_dim}"
-            )
+        if self.mu_fixed is not None:
+            if self.mu_fixed.size != self.local_dim:
+                raise ValueError(
+                    f"mu_fixed length {self.mu_fixed.size} does not match "
+                    f"local dim {self.local_dim}"
+                )
+            # mu() divides by the norm: it must be finite and nonzero
+            with np.errstate(over="ignore"):
+                norm = np.linalg.norm(self.mu_fixed)
+            if not (self.mu_fixed.min() >= 0 and 0 < norm < np.inf):
+                raise ValueError(
+                    "mu_fixed must be non-negative with a finite, nonzero "
+                    f"norm, got {self.mu_fixed.tolist()}"
+                )
         if self.mu_fixed is None and self.mu_params.size != self.local_dim - 1:
             raise ValueError(
                 f"need {self.local_dim - 1} free mu parameters, got {self.mu_params.size}"
@@ -201,6 +224,7 @@ def zero_parameterization(
 
 def qt_parameterization(n: int) -> ProtocolParameterization:
     """Generators whose decoded protocol is the teleportation protocol."""
+    _check_dims(n, n)
     qt = qt_protocol(n)
     return ProtocolParameterization(
         n=n,
@@ -226,18 +250,41 @@ def decode(params: ProtocolParameterization) -> ResourceProtocol:
     )
 
 
+def _hermitian_map(d: int) -> np.ndarray:
+    """Real (d^2, 2 d^2) map from one generator's parameters, laid out as
+    :func:`hermitian_to_vec`, to the real view of its d x d matrix (real and
+    imaginary parts interleaved, row-major).
+
+    Every entry is 0 or +-1 and every output has at most one nonzero term, so
+    ``(vec @ map).view(complex)`` is exactly what :func:`vec_to_hermitian`
+    writes, for finite parameters.
+    """
+    diag, rows, cols = _hermitian_indices(d)
+    split = d + rows.size  # real parts of the upper triangle end here
+    upper = np.arange(rows.size)
+    out = np.zeros((d * d, d, d, 2))
+    out[diag, diag, diag, 0] = 1.0
+    out[d + upper, rows, cols, 0] = out[d + upper, cols, rows, 0] = 1.0
+    out[split + upper, rows, cols, 1] = 1.0
+    out[split + upper, cols, rows, 1] = -1.0
+    return out.reshape(d * d, 2 * d * d)
+
+
 def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
                        r: ChoiMatrix | None = None):
     """The search objective over parameter vectors laid out as :func:`_pack`.
 
-    Everything that does not depend on the point (index sets, projections,
-    the pinned Schmidt vector, ``r = choi(ch)`` unless given) is built once
-    here.  The returned function takes one vector, giving a float, or a
-    (B, dim) stack, giving B values, and computes what
-    ``target_overlap(decode(_unpack(base, theta)), r)`` does
-    with the same arithmetic: all generators filled in one write, one batched
-    ``eigh``, the same contraction and overlap.  The determinism and Schmidt
-    checks of ``decode`` run batched, with the same tolerance and messages.
+    Everything that does not depend on the point (the generator map, the
+    sender's row mask, the identity of the determinism check, the pinned
+    Schmidt vector, ``r = choi(ch)`` unless given) is built once here.  The
+    returned function takes one vector, giving a float, or a (B, dim) stack,
+    giving B values, and computes what
+    ``target_overlap(decode(_unpack(base, theta)), r)`` does, bit for bit,
+    with few array calls: all generators in one product with the generator
+    map, one batched ``eigh``, the sender branches as masked rows of the
+    sender unitary (the projections are diagonal), one fused determinism
+    check, then the same contraction and overlap.  A failed check reruns the
+    checks of ``decode``, so the tolerance and messages are the same.
     """
     n, p = base.n, base.local_dim
     if ch.dim != n:
@@ -254,7 +301,13 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
     if pinned is not None:
         _check_schmidt(pinned)
     psi0 = maximally_entangled(n)
-    r = choi(ch) if r is None else r
+    r_matrix = (choi(ch) if r is None else r).matrix
+    hermitian_map = _hermitian_map(d)
+    # the projections are diagonal 0/1, so P_eta U keeps the rows of U that
+    # P_eta keeps; "none" measures nothing (P = I)
+    row_mask = (None if base.measured == "none"
+                else projections.diagonal(0, 1, 2)[..., None])
+    eye = np.eye(d)
 
     def fun(theta):
         theta = np.asarray(theta, dtype=float)
@@ -263,21 +316,36 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
                 f"parameter shape {theta.shape} is not (dim,) or (B, dim), dim {size}"
             )
         stack = theta.reshape(-1, size)
-        h = vec_to_hermitian(stack[:, :n_gen].reshape(len(stack), 1 + m, d * d), d)
+        batch = len(stack)
+        gen = stack[:, :n_gen].reshape(batch, 1 + m, d * d)
+        h = (gen @ hermitian_map).view(complex).reshape(batch, 1 + m, d, d)
         # h is Hermitian by construction, so the symmetrization in
         # unitary_from_generator would not change a bit of it
-        vals, vecs = np.linalg.eigh(h)
+        try:
+            vals, vecs = np.linalg.eigh(h)
+        except np.linalg.LinAlgError:
+            # a non-finite parameter times the map's zeros fills its matrix
+            # with NaN; built as decode builds it, it fails as decode fails
+            vals, vecs = np.linalg.eigh(vec_to_hermitian(gen, d))
         u = (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
-        senders = projections @ u[:, :1]
+        senders = u[:, :1] if row_mask is None else u[:, :1] * row_mask
         receivers = u[:, 1:]
-        _check_determinism(senders, receivers, 1e-10)
+        # the three residuals of _check_determinism, from the same products
+        column = senders.reshape(batch, m * d, d)
+        row = senders.swapaxes(-3, -2).reshape(batch, d, m * d)
+        gram = np.concatenate([
+            (column.conj().swapaxes(-1, -2) @ column)[:, None],
+            (row @ row.conj().swapaxes(-1, -2))[:, None],
+            receivers @ receivers.conj().swapaxes(-1, -2)], axis=1)
+        if not (np.abs(gram - eye).max() <= 1e-10):  # NaN fails too
+            _check_determinism(senders, receivers, 1e-10)
         if free_mu:
             mu = _squared_softmax(stack[:, n_gen:])
             _check_schmidt(mu)
         else:
             mu = pinned  # broadcasts over the stack
         lam = _control_operators(mu, _blocks(senders, n, p), _blocks(receivers, n, p))
-        out = _overlap(lam.reshape(len(stack), -1, n * n, n * n), r.matrix, psi0)
+        out = _overlap(lam.reshape(batch, -1, n * n, n * n), r_matrix, psi0)
         return float(out[0]) if theta.ndim == 1 else out
 
     return fun
@@ -349,8 +417,12 @@ def _ascend(fun, theta0, budget, rng):
     The step shrinks geometrically on rejected proposals and relaxes back
     toward its initial value on accepted ones, never exceeding it.  ``fun``
     takes a (2, dim) stack too: the two probes of each step go in one call,
-    which still counts as two evaluations.
+    which still counts as two evaluations.  The probes are built in one
+    broadcast, ``theta + (step * delta) * [[1], [-1]]``, which is exact (a
+    sign flip rounds nothing and a - b is a + (-b)), and an accepted probe is
+    taken as its row.
     """
+    signs = np.array([[1.0], [-1.0]])
     theta = np.asarray(theta0, dtype=float).copy()
     best = fun(theta)
     evals = 1
@@ -358,7 +430,8 @@ def _ascend(fun, theta0, budget, rng):
     step = STEP_INIT
     while evals + 3 <= budget and step > STOP_DELTA:
         delta = rng.integers(0, 2, theta.size) * 2.0 - 1.0
-        up, down = fun(np.stack([theta + step * delta, theta - step * delta])).tolist()
+        probes = theta + (step * delta) * signs
+        up, down = fun(probes).tolist()
         evals += 2
         improved = False
         grad = (up - down) / (2.0 * step) * delta
@@ -370,9 +443,9 @@ def _ascend(fun, theta0, budget, rng):
             if value > best:
                 theta, best, improved = candidate, value, True
         if not improved and up > best:
-            theta, best, improved = theta + step * delta, up, True
+            theta, best, improved = probes[0], up, True
         if not improved and down > best:
-            theta, best, improved = theta - step * delta, down, True
+            theta, best, improved = probes[1], down, True
         step = min(step / STEP_DECAY, STEP_INIT) if improved else step * STEP_DECAY
         trace.append(best)
     hit_budget = step > STOP_DELTA  # loop ended by evaluations, not by decay

@@ -193,7 +193,7 @@ def _overlap(lam: np.ndarray, r: np.ndarray, psi0: np.ndarray) -> np.ndarray:
     control operators, clipped to [0, 1]."""
     moved = lam.conj().swapaxes(-1, -2) @ psi0
     val = np.einsum("...ja,ab,...jb->...", moved.conj(), r, moved)
-    return np.clip(val.real, 0.0, 1.0)
+    return val.real.clip(0.0, 1.0)
 
 
 def block_operators(proto: ResourceProtocol) -> tuple:

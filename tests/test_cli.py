@@ -322,6 +322,20 @@ def test_teleport_rejects_zero_or_non_finite_mu(runner, mu):
         f"error: --mu must be finite and not all zero, got {mu}"]
 
 
+@pytest.mark.parametrize("override, message", [
+    ({"mu_fixed": [0, 0]}, "mu_fixed must be non-negative with a finite, "
+                           "nonzero norm, got [0.0, 0.0]"),
+    ({"n": 0}, "system dimension n must be >= 1, got 0"),
+    ({"p": -1}, "local dimension p must be >= 1, got -1"),
+], ids=["mu_fixed-zero", "n-0", "p-negative"])
+def test_degenerate_config_exits_2_with_one_line(runner, tmp_path, override,
+                                                 message):
+    path = _optimize_config(tmp_path, **override)
+    result = runner.invoke(main, ["optimize", "--depolarizing", "0.5", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [f"error: invalid config: {message}"]
+
+
 @pytest.mark.parametrize("override", [
     {"fix_mu": True}, {"step_init": 0.1}, {"warm_start": True},
     {"mu_fixd": [1, 0]}, {"qt_warm_start": "false"}, {"restarts": 2.5},

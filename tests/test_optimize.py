@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,7 +60,7 @@ def test_stacked_generator_calls_equal_per_matrix_calls():
             [[unitary_from_generator(g) for g in row] for row in gens])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(2, 3), p=st.integers(1, 2),
        measured=st.sampled_from(MEASUREMENT_CHOICES),
        pin=st.sampled_from(["free", "mu_fixed"]),
@@ -103,6 +105,27 @@ def test_qt_parameterization_is_faithful():
         proto = decode(params)
         assert residual(proto, depolarizing(0.4, n)) < 1e-9
         assert objective(params, depolarizing(0.4, n)) > 1 - 1e-9
+
+
+@pytest.mark.parametrize("mu_fixed", [
+    [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1.0, -1.0], [1e308, 1e308]],
+    ids=["zero", "nan", "inf", "negative", "norm-overflow"])
+def test_degenerate_mu_fixed_rejected_before_normalizing(mu_fixed):
+    # mu() divides by the norm; a warning here would fail the test too
+    with pytest.raises(ValueError, match="mu_fixed must be non-negative with "
+                                         "a finite, nonzero norm"):
+        zero_parameterization(2, 2, "full", mu_fixed=np.array(mu_fixed))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: zero_parameterization(0, 2, "full"), "system dimension n .* got 0"),
+    (lambda: zero_parameterization(2, 0, "none"), "local dimension p .* got 0"),
+    (lambda: zero_parameterization(2, -1, "ancilla"), "local dimension p .* got -1"),
+    (lambda: qt_parameterization(0), "system dimension n .* got 0"),
+], ids=["n-0", "p-0", "p-negative", "qt-n-0"])
+def test_dimensions_below_one_rejected(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_mu_map_uniform_at_zero():
@@ -238,6 +261,84 @@ def test_compiled_objective_equals_decoded_path(measured, n, pin):
     assert [fun(t) for t in thetas] == ref
     assert fun(thetas[:2]).tolist() == ref[:2]
     assert isinstance(fun(thetas[0]), float)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 3), p=st.integers(1, 3),
+       measured=st.sampled_from(MEASUREMENT_CHOICES),
+       pin=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_compiled_objective_equals_decoded_path_property(n, p, measured, pin, seed):
+    # bit-identity to the protocol-object route at every P (P = 1 makes the
+    # ancilla mask all ones), and stacks equal to row-by-row calls
+    rng = np.random.default_rng(seed)
+    ch = random_channel(n, n * n, seed=seed % 97)
+    base = zero_parameterization(n, p, measured,
+                                 mu_fixed=rng.random(p) + 0.01 if pin else None)
+    fun = _compile_objective(ch, base)
+    thetas = rng.standard_normal((5, _pack(base).size))
+    rows = [fun(t) for t in thetas]
+    assert rows == [target_overlap(decode(_unpack(base, t)), choi(ch))
+                    for t in thetas]
+    for count in (1, 2, 5):
+        assert fun(thetas[:count]).tolist() == rows[:count]
+
+
+# Bits of seeded searches, recorded with the earlier objective (generators
+# filled by index writes, branches as projection products, per-protocol
+# determinism checks), so that any kernel change that moves one bit fails
+# here: the bests and residual as float.hex, the evaluations, and a sha256
+# of the traces' repr.  (a), (b), (c) are criterion 10's configs at short
+# budgets.  Recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (x86_64); another
+# BLAS build may round differently.
+_MU_B = np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)])
+_GOLDEN_SEARCHES = {
+    "a-none": (lambda: depolarizing(0.5),
+               lambda: zero_parameterization(2, 2, "none"), (400, 2, 2024, False),
+               ["0x1.25c0c11b9f6a6p-1", "0x1.317d50f502c5dp-1"],
+               "0x1.df03e0f610c41p-2", 398,
+               "941de5c12a786faee514ec74cfaffb668bc8750f81dfd207d2b1a9719faa927d"),
+    "b-full-pinned": (lambda: depolarizing(0.5),
+                      lambda: zero_parameterization(2, 2, "full", mu_fixed=_MU_B),
+                      (400, 2, 2024, False),
+                      ["0x1.0dd5937aebe8cp-1", "0x1.dcd638049a52cp-2"],
+                      "0x1.25902f84ed24dp-1", 398,
+                      "a70c0b0d9622fc06296e7d248dbf5f71486d915ad370c13f29cfd7d33c83d236"),
+    "c-qt-warm": (lambda: depolarizing(0.5), lambda: qt_parameterization(2),
+                  (200, 2, 2024, True),
+                  ["0x1.ffffffffffff7p-1", "0x1.7beb968fc7b0fp-2"],
+                  "0x1.69e965df8d1cdp-50", 200,
+                  "bbd2b5ebadd95670eaa5a0019cfa4b47f9813d2c2beb3c1977ffa88dcef7b58b"),
+    "ancilla": (lambda: depolarizing(0.5),
+                lambda: zero_parameterization(2, 2, "ancilla"), (300, 2, 7, False),
+                ["0x1.298a2a187ad98p-1", "0x1.30c47ff93ca9ap-1"],
+                "0x1.e8d78c00ad838p-2", 296,
+                "476045ea112a71f4a41a1c816cdf08f30cbe0e93c6424ff9ff83672a4da3fa34"),
+    "n3-full": (lambda: random_channel(3, 9, seed=3),
+                lambda: zero_parameterization(3, 3, "full"), (100, 1, 11, False),
+                ["0x1.2e54cbcab9028p-3"], "0x1.d2d401f0319c5p-1", 100,
+                "65ecef85079349c6508c8c25f53444199c0b7989db4e9f4353f23ece5e8e30e0"),
+    "zero-warm": (lambda: depolarizing(0.5),
+                  lambda: zero_parameterization(2, 2, "full", mu_fixed=_MU_B),
+                  (100, 1, 3, True),
+                  ["0x1.7fffffffffffdp-2"], "0x1.7ffffffffffffp-1", 100,
+                  "65af63ddad5f3dbc0f3ba108fdc0132657e110284431b8a997d231cc2afbac27"),
+    "n3-p1-none": (lambda: random_channel(3, 9, seed=4),
+                   lambda: zero_parameterization(3, 1, "none"), (60, 1, 12, False),
+                   ["0x1.cc8b69dcb3d03p-3"], "0x1.c13ad076b13efp-1", 58,
+                   "01f129a225cb288ad40408c258ecc5b7a4730115704f13381419df7dcdd00a8e"),
+}
+
+
+@pytest.mark.parametrize("name", _GOLDEN_SEARCHES)
+def test_seeded_search_matches_recorded_bits(name):
+    ch, base, (budget, restarts, seed, warm), bests, resid, evals, traces = (
+        _GOLDEN_SEARCHES[name])
+    result = optimize(ch(), base(), OptimizationConfig(budget, restarts, seed,
+                                                       warm_start=warm))
+    assert [float.hex(b) for b in result.per_restart_bests] == bests
+    assert float.hex(result.best_residual) == resid
+    assert result.evaluations_used == evals
+    assert hashlib.sha256(repr(result.restart_traces).encode()).hexdigest() == traces
 
 
 def test_compiled_objective_rejects_dimension_mismatch():
