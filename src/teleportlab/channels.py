@@ -158,12 +158,6 @@ def _superoperator(ch: KrausChannel) -> np.ndarray:
     return np.einsum("eik,ejl->ijkl", ch.kraus, ch.kraus.conj())
 
 
-def _apply_on_legs(ch: KrausChannel, t: np.ndarray, row: int, col: int) -> np.ndarray:
-    """Apply the channel, as one superoperator, to the (row, col) legs of a tensor."""
-    out = np.tensordot(_superoperator(ch), t, axes=([2, 3], [row, col]))
-    return np.moveaxis(out, (0, 1), (row, col))
-
-
 def apply_on_factor(ch: KrausChannel, rho: np.ndarray, dims, which: int) -> np.ndarray:
     """Apply the channel to one tensor factor of a multipartite state."""
     dims = tuple(int(d) for d in dims)
@@ -177,8 +171,10 @@ def apply_on_factor(ch: KrausChannel, rho: np.ndarray, dims, which: int) -> np.n
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (total, total):
         raise ValueError(f"state shape {rho.shape} does not match factor dims {dims}")
-    out = _apply_on_legs(ch, rho.reshape(dims * 2), which, len(dims) + which)
-    return out.reshape(total, total)
+    # the channel, as one superoperator, on factor `which`'s row and column legs
+    legs = (which, len(dims) + which)
+    out = np.tensordot(_superoperator(ch), rho.reshape(dims * 2), axes=([2, 3], legs))
+    return np.moveaxis(out, (0, 1), legs).reshape(total, total)
 
 
 def _simulate(rho, resource, branches, ch: KrausChannel, receivers):

@@ -1,14 +1,15 @@
 """Command-line front end: verifications and experiments with JSON/CSV output.
 
 Outputs are deterministic given the inputs and the seed; no timestamps or
-environment data ever enter a result.  Exit codes: 0 success, 2 invalid
+environment data ever enter a result, and the inputs echo only what the
+caller passed (``protocol-verify --qt N`` verifies ``qt_protocol(N)``, built
+in memory, so its result names no file).  Exit codes: 0 success, 2 invalid
 input, 3 semantic failure (a protocol that fails determinism).
 """
 
 from __future__ import annotations
 
 import csv
-import importlib.resources
 import json
 import sys
 
@@ -48,7 +49,7 @@ from .qmath import (
     matrix_to_pairs,
     random_state,
 )
-from .teleport import teleport_detailed
+from .teleport import qt_protocol, teleport_detailed
 from .theorem import proof_report
 
 EXIT_INPUT_ERROR = 2
@@ -186,19 +187,11 @@ def cmd_teleport(channel_file, depolarizing_p, dim, state_file, random_seed, mu,
     _emit(_command_result("teleport", inputs, outputs, seed=random_seed), out)
 
 
-def _bundled_qt_path(n: int):
-    name = f"qt_protocol_n{n}.json"
-    ref = importlib.resources.files("teleportlab") / "assets" / name
-    if not ref.is_file():
-        raise ValueError(f"no bundled teleportation protocol for N={n}")
-    return ref
-
-
 @main.command("protocol-verify")
 @click.argument("protocol_file", required=False, type=click.Path(exists=False))
 @click.argument("channel_file", required=False, type=click.Path(exists=False))
 @click.option("--qt", "qt_dim", type=int, default=None,
-              help="Verify the bundled teleportation protocol for this N.")
+              help="Verify the N-level teleportation protocol (N >= 2).")
 @click.option("--depolarizing", "depolarizing_p", type=float, default=None)
 @click.option("--dim", type=int, default=2, show_default=True)
 @click.option("--tol", type=float, default=1e-9, show_default=True,
@@ -210,8 +203,10 @@ def cmd_protocol_verify(protocol_file, channel_file, qt_dim, depolarizing_p,
     if (protocol_file is None) == (qt_dim is None):
         _fail(EXIT_INPUT_ERROR, "provide exactly one of PROTOCOL_FILE or --qt N")
     try:
-        source = protocol_file if protocol_file is not None else _bundled_qt_path(qt_dim)
-        proto = load_protocol(source, validate=False)
+        if protocol_file is not None:
+            proto = load_protocol(protocol_file, validate=False)
+        else:
+            proto = qt_protocol(qt_dim)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
     ch, echo = _resolve_channel(channel_file, depolarizing_p, dim)
@@ -242,11 +237,7 @@ def cmd_protocol_verify(protocol_file, channel_file, qt_dim, depolarizing_p,
         "proof_report": report.to_dict(),
         "theorem_violation": bool(res < 1e-9 and not bound_ok),
     }
-    inputs = {
-        "protocol_file": str(source),
-        **echo,
-        "tol": tol,
-    }
+    inputs = {"protocol_file": protocol_file, "qt": qt_dim, **echo, "tol": tol}
     _emit(_command_result("protocol-verify", inputs, outputs), out)
 
 

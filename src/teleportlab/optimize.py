@@ -18,9 +18,8 @@ builds no protocol objects; only the winning point is decoded into a
 :class:`ResourceProtocol`.  Per evaluation it makes few array calls: one
 product of the parameters with a fixed 0/+-1 generator map, one batched
 ``eigh``, the sender's branches as masked rows (the projections are
-diagonal), and one fused determinism residual, which falls back to the full
-checks of ``decode`` only when it fails.  Its values are bit-identical to
-decoding each point and calling ``target_overlap``.
+diagonal), and the determinism check that ``decode`` runs.  Its values are
+bit-identical to decoding each point and calling ``target_overlap``.
 """
 
 from __future__ import annotations
@@ -275,16 +274,15 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
     """The search objective over parameter vectors laid out as :func:`_pack`.
 
     Everything that does not depend on the point (the generator map, the
-    sender's row mask, the identity of the determinism check, the pinned
-    Schmidt vector, ``r = choi(ch)`` unless given) is built once here.  The
-    returned function takes one vector, giving a float, or a (B, dim) stack,
-    giving B values, and computes what
+    sender's row mask, the pinned Schmidt vector, ``r = choi(ch)`` unless
+    given) is built once here.  The returned function takes one vector,
+    giving a float, or a (B, dim) stack, giving B values, and computes what
     ``target_overlap(decode(_unpack(base, theta)), r)`` does, bit for bit,
     with few array calls: all generators in one product with the generator
     map, one batched ``eigh``, the sender branches as masked rows of the
-    sender unitary (the projections are diagonal), one fused determinism
-    check, then the same contraction and overlap.  A failed check reruns the
-    checks of ``decode``, so the tolerance and messages are the same.
+    sender unitary (the projections are diagonal), the determinism check of
+    ``decode`` (same tolerance, same messages), then the same contraction and
+    overlap.
     """
     n, p = base.n, base.local_dim
     if ch.dim != n:
@@ -307,7 +305,6 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
     # P_eta keeps; "none" measures nothing (P = I)
     row_mask = (None if base.measured == "none"
                 else projections.diagonal(0, 1, 2)[..., None])
-    eye = np.eye(d)
 
     def fun(theta):
         theta = np.asarray(theta, dtype=float)
@@ -330,15 +327,7 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
         u = (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
         senders = u[:, :1] if row_mask is None else u[:, :1] * row_mask
         receivers = u[:, 1:]
-        # the three residuals of _check_determinism, from the same products
-        column = senders.reshape(batch, m * d, d)
-        row = senders.swapaxes(-3, -2).reshape(batch, d, m * d)
-        gram = np.concatenate([
-            (column.conj().swapaxes(-1, -2) @ column)[:, None],
-            (row @ row.conj().swapaxes(-1, -2))[:, None],
-            receivers @ receivers.conj().swapaxes(-1, -2)], axis=1)
-        if not (np.abs(gram - eye).max() <= 1e-10):  # NaN fails too
-            _check_determinism(senders, receivers, 1e-10)
+        _check_determinism(senders, receivers, 1e-10)
         if free_mu:
             mu = _squared_softmax(stack[:, n_gen:])
             _check_schmidt(mu)

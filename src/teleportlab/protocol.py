@@ -52,27 +52,31 @@ def _check_determinism(ops: np.ndarray, receivers: np.ndarray, tol: float) -> fl
     exceeds tol, otherwise returns the worst residual over all of them.
     """
     *lead, m, d, _ = ops.shape
-    eye = np.eye(d)
     column = ops.reshape(*lead, m * d, d)  # the L_eta stacked vertically
     row = ops.swapaxes(-3, -2).reshape(*lead, d, m * d)  # and side by side
-    res_left = np.abs(column.conj().swapaxes(-1, -2) @ column - eye).max(axis=(-2, -1))
-    res_right = np.abs(row @ row.conj().swapaxes(-1, -2) - eye).max(axis=(-2, -1))
-    res_recv = np.abs(receivers @ receivers.conj().swapaxes(-1, -2) - eye).max(
-        axis=(-3, -2, -1))
-    worst = np.maximum(np.maximum(res_left, res_right), res_recv)
-    bad = np.flatnonzero(~(worst <= tol))  # NaN residuals fail too
-    if bad.size:
-        i = bad[0]
-        if not (np.all(np.isfinite(ops)) and np.all(np.isfinite(receivers))):
-            raise ValueError("protocol is not deterministic: operators have "
-                             "non-finite entries")
-        raise ValueError(
-            "protocol is not deterministic: "
-            f"sum L^dag L residual {res_left.flat[i]:.3e}, "
-            f"sum L L^dag residual {res_right.flat[i]:.3e}, "
-            f"receiver unitarity residual {res_recv.flat[i]:.3e}"
-        )
-    return float(np.max(worst))
+    # [..., 0] is sum L^dag L, [..., 1] is sum L L^dag, [..., 2:] each W W^dag
+    gram = np.concatenate([
+        (column.conj().swapaxes(-1, -2) @ column)[..., None, :, :],
+        (row @ row.conj().swapaxes(-1, -2))[..., None, :, :],
+        receivers @ receivers.conj().swapaxes(-1, -2)], axis=-3)
+    dev = np.abs(gram - np.eye(d))
+    worst = float(dev.max())
+    if worst <= tol:  # false for NaN too
+        return worst
+    res_left = dev[..., 0, :, :].max(axis=(-2, -1))
+    res_right = dev[..., 1, :, :].max(axis=(-2, -1))
+    res_recv = dev[..., 2:, :, :].max(axis=(-3, -2, -1))
+    per_protocol = np.maximum(np.maximum(res_left, res_right), res_recv)
+    i = np.flatnonzero(~(per_protocol <= tol))[0]
+    if not (np.all(np.isfinite(ops)) and np.all(np.isfinite(receivers))):
+        raise ValueError("protocol is not deterministic: operators have "
+                         "non-finite entries")
+    raise ValueError(
+        "protocol is not deterministic: "
+        f"sum L^dag L residual {res_left.flat[i]:.3e}, "
+        f"sum L L^dag residual {res_right.flat[i]:.3e}, "
+        f"receiver unitarity residual {res_recv.flat[i]:.3e}"
+    )
 
 
 @dataclass(frozen=True, eq=False)

@@ -68,6 +68,8 @@ def qt_protocol(n: int) -> ResourceProtocol:
     the Bell states directly, since the measured system is discarded.
     Cached: every caller shares one protocol, whose arrays are read-only.
     """
+    if n < 2:
+        raise ValueError(f"teleportation needs N >= 2, got {n}")
     d = n * n
     return ResourceProtocol(
         n=n,

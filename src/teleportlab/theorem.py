@@ -92,9 +92,8 @@ def _matching_mask(local_dim: int, n: int) -> np.ndarray:
     """Mask over (k, l, n, m) where the ancilla indices match the factor basis."""
     k = np.arange(local_dim)
     n_idx = np.arange(n)
-    km = (k[:, None] == n_idx[None, :])          # (P, N): k == m
-    ln = (k[:, None] == n_idx[None, :])          # (P, N): l == n
-    return km[:, None, None, :] & ln[None, :, :, None]
+    same = k[:, None] == n_idx[None, :]  # (P, N): ancilla index == basis index
+    return same[:, None, None, :] & same[None, :, :, None]  # k == m and l == n
 
 
 def beta_scalars(proto: ResourceProtocol) -> np.ndarray:
@@ -113,9 +112,7 @@ def beta_scalars(proto: ResourceProtocol) -> np.ndarray:
 def _beta_scalars(g: np.ndarray, n: int, local_dim: int) -> np.ndarray:
     """:func:`beta_scalars` from the inner-product tensor G."""
     mask = _matching_mask(local_dim, n)
-    count = int(np.sum(mask))
-    if count == 0:
-        return np.zeros(len(g), dtype=complex)
+    count = int(np.sum(mask))  # min(P, N)^2 >= 1
     matched = np.where(mask[np.newaxis], g, 0.0)
     return matched.sum(axis=(1, 2, 3, 4)) / (np.sqrt(n) * count)
 

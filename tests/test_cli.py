@@ -99,18 +99,31 @@ def test_teleport_rejects_bad_state(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_protocol_verify_bundled_qt(runner):
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_protocol_verify_bundled_qt(runner, n):
     result = _invoke(
-        runner, ["protocol-verify", "--qt", "2", "--depolarizing", "0.5"]
+        runner,
+        ["protocol-verify", "--qt", str(n), "--depolarizing", "0.5", "--dim", str(n)],
     )
     assert result.exit_code == 0
     data = json.loads(result.output)
+    assert data["inputs"] == {"protocol_file": None, "qt": n, "depolarizing": 0.5,
+                              "dim": n, "tol": 1e-9}
     out = data["outputs"]
     assert out["residual_to_target"] < 1e-9
     assert out["consistency_gap"] < 1e-9
     assert out["entanglement_bound_satisfied"]
-    assert abs(out["entanglement_sum"] - np.sqrt(2)) < 1e-9
+    assert abs(out["entanglement_sum"] - np.sqrt(n)) < 1e-9
     assert not out["theorem_violation"]
+
+
+@pytest.mark.parametrize("n", [0, 1, -2])
+def test_protocol_verify_qt_below_2_exits_2(runner, n):
+    result = runner.invoke(
+        main, ["protocol-verify", "--qt", str(n), "--depolarizing", "0.5"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        f"error: teleportation needs N >= 2, got {n}"]
 
 
 def test_protocol_verify_bare_protocol(runner, tmp_path):
@@ -121,6 +134,8 @@ def test_protocol_verify_bare_protocol(runner, tmp_path):
         ["protocol-verify", str(path), "--depolarizing", "0.5"],
     )
     data = json.loads(result.output)
+    assert data["inputs"] == {"protocol_file": str(path), "qt": None,
+                              "depolarizing": 0.5, "dim": 2, "tol": 1e-9}
     assert abs(data["outputs"]["residual_to_target"] - 0.5 * np.sqrt(3) / 2) < 1e-9
     assert abs(data["outputs"]["entanglement_fidelity"] - 0.625) < 1e-9
 

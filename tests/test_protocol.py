@@ -417,16 +417,19 @@ def test_target_overlap_rejects_choi_dimension_mismatch():
 
 
 def test_protocol_json_round_trip(tmp_path):
-    proto = random_protocol(2, 2, 2, seed=17)
     path = tmp_path / "protocol.json"
-    save_protocol(proto, path)
-    loaded = load_protocol(path)
-    assert loaded.n == proto.n and loaded.m == proto.m
-    ch = depolarizing(0.3)
-    rho = random_state(2, seed=18)
-    np.testing.assert_allclose(
-        apply_protocol(loaded, ch, rho), apply_protocol(proto, ch, rho), atol=1e-12
-    )
+    for proto in (random_protocol(2, 2, 2, seed=17), qt_protocol(2), qt_protocol(3)):
+        save_protocol(proto, path)
+        loaded = load_protocol(path)
+        assert loaded.n == proto.n and loaded.m == proto.m
+        np.testing.assert_array_equal(loaded.resource.mu, proto.resource.mu)
+        for field in ("sender_projections", "sender_unitaries", "receiver_unitaries"):
+            np.testing.assert_array_equal(getattr(loaded, field), getattr(proto, field))
+        ch = depolarizing(0.3, proto.n)
+        rho = random_state(proto.n, seed=18)
+        np.testing.assert_allclose(
+            apply_protocol(loaded, ch, rho), apply_protocol(proto, ch, rho), atol=1e-12
+        )
 
 
 def test_protocol_loader_rejections(tmp_path):

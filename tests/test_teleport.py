@@ -1,10 +1,7 @@
-import importlib.resources
-
 import numpy as np
 import pytest
 
 from teleportlab.channels import depolarizing, identity_channel, random_channel
-from teleportlab.protocol import load_protocol
 from teleportlab.qmath import (
     fidelity,
     maximally_entangled,
@@ -141,16 +138,6 @@ def test_bell_rotation_maps_bell_states_to_basis(n):
     for eta in range(n * n):
         np.testing.assert_allclose(rotation @ bell_state(n, eta), np.eye(n * n)[eta],
                                    atol=1e-12)
-
-
-@pytest.mark.parametrize("n", [2, 3])
-def test_bundled_qt_protocol_equals_qt_protocol(n):
-    assets = importlib.resources.files("teleportlab") / "assets"
-    bundled = load_protocol(assets / f"qt_protocol_n{n}.json")
-    built = qt_protocol(n)
-    np.testing.assert_array_equal(bundled.resource.mu, built.resource.mu)
-    for field in ("sender_projections", "sender_unitaries", "receiver_unitaries"):
-        np.testing.assert_array_equal(getattr(bundled, field), getattr(built, field))
 
 
 def test_cached_operators_are_shared_and_read_only():
