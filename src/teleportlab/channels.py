@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qmath import (
+    _haar_isometry,
     _operator_stack,
     dagger,
     fix_global_phase,
@@ -257,14 +258,7 @@ def random_channel(n: int, target_rank: int, seed) -> KrausChannel:
     """
     if not 1 <= target_rank <= n * n:
         raise ValueError(f"rank must lie in 1..{n * n}, got {target_rank}")
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n * target_rank, n)) + 1j * rng.standard_normal(
-        (n * target_rank, n)
-    )
-    q, r = np.linalg.qr(g)
-    phases = np.diagonal(r).copy()
-    phases /= np.abs(phases)
-    isometry = (q * phases).reshape(n, target_rank, n)
+    isometry = _haar_isometry(n * target_rank, n, seed).reshape(n, target_rank, n)
     return KrausChannel(dim=n, kraus=isometry.transpose(1, 0, 2))
 
 

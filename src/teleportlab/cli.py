@@ -370,8 +370,11 @@ def cmd_sweep(files, theta_grid, depolarizing_p, dim, seed_override, out):
     ch, _ = _resolve_channel(channel_file, depolarizing_p, dim)
     try:
         grid = [float(x) for x in theta_grid.split(",")]
-        cfg = _search_config(_load_config(config_file, seed_override)[1])
-        rows = sweep_mu(ch, grid, cfg)
+        values = _load_config(config_file, seed_override)[1]
+        if values["qt_warm_start"]:
+            raise ValueError("qt_warm_start must be false: sweep pins mu, and "
+                             "the teleportation warm start needs free mu")
+        rows = sweep_mu(ch, grid, _search_config(values))
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         _fail(EXIT_INPUT_ERROR, f"invalid input: {exc}")
     lines = ["theta,sumMu,bestFidelity,seed"]

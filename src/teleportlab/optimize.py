@@ -132,52 +132,54 @@ def _branch_count(measured: str, n: int, p: int) -> int:
     return {"none": 1, "ancilla": p, "full": n * p}[measured]
 
 
+def _theta_size(n: int, p: int, measured: str, pinned: bool) -> int:
+    """Length of a parameter vector: the sender's generator, then each
+    receiver's, as :func:`hermitian_to_vec` lays them out, then P-1 Schmidt
+    parameters unless mu is pinned; raises as :func:`_branch_count`."""
+    d = n * p
+    return (1 + _branch_count(measured, n, p)) * d * d + (0 if pinned else p - 1)
+
+
 @dataclass(frozen=True, eq=False)
 class ProtocolParameterization:
-    """Point in protocol space: generators, measurement structure, mu map."""
+    """Point in protocol space: the structure (dimensions, measurement, a
+    pinned Schmidt profile) and one real parameter vector ``theta`` (an owned,
+    read-only copy), laid out as :func:`_theta_size` counts it."""
 
     n: int
     local_dim: int
     measured: str
-    sender_generator: np.ndarray
-    receiver_generators: np.ndarray
-    mu_params: np.ndarray
+    theta: np.ndarray
     mu_fixed: np.ndarray | None = None
 
     def __post_init__(self):
-        count = _branch_count(self.measured, self.n, self.local_dim)
-        d = self.n * self.local_dim
-        for name, dtype, shape in (("sender_generator", complex, (d, d)),
-                                   ("receiver_generators", complex, (-1, d, d)),
-                                   ("mu_params", float, (-1,)),
-                                   ("mu_fixed", float, (-1,))):
-            value = getattr(self, name)
-            if value is not None:  # only mu_fixed may be None
-                object.__setattr__(self, name,
-                                   np.asarray(value, dtype=dtype).reshape(shape))
-        if self.receiver_generators.shape[0] != count:
+        pinned = self.mu_fixed is not None
+        size = _theta_size(self.n, self.local_dim, self.measured, pinned)
+        theta = np.array(self.theta, dtype=float).reshape(-1)
+        theta.flags.writeable = False
+        object.__setattr__(self, "theta", theta)
+        if theta.size != size:
             raise ValueError(
-                f"need {count} receiver generators for "
-                f"measured={self.measured!r}, got {self.receiver_generators.shape[0]}"
+                f"theta must hold {size} parameters for n={self.n}, "
+                f"p={self.local_dim}, measured={self.measured!r}, "
+                f"mu {'pinned' if pinned else 'free'}; got {theta.size}"
             )
-        if self.mu_fixed is not None:
-            if self.mu_fixed.size != self.local_dim:
+        if pinned:
+            mu_fixed = np.asarray(self.mu_fixed, dtype=float).reshape(-1)
+            object.__setattr__(self, "mu_fixed", mu_fixed)
+            if mu_fixed.size != self.local_dim:
                 raise ValueError(
-                    f"mu_fixed length {self.mu_fixed.size} does not match "
+                    f"mu_fixed length {mu_fixed.size} does not match "
                     f"local dim {self.local_dim}"
                 )
             # mu() divides by the norm: it must be finite and nonzero
             with np.errstate(over="ignore"):
-                norm = np.linalg.norm(self.mu_fixed)
-            if not (self.mu_fixed.min() >= 0 and 0 < norm < np.inf):
+                norm = np.linalg.norm(mu_fixed)
+            if not (mu_fixed.min() >= 0 and 0 < norm < np.inf):
                 raise ValueError(
                     "mu_fixed must be non-negative with a finite, nonzero "
-                    f"norm, got {self.mu_fixed.tolist()}"
+                    f"norm, got {mu_fixed.tolist()}"
                 )
-        if self.mu_fixed is None and self.mu_params.size != self.local_dim - 1:
-            raise ValueError(
-                f"need {self.local_dim - 1} free mu parameters, got {self.mu_params.size}"
-            )
 
     @property
     def branch_count(self) -> int:
@@ -194,11 +196,19 @@ class ProtocolParameterization:
                   "ancilla": np.arange(d) % self.local_dim}[self.measured]
         return basis_projections(labels)
 
+    def generators(self) -> np.ndarray:
+        """The (1+M, d, d) Hermitian generators: the sender's, then each
+        receiver's."""
+        d = self.n * self.local_dim
+        n_gen = (1 + self.branch_count) * d * d
+        return vec_to_hermitian(self.theta[:n_gen].reshape(-1, d * d), d)
+
     def mu(self) -> np.ndarray:
-        """Schmidt coefficients: pinned vector, or squared-softmax of params."""
+        """Schmidt coefficients: pinned vector, or squared-softmax of the
+        tail of theta."""
         if self.mu_fixed is not None:
             return self.mu_fixed / np.linalg.norm(self.mu_fixed)
-        return _squared_softmax(self.mu_params)
+        return _squared_softmax(self.theta[self.theta.size - self.local_dim + 1:])
 
 
 def zero_parameterization(
@@ -208,37 +218,23 @@ def zero_parameterization(
     mu_fixed=None,
 ) -> ProtocolParameterization:
     """All-zero generators and flat mu; decodes to identity operations."""
-    d = n * local_dim
-    branches = _branch_count(measured, n, local_dim)
-    return ProtocolParameterization(
-        n=n,
-        local_dim=local_dim,
-        measured=measured,
-        sender_generator=np.zeros((d, d)),
-        receiver_generators=np.zeros((branches, d, d)),
-        mu_params=np.zeros(max(local_dim - 1, 0)),
-        mu_fixed=mu_fixed,
-    )
+    size = _theta_size(n, local_dim, measured, mu_fixed is not None)
+    return ProtocolParameterization(n, local_dim, measured, np.zeros(size), mu_fixed)
 
 
 def qt_parameterization(n: int) -> ProtocolParameterization:
     """Generators whose decoded protocol is the teleportation protocol."""
     _check_dims(n, n)
     qt = qt_protocol(n)
-    return ProtocolParameterization(
-        n=n,
-        local_dim=n,
-        measured="full",
-        sender_generator=generator_from_unitary(qt.sender_unitaries[0]),
-        receiver_generators=[generator_from_unitary(w) for w in qt.receiver_unitaries],
-        mu_params=np.zeros(n - 1),
-    )
+    unitaries = [qt.sender_unitaries[0], *qt.receiver_unitaries]
+    theta = np.concatenate([hermitian_to_vec(generator_from_unitary(u))
+                            for u in unitaries] + [np.zeros(n - 1)])
+    return ProtocolParameterization(n, n, "full", theta)
 
 
 def decode(params: ProtocolParameterization) -> ResourceProtocol:
     """Materialize the parameterization as a deterministic protocol."""
-    u = unitary_from_generator(np.concatenate(
-        [params.sender_generator[None], params.receiver_generators]))
+    u = unitary_from_generator(params.generators())
     projections = params.projections()
     return ResourceProtocol(
         n=params.n,
@@ -271,13 +267,13 @@ def _hermitian_map(d: int) -> np.ndarray:
 
 def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
                        r: ChoiMatrix | None = None):
-    """The search objective over parameter vectors laid out as :func:`_pack`.
+    """The search objective over parameter vectors laid out as ``base.theta``.
 
     Everything that does not depend on the point (the generator map, the
     sender's row mask, the pinned Schmidt vector, ``r = choi(ch)`` unless
     given) is built once here.  The returned function takes one vector,
     giving a float, or a (B, dim) stack, giving B values, and computes what
-    ``target_overlap(decode(_unpack(base, theta)), r)`` does, bit for bit,
+    ``target_overlap(decode(replace(base, theta=theta)), r)`` does, bit for bit,
     with few array calls: all generators in one product with the generator
     map, one batched ``eigh``, the sender branches as masked rows of the
     sender unitary (the projections are diagonal), the determinism check of
@@ -294,7 +290,7 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
     m = len(projections)
     n_gen = (1 + m) * d * d
     free_mu = base.mu_fixed is None
-    size = n_gen + (p - 1 if free_mu else 0)
+    size = base.theta.size
     pinned = None if free_mu else base.mu()
     if pinned is not None:
         _check_schmidt(pinned)
@@ -342,7 +338,7 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
 
 def objective(params: ProtocolParameterization, ch: KrausChannel) -> float:
     """Entanglement fidelity of the decoded protocol through the channel."""
-    return _compile_objective(ch, params)(_pack(params))
+    return _compile_objective(ch, params)(params.theta)
 
 
 @dataclass(frozen=True)
@@ -381,23 +377,6 @@ class OptimizationResult:
     seed: int
     budget_exhausted: bool
     restart_traces: tuple = field(repr=False, default=())
-
-
-def _pack(params: ProtocolParameterization) -> np.ndarray:
-    parts = [hermitian_to_vec(params.sender_generator)]
-    parts += [hermitian_to_vec(g) for g in params.receiver_generators]
-    if params.mu_fixed is None:
-        parts.append(params.mu_params)
-    return np.concatenate(parts)
-
-
-def _unpack(base: ProtocolParameterization, theta: np.ndarray) -> ProtocolParameterization:
-    d = base.n * base.local_dim
-    n_gen = (1 + base.branch_count) * d * d
-    h = vec_to_hermitian(theta[:n_gen].reshape(-1, d * d), d)
-    mu_params = theta[n_gen:] if base.mu_fixed is None else base.mu_params
-    return replace(base, sender_generator=h[0], receiver_generators=h[1:],
-                   mu_params=mu_params)
 
 
 def _ascend(fun, theta0, budget, rng):
@@ -449,17 +428,17 @@ def optimize(
     """Multi-restart ascent of the entanglement fidelity; seeded, monotone."""
     r = choi(ch)
     fun = _compile_objective(ch, base, r)
-    dim = _pack(base).size
+    dim = base.theta.size
     runs = []
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
         warm = cfg.warm_start and restart == 0
-        theta0 = _pack(base) if warm else rng.standard_normal(dim)
+        theta0 = base.theta if warm else rng.standard_normal(dim)
         runs.append(_ascend(fun, theta0, cfg.evaluation_budget // cfg.restarts, rng))
     bests, thetas, evals, traces, hit_budget = zip(*runs)
 
     winner = int(np.argmax(bests))
-    best_protocol = decode(_unpack(base, thetas[winner]))
+    best_protocol = decode(replace(base, theta=thetas[winner]))
     return OptimizationResult(
         best_fidelity=bests[winner],
         best_residual=_residual(control_map(best_protocol, r)),

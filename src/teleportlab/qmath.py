@@ -90,11 +90,6 @@ def embed_operator(op: np.ndarray, dims, targets) -> np.ndarray:
     return s.T @ np.kron(np.asarray(op, dtype=complex), np.eye(d_rest)) @ s
 
 
-def swap_matrix(dim_a: int, dim_b: int) -> np.ndarray:
-    """Unitary exchanging the two factors of an a (x) b product space."""
-    return factor_permutation((dim_a, dim_b), (1, 0))
-
-
 def schmidt(psi: np.ndarray, dim_a: int, dim_b: int) -> tuple:
     """Schmidt decomposition (coefficients, basis_a, basis_b) of a bipartite
     pure state.
@@ -168,14 +163,19 @@ def random_state(n: int, seed) -> np.ndarray:
     return partial_trace(projector(purification), (n, n), keep=0)
 
 
-def haar_unitary(n: int, rng) -> np.ndarray:
-    """Haar-random unitary via phase-fixed QR of a Ginibre matrix."""
+def _haar_isometry(rows: int, cols: int, rng) -> np.ndarray:
+    """Haar-random (rows, cols) isometry via phase-fixed QR of a Ginibre matrix."""
     rng = np.random.default_rng(rng)
-    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    g = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
     q, r = np.linalg.qr(g)
     phases = np.diagonal(r).copy()
     phases /= np.abs(phases)
     return q * phases
+
+
+def haar_unitary(n: int, rng) -> np.ndarray:
+    """Haar-random unitary."""
+    return _haar_isometry(n, n, rng)
 
 
 def fix_global_phase(vec: np.ndarray) -> np.ndarray:

@@ -316,6 +316,17 @@ def test_sweep_out_file(runner, tmp_path):
     assert len(out.read_text().strip().splitlines()) == 3
 
 
+def test_sweep_rejects_qt_warm_start(runner, tmp_path):
+    # sweep pins mu per angle, so a teleportation warm start cannot apply
+    path = _optimize_config(tmp_path, qt_warm_start=True)
+    result = runner.invoke(
+        main, ["sweep", "--depolarizing", "0.5", str(path), "--theta-grid", "0.785"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: invalid input: qt_warm_start must be false: sweep pins mu, and "
+        "the teleportation warm start needs free mu"]
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 @pytest.mark.parametrize("args", [
     ["channel-info", "--depolarizing", "0.5"],

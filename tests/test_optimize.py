@@ -1,4 +1,5 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +12,7 @@ from teleportlab.optimize import (
     OptimizationConfig,
     ProtocolParameterization,
     _compile_objective,
-    _pack,
     _squared_softmax,
-    _unpack,
     decode,
     generator_from_unitary,
     hermitian_to_vec,
@@ -65,17 +64,41 @@ def test_stacked_generator_calls_equal_per_matrix_calls():
        measured=st.sampled_from(MEASUREMENT_CHOICES),
        pin=st.sampled_from(["free", "mu_fixed"]),
        seed=st.integers(0, 2**32 - 1))
-def test_pack_unpack_round_trip_property(n, p, measured, pin, seed):
+def test_theta_round_trip_property(n, p, measured, pin, seed):
+    # the generators read from theta, plus the Schmidt tail when mu is free,
+    # give theta back bit for bit
     base = zero_parameterization(n, p, measured,
                                  mu_fixed=np.ones(p) if pin == "mu_fixed" else None)
-    theta = np.random.default_rng(seed).standard_normal(_pack(base).size)
-    params = _unpack(base, theta)
-    packed = _pack(params)
-    np.testing.assert_array_equal(packed, theta)
-    back = _unpack(base, packed)
-    for name in ("sender_generator", "receiver_generators", "mu_params"):
-        np.testing.assert_array_equal(getattr(back, name), getattr(params, name))
-    assert decode(back).check_determinism() < 1e-10
+    theta = np.random.default_rng(seed).standard_normal(base.theta.size)
+    params = replace(base, theta=theta)
+    generators = params.generators()
+    assert generators.shape == (1 + params.branch_count, n * p, n * p)
+    parts = [hermitian_to_vec(g) for g in generators]
+    if pin == "free":
+        tail = theta[theta.size - p + 1:]
+        parts.append(tail)
+        np.testing.assert_array_equal(params.mu(), _squared_softmax(tail))
+    np.testing.assert_array_equal(np.concatenate(parts), theta)
+    assert decode(params).check_determinism() < 1e-10
+
+
+def test_theta_is_an_owned_read_only_copy():
+    theta = np.zeros(zero_parameterization(2, 2, "none").theta.size)
+    params = ProtocolParameterization(2, 2, "none", theta)
+    theta[0] = 1.0
+    assert params.theta[0] == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        params.theta[0] = 1.0
+
+
+@pytest.mark.parametrize("mu_fixed, length, expected", [
+    (None, 80, 81), (None, 82, 81), ([1.0, 0.0], 81, 80)],
+    ids=["free-short", "free-long", "pinned-with-mu-tail"])
+def test_theta_of_wrong_length_rejected(mu_fixed, length, expected):
+    # n = p = 2, "full": 1 + 4 generators of 16 parameters, then 1 for free mu
+    with pytest.raises(ValueError, match=f"theta must hold {expected} parameters "
+                                         f".* got {length}$"):
+        ProtocolParameterization(2, 2, "full", np.zeros(length), mu_fixed=mu_fixed)
 
 
 def test_zero_parameterization_is_bare_channel():
@@ -142,19 +165,10 @@ def test_mu_fixed_overrides_and_normalizes():
 def test_random_parameters_decode_deterministically_valid():
     rng = np.random.default_rng(3)
     for draw in range(100):
-        d = 4
-        params = ProtocolParameterization(
-            n=2,
-            local_dim=2,
-            measured=("none", "ancilla", "full")[draw % 3],
-            sender_generator=vec_to_hermitian(rng.standard_normal(d * d), d),
-            receiver_generators=np.stack([
-                vec_to_hermitian(rng.standard_normal(d * d), d)
-                for _ in range({"none": 1, "ancilla": 2, "full": 4}[
-                    ("none", "ancilla", "full")[draw % 3]])
-            ]),
-            mu_params=rng.standard_normal(1),
-        )
+        measured = ("none", "ancilla", "full")[draw % 3]
+        size = zero_parameterization(2, 2, measured).theta.size
+        params = ProtocolParameterization(n=2, local_dim=2, measured=measured,
+                                          theta=rng.standard_normal(size))
         proto = decode(params)  # constructor validates determinism
         assert proto.check_determinism() < 1e-10
 
@@ -163,12 +177,11 @@ def test_objective_invariant_under_phase_winding():
     # adding 2*pi to a generator eigenvalue leaves the unitary unchanged
     ch = depolarizing(0.3)
     params = qt_parameterization(2)
-    h = params.sender_generator
-    vals, vecs = np.linalg.eigh(h)
+    vals, vecs = np.linalg.eigh(params.generators()[0])
     wound = (vecs * (vals + 2 * np.pi * (np.arange(vals.size) == 0))) @ vecs.conj().T
-    from dataclasses import replace
-
-    wound_params = replace(params, sender_generator=wound)
+    theta = params.theta.copy()
+    theta[:16] = hermitian_to_vec(wound)  # the sender's generator comes first
+    wound_params = replace(params, theta=theta)
     assert abs(objective(params, ch) - objective(wound_params, ch)) < 1e-9
 
 
@@ -244,20 +257,14 @@ def test_compiled_objective_equals_decoded_path(measured, n, pin):
     # bit, for one vector and for a stack of two
     rng = np.random.default_rng([n, len(measured), len(pin)])
     ch = random_channel(n, n * n, seed=n)
-    zero = zero_parameterization(n, 2, measured)
-    mu_params = rng.standard_normal(1)
+    logits = rng.standard_normal(1)
     mu_fixed = rng.random(2) if pin == "mu_fixed" else None
-    if pin == "fix_mu":  # the profile mu_params decode to, pinned as mu_fixed
-        mu_fixed = _squared_softmax(mu_params)
-    base = ProtocolParameterization(
-        n=n, local_dim=2, measured=measured,
-        sender_generator=zero.sender_generator,
-        receiver_generators=zero.receiver_generators,
-        mu_params=mu_params, mu_fixed=mu_fixed,
-    )
+    if pin == "fix_mu":  # the profile these logits decode to, pinned as mu_fixed
+        mu_fixed = _squared_softmax(logits)
+    base = zero_parameterization(n, 2, measured, mu_fixed=mu_fixed)
     fun = _compile_objective(ch, base)
-    thetas = rng.standard_normal((6, _pack(base).size))
-    ref = [target_overlap(decode(_unpack(base, t)), choi(ch)) for t in thetas]
+    thetas = rng.standard_normal((6, base.theta.size))
+    ref = [target_overlap(decode(replace(base, theta=t)), choi(ch)) for t in thetas]
     assert [fun(t) for t in thetas] == ref
     assert fun(thetas[:2]).tolist() == ref[:2]
     assert isinstance(fun(thetas[0]), float)
@@ -275,9 +282,9 @@ def test_compiled_objective_equals_decoded_path_property(n, p, measured, pin, se
     base = zero_parameterization(n, p, measured,
                                  mu_fixed=rng.random(p) + 0.01 if pin else None)
     fun = _compile_objective(ch, base)
-    thetas = rng.standard_normal((5, _pack(base).size))
+    thetas = rng.standard_normal((5, base.theta.size))
     rows = [fun(t) for t in thetas]
-    assert rows == [target_overlap(decode(_unpack(base, t)), choi(ch))
+    assert rows == [target_overlap(decode(replace(base, theta=t)), choi(ch))
                     for t in thetas]
     for count in (1, 2, 5):
         assert fun(thetas[:count]).tolist() == rows[:count]
@@ -357,14 +364,14 @@ def test_compiled_objective_rejects_dimension_mismatch():
 ])
 def test_compiled_objective_keeps_decode_checks(index, message):
     base = zero_parameterization(2, 2, "none")
-    theta = _pack(base)
+    theta = base.theta.copy()
     theta[index] = np.inf
     fun = _compile_objective(depolarizing(0.3), base)
     with np.errstate(invalid="ignore"):
         with pytest.raises(ValueError, match=message):
             fun(np.stack([np.zeros_like(theta), theta]))
         with pytest.raises(ValueError, match=message):
-            decode(_unpack(base, theta))
+            decode(replace(base, theta=theta))
 
 
 def test_evaluation_budget_is_hard_cap():

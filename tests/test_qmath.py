@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from dense_reference import swap_matrix
 
 from teleportlab.qmath import (
     assert_density_matrix,
@@ -16,7 +17,6 @@ from teleportlab.qmath import (
     random_pure,
     random_state,
     schmidt,
-    swap_matrix,
     tensor,
     trace_distance,
 )

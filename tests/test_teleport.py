@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from dense_reference import swap_matrix
 
 from teleportlab.channels import depolarizing, identity_channel, random_channel
 from teleportlab.qmath import (
@@ -8,7 +9,6 @@ from teleportlab.qmath import (
     projector,
     random_pure,
     random_state,
-    swap_matrix,
     trace_distance,
 )
 from teleportlab.teleport import (
