@@ -17,8 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .qmath import (
+    _INTEGER,
+    _MATRICES,
     _haar_isometry,
     _operator_stack,
+    _read_json,
     dagger,
     fix_global_phase,
     matrix_from_pairs,
@@ -274,19 +277,15 @@ def channel_to_dict(ch: KrausChannel) -> dict:
     return {"dim": ch.dim, "kraus": [matrix_to_pairs(k) for k in ch.kraus]}
 
 
-def channel_from_dict(data: dict) -> KrausChannel:
-    """Build and validate a channel from its JSON form."""
-    if not isinstance(data, dict) or "dim" not in data or "kraus" not in data:
-        raise ValueError('channel JSON must have "dim" and "kraus" keys')
-    ops = [matrix_from_pairs(k) for k in data["kraus"]]
-    return KrausChannel(dim=int(data["dim"]), kraus=ops)
+_CHANNEL_KEYS = {"dim": _INTEGER, "kraus": _MATRICES}
 
 
 def load_channel(path) -> KrausChannel:
     """Read a channel JSON file; rejects invalid files with a diagnostic."""
     with open(path) as fh:
-        data = json.load(fh)
-    return channel_from_dict(data)
+        data = _read_json(json.load(fh), _CHANNEL_KEYS)
+    return KrausChannel(dim=data["dim"],
+                        kraus=[matrix_from_pairs(k) for k in data["kraus"]])
 
 
 def save_channel(ch: KrausChannel, path) -> None:

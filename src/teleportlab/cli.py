@@ -9,7 +9,6 @@ input, 3 semantic failure (a protocol that fails determinism).
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 
@@ -43,6 +42,10 @@ from .protocol import (
     target_overlap,
 )
 from .qmath import (
+    _INTEGER,
+    _MATRIX,
+    _NUMBERS,
+    _read_json,
     assert_density_matrix,
     fidelity,
     matrix_from_pairs,
@@ -61,23 +64,21 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
-def _emit(result: dict, out_path):
-    text = json.dumps(result, indent=2)
-    if out_path:
+def _emit(text: str, out_path) -> None:
+    """Write text to out_path (exit 2 if it cannot be written), else to stdout."""
+    if not out_path:
+        click.echo(text, nl=False)
+        return
+    try:
         with open(out_path, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
+            fh.write(text)
+    except OSError as exc:
+        _fail(EXIT_INPUT_ERROR, str(exc))
 
 
-def _command_result(command: str, inputs: dict, outputs: dict, seed=None) -> dict:
-    return {
-        "command": command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "seed": seed,
-        "version": __version__,
-    }
+def _command_result(command: str, inputs: dict, outputs: dict, seed=None) -> str:
+    return json.dumps(dict(command=command, inputs=inputs, outputs=outputs,
+                           seed=seed, version=__version__), indent=2) + "\n"
 
 
 def _resolve_channel(channel_file, depolarizing_p, dim) -> tuple[KrausChannel, dict]:
@@ -89,7 +90,7 @@ def _resolve_channel(channel_file, depolarizing_p, dim) -> tuple[KrausChannel, d
             return load_channel(channel_file), {"channel_file": str(channel_file)}
         ch = depolarizing(depolarizing_p, dim)
         return ch, {"depolarizing": depolarizing_p, "dim": dim}
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
 
 
@@ -101,18 +102,21 @@ def _tolerance(ctx, param, tol: float) -> float:
 
 def _load_state(path) -> np.ndarray:
     with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict) or "matrix" not in data:
-        raise ValueError('state JSON must have a "matrix" key')
-    rho = matrix_from_pairs(data["matrix"])
+        dim, matrix = _read_json(json.load(fh), _STATE_KEYS).values()
+    rho = matrix_from_pairs(matrix)
+    if len(rho) != dim:
+        raise ValueError(f"'matrix' shape {rho.shape} does not match 'dim' {dim}")
     assert_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-10)
     return rho
 
 
 @click.group()
 @click.version_option(__version__)
-def main():
+@click.pass_context
+def main(ctx):
     """Teleportation-resource protocols over noisy qudit channels."""
+    # an overflow to inf is reported by the validators, not as a numpy warning
+    ctx.with_resource(np.errstate(over="ignore", invalid="ignore"))
 
 
 @main.command("channel-info")
@@ -166,9 +170,10 @@ def cmd_teleport(channel_file, depolarizing_p, dim, state_file, random_seed, mu,
         resource = None
         if mu is not None:
             coeffs = np.array([float(x) for x in mu.split(",")])
-            if not (np.all(np.isfinite(coeffs)) and np.any(coeffs)):
+            norm = np.linalg.norm(coeffs)
+            if not 0 < norm < np.inf:  # NaN fails too
                 raise ValueError(f"--mu must be finite and not all zero, got {mu}")
-            coeffs = coeffs / np.linalg.norm(coeffs)
+            coeffs = coeffs / norm
             if coeffs.size != ch.dim:
                 raise ValueError(
                     f"--mu needs {ch.dim} coefficients, got {coeffs.size}"
@@ -176,7 +181,7 @@ def cmd_teleport(channel_file, depolarizing_p, dim, state_file, random_seed, mu,
             resource = np.zeros(ch.dim**2, dtype=complex)
             resource[:: ch.dim + 1] = coeffs
         output, probs = teleport_detailed(rho, ch, resource)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
     outputs = {
         "output_state": matrix_to_pairs(output),
@@ -207,7 +212,7 @@ def cmd_protocol_verify(protocol_file, channel_file, qt_dim, depolarizing_p,
             proto = load_protocol(protocol_file, validate=False)
         else:
             proto = qt_protocol(qt_dim)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
     ch, echo = _resolve_channel(channel_file, depolarizing_p, dim)
     try:
@@ -241,17 +246,15 @@ def cmd_protocol_verify(protocol_file, channel_file, qt_dim, depolarizing_p,
     _emit(_command_result("protocol-verify", inputs, outputs), out)
 
 
-_INTEGER = (lambda v: type(v) is int, "an integer")  # JSON true is a bool
-
-# Every key an optimizer config may hold: a check of its JSON value, what the
-# check asks for, and its default (the last three keys have none: required).
+# Every key a state or an optimizer config may hold, laid out for _read_json
+_STATE_KEYS = {"dim": _INTEGER, "matrix": _MATRIX}
 _CONFIG_KEYS = {
     "n": (*_INTEGER, 2),
     "p": (*_INTEGER, 2),
     "measured": (lambda v: v in MEASUREMENT_CHOICES,
                  f"one of {MEASUREMENT_CHOICES}", "full"),
-    "mu_fixed": (lambda v: v is None or type(v) is list and all(
-        type(x) in (int, float) for x in v), "a list of numbers or null", None),
+    "mu_fixed": (lambda v: v is None or _NUMBERS[0](v),
+                 "a list of numbers or null", None),
     "qt_warm_start": (lambda v: type(v) is bool, "true or false", False),
     "evaluation_budget": _INTEGER,
     "restarts": _INTEGER,
@@ -261,26 +264,12 @@ _CONFIG_KEYS = {
 
 def _load_config(path, seed_override) -> tuple[dict, dict]:
     """The config file's JSON object (``--seed`` applied) and its values by
-    key, defaults filled in; raises ValueError for an unknown key, a missing
-    required one, or a value its check rejects."""
+    key, defaults filled in, as ``_read_json`` reads them."""
     with open(path) as fh:
         data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError("a config must be a JSON object")
-    if seed_override is not None:
+    if seed_override is not None and isinstance(data, dict):
         data["seed"] = seed_override
-    unknown = [key for key in data if key not in _CONFIG_KEYS]
-    if unknown:
-        raise ValueError(
-            f"unknown key {unknown[0]!r}; the keys are {', '.join(_CONFIG_KEYS)}")
-    values = {}
-    for key, (check, wanted, *default) in _CONFIG_KEYS.items():
-        if key not in data and not default:
-            raise ValueError(f"missing key {key!r}")
-        values[key] = data.get(key, *default)
-        if not check(values[key]):
-            raise ValueError(f"{key!r} must be {wanted}, got {json.dumps(values[key])}")
-    return data, values
+    return data, _read_json(data, _CONFIG_KEYS)
 
 
 def _parameterization_from_config(values: dict):
@@ -341,15 +330,13 @@ def cmd_optimize(files, depolarizing_p, dim, seed_override, trace_file, out):
         base = _parameterization_from_config(values)
         cfg = _search_config(values)
         result = run_optimize(ch, base, cfg)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         _fail(EXIT_INPUT_ERROR, f"invalid config: {exc}")
     if trace_file:
-        with open(trace_file, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["restart", "step", "best_fidelity"])
-            for idx, trace in enumerate(result.restart_traces):
-                for step, value in enumerate(trace):
-                    writer.writerow([idx, step, f"{value:.12f}"])
+        _emit("restart,step,best_fidelity\n" + "".join(
+            f"{idx},{step},{value:.12f}\n"
+            for idx, trace in enumerate(result.restart_traces)
+            for step, value in enumerate(trace)), trace_file)
     inputs = {**echo, "config_file": str(config_file), "config": data}
     _emit(_command_result("optimize", inputs, _result_outputs(result),
                           seed=cfg.seed), out)
@@ -375,19 +362,11 @@ def cmd_sweep(files, theta_grid, depolarizing_p, dim, seed_override, out):
             raise ValueError("qt_warm_start must be false: sweep pins mu, and "
                              "the teleportation warm start needs free mu")
         rows = sweep_mu(ch, grid, _search_config(values))
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         _fail(EXIT_INPUT_ERROR, f"invalid input: {exc}")
-    lines = ["theta,sumMu,bestFidelity,seed"]
-    for row in rows:
-        lines.append(
-            f"{row.theta:.12f},{row.sum_mu:.12f},{row.best_fidelity:.12f},{row.seed}"
-        )
-    text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit("theta,sumMu,bestFidelity,seed\n" + "".join(
+        f"{row.theta:.12f},{row.sum_mu:.12f},{row.best_fidelity:.12f},{row.seed}\n"
+        for row in rows), out)
 
 
 if __name__ == "__main__":

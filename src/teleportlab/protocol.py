@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import ChoiMatrix, KrausChannel, _simulate, choi
-from .qmath import (_operator_stack, haar_unitary, matrix_from_pairs,
+from .qmath import (_INTEGER, _MATRICES, _MATRIX, _NUMBERS, _operator_stack,
+                    _read_json, haar_unitary, matrix_from_pairs,
                     matrix_to_pairs, maximally_entangled, projector)
 
 
@@ -335,34 +336,33 @@ def protocol_to_dict(proto: ResourceProtocol) -> dict:
     }
 
 
-def protocol_from_dict(data: dict, validate: bool = True) -> ResourceProtocol:
-    """Build a protocol from its JSON form, validating determinism by default."""
-    required = {"N", "P", "M", "mu", "sender", "receiver"}
-    if not isinstance(data, dict) or not required.issubset(data):
-        missing = required - set(data) if isinstance(data, dict) else required
-        raise ValueError(f"protocol JSON missing keys: {sorted(missing)}")
-    mu = np.asarray(data["mu"], dtype=float)
-    if mu.size != int(data["P"]):
-        raise ValueError(
-            f"mu length {mu.size} does not match declared P={data['P']}"
-        )
-    if len(data["sender"]) != int(data["M"]) or len(data["receiver"]) != int(data["M"]):
-        raise ValueError("sender/receiver counts do not match declared M")
-    return ResourceProtocol(
-        n=int(data["N"]),
-        resource=AncillaResource(mu=mu),
-        sender_projections=[matrix_from_pairs(e["projection"]) for e in data["sender"]],
-        sender_unitaries=[matrix_from_pairs(e["unitary"]) for e in data["sender"]],
-        receiver_unitaries=[matrix_from_pairs(w) for w in data["receiver"]],
-        validate=validate,
-    )
+_PROTOCOL_KEYS = {
+    "N": _INTEGER, "P": _INTEGER, "M": _INTEGER, "mu": _NUMBERS,
+    "sender": (lambda v: type(v) is list and all(type(e) is dict for e in v),
+               "a list of JSON objects"),
+    "receiver": _MATRICES,
+}
+_SENDER_KEYS = {"projection": _MATRIX, "unitary": _MATRIX}
 
 
 def load_protocol(path, validate: bool = True) -> ResourceProtocol:
-    """Read a protocol JSON file."""
+    """Read a protocol JSON file, validating determinism by default."""
     with open(path) as fh:
-        data = json.load(fh)
-    return protocol_from_dict(data, validate=validate)
+        data = _read_json(json.load(fh), _PROTOCOL_KEYS)
+    sender = [_read_json(entry, _SENDER_KEYS, f"sender[{i}].")
+              for i, entry in enumerate(data["sender"])]
+    for key, declared in (("mu", "P"), ("sender", "M"), ("receiver", "M")):
+        if len(data[key]) != data[declared]:
+            raise ValueError(f"{key!r} has length {len(data[key])}, "
+                             f"but {declared!r} is {data[declared]}")
+    return ResourceProtocol(
+        n=data["N"],
+        resource=AncillaResource(mu=data["mu"]),
+        sender_projections=[matrix_from_pairs(e["projection"]) for e in sender],
+        sender_unitaries=[matrix_from_pairs(e["unitary"]) for e in sender],
+        receiver_unitaries=[matrix_from_pairs(w) for w in data["receiver"]],
+        validate=validate,
+    )
 
 
 def save_protocol(proto: ResourceProtocol, path) -> None:

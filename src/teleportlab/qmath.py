@@ -7,6 +7,8 @@ are pure; randomness only enters through explicitly passed seeds.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 DEFAULT_TOL = 1e-10
@@ -252,3 +254,47 @@ def matrix_from_pairs(data) -> np.ndarray:
             f"matrix JSON must be rows of [re, im] pairs, got shape {arr.shape}"
         )
     return arr[:, :, 0] + 1j * arr[:, :, 1]
+
+
+def _is_number(x) -> bool:
+    # JSON true is a bool, and an integer past the float range cannot convert
+    return type(x) is float or type(x) is int and abs(x) <= 1e308
+
+
+# Checks shared by the key tables of ``_read_json``: (check, what it asks for)
+_INTEGER = (lambda v: type(v) is int, "an integer")
+_NUMBERS = (lambda v: type(v) is list and all(map(_is_number, v)), "a list of numbers")
+_MATRIX = (lambda v: type(v) is list and len(v) > 0 and all(
+    type(row) is list and len(row) == len(v) and all(
+        type(z) is list and len(z) == 2 and all(map(_is_number, z))
+        for z in row) for row in v), "a square matrix of [re, im] pairs")
+_MATRICES = (lambda v: type(v) is list and all(map(_MATRIX[0], v)),
+             "a list of square matrices of [re, im] pairs")
+
+
+def _brief(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _read_json(source, keys: dict, where: str = "") -> dict:
+    """The values of a parsed JSON object by key, defaults filled in: ``keys``
+    maps each allowed key to ``(check, wanted[, default])``, and a key with no
+    default is required.  A non-object, an unknown or missing key, or a value
+    its check rejects raises one ValueError naming the field, prefixed by
+    ``where`` (e.g. ``"sender[0]."``)."""
+    if type(source) is not dict:
+        raise ValueError(f"expected a JSON object, got {_brief(source)}")
+    unknown = [key for key in source if key not in keys]
+    if unknown:
+        raise ValueError(f"unknown key {where + unknown[0]!r}; "
+                         f"the keys are {', '.join(keys)}")
+    values = {}
+    for key, (check, wanted, *default) in keys.items():
+        if key not in source and not default:
+            raise ValueError(f"missing key {where + key!r}")
+        values[key] = source.get(key, *default)
+        if not check(values[key]):
+            raise ValueError(
+                f"{where + key!r} must be {wanted}, got {_brief(values[key])}")
+    return values

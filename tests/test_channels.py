@@ -7,7 +7,6 @@ from teleportlab.channels import (
     ChoiMatrix,
     KrausChannel,
     apply_on_factor,
-    channel_from_dict,
     channel_to_dict,
     choi,
     depolarizing,
@@ -303,9 +302,11 @@ def test_channel_loader_rejects_invalid(tmp_path):
         load_channel(path)
 
 
-def test_channel_from_dict_shape_checks():
+def test_channel_from_dict_shape_checks(tmp_path):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps({"dim": 2, "kraus": [[[1.0, 0.0]]]}))
     with pytest.raises(ValueError):
-        channel_from_dict({"dim": 2, "kraus": [[[1.0, 0.0]]]})
+        load_channel(path)
     # ragged operators do not stack; the odd one out is named
     ops = [np.sqrt(0.5) * np.eye(2), np.sqrt(0.5) * np.eye(3)]
     with pytest.raises(ValueError, match=r"Kraus operator shape \(3, 3\) does not match dim 2"):

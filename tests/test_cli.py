@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from pathlib import Path
@@ -5,10 +6,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from teleportlab.channels import depolarizing, save_channel
-from teleportlab.cli import _CONFIG_KEYS, _load_config, main
-from teleportlab.protocol import bare_protocol, protocol_to_dict, save_protocol
+from teleportlab.channels import (_CHANNEL_KEYS, channel_to_dict, depolarizing,
+                                  save_channel)
+from teleportlab.cli import _CONFIG_KEYS, _STATE_KEYS, _load_config, main
+from teleportlab.protocol import (_PROTOCOL_KEYS, bare_protocol, protocol_to_dict,
+                                  save_protocol)
 from teleportlab.qmath import matrix_to_pairs, random_state
 from teleportlab.teleport import qt_protocol
 
@@ -396,3 +401,161 @@ def test_readme_config_section_matches_the_key_table(tmp_path):
     assert data == json.loads(block)
     defaults = {key: spec[2] for key, spec in _CONFIG_KEYS.items() if len(spec) == 3}
     assert values == {**defaults, **data}
+
+
+def test_readme_file_format_tables_match_the_key_tables():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("## File formats\n")[1].split("\n## ")[0]
+    tables = [re.findall(r"^\| `(\w+)` \|.*\| yes \|$", table, re.M)
+              for table in section.split("| key | value | required |")[1:]]
+    assert tables == [list(_CHANNEL_KEYS), list(_PROTOCOL_KEYS), list(_STATE_KEYS)]
+
+
+# One valid file of each kind the CLI reads, and the command that reads it
+# ("{}" stands for the file's path).
+_FILE_KINDS = {
+    "channel": (channel_to_dict(depolarizing(0.5)), ["channel-info", "{}"]),
+    "protocol": (protocol_to_dict(qt_protocol(2)),
+                 ["protocol-verify", "{}", "--depolarizing", "0.5"]),
+    "state": ({"dim": 2, "matrix": matrix_to_pairs(random_state(2, seed=5))},
+              ["teleport", "--depolarizing", "0.5", "--state", "{}"]),
+    "config": ({"n": 2, "p": 2, "measured": "full", "qt_warm_start": False,
+                "mu_fixed": [0.9238795325112867, 0.3826834323650898],
+                "evaluation_budget": 8, "restarts": 1, "seed": 3},
+               ["optimize", "--depolarizing", "0.5", "{}"]),
+}
+
+
+def _run_file(kind, doc, directory):
+    path = directory / f"{kind}.json"
+    path.write_text(json.dumps(doc))
+    args = [str(path) if arg == "{}" else arg for arg in _FILE_KINDS[kind][1]]
+    return CliRunner().invoke(main, args)
+
+
+def _mutated(kind, path, how, value=None):
+    """The valid file of this kind with the entry at path dropped ("drop"),
+    replaced by value ("replace"), or with value added next to it ("add": key
+    "extra" in an object, an inserted element in a list)."""
+    doc = copy.deepcopy(_FILE_KINDS[kind][0])
+    *parents, last = path
+    holder = doc
+    for key in parents:
+        holder = holder[key]
+    if how == "drop":
+        del holder[last]
+    elif how == "replace":
+        holder[last] = value
+    elif isinstance(holder, dict):
+        holder["extra"] = value
+    else:
+        holder.insert(last, value)
+    return doc
+
+
+@pytest.mark.parametrize("kind, path, how, value, code, message", [
+    ("protocol", ("sender", 0, "unitary"), "drop", None, 2,
+     "missing key 'sender[0].unitary'"),
+    ("protocol", ("sender",), "replace", 5, 2,
+     "'sender' must be a list of JSON objects, got 5"),
+    ("channel", ("kraus",), "replace", 3, 2,
+     "'kraus' must be a list of square matrices of [re, im] pairs, got 3"),
+    ("protocol", ("P",), "replace", 2.7, 2, "'P' must be an integer, got 2.7"),
+    ("channel", ("dim",), "replace", "2", 2, "'dim' must be an integer, got \"2\""),
+    ("state", ("dim",), "replace", 3, 2,
+     "'matrix' shape (2, 2) does not match 'dim' 3"),
+    ("state", ("dim",), "drop", None, 2, "missing key 'dim'"),
+    ("channel", ("dim",), "add", 1, 2, "unknown key 'extra'; the keys are dim, kraus"),
+    ("protocol", ("N",), "add", 1, 2, "unknown key 'extra'"),
+    ("protocol", ("sender", 1, "unitary"), "add", 1, 2,
+     "unknown key 'sender[1].extra'; the keys are projection, unitary"),
+    ("state", ("dim",), "add", 1, 2, "unknown key 'extra'; the keys are dim, matrix"),
+    ("protocol", ("M",), "replace", True, 2, "'M' must be an integer, got true"),
+    ("protocol", ("mu",), "replace", [1.0], 2, "'mu' has length 1, but 'P' is 2"),
+    ("protocol", ("receiver", 0), "drop", None, 2,
+     "'receiver' has length 3, but 'M' is 4"),
+    ("channel", ("kraus", 0, 0, 0), "replace", [1e308, 0], 2,
+     "not trace-preserving: sum K^dag K deviates from I by inf"),
+    ("protocol", ("receiver", 0, 0, 0), "replace", [1e308, 0], 3,
+     "receiver unitarity residual inf"),
+    ("protocol", ("mu",), "replace", [1e308, 1e308], 2,
+     "squared Schmidt coefficients must sum to 1, deviation inf"),
+    ("channel", ("kraus", 0, 1), "replace", [[0, 0]], 2,
+     "'kraus' must be a list of square matrices of [re, im] pairs"),
+    ("protocol", ("N",), "replace", "x", 2, "'N' must be an integer, got \"x\""),
+], ids=["no-unitary", "sender-5", "kraus-3", "P-2.7", "dim-string", "state-dim-3",
+        "state-no-dim", "channel-extra", "protocol-extra", "sender-extra",
+        "state-extra", "M-true", "mu-length", "receiver-count", "kraus-1e308",
+        "operator-1e308", "mu-1e308", "ragged-kraus", "N-string"])
+def test_malformed_file_exits_with_one_line_naming_the_field(
+        tmp_path, kind, path, how, value, code, message):
+    result = _run_file(kind, _mutated(kind, path, how, value), tmp_path)
+    assert result.exit_code == code, result.output
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: ") and message in line
+
+
+@pytest.mark.parametrize("kind", sorted(_FILE_KINDS))
+def test_top_level_json_list_exits_2(tmp_path, kind):
+    result = _run_file(kind, [1, 2], tmp_path)
+    assert result.exit_code == 2
+    [line] = result.stderr.splitlines()
+    assert line.endswith("expected a JSON object, got [1, 2]")
+
+
+def test_teleport_mu_whose_norm_overflows_exits_2(runner):
+    result = runner.invoke(main, ["teleport", "--depolarizing", "0.5", "--random",
+                                  "3", "--mu", "1e308,1e308"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: --mu must be finite and not all zero, got 1e308,1e308"]
+
+
+@pytest.mark.parametrize("args", [
+    ["channel-info", "--depolarizing", "0.5", "--out", "{}"],
+    ["optimize", "--depolarizing", "0.5", "CONFIG", "--trace", "{}"],
+    ["sweep", "--depolarizing", "0.5", "CONFIG", "--theta-grid", "0.3",
+     "--out", "{}"],
+], ids=["channel-info-out", "optimize-trace", "sweep-out"])
+def test_unwritable_output_path_exits_2(runner, tmp_path, args):
+    config = _optimize_config(tmp_path, evaluation_budget=8, restarts=1)
+    target = tmp_path / "no_such_directory" / "out"
+    args = [{"{}": str(target), "CONFIG": str(config)}.get(arg, arg)
+            for arg in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: ") and str(target) in line
+
+
+# Replacement values: the wrong JSON type, NaN, Infinity, a ragged list, and
+# matrices of the wrong size; none is an integer, so none enlarges a
+# dimension or a budget.
+_BAD_VALUES = ["2", True, None, {}, [], 2.5, float("nan"), float("inf"),
+               [[[1, 0], [0, 0]], [[0, 0]]], [[[1.0, 0.0]]],
+               matrix_to_pairs(np.eye(3))]
+
+
+def _locations(doc, path=()):
+    """Paths to every entry of a JSON document, in document order."""
+    entries = (doc.items() if isinstance(doc, dict)
+               else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in entries:
+        yield path + (key,)
+        yield from _locations(value, path + (key,))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_mutated_file_exits_0_2_or_3_without_a_traceback(tmp_path_factory, data):
+    kind = data.draw(st.sampled_from(sorted(_FILE_KINDS)), label="kind")
+    path = data.draw(st.sampled_from(list(_locations(_FILE_KINDS[kind][0]))),
+                     label="path")
+    how = data.draw(st.sampled_from(["drop", "add", "replace"]), label="how")
+    value = data.draw(st.sampled_from(_BAD_VALUES), label="value")
+    doc = _mutated(kind, path, how, value)
+    result = _run_file(kind, doc, tmp_path_factory.getbasetemp())
+    assert result.exit_code in (0, 2, 3), result.exception
+    lines = result.stderr.splitlines()
+    assert len(lines) == (result.exit_code != 0), lines
+    assert "Traceback" not in result.output + result.stderr

@@ -25,7 +25,6 @@ from teleportlab.protocol import (
     entanglement_fidelity,
     lambda_operators,
     load_protocol,
-    protocol_from_dict,
     protocol_to_dict,
     random_protocol,
     residual,
@@ -435,13 +434,13 @@ def test_protocol_json_round_trip(tmp_path):
 def test_protocol_loader_rejections(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{}")
-    with pytest.raises(ValueError, match="missing keys"):
+    with pytest.raises(ValueError, match="missing key 'N'"):
         load_protocol(path)
 
     data = protocol_to_dict(qt_protocol(2))
     data["mu"] = [1.0]
     path.write_text(json.dumps(data))
-    with pytest.raises(ValueError, match="mu length"):
+    with pytest.raises(ValueError, match=r"'mu' has length 1, but 'P' is 2"):
         load_protocol(path)
 
     data = protocol_to_dict(qt_protocol(2))
@@ -452,11 +451,13 @@ def test_protocol_loader_rejections(tmp_path):
         load_protocol(path)
 
 
-def test_protocol_from_dict_skips_validation_on_request():
+def test_protocol_from_dict_skips_validation_on_request(tmp_path):
     data = protocol_to_dict(qt_protocol(2))
     scaled = np.asarray(data["receiver"][0], dtype=float) * 0.5
     data["receiver"][0] = scaled.tolist()
-    proto = protocol_from_dict(data, validate=False)
+    path = tmp_path / "protocol.json"
+    path.write_text(json.dumps(data))
+    proto = load_protocol(path, validate=False)
     with pytest.raises(ValueError, match="deterministic"):
         proto.check_determinism()
 
