@@ -165,6 +165,8 @@ def cmd_teleport(channel_file, depolarizing_p, dim, state_file, random_seed, mu,
     try:
         if state_file is not None:
             rho = _load_state(state_file)
+        elif random_seed < 0:
+            raise ValueError(f"--random must be >= 0, got {random_seed}")
         else:
             rho = random_state(ch.dim, random_seed)
         resource = None
@@ -357,6 +359,10 @@ def cmd_sweep(files, theta_grid, depolarizing_p, dim, seed_override, out):
     ch, _ = _resolve_channel(channel_file, depolarizing_p, dim)
     try:
         grid = [float(x) for x in theta_grid.split(",")]
+    except ValueError:
+        _fail(EXIT_INPUT_ERROR,
+              f"--theta-grid must be comma-separated numbers, got {theta_grid!r}")
+    try:
         values = _load_config(config_file, seed_override)[1]
         if values["qt_warm_start"]:
             raise ValueError("qt_warm_start must be false: sweep pins mu, and "

@@ -18,8 +18,9 @@ builds no protocol objects; only the winning point is decoded into a
 :class:`ResourceProtocol`.  Per evaluation it makes few array calls: one
 product of the parameters with a fixed 0/+-1 generator map, one batched
 ``eigh``, the sender's branches as masked rows (the projections are
-diagonal), and the determinism check that ``decode`` runs.  Its values are
-bit-identical to decoding each point and calling ``target_overlap``.
+diagonal), the determinism check that ``decode`` runs, and the inner
+products G and overlap of ``target_overlap``, to whose values on decoded
+points it is bit-identical.
 """
 
 from __future__ import annotations
@@ -33,16 +34,14 @@ from .channels import ChoiMatrix, KrausChannel, choi
 from .protocol import (
     AncillaResource,
     ResourceProtocol,
-    _blocks,
     _check_determinism,
     _check_schmidt,
-    _control_operators,
+    _inner_products,
     _overlap,
     _residual,
     basis_projections,
     control_map,
 )
-from .qmath import maximally_entangled
 from .teleport import qt_protocol
 
 MEASUREMENT_CHOICES = ("none", "ancilla", "full")
@@ -277,8 +276,8 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
     with few array calls: all generators in one product with the generator
     map, one batched ``eigh``, the sender branches as masked rows of the
     sender unitary (the projections are diagonal), the determinism check of
-    ``decode`` (same tolerance, same messages), then the same contraction and
-    overlap.
+    ``decode`` (same tolerance, same messages), then the same inner products
+    and overlap.
     """
     n, p = base.n, base.local_dim
     if ch.dim != n:
@@ -294,7 +293,6 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
     pinned = None if free_mu else base.mu()
     if pinned is not None:
         _check_schmidt(pinned)
-    psi0 = maximally_entangled(n)
     r_matrix = (choi(ch) if r is None else r).matrix
     hermitian_map = _hermitian_map(d)
     # the projections are diagonal 0/1, so P_eta U keeps the rows of U that
@@ -329,8 +327,7 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
             _check_schmidt(mu)
         else:
             mu = pinned  # broadcasts over the stack
-        lam = _control_operators(mu, _blocks(senders, n, p), _blocks(receivers, n, p))
-        out = _overlap(lam.reshape(batch, -1, n * n, n * n), r_matrix, psi0)
+        out = _overlap(_inner_products(mu, senders, receivers, n, p), r_matrix)
         return float(out[0]) if theta.ndim == 1 else out
 
     return fun
@@ -360,6 +357,8 @@ class OptimizationConfig:
             raise ValueError("evaluation budget must be >= 1")
         if self.restarts < 1:
             raise ValueError("restart count must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.restarts > self.evaluation_budget // 4:
             raise ValueError(
                 f"{self.restarts} restarts need an evaluation budget of at least "
@@ -460,21 +459,16 @@ class SweepPoint:
 
 
 def sweep_mu(ch: KrausChannel, theta_grid, cfg: OptimizationConfig) -> list:
-    """Best fidelity per angle, mu(theta) = (cos t, sin t), at N = ch.dim, P = 2."""
+    """Best fidelity per angle, mu(theta) = (cos t, sin t), at N = ch.dim, P = 2;
+    every angle must lie in [0, pi/2]."""
+    grid = [float(theta) for theta in theta_grid]
+    for theta in grid:
+        if not 0 <= theta <= np.pi / 2:  # NaN fails too
+            raise ValueError(f"sweep angle {theta} is not in [0, pi/2]")
     rows = []
-    for theta in theta_grid:
-        theta = float(theta)
-        base = zero_parameterization(
-            n=ch.dim, local_dim=2, measured="full",
-            mu_fixed=np.array([np.cos(theta), np.sin(theta)]),
-        )
-        result = optimize(ch, base, cfg)
-        rows.append(
-            SweepPoint(
-                theta=theta,
-                sum_mu=float(np.cos(theta) + np.sin(theta)),
-                best_fidelity=result.best_fidelity,
-                seed=cfg.seed,
-            )
-        )
+    for theta in grid:
+        mu = np.array([np.cos(theta), np.sin(theta)])
+        base = zero_parameterization(ch.dim, 2, "full", mu_fixed=mu)
+        best = optimize(ch, base, cfg).best_fidelity
+        rows.append(SweepPoint(theta, float(mu.sum()), best, cfg.seed))
     return rows

@@ -181,24 +181,38 @@ def _blocks(ops: np.ndarray, n: int, p: int) -> np.ndarray:
 
 
 def _control_operators(mu: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lambda[..., eta, k, l] = sum_i mu_i B[k,i] (x) A[l,i]^T from stacked blocks.
-
-    Leading axes of mu (..., P) and of the (..., M, P, P, N, N) blocks index
-    independent protocols.
-    """
+    """Lambda[eta, k, l] = sum_i mu_i B[k,i] (x) A[l,i]^T from the
+    (M, P, P, N, N) blocks, as an (M, P, P, N^2, N^2) array."""
     # indices: B[k,i] carries (b_out, b_in), A[l,i]^T carries (a_out, a_in)
     # with A^T[x, y] = A[y, x]; rows (b_out, a_out), cols (b_in, a_in).
-    ops = np.einsum("...i,...ekibc,...elida->...eklbacd", mu, b, a)
-    *lead, m, p, _, n, _, _, _ = ops.shape
-    return ops.reshape(*lead, m, p, p, n * n, n * n)
+    ops = np.einsum("i,ekibc,elida->eklbacd", mu, b, a)
+    m, p, _, n, _, _, _ = ops.shape
+    return ops.reshape(m, p, p, n * n, n * n)
 
 
-def _overlap(lam: np.ndarray, r: np.ndarray, psi0: np.ndarray) -> np.ndarray:
-    """<psi0| sum_j Lam_j R Lam_j^dag |psi0> per stack of (..., J, N^2, N^2)
-    control operators, clipped to [0, 1]."""
-    moved = lam.conj().swapaxes(-1, -2) @ psi0
-    val = np.einsum("...ja,ab,...jb->...", moved.conj(), r, moved)
-    return val.real.clip(0.0, 1.0)
+def _inner_products(mu: np.ndarray, ops: np.ndarray, receivers: np.ndarray,
+                    n: int, p: int) -> np.ndarray:
+    """G[..., eta, k, l, x, z] = sum_i mu_i <x| A[l,i] B[k,i] |z> from the
+    (..., M, N*P, N*P) branch operators and receivers (leading axes of them
+    and of mu index independent protocols): one GEMM per branch, L_eta with
+    column (y, i) scaled by mu_i times W_eta with rows (y, i) and columns
+    (k, z), viewed as G."""
+    *lead, m, d, _ = receivers.shape
+    scaled = ops.reshape(*lead, m, d, n, p) * mu[..., None, None, None, :]
+    right = (receivers.reshape(*lead, m, n, p, n, p)
+             .swapaxes(-1, -2).swapaxes(-2, -3).reshape(*lead, m, d, d))
+    # rows (x, l), columns (k, z)
+    g = scaled.reshape(*lead, m, d, d) @ right
+    return g.reshape(*lead, m, n, p, p, n).swapaxes(-4, -2)
+
+
+def _overlap(g: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """<psi0| sum Lam R Lam^dag |psi0> from G, clipped to [0, 1]: Lam_ekl^dag
+    psi0 = vec(G_ekl^dag)/sqrt(N), the conjugate of u[(z, x)] = G[x, z]."""
+    n = g.shape[-1]
+    u = g.swapaxes(-1, -2).reshape(*g.shape[:-5], -1, n * n)
+    val = ((u @ r) * u.conj()).sum(axis=(-2, -1))
+    return (val.real / n).clip(0.0, 1.0)
 
 
 def block_operators(proto: ResourceProtocol) -> tuple:
@@ -215,21 +229,18 @@ def lambda_operators(proto: ResourceProtocol) -> np.ndarray:
     return _control_operators(proto.resource.mu, *block_operators(proto))
 
 
-def _flat_control_operators(proto: ResourceProtocol, r: ChoiMatrix) -> np.ndarray:
-    """All control operators as one (M*P*P, N^2, N^2) stack, after checking
-    that the Choi state's dims match the protocol's."""
-    n = proto.n
-    if r.dim_out != n or r.dim_in != n:
-        raise ValueError(
-            f"Choi dims {r.dim_out}x{r.dim_in} do not match protocol dim {n}"
-        )
-    return lambda_operators(proto).reshape(-1, n * n, n * n)
+def _check_choi_dims(proto: ResourceProtocol, r: ChoiMatrix) -> None:
+    """Raise unless the Choi state's dims match the protocol's."""
+    if r.dim_out != proto.n or r.dim_in != proto.n:
+        raise ValueError(f"Choi dims {r.dim_out}x{r.dim_in} do not match "
+                         f"protocol dim {proto.n}")
 
 
 def control_map(proto: ResourceProtocol, r: ChoiMatrix) -> ChoiMatrix:
     """Transform a Choi state through the protocol's control operators."""
-    lam = _flat_control_operators(proto, r)
-    nn = lam.shape[-1]
+    _check_choi_dims(proto, r)
+    nn = proto.n * proto.n
+    lam = lambda_operators(proto).reshape(-1, nn, nn)
     # [Lam_1 | Lam_2 | ...] times its R-weighted copy: sum_j Lam_j R Lam_j^dag
     rows = lam.transpose(1, 0, 2).reshape(nn, -1)
     out = (rows.reshape(-1, nn) @ r.matrix).reshape(nn, -1) @ rows.conj().T
@@ -261,8 +272,10 @@ def _residual(controlled: ChoiMatrix) -> float:
 
 def target_overlap(proto: ResourceProtocol, r: ChoiMatrix) -> float:
     """Overlap of the controlled Choi state with the ideal target."""
-    lam = _flat_control_operators(proto, r)
-    return float(_overlap(lam, r.matrix, maximally_entangled(proto.n)))
+    _check_choi_dims(proto, r)
+    g = _inner_products(proto.resource.mu, proto.branches,
+                        proto.receiver_unitaries, proto.n, proto.local_dim)
+    return float(_overlap(g, r.matrix))
 
 
 def entanglement_fidelity(proto: ResourceProtocol, ch: KrausChannel) -> float:

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .protocol import AncillaResource, ResourceProtocol, block_operators
+from .protocol import (AncillaResource, ResourceProtocol, _inner_products,
+                       block_operators)
 
 
 @dataclass(frozen=True)
@@ -55,45 +56,24 @@ def check_relations_13(blocks: tuple) -> float:
     of :func:`block_operators`.
 
     Sender relations sum over branches and one ancilla index; receiver
-    relations hold separately for every branch.
+    relations hold separately for every branch.  Each relation is one N x N
+    block of a Gram matrix of the operators laid out with rows (i, x) and
+    columns (k, y); the residual is the largest Frobenius norm of a block of
+    Gram - I.
     """
-    a, b = blocks
-    n = a.shape[-1]
-    eye = np.eye(n)
-    delta = np.eye(a.shape[1])
-
-    # sum_{eta,k} A[i,k] A[j,k]^dag  and  sum_{eta,k} A[k,i]^dag A[k,j]
-    left = np.einsum("eiknx,ejkmx->ijnm", a, a.conj())
-    right = np.einsum("ekixn,ekjxm->ijnm", a.conj(), a)
-    target = np.einsum("ij,nm->ijnm", delta, eye)
-    res = max(
-        float(np.max(np.linalg.norm(left - target, axis=(2, 3)))),
-        float(np.max(np.linalg.norm(right - target, axis=(2, 3)))),
-    )
-
-    # per-branch receiver relations
-    b_left = np.einsum("eiknx,ejkmx->eijnm", b, b.conj())
-    b_right = np.einsum("ekixn,ekjxm->eijnm", b.conj(), b)
-    b_target = target[np.newaxis]
-    res = max(
-        res,
-        float(np.max(np.linalg.norm(b_left - b_target, axis=(3, 4)))),
-        float(np.max(np.linalg.norm(b_right - b_target, axis=(3, 4)))),
-    )
-    return res
-
-
-def _inner_product_tensor(mu: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """G[eta, k, l, n, m] = sum_i mu_i <n| A[l,i] B[k,i] |m>."""
-    return np.einsum("i,elinx,ekixm->eklnm", mu, a, b)
-
-
-def _matching_mask(local_dim: int, n: int) -> np.ndarray:
-    """Mask over (k, l, n, m) where the ancilla indices match the factor basis."""
-    k = np.arange(local_dim)
-    n_idx = np.arange(n)
-    same = k[:, None] == n_idx[None, :]  # (P, N): ancilla index == basis index
-    return same[:, None, None, :] & same[None, :, :, None]  # k == m and l == n
+    _, p, _, n, _ = blocks[0].shape
+    d = p * n
+    ops, recv = (x.transpose(0, 1, 3, 2, 4).reshape(-1, d, d) for x in blocks)
+    row = ops.transpose(1, 0, 2).reshape(d, -1)  # the L_eta side by side
+    column = ops.reshape(-1, d)  # and stacked
+    grams = [row @ row.conj().T,  # sum_{eta,k} A[i,k] A[j,k]^dag
+             column.conj().T @ column,  # sum_{eta,k} A[k,i]^dag A[k,j]
+             recv @ recv.conj().swapaxes(-1, -2),
+             recv.conj().swapaxes(-1, -2) @ recv]
+    return max(
+        float(np.linalg.norm((gram - np.eye(d)).reshape(-1, p, n, p, n),
+                             axis=(-3, -1)).max())
+        for gram in grams)
 
 
 def beta_scalars(proto: ResourceProtocol) -> np.ndarray:
@@ -104,17 +84,16 @@ def beta_scalars(proto: ResourceProtocol) -> np.ndarray:
     is the matched-tuple average, and reduces to the exact scalar whenever
     the relation holds.
     """
-    a, b = block_operators(proto)
-    g = _inner_product_tensor(proto.resource.mu, a, b)
-    return _beta_scalars(g, proto.n, proto.local_dim)
+    g = _inner_products(proto.resource.mu, proto.branches,
+                        proto.receiver_unitaries, proto.n, proto.local_dim)
+    return _beta_scalars(g, proto.n)
 
 
-def _beta_scalars(g: np.ndarray, n: int, local_dim: int) -> np.ndarray:
-    """:func:`beta_scalars` from the inner-product tensor G."""
-    mask = _matching_mask(local_dim, n)
-    count = int(np.sum(mask))  # min(P, N)^2 >= 1
-    matched = np.where(mask[np.newaxis], g, 0.0)
-    return matched.sum(axis=(1, 2, 3, 4)) / (np.sqrt(n) * count)
+def _beta_scalars(g: np.ndarray, n: int) -> np.ndarray:
+    """:func:`beta_scalars` from G: the average over the min(N, P)^2 tuples
+    with k == m and l == n."""
+    q = min(n, g.shape[1])
+    return np.einsum("ekllk->e", g[:, :q, :q, :q, :q]) / (np.sqrt(n) * q * q)
 
 
 def no_cc_contradiction(proto: ResourceProtocol, tol: float = 1e-9) -> ProofReport:
@@ -137,10 +116,11 @@ def proof_report(proto: ResourceProtocol, tol: float = 1e-9) -> ProofReport:
     """Assemble all proof-machinery numbers and verdicts for a protocol."""
     n, mu = proto.n, proto.resource.mu
     a, b = block_operators(proto)
-    g = _inner_product_tensor(mu, a, b)
+    g = _inner_products(mu, proto.branches, proto.receiver_unitaries, n,
+                        proto.local_dim)
     r13 = check_relations_13((a, b))
     ent_sum, satisfied = entanglement_bound(proto.resource, n)
-    betas = _beta_scalars(g, n, proto.local_dim)
+    betas = _beta_scalars(g, n)
     cs = _cauchy_schwarz(mu, a, b, g)
 
     verdicts = {
@@ -186,7 +166,9 @@ def cauchy_schwarz_check(proto: ResourceProtocol) -> float:
     """
     a, b = block_operators(proto)
     mu = proto.resource.mu
-    return _cauchy_schwarz(mu, a, b, _inner_product_tensor(mu, a, b))
+    g = _inner_products(mu, proto.branches, proto.receiver_unitaries, proto.n,
+                        proto.local_dim)
+    return _cauchy_schwarz(mu, a, b, g)
 
 
 def _cauchy_schwarz(mu: np.ndarray, a: np.ndarray, b: np.ndarray,

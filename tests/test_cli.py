@@ -332,6 +332,35 @@ def test_sweep_rejects_qt_warm_start(runner, tmp_path):
         "the teleportation warm start needs free mu"]
 
 
+@pytest.mark.parametrize("grid, message", [
+    ("100", "invalid input: sweep angle 100.0 is not in [0, pi/2]"),
+    ("0.3,-0.1", "invalid input: sweep angle -0.1 is not in [0, pi/2]"),
+    ("nan", "invalid input: sweep angle nan is not in [0, pi/2]"),
+    ("inf", "invalid input: sweep angle inf is not in [0, pi/2]"),
+    ("0.3,abc", "--theta-grid must be comma-separated numbers, got '0.3,abc'"),
+], ids=["above", "negative", "nan", "inf", "not-a-number"])
+def test_sweep_bad_angle_exits_2_with_one_line(runner, tmp_path, grid, message):
+    path = _optimize_config(tmp_path, evaluation_budget=8, restarts=1)
+    result = runner.invoke(
+        main, ["sweep", "--depolarizing", "0.5", str(path), "--theta-grid", grid])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("args, config, message", [
+    (["optimize", "--seed", "-5"], {}, "invalid config: seed must be >= 0, got -5"),
+    (["optimize"], {"seed": -3}, "invalid config: seed must be >= 0, got -3"),
+    (["teleport", "--random", "-1"], None, "--random must be >= 0, got -1"),
+], ids=["optimize-seed", "config-seed", "teleport-random"])
+def test_negative_seed_exits_2_with_one_line(runner, tmp_path, args, config,
+                                             message):
+    if config is not None:
+        args = args + [str(_optimize_config(tmp_path, **config))]
+    result = runner.invoke(main, args + ["--depolarizing", "0.5"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [f"error: {message}"]
+
+
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
 @pytest.mark.parametrize("args", [
     ["channel-info", "--depolarizing", "0.5"],

@@ -290,49 +290,49 @@ def test_compiled_objective_equals_decoded_path_property(n, p, measured, pin, se
         assert fun(thetas[:count]).tolist() == rows[:count]
 
 
-# Bits of seeded searches, recorded with the earlier objective (generators
-# filled by index writes, branches as projection products, per-protocol
-# determinism checks), so that any kernel change that moves one bit fails
-# here: the bests and residual as float.hex, the evaluations, and a sha256
-# of the traces' repr.  (a), (b), (c) are criterion 10's configs at short
-# budgets.  Recorded with numpy 2.4.6 on OpenBLAS 0.3.31 (x86_64); another
-# BLAS build may round differently.
+# Bits of seeded searches, recorded with the objective built on the
+# inner-product kernel G (one GEMM per branch, then one GEMM for the overlap),
+# so that any kernel change that moves one bit fails here: the bests and
+# residual as float.hex, the evaluations, and a sha256 of the traces' repr.
+# (a), (b), (c) are criterion 10's configs at short budgets.  Recorded with
+# numpy 2.4.6 on OpenBLAS 0.3.31 (x86_64); another BLAS build may round
+# differently.
 _MU_B = np.array([np.cos(np.pi / 8), np.sin(np.pi / 8)])
 _GOLDEN_SEARCHES = {
     "a-none": (lambda: depolarizing(0.5),
                lambda: zero_parameterization(2, 2, "none"), (400, 2, 2024, False),
-               ["0x1.25c0c11b9f6a6p-1", "0x1.317d50f502c5dp-1"],
-               "0x1.df03e0f610c41p-2", 398,
-               "941de5c12a786faee514ec74cfaffb668bc8750f81dfd207d2b1a9719faa927d"),
+               ["0x1.25c0c11b9f6a4p-1", "0x1.317d50f502c60p-1"],
+               "0x1.df03e0f610c40p-2", 398,
+               "ffe90d3751ea58f6a1ac26224f19e28b0571f21111dfe7f12dc9229dc4961c4e"),
     "b-full-pinned": (lambda: depolarizing(0.5),
                       lambda: zero_parameterization(2, 2, "full", mu_fixed=_MU_B),
                       (400, 2, 2024, False),
-                      ["0x1.0dd5937aebe8cp-1", "0x1.dcd638049a52cp-2"],
-                      "0x1.25902f84ed24dp-1", 398,
-                      "a70c0b0d9622fc06296e7d248dbf5f71486d915ad370c13f29cfd7d33c83d236"),
+                      ["0x1.0dd5937aebe91p-1", "0x1.dcd638049a527p-2"],
+                      "0x1.25902f84ed24ap-1", 398,
+                      "ddc985d35847bcd7a49bcde5ba7ca2f83c23922db7c36864ca6484ce13833a2b"),
     "c-qt-warm": (lambda: depolarizing(0.5), lambda: qt_parameterization(2),
                   (200, 2, 2024, True),
-                  ["0x1.ffffffffffff7p-1", "0x1.7beb968fc7b0fp-2"],
+                  ["0x1.ffffffffffff8p-1", "0x1.7beb968fc7b14p-2"],
                   "0x1.69e965df8d1cdp-50", 200,
-                  "bbd2b5ebadd95670eaa5a0019cfa4b47f9813d2c2beb3c1977ffa88dcef7b58b"),
+                  "0bfa2441a650129647bc70c4535a5ba946f5803b867da2e5166a9c3bff0c24f4"),
     "ancilla": (lambda: depolarizing(0.5),
                 lambda: zero_parameterization(2, 2, "ancilla"), (300, 2, 7, False),
-                ["0x1.298a2a187ad98p-1", "0x1.30c47ff93ca9ap-1"],
-                "0x1.e8d78c00ad838p-2", 296,
-                "476045ea112a71f4a41a1c816cdf08f30cbe0e93c6424ff9ff83672a4da3fa34"),
+                ["0x1.298a2a187ad9ep-1", "0x1.30c47ff93ca96p-1"],
+                "0x1.e8d78c00ad83dp-2", 296,
+                "5450195bf15cfe7f3230e9e48d3b296f2b72a078e0cf779daebb849b83589d14"),
     "n3-full": (lambda: random_channel(3, 9, seed=3),
                 lambda: zero_parameterization(3, 3, "full"), (100, 1, 11, False),
-                ["0x1.2e54cbcab9028p-3"], "0x1.d2d401f0319c5p-1", 100,
-                "65ecef85079349c6508c8c25f53444199c0b7989db4e9f4353f23ece5e8e30e0"),
+                ["0x1.2e54cbcab9021p-3"], "0x1.d2d401f0319c5p-1", 100,
+                "e97230524329f9f0e03dad780895e526e958f4279c7f6aefc20d83bee542c6f9"),
     "zero-warm": (lambda: depolarizing(0.5),
                   lambda: zero_parameterization(2, 2, "full", mu_fixed=_MU_B),
                   (100, 1, 3, True),
-                  ["0x1.7fffffffffffdp-2"], "0x1.7ffffffffffffp-1", 100,
-                  "65af63ddad5f3dbc0f3ba108fdc0132657e110284431b8a997d231cc2afbac27"),
+                  ["0x1.7ffffffffffffp-2"], "0x1.7ffffffffffffp-1", 100,
+                  "64e7075af3ea0b0ec6c227e936b3ed3f805a402a54c569dc29b795b7c6045163"),
     "n3-p1-none": (lambda: random_channel(3, 9, seed=4),
                    lambda: zero_parameterization(3, 1, "none"), (60, 1, 12, False),
-                   ["0x1.cc8b69dcb3d03p-3"], "0x1.c13ad076b13efp-1", 58,
-                   "01f129a225cb288ad40408c258ecc5b7a4730115704f13381419df7dcdd00a8e"),
+                   ["0x1.cc8b69dcb3cffp-3"], "0x1.c13ad076b13eep-1", 58,
+                   "9cea69d37ebbe47ca852ec553ee5a4fa78951fa19ed8e0e15d5ffeccb1930612"),
 }
 
 

@@ -17,6 +17,7 @@ from teleportlab.optimize import zero_parameterization
 from teleportlab.protocol import (
     AncillaResource,
     ResourceProtocol,
+    _inner_products,
     apply_protocol,
     bare_protocol,
     block_operators,
@@ -263,6 +264,31 @@ def test_control_map_equals_effective_choi_property(case):
     direct = effective_choi(proto, ch)
     assert np.max(np.abs(controlled.matrix - direct.matrix)) <= 1e-10
     ChoiMatrix.from_matrix(direct.matrix, dim_out=ch.dim, dim_in=ch.dim)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(protocols_and_channels())
+def test_inner_products_give_the_control_map_overlap_property(case):
+    # a third route to the fidelity: the overlap through the inner products G
+    # against <psi0| control_map |psi0>; G against its defining einsum; and a
+    # stack of protocols against row-by-row calls
+    proto, ch = case
+    r = choi(ch)
+    psi0 = maximally_entangled(proto.n)
+    direct = float(np.real(psi0.conj() @ control_map(proto, r).matrix @ psi0))
+    assert abs(target_overlap(proto, r) - direct) <= 1e-13
+    n, p, m, mu = proto.n, proto.local_dim, proto.m, proto.resource.mu
+    g = _inner_products(mu, proto.branches, proto.receiver_unitaries, n, p)
+    a, b = block_operators(proto)
+    np.testing.assert_allclose(g, np.einsum("i,elinx,ekixm->eklnm", mu, a, b),
+                               rtol=0, atol=1e-14)
+    rows = [proto, random_protocol(n, p, m, seed=[n, p, m])]
+    stacked = _inner_products(np.stack([q.resource.mu for q in rows]),
+                              np.stack([q.branches for q in rows]),
+                              np.stack([q.receiver_unitaries for q in rows]), n, p)
+    np.testing.assert_array_equal(stacked, [
+        _inner_products(q.resource.mu, q.branches, q.receiver_unitaries, n, p)
+        for q in rows])
 
 
 def test_control_map_matches_operator_sum_reference():
