@@ -181,49 +181,6 @@ def apply_on_factor(ch: KrausChannel, rho: np.ndarray, dims, which: int) -> np.n
     return np.moveaxis(out, (0, 1), legs).reshape(total, total)
 
 
-def _simulate(rho, resource, branches, ch: KrausChannel, receivers):
-    """Run a one-way protocol around one use of the channel by contraction.
-
-    ``rho`` lives on A (x) R (R a passive reference leg), ``resource`` on
-    a (x) b, the M ``branches`` on A (x) a and the M ``receivers`` on
-    channel-output (x) b.  a is traced out once the branch is applied, so the
-    channel and receivers act on (A, b).  Returns the output on B (x) R and
-    the branch probabilities.
-
-    Each contraction is one GEMM, or one matmul batched over the branches,
-    on transposed and reshaped copies, so BLAS does the arithmetic: the
-    branch with a traced out, the channel as an N^2 x N^2 superoperator on
-    the two A legs, the receivers, and the trace over b, summed over the
-    branches in the same product.
-    """
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("input state has non-finite entries")
-    n = ch.dim
-    m, d, _ = branches.shape
-    p, r = d // n, len(rho) // n
-    # f[m, a', (A' b), A] = sum_a <A' a'| L_m |A a> resource[a, b]
-    f = np.tensordot(branches.reshape(m, n, p, n, p), resource.reshape(p, p),
-                     axes=(4, 0))
-    f = f.transpose(0, 2, 1, 4, 3).reshape(m, p, d, n)
-    # u[m, a'] = (f[m, a'] (x) I_R) rho, axes [m, a', (A' b), R, A, S]
-    u = (f.reshape(m * p * d, n) @ rho.reshape(n, r * n * r)).reshape(m, p, d, r, n, r)
-    # y[m] = sum over a' of u[m, a'] (f[m, a'] (x) I_R)^dag, axes [m, A, b, R, S, A', b']
-    y = np.matmul(u.transpose(0, 2, 3, 5, 1, 4).reshape(m, d * r * r, p * n),
-                  f.conj().transpose(0, 1, 3, 2).reshape(m, p * n, d))
-    y = y.reshape(m, n, p, r, r, n, p)
-    probs = np.einsum("mabrrab->m", y).real
-    # the channel on the two A legs, then back to [m, (B b), (R S B' b')]
-    y = (_superoperator(ch).reshape(n * n, n * n)
-         @ y.transpose(1, 5, 0, 2, 3, 4, 6).reshape(n * n, -1))
-    y = y.reshape(n, n, m, p, r, r, p).transpose(2, 0, 3, 4, 5, 1, 6)
-    # q[m] = W_m y[m]; out[B R, B' S] = sum over m, b and (B'' b'') of
-    # q[m, (B b), R, S, (B'' b'')] conj(W_m[(B' b), (B'' b'')])
-    q = np.matmul(receivers, y.reshape(m, d, r * r * d)).reshape(m, n, p, r, r, d)
-    w = receivers.reshape(m, n, p, d).conj().transpose(0, 2, 3, 1).reshape(-1, n)
-    out = q.transpose(1, 3, 4, 0, 2, 5).reshape(n * r * r, m * p * d) @ w
-    return out.reshape(n, r, r, n).transpose(0, 1, 3, 2).reshape(n * r, n * r), probs
-
-
 def identity_channel(n: int) -> KrausChannel:
     """The noiseless channel on an n-level system."""
     return KrausChannel(dim=n, kraus=np.eye(n, dtype=complex)[None])

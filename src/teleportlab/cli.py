@@ -207,6 +207,8 @@ def cmd_teleport(channel_file, depolarizing_p, dim, state_file, random_seed, mu,
 def cmd_protocol_verify(protocol_file, channel_file, qt_dim, depolarizing_p,
                         dim, tol, out):
     """Check determinism, formalism consistency, and the resource bound."""
+    if qt_dim is not None and channel_file is None:  # --qt N [CHANNEL_FILE]
+        protocol_file, channel_file = None, protocol_file
     if (protocol_file is None) == (qt_dim is None):
         _fail(EXIT_INPUT_ERROR, "provide exactly one of PROTOCOL_FILE or --qt N")
     try:
@@ -232,16 +234,16 @@ def cmd_protocol_verify(protocol_file, channel_file, qt_dim, depolarizing_p,
     res = _residual(controlled)
     ent_fid = target_overlap(proto, r)
     report = proof_report(proto, tol=tol)
-    bound_ok = report.verdicts["entanglement_bound_satisfied"]
+    bound_ok = report["verdicts"]["entanglement_bound_satisfied"]
     outputs = {
         "determinism_residual": determinism_residual,
         "consistency_gap": consistency_gap,
         "residual_to_target": res,
         "entanglement_fidelity": ent_fid,
-        "entanglement_sum": report.entanglement_sum,
-        "entanglement_bound": report.bound,
+        "entanglement_sum": report["entanglement_sum"],
+        "entanglement_bound": report["bound"],
         "entanglement_bound_satisfied": bound_ok,
-        "proof_report": report.to_dict(),
+        "proof_report": report,
         "theorem_violation": bool(res < 1e-9 and not bound_ok),
     }
     inputs = {"protocol_file": protocol_file, "qt": qt_dim, **echo, "tol": tol}
@@ -371,8 +373,8 @@ def cmd_sweep(files, theta_grid, depolarizing_p, dim, seed_override, out):
     except (ValueError, OSError) as exc:
         _fail(EXIT_INPUT_ERROR, f"invalid input: {exc}")
     _emit("theta,sumMu,bestFidelity,seed\n" + "".join(
-        f"{row.theta:.12f},{row.sum_mu:.12f},{row.best_fidelity:.12f},{row.seed}\n"
-        for row in rows), out)
+        f"{theta:.12f},{sum_mu:.12f},{best:.12f},{values['seed']}\n"
+        for theta, sum_mu, best in rows), out)
 
 
 if __name__ == "__main__":

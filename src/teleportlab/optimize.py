@@ -373,7 +373,6 @@ class OptimizationResult:
     best_protocol: ResourceProtocol
     per_restart_bests: tuple
     evaluations_used: int
-    seed: int
     budget_exhausted: bool
     restart_traces: tuple = field(repr=False, default=())
 
@@ -444,23 +443,15 @@ def optimize(
         best_protocol=best_protocol,
         per_restart_bests=bests,
         evaluations_used=sum(evals),
-        seed=cfg.seed,
         budget_exhausted=any(hit_budget),
         restart_traces=traces,
     )
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    theta: float
-    sum_mu: float
-    best_fidelity: float
-    seed: int
-
-
 def sweep_mu(ch: KrausChannel, theta_grid, cfg: OptimizationConfig) -> list:
-    """Best fidelity per angle, mu(theta) = (cos t, sin t), at N = ch.dim, P = 2;
-    every angle must lie in [0, pi/2]."""
+    """Best fidelity per angle, mu(theta) = (cos t, sin t), at N = ch.dim, P = 2,
+    as (theta, sum of mu, best fidelity) tuples; every angle must lie in
+    [0, pi/2]."""
     grid = [float(theta) for theta in theta_grid]
     for theta in grid:
         if not 0 <= theta <= np.pi / 2:  # NaN fails too
@@ -470,5 +461,5 @@ def sweep_mu(ch: KrausChannel, theta_grid, cfg: OptimizationConfig) -> list:
         mu = np.array([np.cos(theta), np.sin(theta)])
         base = zero_parameterization(ch.dim, 2, "full", mu_fixed=mu)
         best = optimize(ch, base, cfg).best_fidelity
-        rows.append(SweepPoint(theta, float(mu.sum()), best, cfg.seed))
+        rows.append((theta, float(mu.sum()), best))
     return rows

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChoiMatrix, KrausChannel, _simulate, choi
+from .channels import ChoiMatrix, KrausChannel, _superoperator, choi
 from .qmath import (_INTEGER, _MATRICES, _MATRIX, _NUMBERS, _operator_stack,
                     _read_json, haar_unitary, matrix_from_pairs,
                     matrix_to_pairs, maximally_entangled, projector)
@@ -155,11 +155,58 @@ class ResourceProtocol:
         return _check_determinism(self.branches, self.receiver_unitaries, tol)
 
 
-def _run(proto: ResourceProtocol, ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
+def _simulate(rho, resource, branches, ch: KrausChannel, receivers):
+    """Run a one-way protocol around one use of the channel by contraction.
+
+    ``rho`` lives on A (x) R (R a passive reference leg), ``resource`` on
+    a (x) b, the M ``branches`` on A (x) a and the M ``receivers`` on
+    channel-output (x) b.  a is traced out once the branch is applied, so the
+    channel and receivers act on (A, b).  Returns the output on B (x) R and
+    the branch probabilities.
+
+    Each contraction is one GEMM, or one matmul batched over the branches,
+    on transposed and reshaped copies, so BLAS does the arithmetic: the
+    branch with a traced out, the channel as an N^2 x N^2 superoperator on
+    the two A legs, the receivers, and the trace over b, summed over the
+    branches in the same product.
+    """
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("input state has non-finite entries")
+    n = ch.dim
+    m, d, _ = branches.shape
+    p, r = d // n, len(rho) // n
+    # f[m, a', (A' b), A] = sum_a <A' a'| L_m |A a> resource[a, b]
+    f = np.tensordot(branches.reshape(m, n, p, n, p), resource.reshape(p, p),
+                     axes=(4, 0))
+    f = f.transpose(0, 2, 1, 4, 3).reshape(m, p, d, n)
+    # u[m, a'] = (f[m, a'] (x) I_R) rho, axes [m, a', (A' b), R, A, S]
+    u = (f.reshape(m * p * d, n) @ rho.reshape(n, r * n * r)).reshape(m, p, d, r, n, r)
+    # y[m] = sum over a' of u[m, a'] (f[m, a'] (x) I_R)^dag, axes [m, A, b, R, S, A', b']
+    y = np.matmul(u.transpose(0, 2, 3, 5, 1, 4).reshape(m, d * r * r, p * n),
+                  f.conj().transpose(0, 1, 3, 2).reshape(m, p * n, d))
+    y = y.reshape(m, n, p, r, r, n, p)
+    probs = np.einsum("mabrrab->m", y).real
+    # the channel on the two A legs, then back to [m, (B b), (R S B' b')]
+    y = (_superoperator(ch).reshape(n * n, n * n)
+         @ y.transpose(1, 5, 0, 2, 3, 4, 6).reshape(n * n, -1))
+    y = y.reshape(n, n, m, p, r, r, p).transpose(2, 0, 3, 4, 5, 1, 6)
+    # q[m] = W_m y[m]; out[B R, B' S] = sum over m, b and (B'' b'') of
+    # q[m, (B b), R, S, (B'' b'')] conj(W_m[(B' b), (B'' b'')])
+    q = np.matmul(receivers, y.reshape(m, d, r * r * d)).reshape(m, n, p, r, r, d)
+    w = receivers.reshape(m, n, p, d).conj().transpose(0, 2, 3, 1).reshape(-1, n)
+    out = q.transpose(1, 3, 4, 0, 2, 5).reshape(n * r * r, m * p * d) @ w
+    return out.reshape(n, r, r, n).transpose(0, 1, 3, 2).reshape(n * r, n * r), probs
+
+
+def _run(proto: ResourceProtocol, ch: KrausChannel, rho: np.ndarray,
+         resource: np.ndarray | None = None) -> tuple:
+    """Output and branch probabilities of the protocol around one use of the
+    channel; ``resource`` replaces the pair state ``proto.resource.state()``."""
     if ch.dim != proto.n:
         raise ValueError(f"channel dim {ch.dim} does not match protocol dim {proto.n}")
-    return _simulate(rho, proto.resource.state(), proto.branches, ch,
-                     proto.receiver_unitaries)[0]
+    if resource is None:
+        resource = proto.resource.state()
+    return _simulate(rho, resource, proto.branches, ch, proto.receiver_unitaries)
 
 
 def apply_protocol(
@@ -170,7 +217,7 @@ def apply_protocol(
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n, n):
         raise ValueError(f"state shape {rho.shape} does not match protocol dim {n}")
-    return _run(proto, ch, rho)
+    return _run(proto, ch, rho)[0]
 
 
 def _blocks(ops: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -255,7 +302,7 @@ def effective_choi(proto: ResourceProtocol, ch: KrausChannel) -> ChoiMatrix:
     linearity is sum_ij E(|i><j|) (x) |i><j| / N.
     """
     n = proto.n
-    out = _run(proto, ch, projector(maximally_entangled(n)))
+    out = _run(proto, ch, projector(maximally_entangled(n)))[0]
     return ChoiMatrix.from_matrix(out, dim_out=n, dim_in=n, tol=1e-8)
 
 

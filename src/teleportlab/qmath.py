@@ -11,8 +11,6 @@ import json
 
 import numpy as np
 
-DEFAULT_TOL = 1e-10
-
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more vectors or matrices."""

@@ -1,12 +1,12 @@
 """Standard N-level teleportation: Bell states, corrections, ``qt_protocol``.
 
-``teleport`` runs the operators of ``qt_protocol(n)``.  The input lives on A
+``teleport`` is ``apply_protocol`` on ``qt_protocol(n)``.  The input lives on A
 and the shared pair on a (x) b.  Each outcome eta is a branch Pi_eta R on
 A (x) a (R maps the Bell basis onto the computational one), after which a is
 traced out; the noisy channel acts on A only (the system that would traverse
 the channel), and the correction acts on channel-output (x) b, ending with a
 swap that moves the result onto the channel-output leg before b is traced
-out (see ``channels._simulate``).
+out (see ``protocol._simulate``).
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import KrausChannel, _simulate, weyl_operator
-from .protocol import AncillaResource, ResourceProtocol, basis_projections
-from .qmath import assert_pure_state, maximally_entangled
+from .channels import KrausChannel, weyl_operator
+from .protocol import (AncillaResource, ResourceProtocol, _run, apply_protocol,
+                       basis_projections)
+from .qmath import assert_pure_state
 
 
 def bell_state(n: int, eta: int) -> np.ndarray:
@@ -80,25 +81,9 @@ def qt_protocol(n: int) -> ResourceProtocol:
     )
 
 
-def _run(rho: np.ndarray, ch: KrausChannel, resource: np.ndarray):
-    n = ch.dim
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (n, n):
-        raise ValueError(f"state shape {rho.shape} does not match channel dim {n}")
-    resource = np.asarray(resource, dtype=complex).reshape(-1)
-    if resource.size != n * n:
-        raise ValueError(
-            f"resource dim {resource.size} is not bipartite with local dim {n}"
-        )
-    assert_pure_state(resource, tol=1e-10)
-    qt = qt_protocol(n)
-    return _simulate(rho, resource, qt.branches, ch, qt.receiver_unitaries)
-
-
 def teleport(rho: np.ndarray, ch: KrausChannel) -> np.ndarray:
     """Teleport rho using a maximally entangled pair; output equals rho."""
-    out, _ = _run(rho, ch, maximally_entangled(ch.dim))
-    return out
+    return apply_protocol(qt_protocol(ch.dim), ch, rho)
 
 
 def teleport_detailed(
@@ -109,6 +94,15 @@ def teleport_detailed(
     ``resource`` may be any pure state on a (x) b; the default is the
     maximally entangled pair.
     """
-    if resource is None:
-        resource = maximally_entangled(ch.dim)
-    return _run(rho, ch, resource)
+    n = ch.dim
+    rho = np.asarray(rho, dtype=complex)
+    if rho.shape != (n, n):
+        raise ValueError(f"state shape {rho.shape} does not match channel dim {n}")
+    if resource is not None:
+        resource = np.asarray(resource, dtype=complex).reshape(-1)
+        if resource.size != n * n:
+            raise ValueError(
+                f"resource dim {resource.size} is not bipartite with local dim {n}"
+            )
+        assert_pure_state(resource, tol=1e-10)
+    return _run(qt_protocol(n), ch, rho, resource)

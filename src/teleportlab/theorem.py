@@ -9,46 +9,10 @@ nonexistence over all protocols (the optimizer probes that empirically).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .protocol import (AncillaResource, ResourceProtocol, _inner_products,
                        block_operators)
-
-
-@dataclass(frozen=True)
-class ProofReport:
-    """Numbers and verdicts produced by the proof-machinery checks.
-
-    ``contradiction_lhs`` is the numerically evaluated squared-coefficient
-    sum implied by the faithful-correction relations (always 1 for a valid
-    resource); ``contradiction_rhs`` is the value the same algebra would
-    need, namely N*P.  Both are None when the protocol uses classical
-    communication (M > 1), where the contradiction argument does not apply.
-    """
-
-    relation13_max_residual: float
-    entanglement_sum: float
-    bound: float
-    branch_scalars: tuple
-    cauchy_schwarz_violation: float
-    verdicts: dict = field(default_factory=dict)
-    contradiction_lhs: float | None = None
-    contradiction_rhs: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "relation13_max_residual": self.relation13_max_residual,
-            "entanglement_sum": self.entanglement_sum,
-            "bound": self.bound,
-            "branch_scalars": [[float(b.real), float(b.imag)]
-                               for b in self.branch_scalars],
-            "cauchy_schwarz_violation": self.cauchy_schwarz_violation,
-            "contradiction_lhs": self.contradiction_lhs,
-            "contradiction_rhs": self.contradiction_rhs,
-            "verdicts": dict(self.verdicts),
-        }
 
 
 def check_relations_13(blocks: tuple) -> float:
@@ -96,14 +60,14 @@ def _beta_scalars(g: np.ndarray, n: int) -> np.ndarray:
     return np.einsum("ekllk->e", g[:, :q, :q, :q, :q]) / (np.sqrt(n) * q * q)
 
 
-def no_cc_contradiction(proto: ResourceProtocol, tol: float = 1e-9) -> ProofReport:
+def no_cc_contradiction(proto: ResourceProtocol, tol: float = 1e-9) -> dict:
     """Evaluate the no-classical-communication contradiction for M = 1.
 
     Squaring the faithful-correction relation on factorized vectors and
     summing it with the determinism relations forces the squared Schmidt
     coefficients to total N*P, while normalization fixes the total to 1; the
     two numbers are reported and the faithful-correction verdict is false
-    whenever they differ.
+    whenever they differ.  Returns the :func:`proof_report` dict.
     """
     if proto.m != 1:
         raise ValueError(
@@ -112,8 +76,17 @@ def no_cc_contradiction(proto: ResourceProtocol, tol: float = 1e-9) -> ProofRepo
     return proof_report(proto, tol=tol)
 
 
-def proof_report(proto: ResourceProtocol, tol: float = 1e-9) -> ProofReport:
-    """Assemble all proof-machinery numbers and verdicts for a protocol."""
+def proof_report(proto: ResourceProtocol, tol: float = 1e-9) -> dict:
+    """All proof-machinery numbers and verdicts for a protocol, JSON-ready.
+
+    ``branch_scalars`` holds each :func:`beta_scalars` entry as an [re, im]
+    pair.  ``contradiction_lhs`` is the numerically evaluated squared-
+    coefficient sum implied by the faithful-correction relations (always 1
+    for a valid resource); ``contradiction_rhs`` is the value the same
+    algebra would need, namely N*P.  Both are None when the protocol uses
+    classical communication (M > 1), where the contradiction argument does
+    not apply.
+    """
     n, mu = proto.n, proto.resource.mu
     a, b = block_operators(proto)
     g = _inner_products(mu, proto.branches, proto.receiver_unitaries, n,
@@ -135,16 +108,16 @@ def proof_report(proto: ResourceProtocol, tol: float = 1e-9) -> ProofReport:
         rhs = float(n * proto.local_dim)
         verdicts["faithful_correction_possible"] = bool(abs(lhs - rhs) <= tol)
 
-    return ProofReport(
-        relation13_max_residual=r13,
-        entanglement_sum=ent_sum,
-        bound=float(np.sqrt(n)),
-        branch_scalars=tuple(betas),
-        cauchy_schwarz_violation=cs,
-        verdicts=verdicts,
-        contradiction_lhs=lhs,
-        contradiction_rhs=rhs,
-    )
+    return {
+        "relation13_max_residual": r13,
+        "entanglement_sum": ent_sum,
+        "bound": float(np.sqrt(n)),
+        "branch_scalars": [[float(beta.real), float(beta.imag)] for beta in betas],
+        "cauchy_schwarz_violation": cs,
+        "contradiction_lhs": lhs,
+        "contradiction_rhs": rhs,
+        "verdicts": verdicts,
+    }
 
 
 def entanglement_bound(resource: AncillaResource, n: int) -> tuple:

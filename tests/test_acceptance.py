@@ -151,9 +151,9 @@ def test_criterion_07_no_cc_contradiction():
         for p in (1, 2, 4):
             proto = random_protocol(n, p, 1, seed=n * 10 + p)
             report = no_cc_contradiction(proto)
-            assert abs(report.contradiction_lhs - 1.0) < 1e-9
-            assert report.contradiction_rhs == float(n * p)
-            assert report.verdicts["faithful_correction_possible"] is False
+            assert abs(report["contradiction_lhs"] - 1.0) < 1e-9
+            assert report["contradiction_rhs"] == float(n * p)
+            assert report["verdicts"]["faithful_correction_possible"] is False
     _report(7, "LHS=1 vs RHS=N*P, verdict false for all (N, P)", started, 1.0)
 
 

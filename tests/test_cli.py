@@ -10,12 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teleportlab.channels import (_CHANNEL_KEYS, channel_to_dict, depolarizing,
-                                  save_channel)
+                                  random_channel, save_channel)
 from teleportlab.cli import _CONFIG_KEYS, _STATE_KEYS, _load_config, main
 from teleportlab.protocol import (_PROTOCOL_KEYS, bare_protocol, protocol_to_dict,
                                   save_protocol)
 from teleportlab.qmath import matrix_to_pairs, random_state
 from teleportlab.teleport import qt_protocol
+from teleportlab.theorem import proof_report
 
 
 @pytest.fixture
@@ -129,6 +130,36 @@ def test_protocol_verify_qt_below_2_exits_2(runner, n):
     assert result.exit_code == 2
     assert result.stderr.splitlines() == [
         f"error: teleportation needs N >= 2, got {n}"]
+
+
+def test_protocol_verify_qt_against_a_channel_file(runner, tmp_path):
+    # with --qt, a lone positional is the channel file
+    channel = tmp_path / "ch3.json"
+    save_channel(random_channel(3, 9, seed=4), channel)
+    result = _invoke(runner, ["protocol-verify", "--qt", "3", str(channel)])
+    assert result.exit_code == 0
+    data = json.loads(result.output)
+    assert data["inputs"] == {"protocol_file": None, "qt": 3,
+                              "channel_file": str(channel), "tol": 1e-9}
+    assert data["outputs"]["residual_to_target"] < 1e-9
+
+    both = runner.invoke(main, ["protocol-verify", "--qt", "2", str(channel),
+                                str(channel)])
+    assert both.exit_code == 2
+    assert both.stderr.splitlines() == [
+        "error: provide exactly one of PROTOCOL_FILE or --qt N"]
+
+    two_channels = runner.invoke(main, ["protocol-verify", "--qt", "3",
+                                        str(channel), "--depolarizing", "0.5"])
+    assert two_channels.exit_code == 2
+    assert two_channels.stderr.splitlines() == [
+        "error: provide exactly one of CHANNEL_FILE or --depolarizing P"]
+
+
+def test_protocol_verify_embeds_the_proof_report(runner):
+    result = _invoke(runner, ["protocol-verify", "--qt", "2", "--depolarizing", "0.5"])
+    report = json.loads(result.output)["outputs"]["proof_report"]
+    assert report == proof_report(qt_protocol(2), tol=1e-9)
 
 
 def test_protocol_verify_bare_protocol(runner, tmp_path):

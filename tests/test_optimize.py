@@ -394,10 +394,10 @@ def test_sweep_structure_and_monotonicity():
     cfg = OptimizationConfig(evaluation_budget=6000, restarts=4, seed=7)
     rows = sweep_mu(ch, grid, cfg)
     assert len(rows) == len(grid)
-    for row, theta in zip(rows, grid):
-        assert abs(row.sum_mu - (np.cos(theta) + np.sin(theta))) < 1e-12
-        assert row.seed == 7
-    values = [row.best_fidelity for row in rows]
+    for (row_theta, sum_mu, _), theta in zip(rows, grid):
+        assert row_theta == theta
+        assert abs(sum_mu - (np.cos(theta) + np.sin(theta))) < 1e-12
+    values = [best for _, _, best in rows]
     for left, right in zip(values, values[1:]):
         assert right >= left - 0.02
     assert int(np.argmax(values)) == len(grid) - 1

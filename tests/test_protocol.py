@@ -118,9 +118,7 @@ def test_qt_protocol_matches_teleport_module(n):
     qt = qt_protocol(n)
     ch = random_channel(n, n * n, seed=1)
     rho = random_state(n, seed=2)
-    np.testing.assert_allclose(
-        apply_protocol(qt, ch, rho), teleport(rho, ch), atol=1e-12
-    )
+    np.testing.assert_array_equal(apply_protocol(qt, ch, rho), teleport(rho, ch))
 
 
 def test_bare_protocol_is_channel_use():

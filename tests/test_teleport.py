@@ -172,10 +172,9 @@ def test_teleport_linear_in_state():
 def test_resource_default_matches_maximally_entangled():
     rho = random_state(2, seed=30)
     ch = depolarizing(0.25)
-    np.testing.assert_allclose(
+    np.testing.assert_array_equal(
         teleport_detailed(rho, ch, maximally_entangled(2))[0],
         teleport(rho, ch),
-        atol=1e-13,
     )
 
 

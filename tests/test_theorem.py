@@ -17,7 +17,6 @@ from teleportlab.protocol import (
 )
 from teleportlab.teleport import qt_protocol
 from teleportlab.theorem import (
-    ProofReport,
     beta_scalars,
     cauchy_schwarz_check,
     check_relations_13,
@@ -130,9 +129,9 @@ def test_relations13_flags_what_validator_flags():
 def test_no_cc_contradiction(n, p):
     proto = random_protocol(n, p, 1, seed=n * 100 + p)
     report = no_cc_contradiction(proto)
-    assert abs(report.contradiction_lhs - 1.0) < 1e-9
-    assert report.contradiction_rhs == n * p
-    assert report.verdicts["faithful_correction_possible"] is False
+    assert abs(report["contradiction_lhs"] - 1.0) < 1e-9
+    assert report["contradiction_rhs"] == n * p
+    assert report["verdicts"]["faithful_correction_possible"] is False
 
 
 def test_no_cc_contradiction_requires_single_branch():
@@ -243,9 +242,9 @@ def test_nielsen_reflexive_and_transitive_property(resources):
        seed=st.integers(0, 2**32 - 1))
 def test_no_communication_rules_out_faithful_correction_property(n, p, seed):
     report = proof_report(random_protocol(n, p, 1, seed=seed))
-    assert report.verdicts["faithful_correction_possible"] is False
-    assert report.contradiction_rhs == n * p
-    assert abs(report.contradiction_lhs - 1.0) <= 1e-12
+    assert report["verdicts"]["faithful_correction_possible"] is False
+    assert report["contradiction_rhs"] == n * p
+    assert abs(report["contradiction_lhs"] - 1.0) <= 1e-12
 
 
 def test_nielsen_against_lp_oracle_sample():
@@ -260,8 +259,7 @@ def test_nielsen_against_lp_oracle_sample():
 
 
 def test_proof_report_serializes():
-    report = proof_report(qt_protocol(2))
-    data = report.to_dict()
+    data = proof_report(qt_protocol(2))
     assert data["verdicts"]["deterministic"]
     assert data["verdicts"]["entanglement_bound_satisfied"]
     assert data["verdicts"]["cauchy_schwarz_ok"]
@@ -295,17 +293,19 @@ def test_proof_report_equals_separate_checks(proto):
         lhs = float(np.mean(np.sum(np.abs(g[0]) ** 2, axis=(0, 1, 2))))
         rhs = float(n * p)
         verdicts["faithful_correction_possible"] = bool(abs(lhs - rhs) <= 1e-9)
-    expected = ProofReport(
-        relation13_max_residual=r13, entanglement_sum=ent_sum,
-        bound=float(np.sqrt(n)), branch_scalars=tuple(beta_scalars(proto)),
-        cauchy_schwarz_violation=cs, verdicts=verdicts,
-        contradiction_lhs=lhs, contradiction_rhs=rhs,
-    )
-    assert proof_report(proto).to_dict() == expected.to_dict()
+    expected = {
+        "relation13_max_residual": r13, "entanglement_sum": ent_sum,
+        "bound": float(np.sqrt(n)),
+        "branch_scalars": [[float(b.real), float(b.imag)]
+                           for b in beta_scalars(proto)],
+        "cauchy_schwarz_violation": cs, "contradiction_lhs": lhs,
+        "contradiction_rhs": rhs, "verdicts": verdicts,
+    }
+    assert proof_report(proto) == expected
 
 
 def test_proof_report_m1_verdicts():
     report = proof_report(bare_protocol(2, local_dim=2,
                                         mu=np.full(2, 1 / np.sqrt(2))))
-    assert report.contradiction_rhs == 4.0
-    assert report.verdicts["faithful_correction_possible"] is False
+    assert report["contradiction_rhs"] == 4.0
+    assert report["verdicts"]["faithful_correction_possible"] is False
