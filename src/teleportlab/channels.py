@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .qmath import (
     matrix_from_pairs,
     matrix_to_pairs,
     maximally_entangled,
-    partial_trace,
     projector,
 )
 
@@ -43,10 +43,13 @@ def _tp_deviation(kraus: np.ndarray) -> float:
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Completely positive trace-preserving map; ``kraus`` is a read-only
-    (E, N, N) stack of the Kraus operators."""
+    (E, N, N) stack of the Kraus operators and ``superoperator`` the read-only
+    (N^2, N^2) matrix S[(i, j), (k, l)] = sum_e K_e[i, k] conj(K_e[j, l]), the
+    channel acting on a (row, column) leg pair."""
 
     dim: int
     kraus: np.ndarray
+    superoperator: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.kraus) == 0:
@@ -61,6 +64,10 @@ class KrausChannel:
             raise ValueError(
                 f"channel not trace-preserving: sum K^dag K deviates from I by {dev:.3e}"
             )
+        n = self.dim
+        sup = np.einsum("eik,ejl->ijkl", kraus, kraus.conj()).reshape(n * n, n * n)
+        sup.flags.writeable = False
+        object.__setattr__(self, "superoperator", sup)
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Channel action sum_k K rho K^dag."""
@@ -74,19 +81,21 @@ class KrausChannel:
 
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:
-    """Trace-1 Choi state on the output (x) input space, eigensystem cached."""
+    """Trace-1 Choi state on the output (x) input space.
+
+    ``matrix`` is an owned, read-only copy; the eigensystem is computed on
+    first read and cached, also read-only.
+    """
 
     dim_out: int
     dim_in: int
     matrix: np.ndarray
-    eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: np.ndarray = field(repr=False)
 
     @classmethod
     def from_matrix(cls, matrix: np.ndarray, dim_out: int, dim_in: int,
                     tol: float = 1e-10) -> "ChoiMatrix":
-        """Validate invariants, cache the eigensystem, and wrap the matrix."""
-        matrix = np.asarray(matrix, dtype=complex)
+        """Validate invariants and wrap a read-only copy of the matrix."""
+        matrix = np.array(matrix, dtype=complex)
         d = dim_out * dim_in
         if matrix.shape != (d, d):
             raise ValueError(
@@ -98,25 +107,42 @@ class ChoiMatrix:
         herm_dev = float(np.max(np.abs(matrix - dagger(matrix))))
         if herm_dev > tol:
             raise ValueError(f"Choi matrix not Hermitian: deviation {herm_dev:.3e}")
-        vals, vecs = np.linalg.eigh((matrix + dagger(matrix)) / 2.0)
-        order = np.argsort(vals)[::-1]
-        vals, vecs = vals[order], vecs[:, order]
-        if vals[-1] < -tol:
+        min_val = np.linalg.eigvalsh((matrix + dagger(matrix)) / 2.0)[0]
+        if min_val < -tol:
             raise ValueError(
-                f"Choi matrix not positive semidefinite: min eigenvalue {vals[-1]:.3e}"
+                f"Choi matrix not positive semidefinite: min eigenvalue {min_val:.3e}"
             )
         trace_dev = abs(float(np.trace(matrix).real) - 1.0)
         if trace_dev > tol:
             raise ValueError(f"Choi matrix trace deviates from 1 by {trace_dev:.3e}")
-        marginal = partial_trace(matrix, (dim_out, dim_in), keep=1)
+        marginal = matrix.reshape(dim_out, dim_in, dim_out, dim_in).trace(axis1=0, axis2=2)
         marg_dev = float(np.max(np.abs(marginal - np.eye(dim_in) / dim_in)))
         if marg_dev > tol:
             raise ValueError(
                 "Choi input marginal deviates from I/N "
                 f"(map not trace-preserving) by {marg_dev:.3e}"
             )
-        return cls(dim_out=dim_out, dim_in=dim_in, matrix=matrix,
-                   eigenvalues=vals, eigenvectors=vecs)
+        matrix.flags.writeable = False
+        return cls(dim_out=dim_out, dim_in=dim_in, matrix=matrix)
+
+    @cached_property
+    def _eigensystem(self) -> tuple:
+        """Eigenvalues and eigenvector columns of the Hermitian part, in
+        descending eigenvalue order."""
+        vals, vecs = np.linalg.eigh((self.matrix + dagger(self.matrix)) / 2.0)
+        order = np.argsort(vals)[::-1]
+        vals, vecs = vals[order], vecs[:, order]
+        vals.flags.writeable = False
+        vecs.flags.writeable = False
+        return vals, vecs
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        return self._eigensystem[0]
+
+    @property
+    def eigenvectors(self) -> np.ndarray:
+        return self._eigensystem[1]
 
 
 def choi(ch: KrausChannel) -> ChoiMatrix:
@@ -156,12 +182,6 @@ def kraus_from_choi(c: ChoiMatrix, tol: float = 1e-10) -> KrausChannel:
     return KrausChannel(dim=n, kraus=ops)
 
 
-def _superoperator(ch: KrausChannel) -> np.ndarray:
-    """S[i, j, k, l] = sum_e K_e[i, k] conj(K_e[j, l]), the channel acting on a
-    (row, column) leg pair."""
-    return np.einsum("eik,ejl->ijkl", ch.kraus, ch.kraus.conj())
-
-
 def apply_on_factor(ch: KrausChannel, rho: np.ndarray, dims, which: int) -> np.ndarray:
     """Apply the channel to one tensor factor of a multipartite state."""
     dims = tuple(int(d) for d in dims)
@@ -177,7 +197,8 @@ def apply_on_factor(ch: KrausChannel, rho: np.ndarray, dims, which: int) -> np.n
         raise ValueError(f"state shape {rho.shape} does not match factor dims {dims}")
     # the channel, as one superoperator, on factor `which`'s row and column legs
     legs = (which, len(dims) + which)
-    out = np.tensordot(_superoperator(ch), rho.reshape(dims * 2), axes=([2, 3], legs))
+    sup = ch.superoperator.reshape((ch.dim,) * 4)
+    out = np.tensordot(sup, rho.reshape(dims * 2), axes=([2, 3], legs))
     return np.moveaxis(out, (0, 1), legs).reshape(total, total)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import ChoiMatrix, KrausChannel, _superoperator, choi
+from .channels import ChoiMatrix, KrausChannel, choi
 from .qmath import (_INTEGER, _MATRICES, _MATRIX, _NUMBERS, _operator_stack,
                     _read_json, haar_unitary, matrix_from_pairs,
                     matrix_to_pairs, maximally_entangled, projector)
@@ -176,8 +176,7 @@ def _simulate(rho, resource, branches, ch: KrausChannel, receivers):
     m, d, _ = branches.shape
     p, r = d // n, len(rho) // n
     # f[m, a', (A' b), A] = sum_a <A' a'| L_m |A a> resource[a, b]
-    f = np.tensordot(branches.reshape(m, n, p, n, p), resource.reshape(p, p),
-                     axes=(4, 0))
+    f = (branches.reshape(-1, p) @ resource.reshape(p, p)).reshape(m, n, p, n, p)
     f = f.transpose(0, 2, 1, 4, 3).reshape(m, p, d, n)
     # u[m, a'] = (f[m, a'] (x) I_R) rho, axes [m, a', (A' b), R, A, S]
     u = (f.reshape(m * p * d, n) @ rho.reshape(n, r * n * r)).reshape(m, p, d, r, n, r)
@@ -187,7 +186,7 @@ def _simulate(rho, resource, branches, ch: KrausChannel, receivers):
     y = y.reshape(m, n, p, r, r, n, p)
     probs = np.einsum("mabrrab->m", y).real
     # the channel on the two A legs, then back to [m, (B b), (R S B' b')]
-    y = (_superoperator(ch).reshape(n * n, n * n)
+    y = (ch.superoperator
          @ y.transpose(1, 5, 0, 2, 3, 4, 6).reshape(n * n, -1))
     y = y.reshape(n, n, m, p, r, r, p).transpose(2, 0, 3, 4, 5, 1, 6)
     # q[m] = W_m y[m]; out[B R, B' S] = sum over m, b and (B'' b'') of
@@ -227,14 +226,17 @@ def _blocks(ops: np.ndarray, n: int, p: int) -> np.ndarray:
     return t.transpose(*range(lead), lead + 1, lead + 3, lead, lead + 2)
 
 
-def _control_operators(mu: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lambda[eta, k, l] = sum_i mu_i B[k,i] (x) A[l,i]^T from the
-    (M, P, P, N, N) blocks, as an (M, P, P, N^2, N^2) array."""
-    # indices: B[k,i] carries (b_out, b_in), A[l,i]^T carries (a_out, a_in)
-    # with A^T[x, y] = A[y, x]; rows (b_out, a_out), cols (b_in, a_in).
-    ops = np.einsum("i,ekibc,elida->eklbacd", mu, b, a)
-    m, p, _, n, _, _, _ = ops.shape
-    return ops.reshape(m, p, p, n * n, n * n)
+def _control_rows(proto: ResourceProtocol) -> np.ndarray:
+    """Control operators Lambda[eta, k, l] = sum_i mu_i B[k,i] (x) A[l,i]^T
+    side by side, as an (N^2, M*P*P*N^2) array with rows (b_out, a_out) and
+    columns (eta, k, l, b_in, a_in)."""
+    # B[k,i] carries (b_out, b_in), A[l,i]^T carries (a_out, a_in) with
+    # A^T[x, y] = A[y, x].  Each term is (mu_i B) A, the product order of
+    # the three-operand einsum, so the bits match it; a GEMM form does not.
+    a, b = block_operators(proto)
+    mu = proto.resource.mu
+    rows = np.einsum("ekibc,elida->baeklcd", b * mu[:, None, None], a)
+    return rows.reshape(proto.n * proto.n, -1)
 
 
 def _inner_products(mu: np.ndarray, ops: np.ndarray, receivers: np.ndarray,
@@ -273,7 +275,9 @@ def block_operators(proto: ResourceProtocol) -> tuple:
 def lambda_operators(proto: ResourceProtocol) -> np.ndarray:
     """Control operators Lambda[eta, k, l] = sum_i mu_i B[k,i] (x) A[l,i]^T,
     on the output (x) input space, as an (M, P, P, N^2, N^2) array."""
-    return _control_operators(proto.resource.mu, *block_operators(proto))
+    nn, p = proto.n * proto.n, proto.local_dim
+    rows = _control_rows(proto).reshape(nn, proto.m, p, p, nn)
+    return rows.transpose(1, 2, 3, 0, 4)
 
 
 def _check_choi_dims(proto: ResourceProtocol, r: ChoiMatrix) -> None:
@@ -287,9 +291,8 @@ def control_map(proto: ResourceProtocol, r: ChoiMatrix) -> ChoiMatrix:
     """Transform a Choi state through the protocol's control operators."""
     _check_choi_dims(proto, r)
     nn = proto.n * proto.n
-    lam = lambda_operators(proto).reshape(-1, nn, nn)
     # [Lam_1 | Lam_2 | ...] times its R-weighted copy: sum_j Lam_j R Lam_j^dag
-    rows = lam.transpose(1, 0, 2).reshape(nn, -1)
+    rows = _control_rows(proto)
     out = (rows.reshape(-1, nn) @ r.matrix).reshape(nn, -1) @ rows.conj().T
     return ChoiMatrix.from_matrix(out, dim_out=proto.n, dim_in=proto.n, tol=1e-8)
 

@@ -30,14 +30,13 @@ def check_relations_13(blocks: tuple) -> float:
     ops, recv = (x.transpose(0, 1, 3, 2, 4).reshape(-1, d, d) for x in blocks)
     row = ops.transpose(1, 0, 2).reshape(d, -1)  # the L_eta side by side
     column = ops.reshape(-1, d)  # and stacked
-    grams = [row @ row.conj().T,  # sum_{eta,k} A[i,k] A[j,k]^dag
-             column.conj().T @ column,  # sum_{eta,k} A[k,i]^dag A[k,j]
-             recv @ recv.conj().swapaxes(-1, -2),
-             recv.conj().swapaxes(-1, -2) @ recv]
-    return max(
-        float(np.linalg.norm((gram - np.eye(d)).reshape(-1, p, n, p, n),
-                             axis=(-3, -1)).max())
-        for gram in grams)
+    grams = np.concatenate([
+        (row @ row.conj().T)[None],  # sum_{eta,k} A[i,k] A[j,k]^dag
+        (column.conj().T @ column)[None],  # sum_{eta,k} A[k,i]^dag A[k,j]
+        recv @ recv.conj().swapaxes(-1, -2),
+        recv.conj().swapaxes(-1, -2) @ recv])
+    return float(np.linalg.norm((grams - np.eye(d)).reshape(-1, p, n, p, n),
+                                axis=(-3, -1)).max())
 
 
 def beta_scalars(proto: ResourceProtocol) -> np.ndarray:

@@ -272,7 +272,7 @@ def test_choi_matrix_validation():
     with pytest.raises(ValueError, match="trace"):
         ChoiMatrix.from_matrix(np.eye(4), 2, 2)
     skew = np.diag([1.2, -0.2, 0.0, 0.0])
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match=r"positive semidefinite: min eigenvalue -2\.000e-01"):
         ChoiMatrix.from_matrix(skew, 2, 2)
     # valid Choi but not trace-preserving as a map: marginal != I/N
     bad_marginal = np.diag([0.7, 0.0, 0.0, 0.3])
@@ -322,3 +322,36 @@ def test_kraus_stack_is_an_owned_read_only_copy():
         ch.kraus[0] = 0.0
     ops[0] = 0.0
     np.testing.assert_array_equal(ch.kraus, depolarizing(0.5).kraus)
+
+
+def test_choi_matrix_is_an_owned_read_only_copy():
+    m = np.eye(4, dtype=complex) / 4
+    c = ChoiMatrix.from_matrix(m, 2, 2)
+    m[0, 0] = 7.0
+    np.testing.assert_array_equal(c.matrix, np.eye(4) / 4)
+    for r in (c, choi(depolarizing(0.5))):
+        with pytest.raises(ValueError, match="read-only"):
+            r.matrix[0, 0] = 7.0
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 4), (3, 9)])
+def test_choi_eigensystem_is_the_descending_eigh_of_the_hermitian_part(n, k):
+    r = choi(random_channel(n, k, seed=40 + k))
+    vals, vecs = np.linalg.eigh((r.matrix + dagger(r.matrix)) / 2.0)
+    order = np.argsort(vals)[::-1]
+    np.testing.assert_array_equal(r.eigenvalues, vals[order])
+    np.testing.assert_array_equal(r.eigenvectors, vecs[:, order])
+    assert r.eigenvalues is r.eigenvalues  # computed once
+    with pytest.raises(ValueError, match="read-only"):
+        r.eigenvalues[0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        r.eigenvectors[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("ch", [depolarizing(0.3, 3), random_channel(2, 3, seed=5)])
+def test_superoperator_is_read_only_sum_of_kraus_krons(ch):
+    expected = sum(np.kron(k, k.conj()) for k in ch.kraus)
+    assert ch.superoperator.shape == (ch.dim**2, ch.dim**2)
+    np.testing.assert_allclose(ch.superoperator, expected, rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="read-only"):
+        ch.superoperator[0, 0] = 0.0

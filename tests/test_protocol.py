@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from dense_reference import lambda_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -204,6 +205,16 @@ def test_lambda_reconstruction_from_blocks():
                     for i in range(proto.local_dim)
                 )
                 np.testing.assert_allclose(lam[eta, k, l], expected, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("full", [False, True])
+def test_lambda_bits_match_the_three_operand_einsum(n, p, full):
+    # M = 1 and M = N*P; the rows control_map reads are bit for bit the ones
+    # of the reference einsum, so a rewrite that moves a bit fails here
+    proto = random_protocol(n, p, n * p if full else 1, seed=10 * n + p)
+    np.testing.assert_array_equal(lambda_operators(proto), lambda_reference(proto))
 
 
 def test_control_map_bare_is_identity_map():
