@@ -43,13 +43,15 @@ def _tp_deviation(kraus: np.ndarray) -> float:
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Completely positive trace-preserving map; ``kraus`` is a read-only
-    (E, N, N) stack of the Kraus operators and ``superoperator`` the read-only
+    (E, N, N) stack of the Kraus operators, ``superoperator`` the read-only
     (N^2, N^2) matrix S[(i, j), (k, l)] = sum_e K_e[i, k] conj(K_e[j, l]), the
-    channel acting on a (row, column) leg pair."""
+    channel acting on a (row, column) leg pair, and ``choi_state`` its Choi
+    state (see :func:`choi`), all built once, here."""
 
     dim: int
     kraus: np.ndarray
     superoperator: np.ndarray = field(init=False, repr=False)
+    choi_state: ChoiMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
         if len(self.kraus) == 0:
@@ -68,6 +70,15 @@ class KrausChannel:
         sup = np.einsum("eik,ejl->ijkl", kraus, kraus.conj()).reshape(n * n, n * n)
         sup.flags.writeable = False
         object.__setattr__(self, "superoperator", sup)
+        # (channel (x) id)(|psi_0><psi_0|) with all K_e (x) I at once, entry
+        # for entry what np.kron gives, so the sum is bit-identical to adding
+        # the operators' terms one at a time
+        psi0 = projector(maximally_entangled(n))
+        eye = np.eye(n)[:, None, :]
+        kk = (kraus[:, :, None, :, None] * eye).reshape(-1, n * n, n * n)
+        mat = (kk @ psi0 @ kk.conj().swapaxes(-1, -2)).sum(axis=0)
+        object.__setattr__(self, "choi_state",
+                           ChoiMatrix.from_matrix(mat, dim_out=n, dim_in=n))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Channel action sum_k K rho K^dag."""
@@ -146,19 +157,15 @@ class ChoiMatrix:
 
 
 def choi(ch: KrausChannel) -> ChoiMatrix:
-    """Choi state of a channel: (channel (x) id) applied to |psi_0><psi_0|."""
-    n = ch.dim
-    psi0 = projector(maximally_entangled(n))
-    # all K_e (x) I at once, entry for entry what np.kron gives, so the sum
-    # is bit-identical to adding the operators' terms one at a time
-    k = ch.kraus
-    kk = (k[:, :, None, :, None] * np.eye(n)[:, None, :]).reshape(-1, n * n, n * n)
-    mat = (kk @ psi0 @ kk.conj().swapaxes(-1, -2)).sum(axis=0)
-    return ChoiMatrix.from_matrix(mat, dim_out=n, dim_in=n)
+    """Choi state of a channel: (channel (x) id) applied to |psi_0><psi_0|,
+    built when the channel is."""
+    return ch.choi_state
 
 
 def _rank(eigenvalues: np.ndarray, tol: float) -> int:
     """Count of descending eigenvalues above tol relative to the largest."""
+    if not 0 <= tol < np.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     return int(np.sum(eigenvalues > tol * eigenvalues[0]))
 
 
@@ -176,9 +183,9 @@ def kraus_from_choi(c: ChoiMatrix, tol: float = 1e-10) -> KrausChannel:
     if c.dim_out != c.dim_in:
         raise ValueError("only square channels are supported")
     n = c.dim_out
-    keep = c.eigenvalues > tol * c.eigenvalues[0]
+    k = _rank(c.eigenvalues, tol)
     ops = [fix_global_phase(np.sqrt(n * val) * vec).reshape(n, n)
-           for val, vec in zip(c.eigenvalues[keep], c.eigenvectors.T[keep])]
+           for val, vec in zip(c.eigenvalues[:k], c.eigenvectors.T[:k])]
     return KrausChannel(dim=n, kraus=ops)
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -111,7 +112,8 @@ class ResourceProtocol:
     Each operator family is held as one read-only (M, N*P, N*P) stack, and
     ``branches`` is the stack of branch operators L_eta = Pi_eta U_eta on
     A (x) a.  Operators that are not (N*P) x (N*P) are rejected here;
-    ``validate`` governs only the determinism check.
+    ``validate`` governs only the determinism check.  The control operators
+    and the simulator operands are built on first use and kept, read-only.
     """
 
     n: int
@@ -154,15 +156,58 @@ class ResourceProtocol:
         """Validate the determinism invariants; returns the worst residual."""
         return _check_determinism(self.branches, self.receiver_unitaries, tol)
 
+    @cached_property
+    def _control_rows(self) -> np.ndarray:
+        """Control operators Lambda[eta, k, l] = sum_i mu_i B[k,i] (x) A[l,i]^T
+        side by side, as a read-only (N^2, M*P*P*N^2) array with rows
+        (b_out, a_out) and columns (eta, k, l, b_in, a_in)."""
+        n, p = self.n, self.local_dim
+        a = _blocks(self.branches, n, p)
+        b = _blocks(self.receiver_unitaries, n, p)
+        # B[k,i] carries (b_out, b_in), A[l,i]^T carries (a_out, a_in) with
+        # A^T[x, y] = A[y, x].  Each term is (mu_i B) A, the product order of
+        # the three-operand einsum, so the bits match it; a GEMM form does not.
+        mu = self.resource.mu
+        rows = np.einsum("ekibc,elida->baeklcd", b * mu[:, None, None], a)
+        rows = rows.reshape(n * n, -1)
+        rows.flags.writeable = False
+        return rows
 
-def _simulate(rho, resource, branches, ch: KrausChannel, receivers):
+    @cached_property
+    def _operands(self) -> tuple:
+        """The simulator operands for the protocol's own resource pair."""
+        return _simulator_operands(self.branches, self.receiver_unitaries,
+                                   self.resource.state(), self.n)
+
+
+def _simulator_operands(branches: np.ndarray, receivers: np.ndarray,
+                        resource: np.ndarray, n: int) -> tuple:
+    """What :func:`_simulate` reads of a protocol, in the layouts its
+    contractions take, read-only: f[m, a', (A' b), A] = sum_a <A' a'| L_m |A a>
+    resource[a, b] from the M ``branches`` on A (x) a and the ``resource`` on
+    a (x) b; f conjugated, with rows (a', A) per branch; the M ``receivers``
+    on channel-output (x) b; and their conjugates with rows (m, b, (B'' b''))
+    and columns B'.
+    """
+    m, d, _ = branches.shape
+    p = d // n
+    f = (branches.reshape(-1, p) @ resource.reshape(p, p)).reshape(m, n, p, n, p)
+    f = f.transpose(0, 2, 1, 4, 3).reshape(m, p, d, n)
+    f_conj = f.conj().transpose(0, 1, 3, 2).reshape(m, p * n, d)
+    w = receivers.reshape(m, n, p, d).conj().transpose(0, 2, 3, 1).reshape(-1, n)
+    for x in (f, f_conj, w):
+        x.flags.writeable = False
+    return f, f_conj, receivers, w
+
+
+def _simulate(rho, operands: tuple, ch: KrausChannel):
     """Run a one-way protocol around one use of the channel by contraction.
 
-    ``rho`` lives on A (x) R (R a passive reference leg), ``resource`` on
-    a (x) b, the M ``branches`` on A (x) a and the M ``receivers`` on
-    channel-output (x) b.  a is traced out once the branch is applied, so the
-    channel and receivers act on (A, b).  Returns the output on B (x) R and
-    the branch probabilities.
+    ``rho`` lives on A (x) R (R a passive reference leg); ``operands`` are
+    the protocol and its pair state as :func:`_simulator_operands` lays them
+    out.  a is traced out once the branch is applied, so the channel and
+    receivers act on (A, b).  Returns the output on B (x) R and the branch
+    probabilities.
 
     Each contraction is one GEMM, or one matmul batched over the branches,
     on transposed and reshaped copies, so BLAS does the arithmetic: the
@@ -172,17 +217,14 @@ def _simulate(rho, resource, branches, ch: KrausChannel, receivers):
     """
     if not np.all(np.isfinite(rho)):
         raise ValueError("input state has non-finite entries")
+    f, f_conj, receivers, w = operands
     n = ch.dim
-    m, d, _ = branches.shape
-    p, r = d // n, len(rho) // n
-    # f[m, a', (A' b), A] = sum_a <A' a'| L_m |A a> resource[a, b]
-    f = (branches.reshape(-1, p) @ resource.reshape(p, p)).reshape(m, n, p, n, p)
-    f = f.transpose(0, 2, 1, 4, 3).reshape(m, p, d, n)
+    m, p, d, _ = f.shape
+    r = len(rho) // n
     # u[m, a'] = (f[m, a'] (x) I_R) rho, axes [m, a', (A' b), R, A, S]
     u = (f.reshape(m * p * d, n) @ rho.reshape(n, r * n * r)).reshape(m, p, d, r, n, r)
     # y[m] = sum over a' of u[m, a'] (f[m, a'] (x) I_R)^dag, axes [m, A, b, R, S, A', b']
-    y = np.matmul(u.transpose(0, 2, 3, 5, 1, 4).reshape(m, d * r * r, p * n),
-                  f.conj().transpose(0, 1, 3, 2).reshape(m, p * n, d))
+    y = np.matmul(u.transpose(0, 2, 3, 5, 1, 4).reshape(m, d * r * r, p * n), f_conj)
     y = y.reshape(m, n, p, r, r, n, p)
     probs = np.einsum("mabrrab->m", y).real
     # the channel on the two A legs, then back to [m, (B b), (R S B' b')]
@@ -192,7 +234,6 @@ def _simulate(rho, resource, branches, ch: KrausChannel, receivers):
     # q[m] = W_m y[m]; out[B R, B' S] = sum over m, b and (B'' b'') of
     # q[m, (B b), R, S, (B'' b'')] conj(W_m[(B' b), (B'' b'')])
     q = np.matmul(receivers, y.reshape(m, d, r * r * d)).reshape(m, n, p, r, r, d)
-    w = receivers.reshape(m, n, p, d).conj().transpose(0, 2, 3, 1).reshape(-1, n)
     out = q.transpose(1, 3, 4, 0, 2, 5).reshape(n * r * r, m * p * d) @ w
     return out.reshape(n, r, r, n).transpose(0, 1, 3, 2).reshape(n * r, n * r), probs
 
@@ -204,8 +245,9 @@ def _run(proto: ResourceProtocol, ch: KrausChannel, rho: np.ndarray,
     if ch.dim != proto.n:
         raise ValueError(f"channel dim {ch.dim} does not match protocol dim {proto.n}")
     if resource is None:
-        resource = proto.resource.state()
-    return _simulate(rho, resource, proto.branches, ch, proto.receiver_unitaries)
+        return _simulate(rho, proto._operands, ch)
+    return _simulate(rho, _simulator_operands(
+        proto.branches, proto.receiver_unitaries, resource, proto.n), ch)
 
 
 def apply_protocol(
@@ -224,19 +266,6 @@ def _blocks(ops: np.ndarray, n: int, p: int) -> np.ndarray:
     lead = ops.ndim - 2
     t = ops.reshape(*ops.shape[:-2], n, p, n, p)
     return t.transpose(*range(lead), lead + 1, lead + 3, lead, lead + 2)
-
-
-def _control_rows(proto: ResourceProtocol) -> np.ndarray:
-    """Control operators Lambda[eta, k, l] = sum_i mu_i B[k,i] (x) A[l,i]^T
-    side by side, as an (N^2, M*P*P*N^2) array with rows (b_out, a_out) and
-    columns (eta, k, l, b_in, a_in)."""
-    # B[k,i] carries (b_out, b_in), A[l,i]^T carries (a_out, a_in) with
-    # A^T[x, y] = A[y, x].  Each term is (mu_i B) A, the product order of
-    # the three-operand einsum, so the bits match it; a GEMM form does not.
-    a, b = block_operators(proto)
-    mu = proto.resource.mu
-    rows = np.einsum("ekibc,elida->baeklcd", b * mu[:, None, None], a)
-    return rows.reshape(proto.n * proto.n, -1)
 
 
 def _inner_products(mu: np.ndarray, ops: np.ndarray, receivers: np.ndarray,
@@ -274,9 +303,10 @@ def block_operators(proto: ResourceProtocol) -> tuple:
 
 def lambda_operators(proto: ResourceProtocol) -> np.ndarray:
     """Control operators Lambda[eta, k, l] = sum_i mu_i B[k,i] (x) A[l,i]^T,
-    on the output (x) input space, as an (M, P, P, N^2, N^2) array."""
+    on the output (x) input space, as a read-only (M, P, P, N^2, N^2) view of
+    the rows the protocol keeps."""
     nn, p = proto.n * proto.n, proto.local_dim
-    rows = _control_rows(proto).reshape(nn, proto.m, p, p, nn)
+    rows = proto._control_rows.reshape(nn, proto.m, p, p, nn)
     return rows.transpose(1, 2, 3, 0, 4)
 
 
@@ -292,7 +322,7 @@ def control_map(proto: ResourceProtocol, r: ChoiMatrix) -> ChoiMatrix:
     _check_choi_dims(proto, r)
     nn = proto.n * proto.n
     # [Lam_1 | Lam_2 | ...] times its R-weighted copy: sum_j Lam_j R Lam_j^dag
-    rows = _control_rows(proto)
+    rows = proto._control_rows
     out = (rows.reshape(-1, nn) @ r.matrix).reshape(nn, -1) @ rows.conj().T
     return ChoiMatrix.from_matrix(out, dim_out=proto.n, dim_in=proto.n, tol=1e-8)
 

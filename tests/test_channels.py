@@ -187,6 +187,22 @@ def test_rank_of_random_channels():
                 assert rank(random_channel(n, r, seed)) == r
 
 
+@pytest.mark.parametrize("ch,tol", [
+    (depolarizing(0.5), np.nan),
+    (identity_channel(2), -1.0),
+    (identity_channel(2), np.inf),
+])
+def test_rank_rejects_bad_tolerance(ch, tol):
+    with pytest.raises(ValueError, match=f"tol must be finite and >= 0, got {tol}"):
+        rank(ch, tol)
+
+
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_kraus_from_choi_rejects_bad_tolerance(tol):
+    with pytest.raises(ValueError, match=f"tol must be finite and >= 0, got {tol}"):
+        kraus_from_choi(choi(depolarizing(0.5)), tol)
+
+
 def test_random_channel_deterministic():
     a = random_channel(2, 3, seed=9)
     b = random_channel(2, 3, seed=9)
@@ -322,6 +338,13 @@ def test_kraus_stack_is_an_owned_read_only_copy():
         ch.kraus[0] = 0.0
     ops[0] = 0.0
     np.testing.assert_array_equal(ch.kraus, depolarizing(0.5).kraus)
+
+
+def test_choi_state_is_built_once_per_channel():
+    ch = random_channel(3, 9, seed=2)
+    assert choi(ch) is choi(ch)
+    with pytest.raises(ValueError, match="read-only"):
+        choi(ch).matrix[0, 0] = 7.0
 
 
 def test_choi_matrix_is_an_owned_read_only_copy():

@@ -217,6 +217,33 @@ def test_lambda_bits_match_the_three_operand_einsum(n, p, full):
     np.testing.assert_array_equal(lambda_operators(proto), lambda_reference(proto))
 
 
+def test_control_rows_are_built_once_and_read_only():
+    proto = random_protocol(3, 3, 9, seed=5)
+    rows = proto._control_rows
+    assert proto._control_rows is rows
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 0.0
+    lambda_operators(proto)
+    np.testing.assert_array_equal(lambda_operators(proto), lambda_reference(proto))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [1, 2, 3])
+@pytest.mark.parametrize("full", [False, True])
+def test_warm_calls_are_bit_identical_to_cold_ones(n, p, full):
+    def make():
+        return random_protocol(n, p, n * p if full else 1, seed=20 * n + p)
+
+    ch = random_channel(n, n * n, seed=n + p)
+    rho = random_state(n, seed=p)
+    warm = make()
+    for f in (lambda proto: apply_protocol(proto, ch, rho),
+              lambda proto: effective_choi(proto, ch).matrix,
+              lambda proto: control_map(proto, choi(ch)).matrix):
+        f(warm)
+        np.testing.assert_array_equal(f(warm), f(make()))
+
+
 def test_control_map_bare_is_identity_map():
     ch = depolarizing(0.6)
     r = choi(ch)

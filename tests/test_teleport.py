@@ -3,6 +3,7 @@ import pytest
 from dense_reference import swap_matrix
 
 from teleportlab.channels import depolarizing, identity_channel, random_channel
+from teleportlab.protocol import AncillaResource, ResourceProtocol, apply_protocol
 from teleportlab.qmath import (
     fidelity,
     maximally_entangled,
@@ -189,6 +190,23 @@ def test_product_resource_kills_coherence():
     # output depends only on the input's diagonal
     out_diag = teleport_detailed(np.diag(np.diag(plus)), ch, product)[0]
     np.testing.assert_allclose(out, out_diag, atol=1e-12)
+
+
+def test_custom_resource_leaves_the_cached_operands_alone():
+    qt = qt_protocol(2)
+    ch = random_channel(2, 4, seed=12)
+    rho = random_state(2, seed=13)
+    product = np.zeros(4, dtype=complex)
+    product[0] = 1.0  # |00>, the pair with Schmidt vector (1, 0)
+    before = teleport(rho, ch)
+    custom = teleport_detailed(rho, ch, product)[0]
+    np.testing.assert_array_equal(teleport(rho, ch), before)
+    rebuilt = ResourceProtocol(
+        n=2, resource=AncillaResource(mu=[1.0, 0.0]),
+        sender_projections=qt.sender_projections,
+        sender_unitaries=qt.sender_unitaries,
+        receiver_unitaries=qt.receiver_unitaries)
+    np.testing.assert_array_equal(custom, apply_protocol(rebuilt, ch, rho))
 
 
 def test_partial_resource_average_fidelity():
