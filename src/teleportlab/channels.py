@@ -115,10 +115,11 @@ class ChoiMatrix:
             )
         if not np.all(np.isfinite(matrix)):
             raise ValueError("Choi matrix has non-finite entries")
-        herm_dev = float(np.max(np.abs(matrix - dagger(matrix))))
+        adjoint = dagger(matrix)
+        herm_dev = float(np.max(np.abs(matrix - adjoint)))
         if herm_dev > tol:
             raise ValueError(f"Choi matrix not Hermitian: deviation {herm_dev:.3e}")
-        min_val = np.linalg.eigvalsh((matrix + dagger(matrix)) / 2.0)[0]
+        min_val = np.linalg.eigvalsh((matrix + adjoint) / 2.0)[0]
         if min_val < -tol:
             raise ValueError(
                 f"Choi matrix not positive semidefinite: min eigenvalue {min_val:.3e}"

@@ -112,8 +112,11 @@ class ResourceProtocol:
     Each operator family is held as one read-only (M, N*P, N*P) stack, and
     ``branches`` is the stack of branch operators L_eta = Pi_eta U_eta on
     A (x) a.  Operators that are not (N*P) x (N*P) are rejected here;
-    ``validate`` governs only the determinism check.  The control operators
-    and the simulator operands are built on first use and kept, read-only.
+    ``validate`` governs only the determinism check.  What depends on the
+    protocol alone is built on first use and kept, read-only: the control
+    operators, the simulator operands, the sender half of the simulator on
+    |psi_0><psi_0|, the inner products G and the numbers of
+    :func:`~teleportlab.theorem.proof_report`.
     """
 
     n: int
@@ -179,6 +182,28 @@ class ResourceProtocol:
         return _simulator_operands(self.branches, self.receiver_unitaries,
                                    self.resource.state(), self.n)
 
+    @cached_property
+    def _psi0_sent(self) -> np.ndarray:
+        """:func:`_send` of |psi_0><psi_0| through the protocol's own pair,
+        the channel-free part of :func:`effective_choi`."""
+        sent = _send(projector(maximally_entangled(self.n)), self._operands)[0]
+        sent.flags.writeable = False
+        return sent
+
+    @cached_property
+    def _g(self) -> np.ndarray:
+        """The inner products G of :func:`_inner_products`."""
+        g = _inner_products(self.resource.mu, self.branches,
+                            self.receiver_unitaries, self.n, self.local_dim)
+        g.flags.writeable = False
+        return g
+
+    @cached_property
+    def _proof_numbers(self) -> tuple:
+        """The tolerance-free numbers of :func:`~teleportlab.theorem.proof_report`."""
+        from .theorem import _proof_numbers  # theorem imports this module
+        return _proof_numbers(self)
+
 
 def _simulator_operands(branches: np.ndarray, receivers: np.ndarray,
                         resource: np.ndarray, n: int) -> tuple:
@@ -213,13 +238,22 @@ def _simulate(rho, operands: tuple, ch: KrausChannel):
     on transposed and reshaped copies, so BLAS does the arithmetic: the
     branch with a traced out, the channel as an N^2 x N^2 superoperator on
     the two A legs, the receivers, and the trace over b, summed over the
-    branches in the same product.
+    branches in the same product.  :func:`_send` does the channel-free part
+    and :func:`_receive` the rest.
     """
+    sent, probs = _send(rho, operands)
+    return _receive(sent, operands, ch), probs
+
+
+def _send(rho, operands: tuple) -> tuple:
+    """The sender half of :func:`_simulate`: the branch applied to ``rho``
+    and a traced out, as a contiguous [A, A', m, b, R, S, b'] array that
+    :func:`_receive` reads as the channel GEMM's right operand, and the
+    branch probabilities."""
     if not np.all(np.isfinite(rho)):
         raise ValueError("input state has non-finite entries")
-    f, f_conj, receivers, w = operands
-    n = ch.dim
-    m, p, d, _ = f.shape
+    f, f_conj, _, _ = operands
+    m, p, d, n = f.shape
     r = len(rho) // n
     # u[m, a'] = (f[m, a'] (x) I_R) rho, axes [m, a', (A' b), R, A, S]
     u = (f.reshape(m * p * d, n) @ rho.reshape(n, r * n * r)).reshape(m, p, d, r, n, r)
@@ -227,23 +261,36 @@ def _simulate(rho, operands: tuple, ch: KrausChannel):
     y = np.matmul(u.transpose(0, 2, 3, 5, 1, 4).reshape(m, d * r * r, p * n), f_conj)
     y = y.reshape(m, n, p, r, r, n, p)
     probs = np.einsum("mabrrab->m", y).real
+    return np.ascontiguousarray(y.transpose(1, 5, 0, 2, 3, 4, 6)), probs
+
+
+def _receive(sent: np.ndarray, operands: tuple, ch: KrausChannel) -> np.ndarray:
+    """The receiver half of :func:`_simulate`: the channel on the two A legs
+    of a :func:`_send` result, the receivers, and the trace over b."""
+    _, _, receivers, w = operands
+    n, _, m, p, r, _, _ = sent.shape
+    d = n * p
     # the channel on the two A legs, then back to [m, (B b), (R S B' b')]
-    y = (ch.superoperator
-         @ y.transpose(1, 5, 0, 2, 3, 4, 6).reshape(n * n, -1))
+    y = ch.superoperator @ sent.reshape(n * n, -1)
     y = y.reshape(n, n, m, p, r, r, p).transpose(2, 0, 3, 4, 5, 1, 6)
     # q[m] = W_m y[m]; out[B R, B' S] = sum over m, b and (B'' b'') of
     # q[m, (B b), R, S, (B'' b'')] conj(W_m[(B' b), (B'' b'')])
     q = np.matmul(receivers, y.reshape(m, d, r * r * d)).reshape(m, n, p, r, r, d)
     out = q.transpose(1, 3, 4, 0, 2, 5).reshape(n * r * r, m * p * d) @ w
-    return out.reshape(n, r, r, n).transpose(0, 1, 3, 2).reshape(n * r, n * r), probs
+    return out.reshape(n, r, r, n).transpose(0, 1, 3, 2).reshape(n * r, n * r)
+
+
+def _check_channel_dim(proto: ResourceProtocol, ch: KrausChannel) -> None:
+    """Raise unless the channel acts on the protocol's dimension."""
+    if ch.dim != proto.n:
+        raise ValueError(f"channel dim {ch.dim} does not match protocol dim {proto.n}")
 
 
 def _run(proto: ResourceProtocol, ch: KrausChannel, rho: np.ndarray,
          resource: np.ndarray | None = None) -> tuple:
     """Output and branch probabilities of the protocol around one use of the
     channel; ``resource`` replaces the pair state ``proto.resource.state()``."""
-    if ch.dim != proto.n:
-        raise ValueError(f"channel dim {ch.dim} does not match protocol dim {proto.n}")
+    _check_channel_dim(proto, ch)
     if resource is None:
         return _simulate(rho, proto._operands, ch)
     return _simulate(rho, _simulator_operands(
@@ -332,11 +379,13 @@ def effective_choi(proto: ResourceProtocol, ch: KrausChannel) -> ChoiMatrix:
 
     Independent of the control-operator route: runs the full protocol once on
     |psi_0><psi_0| over the input and a passive reference copy, which by
-    linearity is sum_ij E(|i><j|) (x) |i><j| / N.
+    linearity is sum_ij E(|i><j|) (x) |i><j| / N.  The sender half of that
+    run does not involve the channel, so the protocol keeps it and each call
+    runs only the channel, the receivers and the trace over b.
     """
-    n = proto.n
-    out = _run(proto, ch, projector(maximally_entangled(n)))[0]
-    return ChoiMatrix.from_matrix(out, dim_out=n, dim_in=n, tol=1e-8)
+    _check_channel_dim(proto, ch)
+    out = _receive(proto._psi0_sent, proto._operands, ch)
+    return ChoiMatrix.from_matrix(out, dim_out=proto.n, dim_in=proto.n, tol=1e-8)
 
 
 def residual(proto: ResourceProtocol, ch: KrausChannel) -> float:
@@ -353,9 +402,7 @@ def _residual(controlled: ChoiMatrix) -> float:
 def target_overlap(proto: ResourceProtocol, r: ChoiMatrix) -> float:
     """Overlap of the controlled Choi state with the ideal target."""
     _check_choi_dims(proto, r)
-    g = _inner_products(proto.resource.mu, proto.branches,
-                        proto.receiver_unitaries, proto.n, proto.local_dim)
-    return float(_overlap(g, r.matrix))
+    return float(_overlap(proto._g, r.matrix))
 
 
 def entanglement_fidelity(proto: ResourceProtocol, ch: KrausChannel) -> float:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .protocol import (AncillaResource, ResourceProtocol, _inner_products,
-                       block_operators)
+from .protocol import AncillaResource, ResourceProtocol, _blocks
 
 
 def check_relations_13(blocks: tuple) -> float:
@@ -47,9 +46,7 @@ def beta_scalars(proto: ResourceProtocol) -> np.ndarray:
     is the matched-tuple average, and reduces to the exact scalar whenever
     the relation holds.
     """
-    g = _inner_products(proto.resource.mu, proto.branches,
-                        proto.receiver_unitaries, proto.n, proto.local_dim)
-    return _beta_scalars(g, proto.n)
+    return _beta_scalars(proto._g, proto.n)
 
 
 def _beta_scalars(g: np.ndarray, n: int) -> np.ndarray:
@@ -86,25 +83,17 @@ def proof_report(proto: ResourceProtocol, tol: float = 1e-9) -> dict:
     classical communication (M > 1), where the contradiction argument does
     not apply.
     """
-    n, mu = proto.n, proto.resource.mu
-    a, b = block_operators(proto)
-    g = _inner_products(mu, proto.branches, proto.receiver_unitaries, n,
-                        proto.local_dim)
-    r13 = check_relations_13((a, b))
+    n, p = proto.n, proto.local_dim
+    r13, cs, betas, lhs = proto._proof_numbers
     ent_sum, satisfied = entanglement_bound(proto.resource, n)
-    betas = _beta_scalars(g, n)
-    cs = _cauchy_schwarz(mu, a, b, g)
-
     verdicts = {
         "deterministic": bool(r13 <= tol),
         "entanglement_bound_satisfied": bool(satisfied),
         "cauchy_schwarz_ok": bool(cs <= tol),
     }
-    lhs = rhs = None
-    if proto.m == 1:
-        per_m = np.sum(np.abs(g[0]) ** 2, axis=(0, 1, 2))
-        lhs = float(np.mean(per_m))
-        rhs = float(n * proto.local_dim)
+    rhs = None
+    if lhs is not None:
+        rhs = float(n * p)
         verdicts["faithful_correction_possible"] = bool(abs(lhs - rhs) <= tol)
 
     return {
@@ -117,6 +106,22 @@ def proof_report(proto: ResourceProtocol, tol: float = 1e-9) -> dict:
         "contradiction_rhs": rhs,
         "verdicts": verdicts,
     }
+
+
+def _proof_numbers(proto: ResourceProtocol) -> tuple:
+    """What :func:`proof_report` reads of the protocol, which the protocol
+    keeps: the relation-13 residual, the Cauchy-Schwarz violation, the
+    read-only branch scalars and, for M = 1, the contradiction sum (None
+    otherwise)."""
+    n, p, g = proto.n, proto.local_dim, proto._g
+    a, b = (_blocks(x, n, p) for x in (proto.branches, proto.receiver_unitaries))
+    betas = _beta_scalars(g, n)
+    betas.flags.writeable = False
+    lhs = None
+    if proto.m == 1:
+        lhs = float(np.mean(np.sum(np.abs(g[0]) ** 2, axis=(0, 1, 2))))
+    return (check_relations_13((a, b)), _cauchy_schwarz(proto.resource.mu, a, b, g),
+            betas, lhs)
 
 
 def entanglement_bound(resource: AncillaResource, n: int) -> tuple:
@@ -136,11 +141,8 @@ def cauchy_schwarz_check(proto: ResourceProtocol) -> float:
     valid for every protocol, not only faithful ones.  Returns
     max(|inner|^2 - product), which stays <= 0 up to rounding.
     """
-    a, b = block_operators(proto)
-    mu = proto.resource.mu
-    g = _inner_products(mu, proto.branches, proto.receiver_unitaries, proto.n,
-                        proto.local_dim)
-    return _cauchy_schwarz(mu, a, b, g)
+    _, cs, _, _ = proto._proof_numbers
+    return cs
 
 
 def _cauchy_schwarz(mu: np.ndarray, a: np.ndarray, b: np.ndarray,

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from dense_reference import lambda_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import teleportlab.protocol
 from teleportlab.channels import (
     ChoiMatrix,
     choi,
@@ -19,6 +21,7 @@ from teleportlab.protocol import (
     AncillaResource,
     ResourceProtocol,
     _inner_products,
+    _run,
     apply_protocol,
     bare_protocol,
     block_operators,
@@ -42,6 +45,7 @@ from teleportlab.qmath import (
     trace_distance,
 )
 from teleportlab.teleport import qt_protocol, teleport
+from teleportlab.theorem import proof_report
 
 FEASIBLE_COMBOS = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 4), (4, 1), (4, 2), (4, 4)]
 
@@ -242,6 +246,34 @@ def test_warm_calls_are_bit_identical_to_cold_ones(n, p, full):
               lambda proto: control_map(proto, choi(ch)).matrix):
         f(warm)
         np.testing.assert_array_equal(f(warm), f(make()))
+
+
+def test_kept_sender_half_of_effective_choi_is_channel_free(monkeypatch):
+    calls = []
+    original = teleportlab.protocol.block_operators
+
+    def counted(proto):
+        calls.append(proto)
+        return original(proto)
+
+    # every binding of the name in the package, as a tracer would wrap it
+    for module in [m for name, m in sys.modules.items() if name.startswith("teleportlab")]:
+        if getattr(module, "block_operators", None) is original:
+            monkeypatch.setattr(module, "block_operators", counted)
+    proto = random_protocol(3, 2, 4, seed=9)
+    proof_report(proto)
+    psi0 = projector(maximally_entangled(3))
+    for ch in (random_channel(3, 9, seed=1), depolarizing(0.4, 3),
+               random_channel(3, 9, seed=1)):
+        expected = ChoiMatrix.from_matrix(_run(proto, ch, psi0)[0], 3, 3, tol=1e-8)
+        np.testing.assert_array_equal(effective_choi(proto, ch).matrix, expected.matrix)
+    assert calls == []
+    with pytest.raises(ValueError, match="channel dim 2 does not match protocol dim 3"):
+        effective_choi(proto, depolarizing(0.4))
+    with pytest.raises(ValueError, match="read-only"):
+        proto._psi0_sent.flat[0] = 0.0
+    teleportlab.protocol.block_operators(proto)
+    assert calls == [proto]
 
 
 def test_control_map_bare_is_identity_map():

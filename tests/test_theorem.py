@@ -6,17 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from teleportlab.channels import random_channel
+from teleportlab.channels import choi, random_channel
 from teleportlab.protocol import (
     AncillaResource,
     ResourceProtocol,
+    _blocks,
+    _inner_products,
+    _overlap,
     bare_protocol,
     block_operators,
     random_protocol,
     residual,
+    target_overlap,
 )
 from teleportlab.teleport import qt_protocol
 from teleportlab.theorem import (
+    _beta_scalars,
+    _cauchy_schwarz,
     beta_scalars,
     cauchy_schwarz_check,
     check_relations_13,
@@ -302,6 +308,77 @@ def test_proof_report_equals_separate_checks(proto):
         "contradiction_rhs": rhs, "verdicts": verdicts,
     }
     assert proof_report(proto) == expected
+
+
+def _uncached_report(proto, tol):
+    """proof_report's dict from freshly built G and blocks, sharing nothing
+    with what the protocol keeps."""
+    n, p, mu = proto.n, proto.local_dim, proto.resource.mu
+    g = _inner_products(mu, proto.branches, proto.receiver_unitaries, n, p)
+    a, b = _blocks(proto.branches, n, p), _blocks(proto.receiver_unitaries, n, p)
+    r13 = check_relations_13((a, b))
+    cs = _cauchy_schwarz(mu, a, b, g)
+    ent_sum, satisfied = entanglement_bound(proto.resource, n)
+    verdicts = {"deterministic": bool(r13 <= tol),
+                "entanglement_bound_satisfied": bool(satisfied),
+                "cauchy_schwarz_ok": bool(cs <= tol)}
+    lhs = rhs = None
+    if proto.m == 1:
+        lhs = float(np.mean(np.sum(np.abs(g[0]) ** 2, axis=(0, 1, 2))))
+        rhs = float(n * p)
+        verdicts["faithful_correction_possible"] = bool(abs(lhs - rhs) <= tol)
+    return {
+        "relation13_max_residual": r13, "entanglement_sum": ent_sum,
+        "bound": float(np.sqrt(n)),
+        "branch_scalars": [[float(x.real), float(x.imag)]
+                           for x in _beta_scalars(g, n)],
+        "cauchy_schwarz_violation": cs, "contradiction_lhs": lhs,
+        "contradiction_rhs": rhs, "verdicts": verdicts,
+    }, g
+
+
+_CACHE_GRID = [(n, p, m) for n in (2, 3, 4) for p in (1, 2, 3) for m in (1, n * p)]
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda n=n, p=p, m=m: random_protocol(n, p, m, seed=100 * n + 10 * p + m)
+      for n, p, m in _CACHE_GRID),
+    # a copy of the shared qt_protocol(n), so that its caches start empty
+    *(lambda n=n: ResourceProtocol(n, *(getattr(qt_protocol(n), name) for name in (
+        "resource", "sender_projections", "sender_unitaries", "receiver_unitaries")))
+      for n in (2, 3, 4)),
+], ids=[f"n{n}p{p}m{m}" for n, p, m in _CACHE_GRID] + ["qt2", "qt3", "qt4"])
+def test_kept_proof_numbers_equal_an_uncached_route(make):
+    proto = make()
+    r = choi(random_channel(proto.n, proto.n**2, seed=proto.m))
+    expected, g = _uncached_report(proto, 1e-9)
+    for _ in range(2):  # the call that fills the cache, then one that reads it
+        assert proof_report(proto) == expected
+        np.testing.assert_array_equal(beta_scalars(proto), _beta_scalars(g, proto.n))
+        assert cauchy_schwarz_check(proto) == expected["cauchy_schwarz_violation"]
+        assert target_overlap(proto, r) == float(_overlap(g, r.matrix))
+
+
+def test_proof_report_applies_tol_per_call():
+    good = random_protocol(2, 2, 2, seed=3)
+    proto = ResourceProtocol(2, good.resource, good.sender_projections,
+                             1.01 * good.sender_unitaries,
+                             good.receiver_unitaries, validate=False)
+    r13, cs = proof_report(proto)["relation13_max_residual"], cauchy_schwarz_check(proto)
+    # Cauchy-Schwarz holds for any operators (cs <= 0 up to rounding), so
+    # only a negative tol fails it
+    assert 1e-9 < r13 < 1.0 and -1.0 < cs <= 1e-9
+    g, numbers = proto._g, proto._proof_numbers
+    for tol, deterministic, cs_ok in ((1.0, True, True), (1e-9, False, True),
+                                      (-1.0, False, False), (1.0, True, True)):
+        report = proof_report(proto, tol=tol)
+        assert report == _uncached_report(proto, tol)[0]
+        assert report["verdicts"]["deterministic"] is deterministic
+        assert report["verdicts"]["cauchy_schwarz_ok"] is cs_ok
+        assert proto._g is g and proto._proof_numbers is numbers
+    for kept in (g, numbers[2]):
+        with pytest.raises(ValueError, match="read-only"):
+            kept.flat[0] = 0.0
 
 
 def test_proof_report_m1_verdicts():
