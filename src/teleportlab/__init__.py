@@ -19,7 +19,6 @@ from .qmath import (
 from .channels import (
     ChoiMatrix,
     KrausChannel,
-    apply_on_factor,
     choi,
     depolarizing,
     depolarizing_locc_simulable,
@@ -82,7 +81,6 @@ __all__ = [
     "OptimizationResult",
     "ProtocolParameterization",
     "ResourceProtocol",
-    "apply_on_factor",
     "apply_protocol",
     "bare_protocol",
     "bell_basis",

@@ -12,7 +12,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -20,6 +20,7 @@ import numpy as np
 from .qmath import (
     _INTEGER,
     _MATRICES,
+    _check_state,
     _haar_isometry,
     _operator_stack,
     _read_json,
@@ -92,7 +93,8 @@ class KrausChannel:
 
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:
-    """Trace-1 Choi state on the output (x) input space.
+    """Trace-1 Choi state on the output (x) input space, validated within
+    ``tol`` by the constructor.
 
     ``matrix`` is an owned, read-only copy; the eigensystem is computed on
     first read and cached, also read-only.
@@ -101,41 +103,30 @@ class ChoiMatrix:
     dim_out: int
     dim_in: int
     matrix: np.ndarray
+    tol: InitVar[float] = 1e-10
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, dim_out: int, dim_in: int,
-                    tol: float = 1e-10) -> "ChoiMatrix":
-        """Validate invariants and wrap a read-only copy of the matrix."""
-        matrix = np.array(matrix, dtype=complex)
-        d = dim_out * dim_in
+    def __post_init__(self, tol: float):
+        matrix = np.array(self.matrix, dtype=complex)
+        d = self.dim_out * self.dim_in
         if matrix.shape != (d, d):
-            raise ValueError(
-                f"Choi matrix shape {matrix.shape} does not match dims "
-                f"{dim_out}x{dim_in}"
-            )
-        if not np.all(np.isfinite(matrix)):
-            raise ValueError("Choi matrix has non-finite entries")
-        adjoint = dagger(matrix)
-        herm_dev = float(np.max(np.abs(matrix - adjoint)))
-        if herm_dev > tol:
-            raise ValueError(f"Choi matrix not Hermitian: deviation {herm_dev:.3e}")
-        min_val = np.linalg.eigvalsh((matrix + adjoint) / 2.0)[0]
-        if min_val < -tol:
-            raise ValueError(
-                f"Choi matrix not positive semidefinite: min eigenvalue {min_val:.3e}"
-            )
-        trace_dev = abs(float(np.trace(matrix).real) - 1.0)
-        if trace_dev > tol:
-            raise ValueError(f"Choi matrix trace deviates from 1 by {trace_dev:.3e}")
-        marginal = matrix.reshape(dim_out, dim_in, dim_out, dim_in).trace(axis1=0, axis2=2)
-        marg_dev = float(np.max(np.abs(marginal - np.eye(dim_in) / dim_in)))
+            raise ValueError(f"Choi matrix shape {matrix.shape} does not match "
+                             f"dims {self.dim_out}x{self.dim_in}")
+        _check_state(matrix, "Choi matrix", tol)
+        marginal = matrix.reshape((self.dim_out, self.dim_in) * 2).trace(axis1=0, axis2=2)
+        marg_dev = float(np.max(np.abs(marginal - np.eye(self.dim_in) / self.dim_in)))
         if marg_dev > tol:
             raise ValueError(
                 "Choi input marginal deviates from I/N "
                 f"(map not trace-preserving) by {marg_dev:.3e}"
             )
         matrix.flags.writeable = False
-        return cls(dim_out=dim_out, dim_in=dim_in, matrix=matrix)
+        object.__setattr__(self, "matrix", matrix)
+
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray, dim_out: int, dim_in: int,
+                    tol: float = 1e-10) -> "ChoiMatrix":
+        """The validated Choi state of ``matrix``, as the constructor builds it."""
+        return cls(dim_out, dim_in, matrix, tol)
 
     @cached_property
     def _eigensystem(self) -> tuple:

@@ -34,6 +34,7 @@ from .optimize import (
     zero_parameterization,
 )
 from .protocol import (
+    AncillaResource,
     _residual,
     control_map,
     effective_choi,
@@ -106,7 +107,7 @@ def _load_state(path) -> np.ndarray:
     rho = matrix_from_pairs(matrix)
     if len(rho) != dim:
         raise ValueError(f"'matrix' shape {rho.shape} does not match 'dim' {dim}")
-    assert_density_matrix(rho, herm_tol=1e-10, trace_tol=1e-10)
+    assert_density_matrix(rho, tol=1e-10)
     return rho
 
 
@@ -180,8 +181,10 @@ def cmd_teleport(channel_file, depolarizing_p, dim, state_file, random_seed, mu,
                 raise ValueError(
                     f"--mu needs {ch.dim} coefficients, got {coeffs.size}"
                 )
-            resource = np.zeros(ch.dim**2, dtype=complex)
-            resource[:: ch.dim + 1] = coeffs
+            try:
+                resource = AncillaResource(mu=coeffs).state()
+            except ValueError as exc:  # a negative coefficient
+                raise ValueError(f"--mu: {exc}, got {mu}") from None
         output, probs = teleport_detailed(rho, ch, resource)
     except (ValueError, OSError) as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))

@@ -30,11 +30,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import ChoiMatrix, KrausChannel, choi
+from .channels import KrausChannel, choi
 from .protocol import (
     AncillaResource,
     ResourceProtocol,
+    _check_channel_dim,
     _check_determinism,
+    _check_dims,
     _check_schmidt,
     _inner_products,
     _overlap,
@@ -112,13 +114,6 @@ def generator_from_unitary(u: np.ndarray) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
-def _check_dims(n: int, p: int) -> None:
-    """Raise unless the system dimension N and ancilla dimension P are >= 1."""
-    for name, value in (("system dimension n", n), ("local dimension p", p)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-
-
 def _branch_count(measured: str, n: int, p: int) -> int:
     """Outcomes of the sender's measurement: 1 for ``"none"``, P for
     ``"ancilla"``, N*P for ``"full"``; raises for any other ``measured`` and
@@ -141,9 +136,9 @@ def _theta_size(n: int, p: int, measured: str, pinned: bool) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolParameterization:
-    """Point in protocol space: the structure (dimensions, measurement, a
-    pinned Schmidt profile) and one real parameter vector ``theta`` (an owned,
-    read-only copy), laid out as :func:`_theta_size` counts it."""
+    """Point in protocol space: the structure (dimensions, measurement, a pinned
+    Schmidt profile ``mu_fixed``) and one real parameter vector ``theta``, laid
+    out as :func:`_theta_size` counts it; both arrays are owned, read-only copies."""
 
     n: int
     local_dim: int
@@ -164,7 +159,8 @@ class ProtocolParameterization:
                 f"mu {'pinned' if pinned else 'free'}; got {theta.size}"
             )
         if pinned:
-            mu_fixed = np.asarray(self.mu_fixed, dtype=float).reshape(-1)
+            mu_fixed = np.array(self.mu_fixed, dtype=float).reshape(-1)
+            mu_fixed.flags.writeable = False
             object.__setattr__(self, "mu_fixed", mu_fixed)
             if mu_fixed.size != self.local_dim:
                 raise ValueError(
@@ -264,14 +260,13 @@ def _hermitian_map(d: int) -> np.ndarray:
     return out.reshape(d * d, 2 * d * d)
 
 
-def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
-                       r: ChoiMatrix | None = None):
+def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
     """The search objective over parameter vectors laid out as ``base.theta``.
 
     Everything that does not depend on the point (the generator map, the
-    sender's row mask, the pinned Schmidt vector, ``r = choi(ch)`` unless
-    given) is built once here.  The returned function takes one vector,
-    giving a float, or a (B, dim) stack, giving B values, and computes what
+    sender's row mask, the pinned Schmidt vector, ``r = choi(ch)``) is built
+    once here.  The returned function takes one vector, giving a float, or a
+    (B, dim) stack, giving B values, and computes what
     ``target_overlap(decode(replace(base, theta=theta)), r)`` does, bit for bit,
     with few array calls: all generators in one product with the generator
     map, one batched ``eigh``, the sender branches as masked rows of the
@@ -279,11 +274,8 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
     ``decode`` (same tolerance, same messages), then the same inner products
     and overlap.
     """
+    _check_channel_dim(base, ch)
     n, p = base.n, base.local_dim
-    if ch.dim != n:
-        raise ValueError(
-            f"channel dim {ch.dim} does not match protocol dim {n} of the search"
-        )
     d = n * p
     projections = base.projections()
     m = len(projections)
@@ -293,7 +285,7 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization,
     pinned = None if free_mu else base.mu()
     if pinned is not None:
         _check_schmidt(pinned)
-    r_matrix = (choi(ch) if r is None else r).matrix
+    r_matrix = choi(ch).matrix
     hermitian_map = _hermitian_map(d)
     # the projections are diagonal 0/1, so P_eta U keeps the rows of U that
     # P_eta keeps; "none" measures nothing (P = I)
@@ -425,7 +417,7 @@ def optimize(
 ) -> OptimizationResult:
     """Multi-restart ascent of the entanglement fidelity; seeded, monotone."""
     r = choi(ch)
-    fun = _compile_objective(ch, base, r)
+    fun = _compile_objective(ch, base)
     dim = base.theta.size
     runs = []
     for restart in range(cfg.restarts):

@@ -46,6 +46,13 @@ def _check_schmidt(mu: np.ndarray) -> None:
     )
 
 
+def _check_dims(n: int, p: int) -> None:
+    """Raise unless the system dimension N and ancilla dimension P are >= 1."""
+    for name, value in (("system dimension n", n), ("local dimension p", p)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def _check_determinism(ops: np.ndarray, receivers: np.ndarray, tol: float) -> float:
     """Determinism residuals of stacked branch operators and receivers.
 
@@ -281,7 +288,7 @@ def _receive(sent: np.ndarray, operands: tuple, ch: KrausChannel) -> np.ndarray:
 
 
 def _check_channel_dim(proto: ResourceProtocol, ch: KrausChannel) -> None:
-    """Raise unless the channel acts on the protocol's dimension."""
+    """Raise unless the channel acts on ``proto.n`` (a protocol's or a search's)."""
     if ch.dim != proto.n:
         raise ValueError(f"channel dim {ch.dim} does not match protocol dim {proto.n}")
 
@@ -410,16 +417,20 @@ def entanglement_fidelity(proto: ResourceProtocol, ch: KrausChannel) -> float:
     return target_overlap(proto, choi(ch))
 
 
-def bare_protocol(n: int, local_dim: int = 1, mu=None) -> ResourceProtocol:
-    """Single-branch protocol that just sends the state through the channel."""
-    if mu is None:
-        mu = np.zeros(local_dim)
-        mu[0] = 1.0
-    d = n * len(np.atleast_1d(mu))
-    eye = np.eye(d, dtype=complex)[None]
+def bare_protocol(n: int, local_dim: int | None = None, mu=None) -> ResourceProtocol:
+    """Single-branch protocol that just sends the state through the channel.
+    The pair's P is the length of ``mu``, or ``local_dim`` (default 1) with
+    mu = (1, 0, ..., 0); a ``local_dim`` of another length raises."""
+    p = local_dim if mu is None else np.size(mu)
+    p = 1 if p is None else p
+    if local_dim not in (None, p):
+        raise ValueError(f"local_dim {local_dim} does not match the "
+                         f"{p} Schmidt coefficients of mu")
+    _check_dims(n, p)
+    eye = np.eye(n * p, dtype=complex)[None]
     return ResourceProtocol(
         n=n,
-        resource=AncillaResource(mu=mu),
+        resource=AncillaResource(mu=np.eye(p)[0] if mu is None else mu),
         sender_projections=eye,
         sender_unitaries=eye,
         receiver_unitaries=eye,

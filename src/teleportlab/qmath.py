@@ -215,27 +215,32 @@ def assert_pure_state(vec: np.ndarray, tol: float = 1e-12) -> None:
         raise ValueError(f"pure state squared-norm deviates from 1 by {dev:.3e}")
 
 
-def assert_density_matrix(
-    rho: np.ndarray,
-    herm_tol: float = 1e-12,
-    trace_tol: float = 1e-12,
-    psd_tol: float = 1e-10,
-) -> None:
+def _check_state(matrix: np.ndarray, what: str, tol: float) -> None:
+    """Raise ValueError unless the square complex ``matrix`` is a state: finite,
+    Hermitian, positive semidefinite and of trace 1, each within ``tol`` and
+    checked in that order; the message starts with ``what``."""
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"{what} has non-finite entries")
+    adjoint = dagger(matrix)
+    herm_dev = float(np.max(np.abs(matrix - adjoint)))
+    if herm_dev > tol:
+        raise ValueError(f"{what} not Hermitian: deviation {herm_dev:.3e}")
+    min_val = np.linalg.eigvalsh((matrix + adjoint) / 2.0)[0]
+    if min_val < -tol:
+        raise ValueError(
+            f"{what} not positive semidefinite: min eigenvalue {min_val:.3e}"
+        )
+    trace_dev = abs(float(np.trace(matrix).real) - 1.0)
+    if trace_dev > tol:
+        raise ValueError(f"{what} trace deviates from 1 by {trace_dev:.3e}")
+
+
+def assert_density_matrix(rho: np.ndarray, tol: float = 1e-12) -> None:
     """Raise ValueError naming the violated density-matrix invariant."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"density matrix must be square, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("density matrix has non-finite entries")
-    herm_dev = float(np.max(np.abs(rho - dagger(rho))))
-    if herm_dev > herm_tol:
-        raise ValueError(f"density matrix not Hermitian: deviation {herm_dev:.3e}")
-    trace_dev = abs(float(np.trace(rho).real) - 1.0)
-    if trace_dev > trace_tol:
-        raise ValueError(f"density matrix trace deviates from 1 by {trace_dev:.3e}")
-    min_eig = float(np.min(np.linalg.eigvalsh((rho + dagger(rho)) / 2.0)))
-    if min_eig < -psd_tol:
-        raise ValueError(f"density matrix not positive: min eigenvalue {min_eig:.3e}")
+    _check_state(rho, "density matrix", tol)
 
 
 def matrix_to_pairs(m: np.ndarray) -> list:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teleportlab.channels import (
     ChoiMatrix,
@@ -19,6 +21,7 @@ from teleportlab.channels import (
     save_channel,
 )
 from teleportlab.qmath import (
+    assert_density_matrix,
     dagger,
     embed_operator,
     maximally_entangled,
@@ -296,6 +299,38 @@ def test_choi_matrix_validation():
         ChoiMatrix.from_matrix(bad_marginal, 2, 2)
 
 
+# both kinds of state go through the one state checker, the Choi state by its
+# constructor; each check names the kind of state it rejects
+_STATE_KINDS = pytest.mark.parametrize("check, what", [
+    (assert_density_matrix, "density matrix"),
+    (lambda m: ChoiMatrix(2, 2, m), "Choi matrix"),
+], ids=["density", "choi"])
+
+
+@_STATE_KINDS
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(entry=st.integers(0, 15),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf, complex(0, np.nan),
+                            complex(0, -np.inf)]))
+def test_states_reject_a_non_finite_entry(check, what, entry, bad):
+    matrix = np.eye(4, dtype=complex) / 4
+    matrix.flat[entry] = bad
+    with pytest.raises(ValueError, match=f"^{what} has non-finite entries$"):
+        check(matrix)
+
+
+@_STATE_KINDS
+@pytest.mark.parametrize("matrix, message", [
+    (np.triu(np.ones((4, 4))) / 4, r"not Hermitian: deviation 2\.500e-01"),
+    (np.diag([0.6, 0.6, 0.6, -0.8]),
+     r"not positive semidefinite: min eigenvalue -8\.000e-01"),
+    (np.eye(4) / 2, r"trace deviates from 1 by 1\.000e\+00"),
+], ids=["non-hermitian", "non-psd", "trace-2"])
+def test_states_reject_a_broken_invariant(check, what, matrix, message):
+    with pytest.raises(ValueError, match=f"^{what} {message}$"):
+        check(matrix)
+
+
 def test_channel_json_round_trip(tmp_path):
     ch = depolarizing(0.37)
     path = tmp_path / "channel.json"
@@ -350,9 +385,13 @@ def test_choi_state_is_built_once_per_channel():
 def test_choi_matrix_is_an_owned_read_only_copy():
     m = np.eye(4, dtype=complex) / 4
     c = ChoiMatrix.from_matrix(m, 2, 2)
+    direct = ChoiMatrix(2, 2, m)
     m[0, 0] = 7.0
     np.testing.assert_array_equal(c.matrix, np.eye(4) / 4)
-    for r in (c, choi(depolarizing(0.5))):
+    np.testing.assert_array_equal(direct.matrix, np.eye(4) / 4)
+    with pytest.raises(ValueError, match="trace deviates from 1 by 1.900e"):
+        ChoiMatrix(2, 2, 5 * np.eye(4))
+    for r in (c, direct, choi(depolarizing(0.5))):
         with pytest.raises(ValueError, match="read-only"):
             r.matrix[0, 0] = 7.0
 

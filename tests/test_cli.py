@@ -413,6 +413,14 @@ def test_teleport_rejects_zero_or_non_finite_mu(runner, mu):
         f"error: --mu must be finite and not all zero, got {mu}"]
 
 
+def test_teleport_negative_mu_exits_2_with_one_line(runner):
+    result = runner.invoke(main, ["teleport", "--depolarizing", "0.5", "--random",
+                                  "3", "--mu=-0.6,0.8"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: --mu: Schmidt coefficients must be non-negative, got -0.6,0.8"]
+
+
 @pytest.mark.parametrize("override, message", [
     ({"mu_fixed": [0, 0]}, "mu_fixed must be non-negative with a finite, "
                            "nonzero norm, got [0.0, 0.0]"),

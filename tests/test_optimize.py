@@ -160,6 +160,10 @@ def test_mu_fixed_overrides_and_normalizes():
     mu = np.array([3.0, 4.0])
     params = zero_parameterization(2, 2, "full", mu_fixed=mu)
     np.testing.assert_allclose(params.mu(), [0.6, 0.8], atol=1e-14)
+    mu[:] = 0.0  # the parameterization holds a read-only copy
+    np.testing.assert_allclose(params.mu(), [0.6, 0.8], atol=1e-14)
+    with pytest.raises(ValueError, match="read-only"):
+        params.mu_fixed[0] = 1.0
 
 
 def test_random_parameters_decode_deterministically_valid():

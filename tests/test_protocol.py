@@ -135,6 +135,17 @@ def test_bare_protocol_is_channel_use():
                                    atol=1e-12)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"local_dim": 3, "mu": [1.0, 0.0]},
+     "local_dim 3 does not match the 2 Schmidt coefficients of mu"),
+    ({"local_dim": 0}, "local dimension p must be >= 1, got 0"),
+    ({"mu": []}, "local dimension p must be >= 1, got 0"),
+], ids=["mismatch", "p-0", "empty-mu"])
+def test_bare_protocol_rejects_a_bad_local_dim(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        bare_protocol(2, **kwargs)
+
+
 def test_random_protocols_trace_preserving():
     for seed, (p, m) in enumerate(FEASIBLE_COMBOS):
         proto = random_protocol(2, p, m, seed=seed)
