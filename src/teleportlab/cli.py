@@ -35,6 +35,7 @@ from .optimize import (
 )
 from .protocol import (
     AncillaResource,
+    _check_channel_dim,
     _residual,
     control_map,
     effective_choi,
@@ -226,9 +227,10 @@ def cmd_protocol_verify(protocol_file, channel_file, qt_dim, depolarizing_p,
         determinism_residual = proto.check_determinism(tol=tol)
     except ValueError as exc:
         _fail(EXIT_SEMANTIC_ERROR, str(exc))
-    if proto.n != ch.dim:
-        _fail(EXIT_INPUT_ERROR,
-              f"protocol dim {proto.n} does not match channel dim {ch.dim}")
+    try:
+        _check_channel_dim(proto, ch)
+    except ValueError as exc:
+        _fail(EXIT_INPUT_ERROR, str(exc))
 
     r = choi(ch)
     controlled = control_map(proto, r)

@@ -37,7 +37,6 @@ from .protocol import (
     _check_channel_dim,
     _check_determinism,
     _check_dims,
-    _check_schmidt,
     _inner_products,
     _overlap,
     _residual,
@@ -73,27 +72,45 @@ def hermitian_to_vec(h: np.ndarray) -> np.ndarray:
     return np.concatenate([np.real(np.diagonal(h)), upper.real, upper.imag])
 
 
-def vec_to_hermitian(vec: np.ndarray, d: int) -> np.ndarray:
-    """Inverse of :func:`hermitian_to_vec`; a (..., d^2) stack of vectors
-    gives a (..., d, d) stack of matrices."""
-    vec = np.asarray(vec, dtype=float)
+@lru_cache(maxsize=None)
+def _hermitian_map(d: int) -> np.ndarray:
+    """Real (d^2, 2 d^2) map from one generator's parameters, laid out as
+    :func:`hermitian_to_vec`, to the real view of its d x d matrix (real and
+    imaginary parts interleaved, row-major); read-only (the cache shares it).
+
+    Every entry is 0 or +-1 and every output has at most one nonzero term, so
+    the product with finite parameters is exact.
+    """
     diag, rows, cols = _hermitian_indices(d)
     split = d + rows.size  # real parts of the upper triangle end here
-    h = np.zeros(vec.shape[:-1] + (d, d), dtype=complex)
-    h[..., diag, diag] = vec[..., :d]
-    upper = vec[..., d:split] + 1j * vec[..., split:]
-    h[..., rows, cols] = upper
-    h[..., cols, rows] = upper.conj()
-    return h
+    upper = np.arange(rows.size)
+    out = np.zeros((d * d, d, d, 2))
+    out[diag, diag, diag, 0] = 1.0
+    out[d + upper, rows, cols, 0] = out[d + upper, cols, rows, 0] = 1.0
+    out[split + upper, rows, cols, 1] = 1.0
+    out[split + upper, cols, rows, 1] = -1.0
+    out.flags.writeable = False  # and so is the reshaped view
+    return out.reshape(d * d, 2 * d * d)
+
+
+def vec_to_hermitian(vec: np.ndarray, d: int) -> np.ndarray:
+    """Inverse of :func:`hermitian_to_vec`; a (..., d^2) stack of vectors
+    gives a (..., d, d) stack of matrices (all NaN for a non-finite vector)."""
+    vec = np.asarray(vec, dtype=float)
+    return (vec @ _hermitian_map(d)).view(complex).reshape(vec.shape[:-1] + (d, d))
+
+
+def _expi(h: np.ndarray) -> np.ndarray:
+    """exp(i H) for a (..., d, d) stack of Hermitian H, via ``eigh``."""
+    vals, vecs = np.linalg.eigh(h)
+    return (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
 def unitary_from_generator(h: np.ndarray) -> np.ndarray:
     """exp(i H) for Hermitian H, via the eigendecomposition; a (..., d, d)
     stack of generators gives a stack of unitaries."""
     h = np.asarray(h, dtype=complex)
-    h = (h + h.conj().swapaxes(-1, -2)) / 2.0
-    vals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+    return _expi((h + h.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def _squared_softmax(params: np.ndarray) -> np.ndarray:
@@ -114,24 +131,34 @@ def generator_from_unitary(u: np.ndarray) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
-def _branch_count(measured: str, n: int, p: int) -> int:
-    """Outcomes of the sender's measurement: 1 for ``"none"``, P for
-    ``"ancilla"``, N*P for ``"full"``; raises for any other ``measured`` and
-    for dimensions below 1."""
+def _outcome_labels(measured: str, n: int, p: int) -> np.ndarray:
+    """The sender's outcome for each computational basis state r*P + i of
+    A (x) a: 0 for ``"none"``, i for ``"ancilla"`` (it measures a only), the
+    state itself for ``"full"``; raises for any other ``measured`` and for
+    dimensions below 1."""
     _check_dims(n, p)
     if measured not in MEASUREMENT_CHOICES:
         raise ValueError(
             f"measured must be one of {MEASUREMENT_CHOICES}, got {measured!r}"
         )
-    return {"none": 1, "ancilla": p, "full": n * p}[measured]
+    states = np.arange(n * p)
+    return {"none": 0 * states, "ancilla": states % p, "full": states}[measured]
 
 
 def _theta_size(n: int, p: int, measured: str, pinned: bool) -> int:
-    """Length of a parameter vector: the sender's generator, then each
-    receiver's, as :func:`hermitian_to_vec` lays them out, then P-1 Schmidt
-    parameters unless mu is pinned; raises as :func:`_branch_count`."""
-    d = n * p
-    return (1 + _branch_count(measured, n, p)) * d * d + (0 if pinned else p - 1)
+    """Length of a parameter vector: the sender's generator, then one receiver's
+    per outcome, as :func:`hermitian_to_vec` lays them out, then P-1 Schmidt
+    parameters unless mu is pinned; raises as :func:`_outcome_labels`."""
+    m = int(_outcome_labels(measured, n, p).max()) + 1
+    return (1 + m) * (n * p) ** 2 + (0 if pinned else p - 1)
+
+
+def _check_theta(theta: np.ndarray) -> None:
+    """Raise unless every parameter of a vector or (B, dim) stack is finite."""
+    finite = np.isfinite(theta)
+    if not finite.all():
+        bad = tuple(np.argwhere(~finite)[0])
+        raise ValueError(f"theta must be finite, got {theta[bad]} at index {bad[-1]}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,6 +185,7 @@ class ProtocolParameterization:
                 f"p={self.local_dim}, measured={self.measured!r}, "
                 f"mu {'pinned' if pinned else 'free'}; got {theta.size}"
             )
+        _check_theta(theta)
         if pinned:
             mu_fixed = np.array(self.mu_fixed, dtype=float).reshape(-1)
             mu_fixed.flags.writeable = False
@@ -167,10 +195,12 @@ class ProtocolParameterization:
                     f"mu_fixed length {mu_fixed.size} does not match "
                     f"local dim {self.local_dim}"
                 )
-            # mu() divides by the norm: it must be finite and nonzero
+            # mu() divides by the norm: it must be finite and nonzero, and
+            # the quotient a unit vector (a subnormal norm is rounded)
             with np.errstate(over="ignore"):
                 norm = np.linalg.norm(mu_fixed)
-            if not (mu_fixed.min() >= 0 and 0 < norm < np.inf):
+            if not (mu_fixed.min() >= 0 and 0 < norm < np.inf
+                    and abs((self.mu() ** 2).sum() - 1.0) <= 1e-10):
                 raise ValueError(
                     "mu_fixed must be non-negative with a finite, nonzero "
                     f"norm, got {mu_fixed.tolist()}"
@@ -178,18 +208,12 @@ class ProtocolParameterization:
 
     @property
     def branch_count(self) -> int:
-        return _branch_count(self.measured, self.n, self.local_dim)
+        return len(self.projections())
 
     def projections(self) -> np.ndarray:
-        """The sender's measurement: stacked computational projectors on A (x) a.
-
-        ``"ancilla"`` measures a only, so its projectors interleave (basis
-        state r*P + i goes to outcome i); the other two are contiguous.
-        """
-        d = self.n * self.local_dim
-        labels = {"none": np.zeros(d, dtype=int), "full": np.arange(d),
-                  "ancilla": np.arange(d) % self.local_dim}[self.measured]
-        return basis_projections(labels)
+        """The sender's measurement: stacked computational projectors on A (x) a,
+        one per outcome of :func:`_outcome_labels` (``"ancilla"``'s interleave)."""
+        return basis_projections(_outcome_labels(self.measured, self.n, self.local_dim))
 
     def generators(self) -> np.ndarray:
         """The (1+M, d, d) Hermitian generators: the sender's, then each
@@ -240,26 +264,6 @@ def decode(params: ProtocolParameterization) -> ResourceProtocol:
     )
 
 
-def _hermitian_map(d: int) -> np.ndarray:
-    """Real (d^2, 2 d^2) map from one generator's parameters, laid out as
-    :func:`hermitian_to_vec`, to the real view of its d x d matrix (real and
-    imaginary parts interleaved, row-major).
-
-    Every entry is 0 or +-1 and every output has at most one nonzero term, so
-    ``(vec @ map).view(complex)`` is exactly what :func:`vec_to_hermitian`
-    writes, for finite parameters.
-    """
-    diag, rows, cols = _hermitian_indices(d)
-    split = d + rows.size  # real parts of the upper triangle end here
-    upper = np.arange(rows.size)
-    out = np.zeros((d * d, d, d, 2))
-    out[diag, diag, diag, 0] = 1.0
-    out[d + upper, rows, cols, 0] = out[d + upper, cols, rows, 0] = 1.0
-    out[split + upper, rows, cols, 1] = 1.0
-    out[split + upper, cols, rows, 1] = -1.0
-    return out.reshape(d * d, 2 * d * d)
-
-
 def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
     """The search objective over parameter vectors laid out as ``base.theta``.
 
@@ -268,11 +272,12 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
     once here.  The returned function takes one vector, giving a float, or a
     (B, dim) stack, giving B values, and computes what
     ``target_overlap(decode(replace(base, theta=theta)), r)`` does, bit for bit,
-    with few array calls: all generators in one product with the generator
-    map, one batched ``eigh``, the sender branches as masked rows of the
-    sender unitary (the projections are diagonal), the determinism check of
-    ``decode`` (same tolerance, same messages), then the same inner products
-    and overlap.
+    with few array calls: the finiteness check of a parameterization, all
+    generators in one product with the generator map, one batched ``eigh``,
+    the sender branches as masked rows of the sender unitary (the projections
+    are diagonal), the determinism check of ``decode`` (same tolerance, same
+    messages), then the same inner products and overlap.  The Schmidt vector
+    needs no check: the squared softmax of finite parameters is a unit vector.
     """
     _check_channel_dim(base, ch)
     n, p = base.n, base.local_dim
@@ -280,17 +285,13 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
     projections = base.projections()
     m = len(projections)
     n_gen = (1 + m) * d * d
-    free_mu = base.mu_fixed is None
     size = base.theta.size
-    pinned = None if free_mu else base.mu()
-    if pinned is not None:
-        _check_schmidt(pinned)
+    pinned = None if base.mu_fixed is None else base.mu()
     r_matrix = choi(ch).matrix
     hermitian_map = _hermitian_map(d)
     # the projections are diagonal 0/1, so P_eta U keeps the rows of U that
-    # P_eta keeps; "none" measures nothing (P = I)
-    row_mask = (None if base.measured == "none"
-                else projections.diagonal(0, 1, 2)[..., None])
+    # P_eta keeps; a single outcome measures nothing (P = I)
+    row_mask = None if m == 1 else projections.diagonal(0, 1, 2)[..., None]
 
     def fun(theta):
         theta = np.asarray(theta, dtype=float)
@@ -299,26 +300,16 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
                 f"parameter shape {theta.shape} is not (dim,) or (B, dim), dim {size}"
             )
         stack = theta.reshape(-1, size)
-        batch = len(stack)
-        gen = stack[:, :n_gen].reshape(batch, 1 + m, d * d)
-        h = (gen @ hermitian_map).view(complex).reshape(batch, 1 + m, d, d)
-        # h is Hermitian by construction, so the symmetrization in
-        # unitary_from_generator would not change a bit of it
-        try:
-            vals, vecs = np.linalg.eigh(h)
-        except np.linalg.LinAlgError:
-            # a non-finite parameter times the map's zeros fills its matrix
-            # with NaN; built as decode builds it, it fails as decode fails
-            vals, vecs = np.linalg.eigh(vec_to_hermitian(gen, d))
-        u = (vecs * np.exp(1j * vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+        _check_theta(stack)
+        gen = stack[:, :n_gen].reshape(-1, 1 + m, d * d)
+        # vec_to_hermitian's product; h is Hermitian by construction, so the
+        # symmetrization in unitary_from_generator would not change a bit of it
+        u = _expi((gen @ hermitian_map).view(complex).reshape(-1, 1 + m, d, d))
         senders = u[:, :1] if row_mask is None else u[:, :1] * row_mask
         receivers = u[:, 1:]
         _check_determinism(senders, receivers, 1e-10)
-        if free_mu:
-            mu = _squared_softmax(stack[:, n_gen:])
-            _check_schmidt(mu)
-        else:
-            mu = pinned  # broadcasts over the stack
+        # a pinned mu broadcasts over the stack
+        mu = _squared_softmax(stack[:, n_gen:]) if pinned is None else pinned
         out = _overlap(_inner_products(mu, senders, receivers, n, p), r_matrix)
         return float(out[0]) if theta.ndim == 1 else out
 

@@ -114,16 +114,22 @@ def _matrix_sqrt(rho: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
+def _pair(rho: np.ndarray, sigma: np.ndarray) -> tuple:
+    """Two matrices as complex arrays; raises unless their shapes agree."""
+    rho = np.asarray(rho, dtype=complex)
+    sigma = np.asarray(sigma, dtype=complex)
+    if rho.shape != sigma.shape:
+        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    return rho, sigma
+
+
 def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Uhlmann fidelity F = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2.
 
     Uses the squared convention throughout the package, so for pure states
     F(|a>, |b>) = |<a|b>|^2.
     """
-    rho = np.asarray(rho, dtype=complex)
-    sigma = np.asarray(sigma, dtype=complex)
-    if rho.shape != sigma.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    rho, sigma = _pair(rho, sigma)
     sqrt_rho = _matrix_sqrt(rho)
     inner = _matrix_sqrt(sqrt_rho @ sigma @ sqrt_rho)
     f = float(np.real(np.trace(inner)) ** 2)
@@ -132,7 +138,7 @@ def fidelity(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     """Half the trace norm of rho - sigma."""
-    diff = np.asarray(rho, dtype=complex) - np.asarray(sigma, dtype=complex)
+    diff = np.subtract(*_pair(rho, sigma))
     vals = np.linalg.eigvalsh((diff + dagger(diff)) / 2.0)
     return float(0.5 * np.sum(np.abs(vals)))
 

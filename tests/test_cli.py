@@ -210,6 +210,8 @@ def test_protocol_verify_dim_mismatch_exit_2(runner, tmp_path):
         main, ["protocol-verify", str(path), "--depolarizing", "0.5"]
     )
     assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: channel dim 2 does not match protocol dim 3"]
 
 
 def _optimize_config(tmp_path, **overrides):

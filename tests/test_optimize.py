@@ -12,6 +12,7 @@ from teleportlab.optimize import (
     OptimizationConfig,
     ProtocolParameterization,
     _compile_objective,
+    _hermitian_map,
     _squared_softmax,
     decode,
     generator_from_unitary,
@@ -34,6 +35,12 @@ def test_hermitian_vec_round_trip():
     h = (g + g.conj().T) / 2
     np.testing.assert_allclose(vec_to_hermitian(hermitian_to_vec(h), 4), h,
                                atol=1e-14)
+
+
+def test_hermitian_map_is_cached_and_read_only():
+    assert _hermitian_map(3) is _hermitian_map(3)
+    with pytest.raises(ValueError, match="read-only"):
+        _hermitian_map(3)[0, 0] = 2.0
 
 
 def test_unitary_generator_round_trip():
@@ -131,13 +138,26 @@ def test_qt_parameterization_is_faithful():
 
 
 @pytest.mark.parametrize("mu_fixed", [
-    [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1.0, -1.0], [1e308, 1e308]],
-    ids=["zero", "nan", "inf", "negative", "norm-overflow"])
+    [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1.0, -1.0], [1e308, 1e308],
+    [1e-160, 0.0]],
+    ids=["zero", "nan", "inf", "negative", "norm-overflow", "norm-underflow"])
 def test_degenerate_mu_fixed_rejected_before_normalizing(mu_fixed):
     # mu() divides by the norm; a warning here would fail the test too
     with pytest.raises(ValueError, match="mu_fixed must be non-negative with "
                                          "a finite, nonzero norm"):
         zero_parameterization(2, 2, "full", mu_fixed=np.array(mu_fixed))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_theta_rejected_at_construction(value):
+    base = zero_parameterization(2, 2, "full")
+    theta = base.theta.copy()
+    theta[5] = value
+    with pytest.raises(ValueError, match=f"theta must be finite, got {value} at index 5$"):
+        replace(base, theta=theta)
+    # the generator map multiplies every parameter, zeros included
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(vec_to_hermitian(theta[:16], 4)).all()
 
 
 @pytest.mark.parametrize("build, message", [
@@ -363,9 +383,9 @@ def test_compiled_objective_rejects_dimension_mismatch():
 
 
 @pytest.mark.parametrize("index, message", [
-    (3, "not deterministic: operators have non-finite entries"),
-    (-1, "Schmidt coefficients must be finite"),  # squared softmax of inf is NaN
-])
+    (3, r"theta must be finite, got inf at index 3$"),
+    (-1, r"theta must be finite, got inf at index 32$"),
+], ids=["generator", "schmidt-parameter"])
 def test_compiled_objective_keeps_decode_checks(index, message):
     base = zero_parameterization(2, 2, "none")
     theta = base.theta.copy()

@@ -240,6 +240,8 @@ def test_trace_distance_basics():
     one = projector(np.array([0, 1]))
     assert abs(trace_distance(zero, one) - 1.0) < 1e-12
     assert trace_distance(zero, zero) < 1e-14
+    with pytest.raises(ValueError, match=r"dimension mismatch: \(2, 2\) vs \(1, 1\)"):
+        trace_distance(np.eye(2) / 2, [[1.0]])
 
 
 def test_assert_density_matrix_rejections():
