@@ -233,8 +233,10 @@ def cmd_protocol_verify(protocol_file, channel_file, qt_dim, depolarizing_p,
         _fail(EXIT_INPUT_ERROR, str(exc))
 
     r = choi(ch)
-    controlled = control_map(proto, r)
-    direct = effective_choi(proto, ch)
+    try:  # a loose --tol can pass operators whose Choi state is no state
+        controlled, direct = control_map(proto, r), effective_choi(proto, ch)
+    except ValueError as exc:
+        _fail(EXIT_SEMANTIC_ERROR, f"controlled Choi state is not a state: {exc}")
     consistency_gap = float(np.linalg.norm(controlled.matrix - direct.matrix))
     res = _residual(controlled)
     ent_fid = target_overlap(proto, r)

@@ -65,8 +65,13 @@ def _hermitian_indices(d: int) -> tuple:
 
 
 def hermitian_to_vec(h: np.ndarray) -> np.ndarray:
-    """Real parameter vector (length d^2) for a Hermitian matrix."""
+    """Real parameter vector (length d^2) for a square, Hermitian (to 1e-10) matrix."""
     h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"generator shape {h.shape} is not square")
+    dev = float(np.abs(h - h.conj().T).max(initial=0.0))
+    if not dev <= 1e-10:  # true for NaN too
+        raise ValueError(f"generator is not Hermitian: max |H - H^dag| = {dev:.3e}")
     _, rows, cols = _hermitian_indices(h.shape[0])
     upper = h[rows, cols]
     return np.concatenate([np.real(np.diagonal(h)), upper.real, upper.imag])
@@ -97,6 +102,9 @@ def vec_to_hermitian(vec: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`hermitian_to_vec`; a (..., d^2) stack of vectors
     gives a (..., d, d) stack of matrices (all NaN for a non-finite vector)."""
     vec = np.asarray(vec, dtype=float)
+    if vec.ndim == 0 or vec.shape[-1] != d * d:
+        raise ValueError(f"parameter vector shape {vec.shape} does not end in "
+                         f"d^2 = {d * d} for d = {d}")
     return (vec @ _hermitian_map(d)).view(complex).reshape(vec.shape[:-1] + (d, d))
 
 

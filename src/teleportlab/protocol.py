@@ -53,22 +53,29 @@ def _check_dims(n: int, p: int) -> None:
             raise ValueError(f"{name} must be >= 1, got {value}")
 
 
-def _check_determinism(ops: np.ndarray, receivers: np.ndarray, tol: float) -> float:
-    """Determinism residuals of stacked branch operators and receivers.
-
-    ``ops`` and ``receivers`` are (..., M, d, d); leading axes index
-    independent protocols.  Raises on the first protocol whose worst residual
-    exceeds tol, otherwise returns the worst residual over all of them.
-    """
+def _determinism_deviation(ops: np.ndarray, receivers: np.ndarray) -> np.ndarray:
+    """|Gram - I| of the determinism relations of stacked branch operators and
+    receivers, each (..., M, d, d) with leading axes indexing independent
+    protocols: [..., 0, :, :] is sum L^dag L, [..., 1, :, :] is sum L L^dag
+    and [..., 2:, :, :] is each W W^dag."""
     *lead, m, d, _ = ops.shape
     column = ops.reshape(*lead, m * d, d)  # the L_eta stacked vertically
     row = ops.swapaxes(-3, -2).reshape(*lead, d, m * d)  # and side by side
-    # [..., 0] is sum L^dag L, [..., 1] is sum L L^dag, [..., 2:] each W W^dag
     gram = np.concatenate([
         (column.conj().swapaxes(-1, -2) @ column)[..., None, :, :],
         (row @ row.conj().swapaxes(-1, -2))[..., None, :, :],
         receivers @ receivers.conj().swapaxes(-1, -2)], axis=-3)
-    dev = np.abs(gram - np.eye(d))
+    return np.abs(gram - np.eye(d))
+
+
+def _check_determinism(ops: np.ndarray, receivers: np.ndarray, tol: float) -> float:
+    """Determinism residuals of stacked branch operators and receivers.
+
+    ``ops`` and ``receivers`` are (..., M, d, d); leading axes index
+    independent protocols.  Raises on the first protocol whose worst entry of
+    :func:`_determinism_deviation` exceeds tol, else returns the worst entry.
+    """
+    dev = _determinism_deviation(ops, receivers)
     worst = float(dev.max())
     if worst <= tol:  # false for NaN too
         return worst

@@ -41,9 +41,7 @@ def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
     keep : index or iterable of factor indices to retain (original order).
     """
     dims = [int(d) for d in dims]
-    if isinstance(keep, (int, np.integer)):
-        keep = [int(keep)]
-    keep = sorted(int(k) for k in keep)
+    keep = sorted(int(k) for k in np.atleast_1d(keep))
     n = len(dims)
     total = int(np.prod(dims))
     mat = np.asarray(mat, dtype=complex)
@@ -53,6 +51,9 @@ def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
         )
     if any(k < 0 or k >= n for k in keep):
         raise ValueError(f"keep indices {keep} out of range for {n} factors")
+    for k, k_next in zip(keep, keep[1:]):  # keep is sorted
+        if k == k_next:
+            raise ValueError(f"keep index {k} is repeated in {keep}")
 
     row = [chr(ord('a') + i) for i in range(n)]
     col = [row[i] if i not in keep else chr(ord('a') + n + i) for i in range(n)]

@@ -11,31 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .protocol import AncillaResource, ResourceProtocol, _blocks
+from .protocol import AncillaResource, ResourceProtocol, _blocks, _determinism_deviation
 
 
 def check_relations_13(blocks: tuple) -> float:
-    """Worst residual of the four determinism relations on the (a, b) blocks
-    of :func:`block_operators`.
-
-    Sender relations sum over branches and one ancilla index; receiver
-    relations hold separately for every branch.  Each relation is one N x N
-    block of a Gram matrix of the operators laid out with rows (i, x) and
-    columns (k, y); the residual is the largest Frobenius norm of a block of
-    Gram - I.
+    """Worst residual of the determinism relations on the (a, b) blocks of
+    :func:`block_operators`: the largest entry of |Gram - I| over sum L^dag L,
+    sum L L^dag and each W W^dag (which for square W gives W^dag W = I), the
+    residual that :meth:`ResourceProtocol.check_determinism` returns.
     """
     _, p, _, n, _ = blocks[0].shape
-    d = p * n
-    ops, recv = (x.transpose(0, 1, 3, 2, 4).reshape(-1, d, d) for x in blocks)
-    row = ops.transpose(1, 0, 2).reshape(d, -1)  # the L_eta side by side
-    column = ops.reshape(-1, d)  # and stacked
-    grams = np.concatenate([
-        (row @ row.conj().T)[None],  # sum_{eta,k} A[i,k] A[j,k]^dag
-        (column.conj().T @ column)[None],  # sum_{eta,k} A[k,i]^dag A[k,j]
-        recv @ recv.conj().swapaxes(-1, -2),
-        recv.conj().swapaxes(-1, -2) @ recv])
-    return float(np.linalg.norm((grams - np.eye(d)).reshape(-1, p, n, p, n),
-                                axis=(-3, -1)).max())
+    # undo _blocks' transpose: the operators themselves, rows and columns (x, i)
+    ops, recv = (x.transpose(0, 3, 1, 4, 2).reshape(len(x), n * p, n * p)
+                 for x in blocks)
+    return float(_determinism_deviation(ops, recv).max())
 
 
 def beta_scalars(proto: ResourceProtocol) -> np.ndarray:
@@ -154,14 +143,6 @@ def _cauchy_schwarz(mu: np.ndarray, a: np.ndarray, b: np.ndarray,
     return float(np.max(np.abs(g) ** 2 - product))
 
 
-def _zero_pad_pair(x: np.ndarray, y: np.ndarray) -> tuple:
-    size = max(x.size, y.size)
-    return (
-        np.pad(x, (0, size - x.size)),
-        np.pad(y, (0, size - y.size)),
-    )
-
-
 def nielsen_convertible(
     source: AncillaResource, target: AncillaResource, tol: float = 1e-12
 ) -> bool:
@@ -170,7 +151,7 @@ def nielsen_convertible(
     True iff every partial sum of the descending squared source coefficients
     is bounded by the corresponding target partial sum.
     """
-    s, t = _zero_pad_pair(source.mu, target.mu)
-    s = np.sort(s**2)[::-1]
-    t = np.sort(t**2)[::-1]
+    size = max(source.mu.size, target.mu.size)  # zero-padded to one length
+    s, t = (np.sort(np.pad(x.mu, (0, size - x.mu.size)) ** 2)[::-1]
+            for x in (source, target))
     return bool(np.all(np.cumsum(s) <= np.cumsum(t) + tol))

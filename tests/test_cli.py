@@ -188,6 +188,40 @@ def test_protocol_verify_non_deterministic_exits_3(runner, tmp_path):
     assert result.exit_code == 3
 
 
+def _scaled_qt2(path, scale):
+    """Write qt_protocol(2) with every sender unitary scaled by ``scale``."""
+    data = protocol_to_dict(qt_protocol(2))
+    for entry in data["sender"]:
+        entry["unitary"] = (np.asarray(entry["unitary"]) * scale).tolist()
+    path.write_text(json.dumps(data))
+    return path
+
+
+def test_protocol_verify_reports_the_gate_residual_as_relation13(runner, tmp_path):
+    # sum L^dag L = (1 + 8e-10) I: inside the default --tol 1e-9, and the
+    # proof report reads the same residual, so it agrees with the gate
+    path = _scaled_qt2(tmp_path / "scaled.json", np.sqrt(1 + 0.8e-9))
+    result = _invoke(runner, ["protocol-verify", str(path), "--depolarizing", "0.2"])
+    assert result.exit_code == 0
+    out = json.loads(result.output)["outputs"]
+    assert 7e-10 < out["determinism_residual"] <= 1e-9
+    assert out["proof_report"]["relation13_max_residual"] == out["determinism_residual"]
+    assert out["proof_report"]["verdicts"]["deterministic"] is True
+
+
+def test_protocol_verify_loose_tol_non_state_exits_3(runner, tmp_path):
+    # --tol 1 passes sum L^dag L = 1.69 I, whose controlled Choi state has
+    # trace 1.69: a semantic failure with one error line, not a traceback
+    path = _scaled_qt2(tmp_path / "scaled.json", 1.3)
+    result = runner.invoke(main, ["protocol-verify", str(path),
+                                  "--depolarizing", "0.2", "--tol", "1"])
+    assert result.exit_code == 3
+    assert result.stderr.splitlines() == [
+        "error: controlled Choi state is not a state: "
+        "Choi matrix trace deviates from 1 by 6.900e-01"]
+    assert "Traceback" not in result.output
+
+
 def test_protocol_verify_wrong_operator_shape_exits_2(runner, tmp_path):
     # a malformed file is invalid input (2), not a determinism failure (3)
     data = protocol_to_dict(bare_protocol(2))

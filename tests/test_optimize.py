@@ -1,4 +1,5 @@
 import hashlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -35,6 +36,26 @@ def test_hermitian_vec_round_trip():
     h = (g + g.conj().T) / 2
     np.testing.assert_allclose(vec_to_hermitian(hermitian_to_vec(h), 4), h,
                                atol=1e-14)
+
+
+@pytest.mark.parametrize("h,message", [
+    (np.arange(6.0).reshape(2, 3), r"generator shape \(2, 3\) is not square"),
+    (np.zeros(4), r"generator shape \(4,\) is not square"),
+    ([[1, 5], [0, 2]], r"not Hermitian: max \|H - H\^dag\| = 5\.000e\+00"),
+    ([[1, 1e-9], [0, 2]], r"not Hermitian: max \|H - H\^dag\| = 1\.000e-09"),
+    ([[np.nan, 0], [0, 1]], r"not Hermitian: max \|H - H\^dag\| = nan"),
+])
+def test_hermitian_to_vec_rejects_what_it_would_drop_or_mirror(h, message):
+    with pytest.raises(ValueError, match=message):
+        hermitian_to_vec(h)
+
+
+@pytest.mark.parametrize("vec", [np.zeros(5), np.zeros((3, 9)), 1.0])
+def test_vec_to_hermitian_rejects_a_length_other_than_d_squared(vec):
+    shape = re.escape(str(np.shape(vec)))
+    with pytest.raises(ValueError, match=rf"shape {shape} does not end in "
+                                         r"d\^2 = 4 for d = 2"):
+        vec_to_hermitian(vec, 2)
 
 
 def test_hermitian_map_is_cached_and_read_only():

@@ -87,6 +87,16 @@ def test_partial_trace_dim_mismatch():
         partial_trace(np.eye(4), (2, 3), keep=0)
 
 
+@pytest.mark.parametrize("keep,message", [
+    ([0, 0], r"keep index 0 is repeated in \[0, 0\]"),
+    ([2, 0, 2], r"keep index 2 is repeated in \[0, 2, 2\]"),
+    ([0, 3], r"keep indices \[0, 3\] out of range for 3 factors"),
+])
+def test_partial_trace_rejects_repeated_or_out_of_range_keep(keep, message):
+    with pytest.raises(ValueError, match=message):
+        partial_trace(np.eye(12), (2, 3, 2), keep=keep)
+
+
 def test_schmidt_maximally_entangled():
     coefficients, _, _ = schmidt(maximally_entangled(2), 2, 2)
     np.testing.assert_allclose(

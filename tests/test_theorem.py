@@ -110,8 +110,7 @@ def test_relations13_matches_determinism_validator():
         proto = random_protocol(2, p, m, seed=seed)
         r13 = check_relations_13(block_operators(proto))
         direct = proto.check_determinism()
-        assert r13 < 1e-10
-        assert direct < 1e-10
+        assert r13 == direct < 1e-10
 
 
 def test_relations13_flags_what_validator_flags():
@@ -129,6 +128,29 @@ def test_relations13_flags_what_validator_flags():
     with pytest.raises(ValueError, match="deterministic"):
         broken.check_determinism()
     assert check_relations_13(block_operators(broken)) > 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([2, 3, 4]), p=st.sampled_from([1, 2, 3]),
+       measured=st.booleans(), seed=st.integers(0, 2**32 - 1),
+       eps=st.sampled_from([0.0, 4e-10, 5e-10, 6e-10]) | st.floats(-1e-8, 1e-8),
+       tol=st.sampled_from([1e-10, 1e-9, 1e-8]))
+def test_relation13_is_the_determinism_residual(n, p, measured, seed, eps, tol):
+    # senders scaled by 1 + eps move sum L^dag L off I by about 2 eps, on
+    # either side of the tolerance: the report's residual and verdict are the
+    # gate's, bit for bit
+    good = random_protocol(n, p, n * p if measured else 1, seed=seed)
+    proto = ResourceProtocol(n, good.resource, good.sender_projections,
+                             (1 + eps) * good.sender_unitaries,
+                             good.receiver_unitaries, validate=False)
+    report = proof_report(proto, tol=tol)
+    assert report["relation13_max_residual"] == proto.check_determinism(tol=1.0)
+    try:
+        proto.check_determinism(tol)
+        passes = True
+    except ValueError:
+        passes = False
+    assert report["verdicts"]["deterministic"] is passes
 
 
 @pytest.mark.parametrize("n,p", [(2, 1), (2, 2), (2, 4), (3, 1), (3, 2), (3, 4)])
