@@ -10,7 +10,8 @@ The search itself is a derivative-free ascent: a simultaneous-perturbation
 two-point gradient estimate proposes a move of the current step length, the
 move is accepted only if it improves the objective, and the step decays
 geometrically on rejection.  Restarts are independent and seeded, so runs
-reproduce bit-identically.
+reproduce bit-identically; they run in lockstep, one objective call per
+round for all of them.
 
 The objective is compiled once per search (:func:`_compile_objective`): it
 maps parameter vectors straight to fidelities with batched array code and
@@ -368,45 +369,77 @@ class OptimizationResult:
     restart_traces: tuple = field(repr=False, default=())
 
 
-def _ascend(fun, theta0, budget, rng):
-    """Accept-if-improve SPSA-style ascent; returns best point and trace.
+def _ascend(theta, budget, rng):
+    """Accept-if-improve SPSA-style ascent of one restart, as a coroutine.
 
     The step shrinks geometrically on rejected proposals and relaxes back
-    toward its initial value on accepted ones, never exceeding it.  ``fun``
-    takes a (2, dim) stack too: the two probes of each step go in one call,
-    which still counts as two evaluations.  The probes are built in one
-    broadcast, ``theta + (step * delta) * [[1], [-1]]``, which is exact (a
-    sign flip rounds nothing and a - b is a + (-b)), and an accepted probe is
-    taken as its row.
+    toward its initial value on accepted ones, never exceeding it.  The
+    coroutine yields each (k, dim) stack of points whose values it needs and
+    is sent ``(values, alone)``: their k values as floats, and whether its
+    stack was the only one in that call.  It returns the best value and point,
+    the evaluations read, the trace of bests and whether the budget (not the
+    step) ended it.
+
+    The start point goes in one stack with the first probe pair.  A lone
+    restart's candidate goes in one stack with the next probe pair of both
+    states the step can leave, candidate accepted or rejected (the next delta
+    is the same draw either way), so each of its later steps is one stack of
+    at most 5 points, of which it reads 3.  Only the values read count as
+    evaluations.  The probes are built in one broadcast,
+    ``theta + (step * delta) * [[1], [-1]]``, which is exact (a sign flip
+    rounds nothing and a - b is a + (-b)), and an accepted probe is taken as
+    its row.
     """
     signs = np.array([[1.0], [-1.0]])
-    theta = np.asarray(theta0, dtype=float).copy()
-    best = fun(theta)
-    evals = 1
+    theta = np.asarray(theta, dtype=float).copy()
+    step, evals = STEP_INIT, 1
+    # optimize gives a restart at least 4 evaluations, so the first step runs
+    delta = rng.integers(0, 2, theta.size) * 2.0 - 1.0
+    probes = theta + (step * delta) * signs
+    values, alone = yield np.vstack([theta, probes])
+    best = values[0]
     trace = [best]
-    step = STEP_INIT
+    ahead = delta, probes, values[1:]  # the next step's probes and their values
     while evals + 3 <= budget and step > STOP_DELTA:
-        delta = rng.integers(0, 2, theta.size) * 2.0 - 1.0
-        probes = theta + (step * delta) * signs
-        up, down = fun(probes).tolist()
+        if ahead is None:
+            delta = rng.integers(0, 2, theta.size) * 2.0 - 1.0
+            probes = theta + (step * delta) * signs
+            (up, down), alone = yield probes
+        else:
+            delta, probes, (up, down) = ahead
+            ahead = None
         evals += 2
-        improved = False
         grad = (up - down) / (2.0 * step) * delta
         gnorm = float(np.linalg.norm(grad))
+        grown = min(step / STEP_DECAY, STEP_INIT)
+        # the state the step leaves unless it accepts a candidate
+        if up > best:
+            kept = probes[0], up, grown
+        elif down > best:
+            kept = probes[1], down, grown
+        else:
+            kept = theta, best, step * STEP_DECAY
         if gnorm > 0.0:
             candidate = theta + step * grad / gnorm
-            value = fun(candidate)
             evals += 1
-            if value > best:
-                theta, best, improved = candidate, value, True
-        if not improved and up > best:
-            theta, best, improved = probes[0], up, True
-        if not improved and down > best:
-            theta, best, improved = probes[1], down, True
-        step = min(step / STEP_DECAY, STEP_INIT) if improved else step * STEP_DECAY
+            rows = [candidate]
+            if alone and evals + 3 <= budget:
+                # the next probe pair of the accepted state, then of the
+                # rejected one unless its step ends the ascent
+                delta = rng.integers(0, 2, theta.size) * 2.0 - 1.0
+                for point, point_step in ((candidate, grown), (kept[0], kept[2])):
+                    if point_step > STOP_DELTA:
+                        rows.append(point + (point_step * delta) * signs)
+            values, alone = yield np.vstack(rows)
+            accepted = values[0] > best
+            theta, best, step = (candidate, values[0], grown) if accepted else kept
+            at = 1 if accepted else 2  # this state's pair among rows[1:]
+            if at < len(rows):
+                ahead = delta, rows[at], values[2 * at - 1:2 * at + 1]
+        else:
+            theta, best, step = kept
         trace.append(best)
-    hit_budget = step > STOP_DELTA  # loop ended by evaluations, not by decay
-    return best, theta, evals, tuple(trace), hit_budget
+    return best, theta, evals, tuple(trace), step > STOP_DELTA
 
 
 def optimize(
@@ -414,16 +447,42 @@ def optimize(
     base: ProtocolParameterization,
     cfg: OptimizationConfig,
 ) -> OptimizationResult:
-    """Multi-restart ascent of the entanglement fidelity; seeded, monotone."""
+    """Multi-restart ascent of the entanglement fidelity; seeded, monotone.
+
+    The restarts run in lockstep: each round stacks the points that every
+    live restart of :func:`_ascend` waits on into one call of the compiled
+    objective, and a restart leaves the rounds when its budget or its step
+    runs out; the last one left then runs alone, one call per stack.  Each
+    restart draws from its own ``default_rng([seed, restart])``, so the
+    result equals running the restarts one by one.
+    """
     r = choi(ch)
     fun = _compile_objective(ch, base)
-    dim = base.theta.size
-    runs = []
+    budget = cfg.evaluation_budget // cfg.restarts
+    runs = [None] * cfg.restarts
+    pending = []  # (restart, its ascent, the stack of points it waits on)
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
         warm = cfg.warm_start and restart == 0
-        theta0 = base.theta if warm else rng.standard_normal(dim)
-        runs.append(_ascend(fun, theta0, cfg.evaluation_budget // cfg.restarts, rng))
+        theta0 = base.theta if warm else rng.standard_normal(base.theta.size)
+        ascent = _ascend(theta0, budget, rng)
+        pending.append((restart, ascent, next(ascent)))
+    while len(pending) > 1:
+        values = fun(np.concatenate([rows for _, _, rows in pending])).tolist()
+        live, start = [], 0
+        for restart, ascent, rows in pending:
+            batch, start = values[start:start + len(rows)], start + len(rows)
+            try:
+                live.append((restart, ascent, ascent.send((batch, False))))
+            except StopIteration as stop:
+                runs[restart] = stop.value
+        pending = live
+    for restart, ascent, rows in pending:  # the last restart left, alone
+        try:
+            while True:
+                rows = ascent.send((fun(rows).tolist(), True))
+        except StopIteration as stop:
+            runs[restart] = stop.value
     bests, thetas, evals, traces, hit_budget = zip(*runs)
 
     winner = int(np.argmax(bests))

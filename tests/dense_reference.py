@@ -1,11 +1,12 @@
 """Reference constructions that tests compare the package against.
 
-These build explicit permutation matrices or contract in the plainest form;
-no path in the package needs them.
+These build explicit permutation matrices, contract in the plainest form or
+run a search one restart at a time; no path in the package needs them.
 """
 
 import numpy as np
 
+from teleportlab.optimize import STEP_DECAY, STEP_INIT, STOP_DELTA
 from teleportlab.protocol import block_operators
 from teleportlab.qmath import factor_permutation
 
@@ -22,3 +23,44 @@ def lambda_reference(proto):
     ops = np.einsum("i,ekibc,elida->eklbacd", proto.resource.mu, b, a)
     m, p, _, n, _, _, _ = ops.shape
     return ops.reshape(m, p, p, n * n, n * n)
+
+
+def ascend_reference(fun, theta0, budget, rng):
+    """Accept-if-improve SPSA-style ascent; returns best point and trace.
+
+    The step shrinks geometrically on rejected proposals and relaxes back
+    toward its initial value on accepted ones, never exceeding it.  ``fun``
+    takes a (2, dim) stack too: the two probes of each step go in one call,
+    which still counts as two evaluations.  The probes are built in one
+    broadcast, ``theta + (step * delta) * [[1], [-1]]``, which is exact (a
+    sign flip rounds nothing and a - b is a + (-b)), and an accepted probe is
+    taken as its row.
+    """
+    signs = np.array([[1.0], [-1.0]])
+    theta = np.asarray(theta0, dtype=float).copy()
+    best = fun(theta)
+    evals = 1
+    trace = [best]
+    step = STEP_INIT
+    while evals + 3 <= budget and step > STOP_DELTA:
+        delta = rng.integers(0, 2, theta.size) * 2.0 - 1.0
+        probes = theta + (step * delta) * signs
+        up, down = fun(probes).tolist()
+        evals += 2
+        improved = False
+        grad = (up - down) / (2.0 * step) * delta
+        gnorm = float(np.linalg.norm(grad))
+        if gnorm > 0.0:
+            candidate = theta + step * grad / gnorm
+            value = fun(candidate)
+            evals += 1
+            if value > best:
+                theta, best, improved = candidate, value, True
+        if not improved and up > best:
+            theta, best, improved = probes[0], up, True
+        if not improved and down > best:
+            theta, best, improved = probes[1], down, True
+        step = min(step / STEP_DECAY, STEP_INIT) if improved else step * STEP_DECAY
+        trace.append(best)
+    hit_budget = step > STOP_DELTA  # loop ended by evaluations, not by decay
+    return best, theta, evals, tuple(trace), hit_budget

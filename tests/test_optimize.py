@@ -1,12 +1,14 @@
 import hashlib
+import importlib
 import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dense_reference import ascend_reference
 from teleportlab.channels import choi, depolarizing, random_channel
 from teleportlab.optimize import (
     MEASUREMENT_CHOICES,
@@ -327,11 +329,12 @@ def test_compiled_objective_equals_decoded_path_property(n, p, measured, pin, se
     base = zero_parameterization(n, p, measured,
                                  mu_fixed=rng.random(p) + 0.01 if pin else None)
     fun = _compile_objective(ch, base)
-    thetas = rng.standard_normal((5, base.theta.size))
+    thetas = rng.standard_normal((100, base.theta.size))
     rows = [fun(t) for t in thetas]
-    assert rows == [target_overlap(decode(replace(base, theta=t)), choi(ch))
-                    for t in thetas]
-    for count in (1, 2, 5):
+    assert rows[:5] == [target_overlap(decode(replace(base, theta=t)), choi(ch))
+                        for t in thetas[:5]]
+    # 40 and 100 rows: the stacks of a lockstep round of 20 restarts
+    for count in (1, 2, 5, 40, 100):
         assert fun(thetas[:count]).tolist() == rows[:count]
 
 
@@ -431,6 +434,122 @@ def test_evaluation_budget_is_hard_cap():
             result = optimize(ch, base, OptimizationConfig(budget, restarts, seed=1))
             assert result.evaluations_used <= budget
             assert len(result.per_restart_bests) == restarts
+
+
+# the module itself: the package attribute `optimize` is the function
+_OPTIMIZE = importlib.import_module("teleportlab.optimize")
+
+
+def _sequential_runs(ch, base, cfg):
+    """optimize's restarts run one by one through the reference ascent: per
+    restart its (best, theta, evaluations, trace, hit_budget) and the number
+    of objective calls it made."""
+    fun = _compile_objective(ch, base)
+    runs = []
+    for restart in range(cfg.restarts):
+        calls = []
+
+        def counted(theta):
+            calls.append(theta)
+            return fun(theta)
+
+        rng = np.random.default_rng([cfg.seed, restart])
+        warm = cfg.warm_start and restart == 0
+        theta0 = base.theta if warm else rng.standard_normal(base.theta.size)
+        budget = cfg.evaluation_budget // cfg.restarts
+        runs.append((ascend_reference(counted, theta0, budget, rng), len(calls)))
+    return runs
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(measured=st.sampled_from(MEASUREMENT_CHOICES), p=st.integers(1, 2),
+       strength=st.sampled_from([0.5, 1.0]), budget=st.integers(4, 600),
+       restarts=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       start=st.sampled_from(["random", "zero", "qt"]))
+# a lone restart whose step decays below STOP_DELTA; two restarts that end
+# rounds apart, the last one speculating alone; criterion 10 (c)'s start
+@example(measured="none", p=2, strength=1.0, budget=600, restarts=1, seed=0,
+         start="random")
+@example(measured="full", p=1, strength=1.0, budget=600, restarts=2, seed=8,
+         start="zero")
+@example(measured="full", p=2, strength=0.5, budget=200, restarts=2, seed=2024,
+         start="qt")
+def test_lockstep_restarts_equal_sequential_runs_property(
+        measured, p, strength, budget, restarts, seed, start):
+    # depolarizing(1.0) scores every point alike up to rounding, so steps
+    # decay and restarts end in different rounds; "zero" and "qt" warm-start
+    # restart 0
+    ch = depolarizing(strength)
+    base = (qt_parameterization(2) if start == "qt"
+            else zero_parameterization(2, p, measured))
+    cfg = OptimizationConfig(budget, min(restarts, budget // 4), seed,
+                             warm_start=start != "random")
+    decoded = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_OPTIMIZE, "decode",
+                      lambda params: decoded.append(params.theta) or decode(params))
+        result = optimize(ch, base, cfg)
+    bests, thetas, evals, traces, hit_budget = zip(
+        *(run for run, _ in _sequential_runs(ch, base, cfg)))
+    assert result.per_restart_bests == bests
+    assert result.evaluations_used == sum(evals)
+    assert result.restart_traces == traces
+    assert result.budget_exhausted == any(hit_budget)
+    assert len(decoded) == 1
+    np.testing.assert_array_equal(decoded[0], thetas[int(np.argmax(bests))])
+
+
+def _count_rows(monkeypatch):
+    """Wrap optimize's compiled objective; the list it returns gets the row
+    count of every call."""
+    rows = []
+    compile_objective = _OPTIMIZE._compile_objective
+
+    def counting(ch, base):
+        fun = compile_objective(ch, base)
+
+        def counted(theta):
+            rows.append(len(np.atleast_2d(theta)))
+            return fun(theta)
+
+        return counted
+
+    monkeypatch.setattr(_OPTIMIZE, "_compile_objective", counting)
+    return rows
+
+
+@pytest.mark.parametrize("strength, measured, budget, restarts, seed", [
+    (0.5, "none", 400, 2, 2024), (0.5, "full", 300, 3, 1),
+    (0.5, "ancilla", 600, 5, 3), (1.0, "none", 600, 3, 0)])
+def test_lockstep_round_is_one_call_of_the_rows_read(
+        monkeypatch, strength, measured, budget, restarts, seed):
+    # in these searches no restart outlasts all the others, so no round has a
+    # lone restart: each restart needs one stack per reference call, less the
+    # start point that rides with its first probes, and each round is one call
+    ch = depolarizing(strength)
+    base = zero_parameterization(2, 2, measured)
+    cfg = OptimizationConfig(budget, restarts, seed)
+    calls = sorted(count for _, count in _sequential_runs(ch, base, cfg))
+    assert calls[-2] == calls[-1]
+    rows = _count_rows(monkeypatch)
+    result = optimize(ch, base, cfg)
+    assert len(rows) == calls[-1] - 1
+    assert sum(rows) == result.evaluations_used
+
+
+@pytest.mark.parametrize("measured, budget, seed", [
+    ("none", 4, 0), ("none", 5, 1), ("full", 60, 2), ("ancilla", 200, 3),
+    ("none", 600, 4)])
+def test_lone_restart_makes_one_call_per_step(monkeypatch, measured, budget, seed):
+    # the start point rides with the first probes, and each later call carries
+    # a candidate with the next probe pair of both states it can leave
+    rows = _count_rows(monkeypatch)
+    result = optimize(depolarizing(0.5), zero_parameterization(2, 2, measured),
+                      OptimizationConfig(budget, 1, seed))
+    (trace,) = result.restart_traces
+    assert len(rows) <= len(trace)  # the steps, plus one
+    assert max(rows) <= 5
+    assert sum(rows) <= result.evaluations_used + 2 * len(rows)
 
 
 def test_sweep_structure_and_monotonicity():
