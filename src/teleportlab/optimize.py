@@ -53,6 +53,12 @@ MEASUREMENT_CHOICES = ("none", "ancilla", "full")
 STEP_INIT = 0.5
 STOP_DELTA = 1e-9
 STEP_DECAY = 0.9
+# a round speculates (see _ascend) while its live restarts hold at most this
+# many parameters in all: each speculating restart adds 2 points to the
+# round's call and saves the next call, and a point costs about in proportion
+# to its parameters (measured from N = 2, P = 1 to N = P = 3: speculating
+# pays up to about 100 parameters a round and loses from about 130)
+SPECULATE_PARAMETERS = 100
 
 
 @lru_cache(maxsize=None)
@@ -375,20 +381,20 @@ def _ascend(theta, budget, rng):
     The step shrinks geometrically on rejected proposals and relaxes back
     toward its initial value on accepted ones, never exceeding it.  The
     coroutine yields each (k, dim) stack of points whose values it needs and
-    is sent ``(values, alone)``: their k values as floats, and whether its
-    stack was the only one in that call.  It returns the best value and point,
-    the evaluations read, the trace of bests and whether the budget (not the
-    step) ended it.
+    is sent ``(values, speculate)``: their k values as floats, and whether
+    its next candidate should carry the next probes.  It returns the best
+    value and point, the evaluations read, the trace of bests and whether the
+    budget (not the step) ended it.
 
-    The start point goes in one stack with the first probe pair.  A lone
-    restart's candidate goes in one stack with the next probe pair of both
+    The start point goes in one stack with the first probe pair.  A
+    speculating candidate goes in one stack with the next probe pair of both
     states the step can leave, candidate accepted or rejected (the next delta
-    is the same draw either way), so each of its later steps is one stack of
-    at most 5 points, of which it reads 3.  Only the values read count as
-    evaluations.  The probes are built in one broadcast,
-    ``theta + (step * delta) * [[1], [-1]]``, which is exact (a sign flip
-    rounds nothing and a - b is a + (-b)), and an accepted probe is taken as
-    its row.
+    is the same draw either way), so the step after it needs no stack of its
+    own: one stack of at most 5 points per step, of which it reads 3.  Only
+    the values read count as evaluations.  The probes are built in one
+    broadcast, ``theta + (step * delta) * [[1], [-1]]``, which is exact (a
+    sign flip rounds nothing and a - b is a + (-b)), and an accepted probe is
+    taken as its row.
     """
     signs = np.array([[1.0], [-1.0]])
     theta = np.asarray(theta, dtype=float).copy()
@@ -396,7 +402,7 @@ def _ascend(theta, budget, rng):
     # optimize gives a restart at least 4 evaluations, so the first step runs
     delta = rng.integers(0, 2, theta.size) * 2.0 - 1.0
     probes = theta + (step * delta) * signs
-    values, alone = yield np.vstack([theta, probes])
+    values, speculate = yield np.vstack([theta, probes])
     best = values[0]
     trace = [best]
     ahead = delta, probes, values[1:]  # the next step's probes and their values
@@ -404,7 +410,7 @@ def _ascend(theta, budget, rng):
         if ahead is None:
             delta = rng.integers(0, 2, theta.size) * 2.0 - 1.0
             probes = theta + (step * delta) * signs
-            (up, down), alone = yield probes
+            (up, down), speculate = yield probes
         else:
             delta, probes, (up, down) = ahead
             ahead = None
@@ -423,14 +429,14 @@ def _ascend(theta, budget, rng):
             candidate = theta + step * grad / gnorm
             evals += 1
             rows = [candidate]
-            if alone and evals + 3 <= budget:
+            if speculate and evals + 3 <= budget:
                 # the next probe pair of the accepted state, then of the
                 # rejected one unless its step ends the ascent
                 delta = rng.integers(0, 2, theta.size) * 2.0 - 1.0
                 for point, point_step in ((candidate, grown), (kept[0], kept[2])):
                     if point_step > STOP_DELTA:
                         rows.append(point + (point_step * delta) * signs)
-            values, alone = yield np.vstack(rows)
+            values, speculate = yield np.vstack(rows)
             accepted = values[0] > best
             theta, best, step = (candidate, values[0], grown) if accepted else kept
             at = 1 if accepted else 2  # this state's pair among rows[1:]
@@ -452,9 +458,10 @@ def optimize(
     The restarts run in lockstep: each round stacks the points that every
     live restart of :func:`_ascend` waits on into one call of the compiled
     objective, and a restart leaves the rounds when its budget or its step
-    runs out; the last one left then runs alone, one call per stack.  Each
-    restart draws from its own ``default_rng([seed, restart])``, so the
-    result equals running the restarts one by one.
+    runs out.  While the live restarts hold at most ``SPECULATE_PARAMETERS``
+    parameters in all, they speculate.  Each restart draws from its own
+    ``default_rng([seed, restart])``, so the result equals running the
+    restarts one by one.
     """
     r = choi(ch)
     fun = _compile_objective(ch, base)
@@ -467,22 +474,17 @@ def optimize(
         theta0 = base.theta if warm else rng.standard_normal(base.theta.size)
         ascent = _ascend(theta0, budget, rng)
         pending.append((restart, ascent, next(ascent)))
-    while len(pending) > 1:
+    while pending:
         values = fun(np.concatenate([rows for _, _, rows in pending])).tolist()
+        speculate = len(pending) * base.theta.size <= SPECULATE_PARAMETERS
         live, start = [], 0
         for restart, ascent, rows in pending:
             batch, start = values[start:start + len(rows)], start + len(rows)
             try:
-                live.append((restart, ascent, ascent.send((batch, False))))
+                live.append((restart, ascent, ascent.send((batch, speculate))))
             except StopIteration as stop:
                 runs[restart] = stop.value
         pending = live
-    for restart, ascent, rows in pending:  # the last restart left, alone
-        try:
-            while True:
-                rows = ascent.send((fun(rows).tolist(), True))
-        except StopIteration as stop:
-            runs[restart] = stop.value
     bests, thetas, evals, traces, hit_budget = zip(*runs)
 
     winner = int(np.argmax(bests))

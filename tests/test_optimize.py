@@ -12,6 +12,7 @@ from dense_reference import ascend_reference
 from teleportlab.channels import choi, depolarizing, random_channel
 from teleportlab.optimize import (
     MEASUREMENT_CHOICES,
+    SPECULATE_PARAMETERS,
     OptimizationConfig,
     ProtocolParameterization,
     _compile_objective,
@@ -466,8 +467,8 @@ def _sequential_runs(ch, base, cfg):
        strength=st.sampled_from([0.5, 1.0]), budget=st.integers(4, 600),
        restarts=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
        start=st.sampled_from(["random", "zero", "qt"]))
-# a lone restart whose step decays below STOP_DELTA; two restarts that end
-# rounds apart, the last one speculating alone; criterion 10 (c)'s start
+# a lone restart whose step decays below STOP_DELTA; two speculating
+# restarts that end rounds apart; criterion 10 (c)'s start
 @example(measured="none", p=2, strength=1.0, budget=600, restarts=1, seed=0,
          start="random")
 @example(measured="full", p=1, strength=1.0, budget=600, restarts=2, seed=8,
@@ -519,37 +520,43 @@ def _count_rows(monkeypatch):
 
 
 @pytest.mark.parametrize("strength, measured, budget, restarts, seed", [
-    (0.5, "none", 400, 2, 2024), (0.5, "full", 300, 3, 1),
-    (0.5, "ancilla", 600, 5, 3), (1.0, "none", 600, 3, 0)])
+    (0.5, "none", 800, 4, 2024), (0.5, "full", 300, 3, 1),
+    (0.5, "ancilla", 600, 5, 3), (1.0, "none", 1000, 5, 9)])
 def test_lockstep_round_is_one_call_of_the_rows_read(
         monkeypatch, strength, measured, budget, restarts, seed):
-    # in these searches no restart outlasts all the others, so no round has a
-    # lone restart: each restart needs one stack per reference call, less the
-    # start point that rides with its first probes, and each round is one call
+    # in these searches the restarts that last to the end hold more than
+    # SPECULATE_PARAMETERS parameters, so no round speculates: each restart
+    # needs one stack per reference call, less the start point that rides
+    # with its first probes, and each round is one call
     ch = depolarizing(strength)
     base = zero_parameterization(2, 2, measured)
     cfg = OptimizationConfig(budget, restarts, seed)
     calls = sorted(count for _, count in _sequential_runs(ch, base, cfg))
-    assert calls[-2] == calls[-1]
+    assert calls.count(calls[-1]) * base.theta.size > SPECULATE_PARAMETERS
     rows = _count_rows(monkeypatch)
     result = optimize(ch, base, cfg)
     assert len(rows) == calls[-1] - 1
     assert sum(rows) == result.evaluations_used
 
 
-@pytest.mark.parametrize("measured, budget, seed", [
-    ("none", 4, 0), ("none", 5, 1), ("full", 60, 2), ("ancilla", 200, 3),
-    ("none", 600, 4)])
-def test_lone_restart_makes_one_call_per_step(monkeypatch, measured, budget, seed):
-    # the start point rides with the first probes, and each later call carries
-    # a candidate with the next probe pair of both states it can leave
+@pytest.mark.parametrize("measured, budget, restarts, seed", [
+    ("none", 4, 1, 0), ("none", 5, 1, 1), ("full", 60, 1, 2),
+    ("ancilla", 200, 1, 3), ("none", 600, 1, 4), ("none", 400, 2, 2024),
+    ("ancilla", 300, 2, 5), ("none", 600, 3, 6)])
+def test_speculating_round_is_one_call_per_step(
+        monkeypatch, measured, budget, restarts, seed):
+    # at most SPECULATE_PARAMETERS parameters in all: the start point rides
+    # with the first probes, and each later call carries every restart's
+    # candidate with the next probe pair of both states it can leave
+    base = zero_parameterization(2, 2, measured)
+    assert restarts * base.theta.size <= SPECULATE_PARAMETERS
     rows = _count_rows(monkeypatch)
-    result = optimize(depolarizing(0.5), zero_parameterization(2, 2, measured),
-                      OptimizationConfig(budget, 1, seed))
-    (trace,) = result.restart_traces
-    assert len(rows) <= len(trace)  # the steps, plus one
-    assert max(rows) <= 5
-    assert sum(rows) <= result.evaluations_used + 2 * len(rows)
+    result = optimize(depolarizing(0.5), base,
+                      OptimizationConfig(budget, restarts, seed))
+    steps = max(len(trace) for trace in result.restart_traces)  # plus one
+    assert len(rows) <= steps
+    assert max(rows) <= 5 * restarts
+    assert sum(rows) <= result.evaluations_used + 2 * restarts * len(rows)
 
 
 def test_sweep_structure_and_monotonicity():
