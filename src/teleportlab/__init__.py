@@ -53,7 +53,6 @@ from .protocol import (
 )
 from .theorem import (
     cauchy_schwarz_check,
-    check_relations_13,
     entanglement_bound,
     nielsen_convertible,
     no_cc_contradiction,
@@ -86,7 +85,6 @@ __all__ = [
     "bell_basis",
     "block_operators",
     "cauchy_schwarz_check",
-    "check_relations_13",
     "choi",
     "control_map",
     "correction_unitary",

@@ -55,6 +55,8 @@ class KrausChannel:
     choi_state: ChoiMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
+        if self.dim < 2:
+            raise ValueError(f"channel dimension must be >= 2, got {self.dim}")
         if len(self.kraus) == 0:
             raise ValueError("channel needs at least one Kraus operator")
         kraus = _operator_stack(self.kraus, self.dim, "Kraus operator",

@@ -173,7 +173,11 @@ def cmd_teleport(channel_file, depolarizing_p, dim, state_file, random_seed, mu,
             rho = random_state(ch.dim, random_seed)
         resource = None
         if mu is not None:
-            coeffs = np.array([float(x) for x in mu.split(",")])
+            try:
+                coeffs = np.array([float(x) for x in mu.split(",")])
+            except ValueError:
+                raise ValueError(
+                    f"--mu must be comma-separated numbers, got {mu!r}") from None
             norm = np.linalg.norm(coeffs)
             if not 0 < norm < np.inf:  # NaN fails too
                 raise ValueError(f"--mu must be finite and not all zero, got {mu}")

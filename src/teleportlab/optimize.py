@@ -322,7 +322,7 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
         u = _expi((gen @ hermitian_map).view(complex).reshape(-1, 1 + m, d, d))
         senders = u[:, :1] if row_mask is None else u[:, :1] * row_mask
         receivers = u[:, 1:]
-        _check_determinism(senders, receivers, 1e-10)
+        _check_determinism(senders, receivers)
         # a pinned mu broadcasts over the stack
         mu = _squared_softmax(stack[:, n_gen:]) if pinned is None else pinned
         out = _overlap(_inner_products(mu, senders, receivers, n, p), r_matrix)

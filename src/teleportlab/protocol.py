@@ -32,6 +32,9 @@ from .qmath import (_INTEGER, _MATRICES, _MATRIX, _NUMBERS, _operator_stack,
                     matrix_to_pairs, maximally_entangled, projector)
 
 
+DETERMINISM_TOL = 1e-10  # the determinism gate's default bound on |Gram - I|
+
+
 def _check_schmidt(mu: np.ndarray) -> None:
     """Raise unless every row of mu is a finite, non-negative unit vector."""
     dev = float(np.abs((mu**2).sum(axis=-1) - 1.0).max())
@@ -65,10 +68,12 @@ def _determinism_deviation(ops: np.ndarray, receivers: np.ndarray) -> np.ndarray
         (column.conj().swapaxes(-1, -2) @ column)[..., None, :, :],
         (row @ row.conj().swapaxes(-1, -2))[..., None, :, :],
         receivers @ receivers.conj().swapaxes(-1, -2)], axis=-3)
-    return np.abs(gram - np.eye(d))
+    gram.reshape(*gram.shape[:-2], d * d)[..., :: d + 1] -= 1  # minus I
+    return np.abs(gram)
 
 
-def _check_determinism(ops: np.ndarray, receivers: np.ndarray, tol: float) -> float:
+def _check_determinism(ops: np.ndarray, receivers: np.ndarray,
+                       tol: float = DETERMINISM_TOL) -> float:
     """Determinism residuals of stacked branch operators and receivers.
 
     ``ops`` and ``receivers`` are (..., M, d, d); leading axes index
@@ -169,8 +174,9 @@ class ResourceProtocol:
     def local_dim(self) -> int:
         return self.resource.local_dim
 
-    def check_determinism(self, tol: float = 1e-10) -> float:
-        """Validate the determinism invariants; returns the worst residual."""
+    def check_determinism(self, tol: float = DETERMINISM_TOL) -> float:
+        """Validate the determinism invariants (relation 13); returns the worst
+        residual, the proof report's ``relation13_max_residual``."""
         return _check_determinism(self.branches, self.receiver_unitaries, tol)
 
     @cached_property

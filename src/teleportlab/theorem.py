@@ -11,20 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .protocol import AncillaResource, ResourceProtocol, _blocks, _determinism_deviation
-
-
-def check_relations_13(blocks: tuple) -> float:
-    """Worst residual of the determinism relations on the (a, b) blocks of
-    :func:`block_operators`: the largest entry of |Gram - I| over sum L^dag L,
-    sum L L^dag and each W W^dag (which for square W gives W^dag W = I), the
-    residual that :meth:`ResourceProtocol.check_determinism` returns.
-    """
-    _, p, _, n, _ = blocks[0].shape
-    # undo _blocks' transpose: the operators themselves, rows and columns (x, i)
-    ops, recv = (x.transpose(0, 3, 1, 4, 2).reshape(len(x), n * p, n * p)
-                 for x in blocks)
-    return float(_determinism_deviation(ops, recv).max())
+from .protocol import AncillaResource, ResourceProtocol, _determinism_deviation
 
 
 def beta_scalars(proto: ResourceProtocol) -> np.ndarray:
@@ -32,17 +19,11 @@ def beta_scalars(proto: ResourceProtocol) -> np.ndarray:
 
     The relation prescribes G[eta,k,l,n,m] = sqrt(N) beta_eta on the
     index-matched tuples and 0 elsewhere; the unique least-squares minimizer
-    is the matched-tuple average, and reduces to the exact scalar whenever
-    the relation holds.
+    is the matched-tuple average over the min(N, P)^2 tuples with k == m and
+    l == n, and reduces to the exact scalar whenever the relation holds.
+    Returns the protocol's kept, read-only array.
     """
-    return _beta_scalars(proto._g, proto.n)
-
-
-def _beta_scalars(g: np.ndarray, n: int) -> np.ndarray:
-    """:func:`beta_scalars` from G: the average over the min(N, P)^2 tuples
-    with k == m and l == n."""
-    q = min(n, g.shape[1])
-    return np.einsum("ekllk->e", g[:, :q, :q, :q, :q]) / (np.sqrt(n) * q * q)
+    return proto._proof_numbers[2]
 
 
 def no_cc_contradiction(proto: ResourceProtocol, tol: float = 1e-9) -> dict:
@@ -99,18 +80,26 @@ def proof_report(proto: ResourceProtocol, tol: float = 1e-9) -> dict:
 
 def _proof_numbers(proto: ResourceProtocol) -> tuple:
     """What :func:`proof_report` reads of the protocol, which the protocol
-    keeps: the relation-13 residual, the Cauchy-Schwarz violation, the
-    read-only branch scalars and, for M = 1, the contradiction sum (None
-    otherwise)."""
-    n, p, g = proto.n, proto.local_dim, proto._g
-    a, b = (_blocks(x, n, p) for x in (proto.branches, proto.receiver_unitaries))
-    betas = _beta_scalars(g, n)
+    keeps: the relation-13 residual (the residual of
+    :meth:`ResourceProtocol.check_determinism`), the Cauchy-Schwarz
+    violation, the read-only branch scalars and, for M = 1, the contradiction
+    sum (None otherwise)."""
+    n, p, g, mu = proto.n, proto.local_dim, proto._g, proto.resource.mu
+    r13 = float(_determinism_deviation(proto.branches, proto.receiver_unitaries).max())
+    # mu-weighted squared norms of the sender blocks <i|L|j> and receiver
+    # blocks <k|W|l>, the stacks viewed as (M, N, P, N, P), rows (x, i)
+    sq_a, sq_b = (np.abs(x.reshape(-1, n, p, n, p)) ** 2
+                  for x in (proto.branches, proto.receiver_unitaries))
+    product = np.einsum("eln,ekm->eklnm", np.einsum("i,enlji->eln", mu, sq_a),
+                        np.einsum("p,eqkmp->ekm", mu, sq_b))
+    cs = float(np.max(np.abs(g) ** 2 - product))
+    q = min(n, p)
+    betas = np.einsum("ekllk->e", g[:, :q, :q, :q, :q]) / (np.sqrt(n) * q * q)
     betas.flags.writeable = False
     lhs = None
     if proto.m == 1:
         lhs = float(np.mean(np.sum(np.abs(g[0]) ** 2, axis=(0, 1, 2))))
-    return (check_relations_13((a, b)), _cauchy_schwarz(proto.resource.mu, a, b, g),
-            betas, lhs)
+    return r13, cs, betas, lhs
 
 
 def entanglement_bound(resource: AncillaResource, n: int) -> tuple:
@@ -130,17 +119,7 @@ def cauchy_schwarz_check(proto: ResourceProtocol) -> float:
     valid for every protocol, not only faithful ones.  Returns
     max(|inner|^2 - product), which stays <= 0 up to rounding.
     """
-    _, cs, _, _ = proto._proof_numbers
-    return cs
-
-
-def _cauchy_schwarz(mu: np.ndarray, a: np.ndarray, b: np.ndarray,
-                    g: np.ndarray) -> float:
-    """:func:`cauchy_schwarz_check` from the blocks and G."""
-    prod_a = np.einsum("i,elinj->eln", mu, np.abs(a) ** 2)
-    prod_b = np.einsum("p,ekpqm->ekm", mu, np.abs(b) ** 2)
-    product = np.einsum("eln,ekm->eklnm", prod_a, prod_b)
-    return float(np.max(np.abs(g) ** 2 - product))
+    return proto._proof_numbers[1]
 
 
 def nielsen_convertible(

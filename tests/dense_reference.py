@@ -7,7 +7,7 @@ run a search one restart at a time; no path in the package needs them.
 import numpy as np
 
 from teleportlab.optimize import STEP_DECAY, STEP_INIT, STOP_DELTA
-from teleportlab.protocol import block_operators
+from teleportlab.protocol import _inner_products, block_operators
 from teleportlab.qmath import factor_permutation
 
 
@@ -23,6 +23,36 @@ def lambda_reference(proto):
     ops = np.einsum("i,ekibc,elida->eklbacd", proto.resource.mu, b, a)
     m, p, _, n, _, _, _ = ops.shape
     return ops.reshape(m, p, p, n * n, n * n)
+
+
+def proof_numbers_reference(proto):
+    """The numbers :func:`teleportlab.theorem.proof_report` reads of the
+    protocol, by the block route and from a freshly built G: the relation-13
+    residual from the determinism Gram matrices of the operators rebuilt out
+    of :func:`block_operators` (their transpose undone), the Cauchy-Schwarz
+    violation from block einsums, the branch scalars (the G average over
+    the min(N, P)^2 index-matched tuples) and, for M = 1, the contradiction
+    sum (None otherwise)."""
+    n, p, mu = proto.n, proto.local_dim, proto.resource.mu
+    a, b = block_operators(proto)
+    ops, recv = (x.transpose(0, 3, 1, 4, 2).reshape(len(x), n * p, n * p)
+                 for x in (a, b))
+    column = ops.reshape(-1, n * p)
+    row = ops.swapaxes(0, 1).reshape(n * p, -1)
+    gram = np.concatenate([(column.conj().T @ column)[None],
+                           (row @ row.conj().T)[None],
+                           recv @ recv.conj().swapaxes(-1, -2)])
+    r13 = float(np.abs(gram - np.eye(n * p)).max())
+    g = _inner_products(mu, proto.branches, proto.receiver_unitaries, n, p)
+    prod_a = np.einsum("i,elinj->eln", mu, np.abs(a) ** 2)
+    prod_b = np.einsum("p,ekpqm->ekm", mu, np.abs(b) ** 2)
+    cs = float(np.max(np.abs(g) ** 2 - np.einsum("eln,ekm->eklnm", prod_a, prod_b)))
+    q = min(n, p)
+    betas = np.einsum("ekllk->e", g[:, :q, :q, :q, :q]) / (np.sqrt(n) * q * q)
+    lhs = None
+    if proto.m == 1:
+        lhs = float(np.mean(np.sum(np.abs(g[0]) ** 2, axis=(0, 1, 2))))
+    return r13, cs, betas, lhs
 
 
 def ascend_reference(fun, theta0, budget, rng):

@@ -56,6 +56,16 @@ def test_channel_info_malformed_file(runner, tmp_path):
     assert "error" in result.output or result.output == ""
 
 
+def test_channel_info_dim_1_file_exits_2_naming_the_channel_dimension(runner, tmp_path):
+    # a valid 1 x 1 Kraus operator: the dimension alone is what fails
+    path = tmp_path / "dim1.json"
+    path.write_text(json.dumps({"dim": 1, "kraus": [[[[1.0, 0.0]]]]}))
+    result = runner.invoke(main, ["channel-info", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: channel dimension must be >= 2, got 1"]
+
+
 def test_channel_info_requires_one_source(runner):
     result = runner.invoke(main, ["channel-info"])
     assert result.exit_code == 2
@@ -447,6 +457,15 @@ def test_teleport_rejects_zero_or_non_finite_mu(runner, mu):
     assert result.exit_code == 2
     assert result.stderr.splitlines() == [
         f"error: --mu must be finite and not all zero, got {mu}"]
+
+
+@pytest.mark.parametrize("mu", ["", "0.6,x"], ids=["empty", "not-a-number"])
+def test_teleport_non_numeric_mu_exits_2_naming_the_option(runner, mu):
+    result = runner.invoke(
+        main, ["teleport", "--depolarizing", "0.5", "--random", "3", "--mu", mu])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        f"error: --mu must be comma-separated numbers, got {mu!r}"]
 
 
 def test_teleport_negative_mu_exits_2_with_one_line(runner):

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from dense_reference import proof_numbers_reference
 from teleportlab.channels import choi, random_channel
 from teleportlab.protocol import (
     AncillaResource,
     ResourceProtocol,
-    _blocks,
     _inner_products,
     _overlap,
     bare_protocol,
@@ -21,11 +21,8 @@ from teleportlab.protocol import (
 )
 from teleportlab.teleport import qt_protocol
 from teleportlab.theorem import (
-    _beta_scalars,
-    _cauchy_schwarz,
     beta_scalars,
     cauchy_schwarz_check,
-    check_relations_13,
     entanglement_bound,
     nielsen_convertible,
     no_cc_contradiction,
@@ -89,45 +86,48 @@ def grid_schmidt_vectors():
     return vectors
 
 
+def _r13(proto):
+    return proof_report(proto)["relation13_max_residual"]
+
+
+def _scaled_receiver_qt2():
+    """qt_protocol(2) with its first receiver halved, so W W^dag = I/4."""
+    qt = qt_protocol(2)
+    receivers = qt.receiver_unitaries.copy()
+    receivers[0] *= 0.5
+    return ResourceProtocol(n=2, resource=qt.resource,
+                            sender_projections=qt.sender_projections,
+                            sender_unitaries=qt.sender_unitaries,
+                            receiver_unitaries=receivers, validate=False)
+
+
 def test_relations13_qt():
-    assert check_relations_13(block_operators(qt_protocol(2))) < 1e-10
-    assert check_relations_13(block_operators(qt_protocol(3))) < 1e-10
+    assert _r13(qt_protocol(2)) < 1e-10
+    assert _r13(qt_protocol(3)) < 1e-10
 
 
 def test_relations13_bare():
-    assert check_relations_13(block_operators(bare_protocol(2))) < 1e-12
+    assert _r13(bare_protocol(2)) < 1e-12
 
 
 def test_relations13_detects_scaled_receiver():
-    a, b = block_operators(qt_protocol(2))
-    b = b.copy()
-    b[0] *= 0.5
-    assert check_relations_13((a, b)) > 0.1
+    assert _r13(_scaled_receiver_qt2()) > 0.1
 
 
 def test_relations13_matches_determinism_validator():
+    # the block route of the reference reads the validator's residual too
     for seed, (p, m) in enumerate(FEASIBLE_COMBOS):
         proto = random_protocol(2, p, m, seed=seed)
-        r13 = check_relations_13(block_operators(proto))
+        r13 = proof_numbers_reference(proto)[0]
         direct = proto.check_determinism()
         assert r13 == direct < 1e-10
 
 
 def test_relations13_flags_what_validator_flags():
-    qt = qt_protocol(2)
-    receivers = list(qt.receiver_unitaries)
-    receivers[0] = receivers[0] * 0.5
-    broken = ResourceProtocol(
-        n=2,
-        resource=qt.resource,
-        sender_projections=qt.sender_projections,
-        sender_unitaries=qt.sender_unitaries,
-        receiver_unitaries=tuple(receivers),
-        validate=False,
-    )
+    broken = _scaled_receiver_qt2()
     with pytest.raises(ValueError, match="deterministic"):
         broken.check_determinism()
-    assert check_relations_13(block_operators(broken)) > 1e-10
+    assert _r13(broken) > 1e-10
 
 
 @settings(max_examples=60, deadline=None)
@@ -305,10 +305,9 @@ def test_proof_report_serializes():
     random_protocol(3, 3, 9, seed=82),
 ], ids=["qt2", "qt3", "bare", "n2m1", "n3m4", "n3m9"])
 def test_proof_report_equals_separate_checks(proto):
-    # the report computes the blocks and G once; the public checks, each
-    # building its own, must give the very same numbers
+    # the report and the public checks must give the very same numbers
     n, p, mu = proto.n, proto.local_dim, proto.resource.mu
-    r13 = check_relations_13(block_operators(proto))
+    r13 = proto.check_determinism()
     cs = cauchy_schwarz_check(proto)
     ent_sum, satisfied = entanglement_bound(proto.resource, n)
     verdicts = {"deterministic": bool(r13 <= 1e-9),
@@ -333,30 +332,41 @@ def test_proof_report_equals_separate_checks(proto):
 
 
 def _uncached_report(proto, tol):
-    """proof_report's dict from freshly built G and blocks, sharing nothing
-    with what the protocol keeps."""
-    n, p, mu = proto.n, proto.local_dim, proto.resource.mu
-    g = _inner_products(mu, proto.branches, proto.receiver_unitaries, n, p)
-    a, b = _blocks(proto.branches, n, p), _blocks(proto.receiver_unitaries, n, p)
-    r13 = check_relations_13((a, b))
-    cs = _cauchy_schwarz(mu, a, b, g)
+    """proof_report's dict from the reference's block route and freshly
+    built G, sharing nothing with what the protocol keeps."""
+    n, p = proto.n, proto.local_dim
+    r13, cs, betas, lhs = proof_numbers_reference(proto)
     ent_sum, satisfied = entanglement_bound(proto.resource, n)
     verdicts = {"deterministic": bool(r13 <= tol),
                 "entanglement_bound_satisfied": bool(satisfied),
                 "cauchy_schwarz_ok": bool(cs <= tol)}
-    lhs = rhs = None
-    if proto.m == 1:
-        lhs = float(np.mean(np.sum(np.abs(g[0]) ** 2, axis=(0, 1, 2))))
+    rhs = None
+    if lhs is not None:
         rhs = float(n * p)
         verdicts["faithful_correction_possible"] = bool(abs(lhs - rhs) <= tol)
     return {
         "relation13_max_residual": r13, "entanglement_sum": ent_sum,
         "bound": float(np.sqrt(n)),
-        "branch_scalars": [[float(x.real), float(x.imag)]
-                           for x in _beta_scalars(g, n)],
+        "branch_scalars": [[float(x.real), float(x.imag)] for x in betas],
         "cauchy_schwarz_violation": cs, "contradiction_lhs": lhs,
         "contradiction_rhs": rhs, "verdicts": verdicts,
-    }, g
+    }
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([2, 3, 4]), p=st.sampled_from([1, 2, 3]),
+       branches=st.sampled_from(["1", "P", "NP"]), seed=st.integers(0, 2**32 - 1),
+       eps=st.sampled_from([0.0, 5e-10]) | st.floats(-1e-8, 1e-8))
+def test_proof_report_equals_the_block_route(n, p, branches, seed, eps):
+    # the report reads the operator stacks; the reference reads the ancilla
+    # blocks and rebuilds the operators from them: the same bits, on
+    # deterministic protocols and off them
+    m = {"1": 1, "P": p, "NP": n * p}[branches]
+    good = random_protocol(n, p, m, seed=seed)
+    proto = ResourceProtocol(n, good.resource, good.sender_projections,
+                             (1 + eps) * good.sender_unitaries,
+                             good.receiver_unitaries, validate=False)
+    assert proof_report(proto) == _uncached_report(proto, 1e-9)
 
 
 _CACHE_GRID = [(n, p, m) for n in (2, 3, 4) for p in (1, 2, 3) for m in (1, n * p)]
@@ -373,10 +383,13 @@ _CACHE_GRID = [(n, p, m) for n in (2, 3, 4) for p in (1, 2, 3) for m in (1, n * 
 def test_kept_proof_numbers_equal_an_uncached_route(make):
     proto = make()
     r = choi(random_channel(proto.n, proto.n**2, seed=proto.m))
-    expected, g = _uncached_report(proto, 1e-9)
+    expected = _uncached_report(proto, 1e-9)
+    betas = proof_numbers_reference(proto)[2]
+    g = _inner_products(proto.resource.mu, proto.branches, proto.receiver_unitaries,
+                        proto.n, proto.local_dim)
     for _ in range(2):  # the call that fills the cache, then one that reads it
         assert proof_report(proto) == expected
-        np.testing.assert_array_equal(beta_scalars(proto), _beta_scalars(g, proto.n))
+        np.testing.assert_array_equal(beta_scalars(proto), betas)
         assert cauchy_schwarz_check(proto) == expected["cauchy_schwarz_violation"]
         assert target_overlap(proto, r) == float(_overlap(g, r.matrix))
 
@@ -394,7 +407,7 @@ def test_proof_report_applies_tol_per_call():
     for tol, deterministic, cs_ok in ((1.0, True, True), (1e-9, False, True),
                                       (-1.0, False, False), (1.0, True, True)):
         report = proof_report(proto, tol=tol)
-        assert report == _uncached_report(proto, tol)[0]
+        assert report == _uncached_report(proto, tol)
         assert report["verdicts"]["deterministic"] is deterministic
         assert report["verdicts"]["cauchy_schwarz_ok"] is cs_ok
         assert proto._g is g and proto._proof_numbers is numbers
