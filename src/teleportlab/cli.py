@@ -187,7 +187,7 @@ def cmd_teleport(channel_file, depolarizing_p, dim, state_file, random_seed, mu,
                     f"--mu needs {ch.dim} coefficients, got {coeffs.size}"
                 )
             try:
-                resource = AncillaResource(mu=coeffs).state()
+                resource = AncillaResource(mu=coeffs)
             except ValueError as exc:  # a negative coefficient
                 raise ValueError(f"--mu: {exc}, got {mu}") from None
         output, probs = teleport_detailed(rho, ch, resource)

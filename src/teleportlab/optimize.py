@@ -26,6 +26,7 @@ points it is bit-identical.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -351,6 +352,12 @@ class OptimizationConfig:
     warm_start: bool = False
 
     def __post_init__(self):
+        for name in ("evaluation_budget", "restarts", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError:
+                raise TypeError(f"{name} must be an integer, got {value!r}") from None
         if self.evaluation_budget < 1:
             raise ValueError("evaluation budget must be >= 1")
         if self.restarts < 1:

@@ -198,9 +198,22 @@ class ResourceProtocol:
 
     @cached_property
     def _operands(self) -> tuple:
-        """The simulator operands for the protocol's own resource pair."""
-        return _simulator_operands(self.branches, self.receiver_unitaries,
-                                   self.resource.state(), self.n)
+        """What :func:`_run` reads of the protocol, in the layouts its
+        contractions take, read-only: f[m, a', (A' b), A] = sum_a <A' a'| L_m
+        |A a> psi[a, b] from the M branches on A (x) a and the pair state psi
+        on a (x) b; f conjugated, with rows (a', A) per branch; the M
+        receivers on channel-output (x) b; and their conjugates with rows
+        (m, b, (B'' b'')) and columns B'."""
+        n, p, m = self.n, self.local_dim, self.m
+        d = n * p
+        f = self.branches.reshape(-1, p) @ self.resource.state().reshape(p, p)
+        f = f.reshape(m, n, p, n, p).transpose(0, 2, 1, 4, 3).reshape(m, p, d, n)
+        f_conj = f.conj().transpose(0, 1, 3, 2).reshape(m, p * n, d)
+        w = self.receiver_unitaries.reshape(m, n, p, d).conj()
+        w = w.transpose(0, 2, 3, 1).reshape(-1, n)
+        for x in (f, f_conj, w):
+            x.flags.writeable = False
+        return f, f_conj, self.receiver_unitaries, w
 
     @cached_property
     def _psi0_sent(self) -> np.ndarray:
@@ -225,48 +238,8 @@ class ResourceProtocol:
         return _proof_numbers(self)
 
 
-def _simulator_operands(branches: np.ndarray, receivers: np.ndarray,
-                        resource: np.ndarray, n: int) -> tuple:
-    """What :func:`_simulate` reads of a protocol, in the layouts its
-    contractions take, read-only: f[m, a', (A' b), A] = sum_a <A' a'| L_m |A a>
-    resource[a, b] from the M ``branches`` on A (x) a and the ``resource`` on
-    a (x) b; f conjugated, with rows (a', A) per branch; the M ``receivers``
-    on channel-output (x) b; and their conjugates with rows (m, b, (B'' b''))
-    and columns B'.
-    """
-    m, d, _ = branches.shape
-    p = d // n
-    f = (branches.reshape(-1, p) @ resource.reshape(p, p)).reshape(m, n, p, n, p)
-    f = f.transpose(0, 2, 1, 4, 3).reshape(m, p, d, n)
-    f_conj = f.conj().transpose(0, 1, 3, 2).reshape(m, p * n, d)
-    w = receivers.reshape(m, n, p, d).conj().transpose(0, 2, 3, 1).reshape(-1, n)
-    for x in (f, f_conj, w):
-        x.flags.writeable = False
-    return f, f_conj, receivers, w
-
-
-def _simulate(rho, operands: tuple, ch: KrausChannel):
-    """Run a one-way protocol around one use of the channel by contraction.
-
-    ``rho`` lives on A (x) R (R a passive reference leg); ``operands`` are
-    the protocol and its pair state as :func:`_simulator_operands` lays them
-    out.  a is traced out once the branch is applied, so the channel and
-    receivers act on (A, b).  Returns the output on B (x) R and the branch
-    probabilities.
-
-    Each contraction is one GEMM, or one matmul batched over the branches,
-    on transposed and reshaped copies, so BLAS does the arithmetic: the
-    branch with a traced out, the channel as an N^2 x N^2 superoperator on
-    the two A legs, the receivers, and the trace over b, summed over the
-    branches in the same product.  :func:`_send` does the channel-free part
-    and :func:`_receive` the rest.
-    """
-    sent, probs = _send(rho, operands)
-    return _receive(sent, operands, ch), probs
-
-
 def _send(rho, operands: tuple) -> tuple:
-    """The sender half of :func:`_simulate`: the branch applied to ``rho``
+    """The sender half of :func:`_run`: the branch applied to ``rho``
     and a traced out, as a contiguous [A, A', m, b, R, S, b'] array that
     :func:`_receive` reads as the channel GEMM's right operand, and the
     branch probabilities."""
@@ -285,7 +258,7 @@ def _send(rho, operands: tuple) -> tuple:
 
 
 def _receive(sent: np.ndarray, operands: tuple, ch: KrausChannel) -> np.ndarray:
-    """The receiver half of :func:`_simulate`: the channel on the two A legs
+    """The receiver half of :func:`_run`: the channel on the two A legs
     of a :func:`_send` result, the receivers, and the trace over b."""
     _, _, receivers, w = operands
     n, _, m, p, r, _, _ = sent.shape
@@ -306,15 +279,23 @@ def _check_channel_dim(proto: ResourceProtocol, ch: KrausChannel) -> None:
         raise ValueError(f"channel dim {ch.dim} does not match protocol dim {proto.n}")
 
 
-def _run(proto: ResourceProtocol, ch: KrausChannel, rho: np.ndarray,
-         resource: np.ndarray | None = None) -> tuple:
-    """Output and branch probabilities of the protocol around one use of the
-    channel; ``resource`` replaces the pair state ``proto.resource.state()``."""
+def _run(proto: ResourceProtocol, ch: KrausChannel, rho: np.ndarray) -> tuple:
+    """Run a one-way protocol around one use of the channel by contraction.
+
+    ``rho`` lives on A (x) R (R a passive reference leg).  a is traced out
+    once the branch is applied, so the channel and receivers act on (A, b).
+    Returns the output on B (x) R and the branch probabilities.
+
+    Each contraction is one GEMM, or one matmul batched over the branches,
+    on transposed and reshaped copies of the protocol's kept operands, so
+    BLAS does the arithmetic: the branch with a traced out, the channel as an
+    N^2 x N^2 superoperator on the two A legs, the receivers, and the trace
+    over b, summed over the branches in the same product.  :func:`_send`
+    does the channel-free part and :func:`_receive` the rest.
+    """
     _check_channel_dim(proto, ch)
-    if resource is None:
-        return _simulate(rho, proto._operands, ch)
-    return _simulate(rho, _simulator_operands(
-        proto.branches, proto.receiver_unitaries, resource, proto.n), ch)
+    sent, probs = _send(rho, proto._operands)
+    return _receive(sent, proto._operands, ch), probs
 
 
 def apply_protocol(

@@ -212,16 +212,6 @@ def _operator_stack(ops, d: int, kind: str, expected: str) -> np.ndarray:
     return stack
 
 
-def assert_pure_state(vec: np.ndarray, tol: float = 1e-12) -> None:
-    """Raise ValueError if the vector is not normalized or not finite."""
-    v = np.asarray(vec, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("pure state has non-finite amplitudes")
-    dev = abs(float(np.vdot(v, v).real) - 1.0)
-    if dev > tol:
-        raise ValueError(f"pure state squared-norm deviates from 1 by {dev:.3e}")
-
-
 def _check_state(matrix: np.ndarray, what: str, tol: float) -> None:
     """Raise ValueError unless the square complex ``matrix`` is a state: finite,
     Hermitian, positive semidefinite and of trace 1, each within ``tol`` and

@@ -6,11 +6,12 @@ A (x) a (R maps the Bell basis onto the computational one), after which a is
 traced out; the noisy channel acts on A only (the system that would traverse
 the channel), and the correction acts on channel-output (x) b, ending with a
 swap that moves the result onto the channel-output leg before b is traced
-out (see ``protocol._simulate``).
+out (see ``protocol._run``).
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -18,7 +19,6 @@ import numpy as np
 from .channels import KrausChannel, weyl_operator
 from .protocol import (AncillaResource, ResourceProtocol, _run, apply_protocol,
                        basis_projections)
-from .qmath import assert_pure_state
 
 
 def bell_state(n: int, eta: int) -> np.ndarray:
@@ -87,22 +87,28 @@ def teleport(rho: np.ndarray, ch: KrausChannel) -> np.ndarray:
 
 
 def teleport_detailed(
-    rho: np.ndarray, ch: KrausChannel, resource: np.ndarray | None = None
+    rho: np.ndarray, ch: KrausChannel, resource: AncillaResource | None = None
 ):
     """Teleport and also report the Bell-outcome branch probabilities.
 
-    ``resource`` may be any pure state on a (x) b; the default is the
-    maximally entangled pair.
+    ``resource`` is the shared pair as an :class:`AncillaResource`, the pair
+    sum_i mu_i |ii> in its Schmidt basis; the default is the maximally
+    entangled pair of ``qt_protocol(N)``.  A pair in any other local basis is
+    a protocol whose sender and receivers absorb that basis: build it as a
+    :class:`ResourceProtocol` and run it with ``apply_protocol``.
     """
     n = ch.dim
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n, n):
         raise ValueError(f"state shape {rho.shape} does not match channel dim {n}")
+    proto = qt_protocol(n)
     if resource is not None:
-        resource = np.asarray(resource, dtype=complex).reshape(-1)
-        if resource.size != n * n:
-            raise ValueError(
-                f"resource dim {resource.size} is not bipartite with local dim {n}"
+        if not isinstance(resource, AncillaResource):
+            raise TypeError(
+                f"resource must be an AncillaResource, got {type(resource).__name__}"
             )
-        assert_pure_state(resource, tol=1e-10)
-    return _run(qt_protocol(n), ch, rho, resource)
+        if resource.local_dim != n:
+            raise ValueError(f"resource local dim {resource.local_dim} "
+                             f"does not match channel dim {n}")
+        proto = replace(proto, resource=resource)
+    return _run(proto, ch, rho)

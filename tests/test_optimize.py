@@ -297,6 +297,15 @@ def test_config_validation():
         OptimizationConfig(evaluation_budget=10, restarts=0, seed=0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("evaluation_budget", 40.5), ("restarts", 2.0), ("seed", 1.5), ("seed", "3")])
+def test_config_rejects_non_integer_fields(field, value):
+    valid = {"evaluation_budget": 40, "restarts": 2, "seed": 0}
+    with pytest.raises(TypeError, match=f"{field} must be an integer, got {value!r}"):
+        OptimizationConfig(**{**valid, field: value})
+    OptimizationConfig(**{**valid, field: np.int64(valid[field])})  # numpy ints pass
+
+
 @pytest.mark.parametrize("pin", ["free", "fix_mu", "mu_fixed"])
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("measured", ["none", "ancilla", "full"])

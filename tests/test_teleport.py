@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from dense_reference import swap_matrix
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from teleportlab.channels import depolarizing, identity_channel, random_channel
 from teleportlab.protocol import AncillaResource, ResourceProtocol, apply_protocol
@@ -115,21 +119,31 @@ def test_branch_probabilities_uniform():
         np.testing.assert_allclose(probs, np.full(n * n, 1 / n**2), atol=1e-10)
 
 
-@pytest.mark.parametrize("mu", [(1.0, 0.0), (np.cos(np.pi / 8), np.sin(np.pi / 8))])
-def test_branch_probabilities_partial_resource(mu):
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(raw=st.integers(2, 4).flatmap(
+           lambda n: st.lists(st.floats(0, 1), min_size=n, max_size=n)).filter(
+           lambda raw: max(raw) > 1e-3),
+       seed=st.integers(0, 2**16))
+@example(raw=[1.0, 0.0], seed=7)
+@example(raw=[np.cos(np.pi / 8), np.sin(np.pi / 8)], seed=7)
+def test_branch_probabilities_partial_resource(raw, seed):
     # with resource sum_k mu_k |kk>, outcome (phase, shift) has probability
-    # sum_k rho_kk mu_{k+shift}^2 / N, whatever the phase
-    rho = random_state(2, seed=7)
-    resource = np.zeros(4, dtype=complex)
-    resource[0], resource[3] = mu
-    _, probs = teleport_detailed(rho, depolarizing(0.5), resource)
-    assert np.all(probs >= 0)
-    assert abs(probs.sum() - 1.0) < 1e-12
+    # sum_k rho_kk mu_{(k+shift) mod N}^2 / N, whatever the phase
+    n = len(raw)
+    res = AncillaResource(mu=np.array(raw) / np.linalg.norm(raw))
+    rho = random_state(n, seed=seed)
+    ch = random_channel(n, n * n, seed=seed + 1)
+    out, probs = teleport_detailed(rho, ch, res)
     diag = np.diag(rho).real
-    by_shift = [(diag[0] * mu[0] ** 2 + diag[1] * mu[1] ** 2) / 2,
-                (diag[0] * mu[1] ** 2 + diag[1] * mu[0] ** 2) / 2]
+    by_shift = [diag @ np.roll(res.mu, -shift) ** 2 / n for shift in range(n)]
     # outcome index eta = phase * N + shift
-    np.testing.assert_allclose(probs, np.tile(by_shift, 2), atol=1e-12)
+    np.testing.assert_allclose(probs, np.tile(by_shift, n), rtol=0, atol=1e-12)
+    # teleportation with a partial resource is qt_protocol with that resource
+    np.testing.assert_array_equal(
+        out, apply_protocol(replace(qt_protocol(n), resource=res), ch, rho))
+    uniform = AncillaResource(mu=np.full(n, 1 / np.sqrt(n)))
+    np.testing.assert_array_equal(teleport_detailed(rho, ch, uniform)[0],
+                                  teleport(rho, ch))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -174,15 +188,14 @@ def test_resource_default_matches_maximally_entangled():
     rho = random_state(2, seed=30)
     ch = depolarizing(0.25)
     np.testing.assert_array_equal(
-        teleport_detailed(rho, ch, maximally_entangled(2))[0],
+        teleport_detailed(rho, ch, AncillaResource(mu=np.full(2, 1 / np.sqrt(2))))[0],
         teleport(rho, ch),
     )
 
 
 def test_product_resource_kills_coherence():
     ch = depolarizing(0.5)
-    product = np.zeros(4, dtype=complex)
-    product[0] = 1.0  # |00>
+    product = AncillaResource(mu=[1.0, 0.0])  # |00>
     plus = projector(np.array([1, 1]) / np.sqrt(2))
     out = teleport_detailed(plus, ch, product)[0]
     np.testing.assert_allclose(out, np.eye(2) / 2, atol=1e-12)
@@ -196,13 +209,12 @@ def test_custom_resource_leaves_the_cached_operands_alone():
     qt = qt_protocol(2)
     ch = random_channel(2, 4, seed=12)
     rho = random_state(2, seed=13)
-    product = np.zeros(4, dtype=complex)
-    product[0] = 1.0  # |00>, the pair with Schmidt vector (1, 0)
+    product = AncillaResource(mu=[1.0, 0.0])  # |00>
     before = teleport(rho, ch)
     custom = teleport_detailed(rho, ch, product)[0]
     np.testing.assert_array_equal(teleport(rho, ch), before)
     rebuilt = ResourceProtocol(
-        n=2, resource=AncillaResource(mu=[1.0, 0.0]),
+        n=2, resource=product,
         sender_projections=qt.sender_projections,
         sender_unitaries=qt.sender_unitaries,
         receiver_unitaries=qt.receiver_unitaries)
@@ -213,8 +225,7 @@ def test_partial_resource_average_fidelity():
     # standard protocol with mu = (cos pi/8, sin pi/8): the average fidelity
     # over Haar inputs is (2 F_e + 1)/3 with F_e = (sum mu)^2 / 2
     c, s = np.cos(np.pi / 8), np.sin(np.pi / 8)
-    resource = np.zeros(4, dtype=complex)
-    resource[0], resource[3] = c, s
+    resource = AncillaResource(mu=[c, s])
     ch = depolarizing(0.5)
     total = 0.0
     count = 1000
@@ -229,8 +240,16 @@ def test_partial_resource_average_fidelity():
 
 
 def test_resource_dim_mismatch():
-    with pytest.raises(ValueError):
-        teleport_detailed(random_state(2, 0), depolarizing(0.5), np.zeros(9))
+    with pytest.raises(ValueError,
+                       match="resource local dim 3 does not match channel dim 2"):
+        teleport_detailed(random_state(2, 0), depolarizing(0.5),
+                          AncillaResource(mu=[1.0, 0.0, 0.0]))
+
+
+def test_resource_must_be_an_ancilla_resource():
+    # a pair vector on a (x) b is not accepted: the resource is its Schmidt vector
+    with pytest.raises(TypeError, match="resource must be an AncillaResource, got ndarray"):
+        teleport_detailed(random_state(2, 0), depolarizing(0.5), maximally_entangled(2))
 
 
 def test_teleport_does_not_depend_on_channel():
