@@ -119,6 +119,21 @@ def test_branch_probabilities_uniform():
         np.testing.assert_allclose(probs, np.full(n * n, 1 / n**2), atol=1e-10)
 
 
+@pytest.mark.parametrize("mu", [(1.0, 0.0), (np.cos(np.pi / 8), np.sin(np.pi / 8))])
+def test_branch_probabilities_partial_resource(mu):
+    # with resource sum_k mu_k |kk>, outcome (phase, shift) has probability
+    # sum_k rho_kk mu_{k+shift}^2 / N, whatever the phase
+    rho = random_state(2, seed=7)
+    _, probs = teleport_detailed(rho, depolarizing(0.5), AncillaResource(mu=np.array(mu)))
+    assert np.all(probs >= 0)
+    assert abs(probs.sum() - 1.0) < 1e-12
+    diag = np.diag(rho).real
+    by_shift = [(diag[0] * mu[0] ** 2 + diag[1] * mu[1] ** 2) / 2,
+                (diag[0] * mu[1] ** 2 + diag[1] * mu[0] ** 2) / 2]
+    # outcome index eta = phase * N + shift
+    np.testing.assert_allclose(probs, np.tile(by_shift, 2), atol=1e-12)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(raw=st.integers(2, 4).flatmap(
            lambda n: st.lists(st.floats(0, 1), min_size=n, max_size=n)).filter(
@@ -126,7 +141,7 @@ def test_branch_probabilities_uniform():
        seed=st.integers(0, 2**16))
 @example(raw=[1.0, 0.0], seed=7)
 @example(raw=[np.cos(np.pi / 8), np.sin(np.pi / 8)], seed=7)
-def test_branch_probabilities_partial_resource(raw, seed):
+def test_branch_probabilities_partial_resource_any_dim(raw, seed):
     # with resource sum_k mu_k |kk>, outcome (phase, shift) has probability
     # sum_k rho_kk mu_{(k+shift) mod N}^2 / N, whatever the phase
     n = len(raw)
