@@ -133,7 +133,7 @@ class ResourceProtocol:
     A (x) a.  Operators that are not (N*P) x (N*P) are rejected here;
     ``validate`` governs only the determinism check.  What depends on the
     protocol alone is built on first use and kept, read-only: the control
-    operators, the simulator operands, the sender half of the simulator on
+    operators, the simulator's transfer matrices, its sender half on
     |psi_0><psi_0|, the inner products G and the numbers of
     :func:`~teleportlab.theorem.proof_report`.
     """
@@ -198,28 +198,37 @@ class ResourceProtocol:
 
     @cached_property
     def _operands(self) -> tuple:
-        """What :func:`_run` reads of the protocol, in the layouts its
-        contractions take, read-only: f[m, a', (A' b), A] = sum_a <A' a'| L_m
-        |A a> psi[a, b] from the M branches on A (x) a and the pair state psi
-        on a (x) b; f conjugated, with rows (a', A) per branch; the M
-        receivers on channel-output (x) b; and their conjugates with rows
-        (m, b, (B'' b'')) and columns B'."""
+        """The transfer matrices :func:`_run` reads, read-only: the sender map
+        Snd, (M*N^2*P^2, N^2), from a state's input legs (X, X') to the branch
+        states with a traced out, rows [A, A', m, b, b'], entry sum_a'
+        f[m, a', A, b, X] conj f[m, a', A', b', X'] with f[m, a', A, b, X] =
+        sum_a <A a'| L_m |X a> psi[a, b] (psi the pair on a (x) b); the
+        receiver map Rcv, (N^2, M*N^2*P^2), from rows [B, B', m, b, b'] to the
+        output (o, o'), entry sum_b'' W_m[(o b''), (B b)] conj W_m[(o' b''),
+        (B' b')]; and the (M, N^2) branch-probability map, Snd traced over (A, b)."""
         n, p, m = self.n, self.local_dim, self.m
         d = n * p
         f = self.branches.reshape(-1, p) @ self.resource.state().reshape(p, p)
-        f = f.reshape(m, n, p, n, p).transpose(0, 2, 1, 4, 3).reshape(m, p, d, n)
-        f_conj = f.conj().transpose(0, 1, 3, 2).reshape(m, p * n, d)
-        w = self.receiver_unitaries.reshape(m, n, p, d).conj()
-        w = w.transpose(0, 2, 3, 1).reshape(-1, n)
-        for x in (f, f_conj, w):
+        f = f.reshape(m, n, p, n, p).transpose(0, 2, 1, 4, 3)
+        # [m, (A b X), (A' b' X')]: the sum over a', one matmul per branch
+        snd = np.matmul(f.transpose(0, 2, 3, 4, 1).reshape(m, d * n, p),
+                        f.conj().reshape(m, p, d * n)).reshape(m, n, p, n, n, p, n)
+        prob = np.einsum("mabxaby->mxy", snd).reshape(m, n * n)
+        snd = snd.transpose(1, 4, 0, 2, 5, 3, 6).reshape(-1, n * n)
+        # [m, (o B b), (o' B' b')]: the sum over b'', one matmul per branch
+        w = self.receiver_unitaries.reshape(m, n, p, d)
+        rcv = np.matmul(w.transpose(0, 1, 3, 2).reshape(m, n * d, p),
+                        w.conj().transpose(0, 2, 1, 3).reshape(m, p, n * d))
+        rcv = rcv.reshape(m, n, n, p, n, n, p).transpose(1, 4, 2, 5, 0, 3, 6).reshape(n * n, -1)
+        for x in (snd, rcv, prob):
             x.flags.writeable = False
-        return f, f_conj, self.receiver_unitaries, w
+        return snd, rcv, prob
 
     @cached_property
     def _psi0_sent(self) -> np.ndarray:
         """:func:`_send` of |psi_0><psi_0| through the protocol's own pair,
         the channel-free part of :func:`effective_choi`."""
-        sent = _send(projector(maximally_entangled(self.n)), self._operands)[0]
+        sent = _send(self, projector(maximally_entangled(self.n)))[0]
         sent.flags.writeable = False
         return sent
 
@@ -238,39 +247,28 @@ class ResourceProtocol:
         return _proof_numbers(self)
 
 
-def _send(rho, operands: tuple) -> tuple:
-    """The sender half of :func:`_run`: the branch applied to ``rho``
-    and a traced out, as a contiguous [A, A', m, b, R, S, b'] array that
-    :func:`_receive` reads as the channel GEMM's right operand, and the
-    branch probabilities."""
+def _send(proto: ResourceProtocol, rho: np.ndarray) -> tuple:
+    """The sender half of :func:`_run`: Snd applied to ``rho`` on A (x) R, as
+    an (M*N^2*P^2, R, R) array with rows [A, A', m, b, b'], and the branch
+    probabilities."""
     if not np.all(np.isfinite(rho)):
         raise ValueError("input state has non-finite entries")
-    f, f_conj, _, _ = operands
-    m, p, d, n = f.shape
+    snd, _, prob = proto._operands
+    n = proto.n
     r = len(rho) // n
-    # u[m, a'] = (f[m, a'] (x) I_R) rho, axes [m, a', (A' b), R, A, S]
-    u = (f.reshape(m * p * d, n) @ rho.reshape(n, r * n * r)).reshape(m, p, d, r, n, r)
-    # y[m] = sum over a' of u[m, a'] (f[m, a'] (x) I_R)^dag, axes [m, A, b, R, S, A', b']
-    y = np.matmul(u.transpose(0, 2, 3, 5, 1, 4).reshape(m, d * r * r, p * n), f_conj)
-    y = y.reshape(m, n, p, r, r, n, p)
-    probs = np.einsum("mabrrab->m", y).real
-    return np.ascontiguousarray(y.transpose(1, 5, 0, 2, 3, 4, 6)), probs
+    rho = rho.reshape(n, r, n, r).transpose(0, 2, 1, 3).reshape(n * n, r * r)
+    probs = (prob @ rho[:, :: r + 1].sum(axis=1)).real
+    return (snd @ rho).reshape(-1, r, r), probs
 
 
-def _receive(sent: np.ndarray, operands: tuple, ch: KrausChannel) -> np.ndarray:
-    """The receiver half of :func:`_run`: the channel on the two A legs
-    of a :func:`_send` result, the receivers, and the trace over b."""
-    _, _, receivers, w = operands
-    n, _, m, p, r, _, _ = sent.shape
-    d = n * p
-    # the channel on the two A legs, then back to [m, (B b), (R S B' b')]
+def _receive(proto: ResourceProtocol, ch: KrausChannel, sent: np.ndarray) -> np.ndarray:
+    """The receiver half of :func:`_run`: the channel on the (A, A') rows of
+    a :func:`_send` result, then Rcv; the output on B (x) R."""
+    _, rcv, _ = proto._operands
+    n, r = proto.n, sent.shape[-1]
     y = ch.superoperator @ sent.reshape(n * n, -1)
-    y = y.reshape(n, n, m, p, r, r, p).transpose(2, 0, 3, 4, 5, 1, 6)
-    # q[m] = W_m y[m]; out[B R, B' S] = sum over m, b and (B'' b'') of
-    # q[m, (B b), R, S, (B'' b'')] conj(W_m[(B' b), (B'' b'')])
-    q = np.matmul(receivers, y.reshape(m, d, r * r * d)).reshape(m, n, p, r, r, d)
-    out = q.transpose(1, 3, 4, 0, 2, 5).reshape(n * r * r, m * p * d) @ w
-    return out.reshape(n, r, r, n).transpose(0, 1, 3, 2).reshape(n * r, n * r)
+    out = rcv @ y.reshape(-1, r * r)
+    return out.reshape(n, n, r, r).transpose(0, 2, 1, 3).reshape(n * r, n * r)
 
 
 def _check_channel_dim(proto: ResourceProtocol, ch: KrausChannel) -> None:
@@ -280,22 +278,20 @@ def _check_channel_dim(proto: ResourceProtocol, ch: KrausChannel) -> None:
 
 
 def _run(proto: ResourceProtocol, ch: KrausChannel, rho: np.ndarray) -> tuple:
-    """Run a one-way protocol around one use of the channel by contraction.
+    """Run a one-way protocol around one use of the channel: three GEMMs.
 
-    ``rho`` lives on A (x) R (R a passive reference leg).  a is traced out
-    once the branch is applied, so the channel and receivers act on (A, b).
-    Returns the output on B (x) R and the branch probabilities.
-
-    Each contraction is one GEMM, or one matmul batched over the branches,
-    on transposed and reshaped copies of the protocol's kept operands, so
-    BLAS does the arithmetic: the branch with a traced out, the channel as an
-    N^2 x N^2 superoperator on the two A legs, the receivers, and the trace
-    over b, summed over the branches in the same product.  :func:`_send`
-    does the channel-free part and :func:`_receive` the rest.
+    ``rho`` lives on A (x) R (R a passive reference leg).  Its A legs (X, X')
+    become the rows of a matrix whose columns are its R legs, the protocol's
+    kept sender map takes (X, X') to the branch states with a traced out, the
+    channel superoperator acts on their (A, A') rows, and the kept receiver
+    map applies the receivers, traces b and sums the branches; only the small
+    state and output are reshaped.  :func:`_send` does the channel-free part
+    and :func:`_receive` the rest.  Returns the output on B (x) R and the
+    branch probabilities.
     """
     _check_channel_dim(proto, ch)
-    sent, probs = _send(rho, proto._operands)
-    return _receive(sent, proto._operands, ch), probs
+    sent, probs = _send(proto, rho)
+    return _receive(proto, ch, sent), probs
 
 
 def apply_protocol(
@@ -385,7 +381,7 @@ def effective_choi(proto: ResourceProtocol, ch: KrausChannel) -> ChoiMatrix:
     runs only the channel, the receivers and the trace over b.
     """
     _check_channel_dim(proto, ch)
-    out = _receive(proto._psi0_sent, proto._operands, ch)
+    out = _receive(proto, ch, proto._psi0_sent)
     return ChoiMatrix.from_matrix(out, dim_out=proto.n, dim_in=proto.n, tol=1e-8)
 
 

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 from dense_reference import lambda_reference
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import teleportlab.protocol
@@ -44,7 +44,7 @@ from teleportlab.qmath import (
     random_state,
     trace_distance,
 )
-from teleportlab.teleport import qt_protocol, teleport
+from teleportlab.teleport import qt_protocol, teleport, teleport_detailed
 from teleportlab.theorem import proof_report
 
 FEASIBLE_COMBOS = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 4), (4, 1), (4, 2), (4, 4)]
@@ -242,6 +242,38 @@ def test_control_rows_are_built_once_and_read_only():
     np.testing.assert_array_equal(lambda_operators(proto), lambda_reference(proto))
 
 
+def test_transfer_matrices_are_built_once_read_only_and_shared():
+    n, p, m = 3, 2, 4
+    proto = random_protocol(n, p, m, seed=5)
+    ch = random_channel(n, 9, seed=6)
+    operands = proto._operands
+    snd, rcv, prob = operands
+    assert proto._operands is operands
+    for x in operands:
+        with pytest.raises(ValueError, match="read-only"):
+            x[0, 0] = 0.0
+    apply_protocol(proto, ch, random_state(n, seed=7))
+    effective_choi(proto, ch)
+    assert proto._operands is operands
+    # the entries as defined, f[m, a', A, b, X] = sum_a <A a'| L_m |X a> psi[a, b]
+    psi = proto.resource.state().reshape(p, p)
+    f = np.einsum("mAqXa,ab->mqAbX", proto.branches.reshape(m, n, p, n, p), psi)
+    expected = np.einsum("mqAbX,mqCdY->ACmbdXY", f, f.conj())
+    np.testing.assert_allclose(snd, expected.reshape(-1, n * n), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(prob, np.einsum("AAmbbXY->mXY", expected).reshape(m, -1),
+                               rtol=0, atol=1e-15)
+    w = proto.receiver_unitaries.reshape(m, n, p, n, p)
+    expected = np.einsum("mocBb,mOcCd->oOBCmbd", w, w.conj())
+    np.testing.assert_allclose(rcv, expected.reshape(n * n, -1), rtol=0, atol=1e-15)
+    # every teleport call reads the one cached qt_protocol(N)'s matrices
+    qt = qt_protocol(n)
+    teleport(random_state(n, seed=8), ch)
+    operands = qt._operands
+    teleport(random_state(n, seed=9), ch)
+    teleport_detailed(random_state(n, seed=9), ch)
+    assert qt_protocol(n)._operands is operands
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("p", [1, 2, 3])
 @pytest.mark.parametrize("full", [False, True])
@@ -379,22 +411,49 @@ def test_control_map_matches_operator_sum_reference():
                                rtol=0, atol=1e-14)
 
 
+def _check_against_dense_reference(n, p, m, seed):
+    # every operator embedded in the full A (x) a (x) b (x) R space, one branch
+    # at a time: rho on A through apply_protocol (R of dim 1) and a mixed
+    # state on A (x) R with R of dim N through _run
+    proto = random_protocol(n, p, m, seed=seed)
+    ch = random_channel(n, 3, seed=seed + 1)
+    pair = projector(proto.resource.state())
+    for r, rho in ((1, random_state(n, seed=seed + 2)),
+                   (n, random_state(n * n, seed=seed + 3))):
+        t = rho.reshape(n, r, n, r)
+        sigma = np.einsum("xrys,ij->xiryjs", t, pair).reshape(n * p * p * r, -1)
+        expected = np.zeros((n * r, n * r), dtype=complex)
+        for op, w in zip(proto.branches, proto.receiver_unitaries):
+            big = np.kron(op, np.eye(p * r))
+            s = partial_trace(big @ sigma @ big.conj().T, (n, p, p, r),
+                              keep=(0, 2, 3))
+            s = sum(np.kron(k, np.eye(p * r)) @ s @ np.kron(k, np.eye(p * r)).conj().T
+                    for k in ch.kraus)
+            big = np.kron(w, np.eye(r))
+            expected += partial_trace(big @ s @ big.conj().T, (n, p, r), keep=(0, 2))
+        got = apply_protocol(proto, ch, rho) if r == 1 else _run(proto, ch, rho)[0]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("n,p,m", [(2, 1, 1), (2, 3, 4), (3, 2, 6)])
 def test_apply_protocol_matches_dense_reference(n, p, m):
-    # every operator embedded in the full A (x) a (x) b space, one branch at a time
-    proto = random_protocol(n, p, m, seed=95 + m)
-    ch = random_channel(n, 3, seed=96 + m)
-    rho = random_state(n, seed=97 + m)
-    sigma = np.kron(rho, projector(proto.resource.state()))
-    expected = np.zeros((n, n), dtype=complex)
-    for op, w in zip(proto.branches, proto.receiver_unitaries):
-        big = np.kron(op, np.eye(p))
-        s = partial_trace(big @ sigma @ big.conj().T, (n, p, p), keep=(0, 2))
-        s = sum(np.kron(k, np.eye(p)) @ s @ np.kron(k, np.eye(p)).conj().T
-                for k in ch.kraus)
-        expected += partial_trace(w @ s @ w.conj().T, (n, p), keep=0)
-    np.testing.assert_allclose(apply_protocol(proto, ch, rho), expected,
-                               rtol=0, atol=1e-12)
+    _check_against_dense_reference(n, p, m, seed=95 + m)
+
+
+@st.composite
+def simulator_dims(draw):
+    n = draw(st.sampled_from([2, 3, 4]), label="N")
+    p = draw(st.integers(1, 3), label="P")
+    return n, p, draw(st.sampled_from([1, n * p]), label="M")
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(dims=simulator_dims(), seed=st.integers(0, 2**16))
+@example(dims=(2, 1, 1), seed=96)
+@example(dims=(2, 3, 4), seed=99)
+@example(dims=(3, 2, 6), seed=101)
+def test_apply_protocol_matches_dense_reference_any_dims(dims, seed):
+    _check_against_dense_reference(*dims, seed)
 
 
 def test_effective_choi_matches_basis_reference():

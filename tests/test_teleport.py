@@ -267,6 +267,31 @@ def test_resource_must_be_an_ancilla_resource():
         teleport_detailed(random_state(2, 0), depolarizing(0.5), maximally_entangled(2))
 
 
+def test_resource_path_skips_the_determinism_check(monkeypatch):
+    # the swapped-in pair keeps qt_protocol(N)'s checked operators, and
+    # determinism does not involve mu, so a call runs no determinism check
+    calls = []
+    original = ResourceProtocol.check_determinism
+
+    def counted(proto, *args, **kwargs):
+        calls.append(proto)
+        return original(proto, *args, **kwargs)
+
+    qt = qt_protocol(3)
+    monkeypatch.setattr(ResourceProtocol, "check_determinism", counted)
+    rho, ch = random_state(3, seed=5), depolarizing(0.3, 3)
+    resource = AncillaResource(mu=[0.8, 0.6, 0.0])
+    out, probs = teleport_detailed(rho, ch, resource)
+    assert calls == []
+    rebuilt = replace(qt, resource=resource)
+    assert calls == [rebuilt]
+    np.testing.assert_array_equal(out, apply_protocol(rebuilt, ch, rho))
+    with pytest.raises(TypeError, match="resource must be an AncillaResource"):
+        teleport_detailed(rho, ch, resource.mu)
+    with pytest.raises(ValueError, match="resource local dim 2 does not match"):
+        teleport_detailed(rho, ch, AncillaResource(mu=[0.6, 0.8]))
+
+
 def test_teleport_does_not_depend_on_channel():
     # the physical channel is never used on the payload path
     rho = random_state(2, seed=40)
