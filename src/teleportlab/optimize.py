@@ -62,14 +62,10 @@ STEP_DECAY = 0.9
 SPECULATE_PARAMETERS = 100
 
 
-@lru_cache(maxsize=None)
 def _hermitian_indices(d: int) -> tuple:
     """(diag, rows, cols): the diagonal and the strict upper triangle of a
-    d x d matrix, read-only (the cache shares them)."""
-    index = (np.arange(d), *np.triu_indices(d, k=1))
-    for a in index:
-        a.flags.writeable = False
-    return index
+    d x d matrix."""
+    return np.arange(d), *np.triu_indices(d, k=1)
 
 
 def hermitian_to_vec(h: np.ndarray) -> np.ndarray:
@@ -355,6 +351,8 @@ class OptimizationConfig:
         for name in ("evaluation_budget", "restarts", "seed"):
             value = getattr(self, name)
             try:
+                if isinstance(value, bool):  # operator.index(True) is 1
+                    raise TypeError
                 operator.index(value)
             except TypeError:
                 raise TypeError(f"{name} must be an integer, got {value!r}") from None

@@ -134,8 +134,9 @@ class ResourceProtocol:
     ``validate`` governs only the determinism check.  What depends on the
     protocol alone is built on first use and kept, read-only: the control
     operators, the simulator's transfer matrices, its sender half on
-    |psi_0><psi_0|, the inner products G and the numbers of
-    :func:`~teleportlab.theorem.proof_report`.
+    |psi_0><psi_0| and the numbers of
+    :func:`~teleportlab.theorem.proof_report`, computed here from the
+    operator stacks and the inner products G.
     """
 
     n: int
@@ -233,18 +234,29 @@ class ResourceProtocol:
         return sent
 
     @cached_property
-    def _g(self) -> np.ndarray:
-        """The inner products G of :func:`_inner_products`."""
-        g = _inner_products(self.resource.mu, self.branches,
-                            self.receiver_unitaries, self.n, self.local_dim)
-        g.flags.writeable = False
-        return g
-
-    @cached_property
     def _proof_numbers(self) -> tuple:
-        """The tolerance-free numbers of :func:`~teleportlab.theorem.proof_report`."""
-        from .theorem import _proof_numbers  # theorem imports this module
-        return _proof_numbers(self)
+        """What :func:`~teleportlab.theorem.proof_report` reads of the
+        protocol: the relation-13 residual (the residual of
+        :meth:`check_determinism`), the Cauchy-Schwarz violation, the
+        read-only branch scalars and, for M = 1, the contradiction sum (None
+        otherwise)."""
+        n, p, mu = self.n, self.local_dim, self.resource.mu
+        g = _inner_products(mu, self.branches, self.receiver_unitaries, n, p)
+        r13 = float(_determinism_deviation(self.branches, self.receiver_unitaries).max())
+        # mu-weighted squared norms of the sender blocks <i|L|j> and receiver
+        # blocks <k|W|l>, the stacks viewed as (M, N, P, N, P), rows (x, i)
+        sq_a, sq_b = (np.abs(x.reshape(-1, n, p, n, p)) ** 2
+                      for x in (self.branches, self.receiver_unitaries))
+        product = np.einsum("eln,ekm->eklnm", np.einsum("i,enlji->eln", mu, sq_a),
+                            np.einsum("p,eqkmp->ekm", mu, sq_b))
+        cs = float(np.max(np.abs(g) ** 2 - product))
+        q = min(n, p)
+        betas = np.einsum("ekllk->e", g[:, :q, :q, :q, :q]) / (np.sqrt(n) * q * q)
+        betas.flags.writeable = False
+        lhs = None
+        if self.m == 1:
+            lhs = float(np.mean(np.sum(np.abs(g[0]) ** 2, axis=(0, 1, 2))))
+        return r13, cs, betas, lhs
 
 
 def _send(proto: ResourceProtocol, rho: np.ndarray) -> tuple:
@@ -399,7 +411,9 @@ def _residual(controlled: ChoiMatrix) -> float:
 def target_overlap(proto: ResourceProtocol, r: ChoiMatrix) -> float:
     """Overlap of the controlled Choi state with the ideal target."""
     _check_choi_dims(proto, r)
-    return float(_overlap(proto._g, r.matrix))
+    g = _inner_products(proto.resource.mu, proto.branches,
+                        proto.receiver_unitaries, proto.n, proto.local_dim)
+    return float(_overlap(g, r.matrix))
 
 
 def entanglement_fidelity(proto: ResourceProtocol, ch: KrausChannel) -> float:
@@ -448,6 +462,7 @@ def random_protocol(n: int, local_dim: int, m: int, seed) -> ResourceProtocol:
     complete projective measurement with m outcomes, Haar receivers, and a
     random Schmidt vector.  Deterministic per seed.  Requires m <= N*P.
     """
+    _check_dims(n, local_dim)
     rng = np.random.default_rng(seed)
     d = n * local_dim
     mu = np.abs(rng.standard_normal(local_dim))

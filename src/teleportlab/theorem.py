@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .protocol import AncillaResource, ResourceProtocol, _determinism_deviation
+from .protocol import AncillaResource, ResourceProtocol
 
 
 def beta_scalars(proto: ResourceProtocol) -> np.ndarray:
@@ -76,30 +76,6 @@ def proof_report(proto: ResourceProtocol, tol: float = 1e-9) -> dict:
         "contradiction_rhs": rhs,
         "verdicts": verdicts,
     }
-
-
-def _proof_numbers(proto: ResourceProtocol) -> tuple:
-    """What :func:`proof_report` reads of the protocol, which the protocol
-    keeps: the relation-13 residual (the residual of
-    :meth:`ResourceProtocol.check_determinism`), the Cauchy-Schwarz
-    violation, the read-only branch scalars and, for M = 1, the contradiction
-    sum (None otherwise)."""
-    n, p, g, mu = proto.n, proto.local_dim, proto._g, proto.resource.mu
-    r13 = float(_determinism_deviation(proto.branches, proto.receiver_unitaries).max())
-    # mu-weighted squared norms of the sender blocks <i|L|j> and receiver
-    # blocks <k|W|l>, the stacks viewed as (M, N, P, N, P), rows (x, i)
-    sq_a, sq_b = (np.abs(x.reshape(-1, n, p, n, p)) ** 2
-                  for x in (proto.branches, proto.receiver_unitaries))
-    product = np.einsum("eln,ekm->eklnm", np.einsum("i,enlji->eln", mu, sq_a),
-                        np.einsum("p,eqkmp->ekm", mu, sq_b))
-    cs = float(np.max(np.abs(g) ** 2 - product))
-    q = min(n, p)
-    betas = np.einsum("ekllk->e", g[:, :q, :q, :q, :q]) / (np.sqrt(n) * q * q)
-    betas.flags.writeable = False
-    lhs = None
-    if proto.m == 1:
-        lhs = float(np.mean(np.sum(np.abs(g[0]) ** 2, axis=(0, 1, 2))))
-    return r13, cs, betas, lhs
 
 
 def entanglement_bound(resource: AncillaResource, n: int) -> tuple:

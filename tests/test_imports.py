@@ -34,3 +34,16 @@ def test_every_import_is_used(path):
     else:
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert [name for name in imported if name not in used] == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_relative_import_inside_a_function(path):
+    # package modules import each other at the top only, so the module
+    # headers show the whole layering; a third-party import may be lazy
+    tree = ast.parse(path.read_text())
+    lazy = [f"{func.name}: from {'.' * node.level}{node.module or ''}"
+            for func in ast.walk(tree)
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for node in ast.walk(func)
+            if isinstance(node, ast.ImportFrom) and node.level > 0]
+    assert lazy == []

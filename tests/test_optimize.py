@@ -298,7 +298,8 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("evaluation_budget", 40.5), ("restarts", 2.0), ("seed", 1.5), ("seed", "3")])
+    ("evaluation_budget", 40.5), ("restarts", 2.0), ("seed", 1.5), ("seed", "3"),
+    ("restarts", True), ("seed", False)])
 def test_config_rejects_non_integer_fields(field, value):
     valid = {"evaluation_budget": 40, "restarts": 2, "seed": 0}
     with pytest.raises(TypeError, match=f"{field} must be an integer, got {value!r}"):

@@ -146,6 +146,15 @@ def test_bare_protocol_rejects_a_bad_local_dim(kwargs, message):
         bare_protocol(2, **kwargs)
 
 
+@pytest.mark.parametrize("n, local_dim, message", [
+    (2, 0, "local dimension p must be >= 1, got 0"),
+    (0, 2, "system dimension n must be >= 1, got 0"),
+], ids=["p-0", "n-0"])
+def test_random_protocol_checks_its_dimensions_first(n, local_dim, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        random_protocol(n, local_dim, 1, seed=0)
+
+
 def test_random_protocols_trace_preserving():
     for seed, (p, m) in enumerate(FEASIBLE_COMBOS):
         proto = random_protocol(2, p, m, seed=seed)
