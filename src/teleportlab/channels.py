@@ -21,6 +21,7 @@ from .qmath import (
     _INTEGER,
     _MATRICES,
     _check_state,
+    _check_tol,
     _haar_isometry,
     _operator_stack,
     _read_json,
@@ -158,8 +159,7 @@ def choi(ch: KrausChannel) -> ChoiMatrix:
 
 def _rank(eigenvalues: np.ndarray, tol: float) -> int:
     """Count of descending eigenvalues above tol relative to the largest."""
-    if not 0 <= tol < np.inf:  # NaN fails too
-        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+    _check_tol(tol)
     return int(np.sum(eigenvalues > tol * eigenvalues[0]))
 
 

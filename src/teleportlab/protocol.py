@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .channels import ChoiMatrix, KrausChannel, choi
-from .qmath import (_INTEGER, _MATRICES, _MATRIX, _NUMBERS, _operator_stack,
-                    _read_json, haar_unitary, matrix_from_pairs,
+from .qmath import (_INTEGER, _MATRICES, _MATRIX, _NUMBERS, _check_tol,
+                    _operator_stack, _read_json, haar_unitary, matrix_from_pairs,
                     matrix_to_pairs, maximally_entangled, projector)
 
 
@@ -133,10 +133,9 @@ class ResourceProtocol:
     A (x) a.  Operators that are not (N*P) x (N*P) are rejected here;
     ``validate`` governs only the determinism check.  What depends on the
     protocol alone is built on first use and kept, read-only: the control
-    operators, the simulator's transfer matrices, its sender half on
-    |psi_0><psi_0| and the numbers of
-    :func:`~teleportlab.theorem.proof_report`, computed here from the
-    operator stacks and the inner products G.
+    operators, the simulator's process matrix and branch-probability map,
+    and the numbers of :func:`~teleportlab.theorem.proof_report`, computed
+    here from the operator stacks and the inner products G.
     """
 
     n: int
@@ -178,6 +177,7 @@ class ResourceProtocol:
     def check_determinism(self, tol: float = DETERMINISM_TOL) -> float:
         """Validate the determinism invariants (relation 13); returns the worst
         residual, the proof report's ``relation13_max_residual``."""
+        _check_tol(tol)
         return _check_determinism(self.branches, self.receiver_unitaries, tol)
 
     @cached_property
@@ -199,39 +199,34 @@ class ResourceProtocol:
 
     @cached_property
     def _operands(self) -> tuple:
-        """The transfer matrices :func:`_run` reads, read-only: the sender map
-        Snd, (M*N^2*P^2, N^2), from a state's input legs (X, X') to the branch
-        states with a traced out, rows [A, A', m, b, b'], entry sum_a'
-        f[m, a', A, b, X] conj f[m, a', A', b', X'] with f[m, a', A, b, X] =
-        sum_a <A a'| L_m |X a> psi[a, b] (psi the pair on a (x) b); the
-        receiver map Rcv, (N^2, M*N^2*P^2), from rows [B, B', m, b, b'] to the
-        output (o, o'), entry sum_b'' W_m[(o b''), (B b)] conj W_m[(o' b''),
-        (B' b')]; and the (M, N^2) branch-probability map, Snd traced over (A, b)."""
+        """What :func:`_run` reads, read-only: the process matrix Z, (N^4, N^4),
+        taking the channel superoperator S (raveled, [B, B', A, A']) to the
+        end-to-end map on a state's input legs, rows [o, o', X, X'], and the
+        (M, N^2) branch-probability map.  Z is the sum over [m, b, b'] of the
+        receiver map, entry sum_b'' W_m[(o b''), (B b)] conj W_m[(o' b''),
+        (B' b')], times the sender map, entry sum_a' f[m, a', A, b, X] conj
+        f[m, a', A', b', X'] with f[m, a', A, b, X] = sum_a <A a'| L_m |X a>
+        psi[a, b] (psi the pair on a (x) b), whose trace over (A, b) is the
+        probability map.  Z has N^8 entries whatever M and P, against
+        M*P^2*N^4 for each of the two maps, which are not kept."""
         n, p, m = self.n, self.local_dim, self.m
-        d = n * p
+        d, nn = n * p, n * n
         f = self.branches.reshape(-1, p) @ self.resource.state().reshape(p, p)
         f = f.reshape(m, n, p, n, p).transpose(0, 2, 1, 4, 3)
         # [m, (A b X), (A' b' X')]: the sum over a', one matmul per branch
         snd = np.matmul(f.transpose(0, 2, 3, 4, 1).reshape(m, d * n, p),
                         f.conj().reshape(m, p, d * n)).reshape(m, n, p, n, n, p, n)
-        prob = np.einsum("mabxaby->mxy", snd).reshape(m, n * n)
-        snd = snd.transpose(1, 4, 0, 2, 5, 3, 6).reshape(-1, n * n)
+        prob = np.einsum("mabxaby->mxy", snd).reshape(m, nn)
+        snd = snd.transpose(0, 2, 5, 1, 4, 3, 6).reshape(-1, nn * nn)  # [m b b', A A' X X']
         # [m, (o B b), (o' B' b')]: the sum over b'', one matmul per branch
         w = self.receiver_unitaries.reshape(m, n, p, d)
         rcv = np.matmul(w.transpose(0, 1, 3, 2).reshape(m, n * d, p),
                         w.conj().transpose(0, 2, 1, 3).reshape(m, p, n * d))
-        rcv = rcv.reshape(m, n, n, p, n, n, p).transpose(1, 4, 2, 5, 0, 3, 6).reshape(n * n, -1)
-        for x in (snd, rcv, prob):
+        rcv = rcv.reshape(m, n, n, p, n, n, p).transpose(1, 4, 2, 5, 0, 3, 6).reshape(nn * nn, -1)
+        z = (rcv @ snd).reshape(nn, nn, nn, nn).transpose(0, 3, 1, 2).reshape(nn * nn, -1)
+        for x in (z, prob):
             x.flags.writeable = False
-        return snd, rcv, prob
-
-    @cached_property
-    def _psi0_sent(self) -> np.ndarray:
-        """:func:`_send` of |psi_0><psi_0| through the protocol's own pair,
-        the channel-free part of :func:`effective_choi`."""
-        sent = _send(self, projector(maximally_entangled(self.n)))[0]
-        sent.flags.writeable = False
-        return sent
+        return z, prob
 
     @cached_property
     def _proof_numbers(self) -> tuple:
@@ -259,30 +254,6 @@ class ResourceProtocol:
         return r13, cs, betas, lhs
 
 
-def _send(proto: ResourceProtocol, rho: np.ndarray) -> tuple:
-    """The sender half of :func:`_run`: Snd applied to ``rho`` on A (x) R, as
-    an (M*N^2*P^2, R, R) array with rows [A, A', m, b, b'], and the branch
-    probabilities."""
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("input state has non-finite entries")
-    snd, _, prob = proto._operands
-    n = proto.n
-    r = len(rho) // n
-    rho = rho.reshape(n, r, n, r).transpose(0, 2, 1, 3).reshape(n * n, r * r)
-    probs = (prob @ rho[:, :: r + 1].sum(axis=1)).real
-    return (snd @ rho).reshape(-1, r, r), probs
-
-
-def _receive(proto: ResourceProtocol, ch: KrausChannel, sent: np.ndarray) -> np.ndarray:
-    """The receiver half of :func:`_run`: the channel on the (A, A') rows of
-    a :func:`_send` result, then Rcv; the output on B (x) R."""
-    _, rcv, _ = proto._operands
-    n, r = proto.n, sent.shape[-1]
-    y = ch.superoperator @ sent.reshape(n * n, -1)
-    out = rcv @ y.reshape(-1, r * r)
-    return out.reshape(n, n, r, r).transpose(0, 2, 1, 3).reshape(n * r, n * r)
-
-
 def _check_channel_dim(proto: ResourceProtocol, ch: KrausChannel) -> None:
     """Raise unless the channel acts on ``proto.n`` (a protocol's or a search's)."""
     if ch.dim != proto.n:
@@ -290,20 +261,24 @@ def _check_channel_dim(proto: ResourceProtocol, ch: KrausChannel) -> None:
 
 
 def _run(proto: ResourceProtocol, ch: KrausChannel, rho: np.ndarray) -> tuple:
-    """Run a one-way protocol around one use of the channel: three GEMMs.
+    """Run a one-way protocol around one use of the channel.
 
-    ``rho`` lives on A (x) R (R a passive reference leg).  Its A legs (X, X')
-    become the rows of a matrix whose columns are its R legs, the protocol's
-    kept sender map takes (X, X') to the branch states with a traced out, the
-    channel superoperator acts on their (A, A') rows, and the kept receiver
-    map applies the receivers, traces b and sums the branches; only the small
-    state and output are reshaped.  :func:`_send` does the channel-free part
-    and :func:`_receive` the rest.  Returns the output on B (x) R and the
-    branch probabilities.
+    ``rho`` lives on A (x) R (R a passive reference leg).  The protocol's kept
+    process matrix takes the channel superoperator to the end-to-end map on
+    A's legs (X, X'), which acts on the state as a matrix whose columns are
+    its R legs.  Returns the output on B (x) R and the branch probabilities.
     """
     _check_channel_dim(proto, ch)
-    sent, probs = _send(proto, rho)
-    return _receive(proto, ch, sent), probs
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("input state has non-finite entries")
+    z, prob = proto._operands
+    n = proto.n
+    r = len(rho) // n
+    rho = rho.reshape(n, r, n, r).transpose(0, 2, 1, 3).reshape(n * n, r * r)
+    probs = (prob @ rho[:, :: r + 1].sum(axis=1)).real
+    t = (z @ ch.superoperator.ravel()).reshape(n * n, n * n)
+    out = (t @ rho).reshape(n, n, r, r).transpose(0, 2, 1, 3)
+    return out.reshape(n * r, n * r), probs
 
 
 def apply_protocol(
@@ -388,13 +363,11 @@ def effective_choi(proto: ResourceProtocol, ch: KrausChannel) -> ChoiMatrix:
 
     Independent of the control-operator route: runs the full protocol once on
     |psi_0><psi_0| over the input and a passive reference copy, which by
-    linearity is sum_ij E(|i><j|) (x) |i><j| / N.  The sender half of that
-    run does not involve the channel, so the protocol keeps it and each call
-    runs only the channel, the receivers and the trace over b.
+    linearity is sum_ij E(|i><j|) (x) |i><j| / N.
     """
-    _check_channel_dim(proto, ch)
-    out = _receive(proto, ch, proto._psi0_sent)
-    return ChoiMatrix.from_matrix(out, dim_out=proto.n, dim_in=proto.n, tol=1e-8)
+    n = proto.n
+    out = _run(proto, ch, projector(maximally_entangled(n)))[0]
+    return ChoiMatrix.from_matrix(out, dim_out=n, dim_in=n, tol=1e-8)
 
 
 def residual(proto: ResourceProtocol, ch: KrausChannel) -> float:

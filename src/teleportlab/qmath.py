@@ -212,10 +212,17 @@ def _operator_stack(ops, d: int, kind: str, expected: str) -> np.ndarray:
     return stack
 
 
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless a validator's ``tol`` is finite and >= 0."""
+    if not 0 <= tol < np.inf:  # NaN fails too
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
 def _check_state(matrix: np.ndarray, what: str, tol: float) -> None:
     """Raise ValueError unless the square complex ``matrix`` is a state: finite,
     Hermitian, positive semidefinite and of trace 1, each within ``tol`` and
     checked in that order; the message starts with ``what``."""
+    _check_tol(tol)
     if not np.all(np.isfinite(matrix)):
         raise ValueError(f"{what} has non-finite entries")
     adjoint = dagger(matrix)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .protocol import AncillaResource, ResourceProtocol
+from .qmath import _check_tol
 
 
 def beta_scalars(proto: ResourceProtocol) -> np.ndarray:
@@ -53,6 +54,7 @@ def proof_report(proto: ResourceProtocol, tol: float = 1e-9) -> dict:
     classical communication (M > 1), where the contradiction argument does
     not apply.
     """
+    _check_tol(tol)
     n, p = proto.n, proto.local_dim
     r13, cs, betas, lhs = proto._proof_numbers
     ent_sum, satisfied = entanglement_bound(proto.resource, n)
@@ -106,6 +108,7 @@ def nielsen_convertible(
     True iff every partial sum of the descending squared source coefficients
     is bounded by the corresponding target partial sum.
     """
+    _check_tol(tol)
     size = max(source.mu.size, target.mu.size)  # zero-padded to one length
     s, t = (np.sort(np.pad(x.mu, (0, size - x.mu.size)) ** 2)[::-1]
             for x in (source, target))

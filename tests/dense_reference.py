@@ -8,12 +8,35 @@ import numpy as np
 
 from teleportlab.optimize import STEP_DECAY, STEP_INIT, STOP_DELTA
 from teleportlab.protocol import _inner_products, block_operators
-from teleportlab.qmath import factor_permutation
+from teleportlab.qmath import embed_operator, factor_permutation, partial_trace
 
 
 def swap_matrix(dim_a: int, dim_b: int):
     """Unitary exchanging the two factors of an a (x) b product space."""
     return factor_permutation((dim_a, dim_b), (1, 0))
+
+
+def simulate_reference(proto, ch, rho):
+    """The protocol run in the plainest form, as (output on B (x) R, branch
+    probabilities): rho on A (x) R times the pair on a (x) b, each branch L_m
+    on A (x) a, a traced out, the Kraus channel on A, W_m on A (x) b (A now
+    the receiver's B) and b traced out, the branches summed; a branch's
+    probability is the trace of its state before the channel."""
+    n, p = proto.n, proto.local_dim
+    r = len(rho) // n
+    pair = proto.resource.state()
+    state = np.kron(rho, np.outer(pair, pair.conj()))
+    kraus = [embed_operator(k, (n, r, p), [0]) for k in ch.kraus]
+    out = np.zeros((n * r, n * r), dtype=complex)
+    probs = []
+    for op, w in zip(proto.branches, proto.receiver_unitaries):
+        big = embed_operator(op, (n, r, p, p), [0, 2])
+        sent = partial_trace(big @ state @ big.conj().T, (n, r, p, p), keep=(0, 1, 3))
+        probs.append(np.trace(sent).real)
+        sent = sum(k @ sent @ k.conj().T for k in kraus)
+        big = embed_operator(w, (n, r, p), [0, 2])
+        out += partial_trace(big @ sent @ big.conj().T, (n, r, p), keep=(0, 1))
+    return out, np.array(probs)
 
 
 def lambda_reference(proto):

@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import sys
 
 import numpy as np
 import pytest
-from dense_reference import lambda_reference
+from dense_reference import lambda_reference, simulate_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -38,7 +39,6 @@ from teleportlab.protocol import (
 )
 from teleportlab.qmath import (
     maximally_entangled,
-    partial_trace,
     projector,
     random_pure,
     random_state,
@@ -256,7 +256,7 @@ def test_transfer_matrices_are_built_once_read_only_and_shared():
     proto = random_protocol(n, p, m, seed=5)
     ch = random_channel(n, 9, seed=6)
     operands = proto._operands
-    snd, rcv, prob = operands
+    z, prob = operands
     assert proto._operands is operands
     for x in operands:
         with pytest.raises(ValueError, match="read-only"):
@@ -264,16 +264,17 @@ def test_transfer_matrices_are_built_once_read_only_and_shared():
     apply_protocol(proto, ch, random_state(n, seed=7))
     effective_choi(proto, ch)
     assert proto._operands is operands
-    # the entries as defined, f[m, a', A, b, X] = sum_a <A a'| L_m |X a> psi[a, b]
+    # the sender map as defined, f[m, a', A, b, X] = sum_a <A a'| L_m |X a> psi[a, b]
     psi = proto.resource.state().reshape(p, p)
     f = np.einsum("mAqXa,ab->mqAbX", proto.branches.reshape(m, n, p, n, p), psi)
-    expected = np.einsum("mqAbX,mqCdY->ACmbdXY", f, f.conj())
-    np.testing.assert_allclose(snd, expected.reshape(-1, n * n), rtol=0, atol=1e-15)
-    np.testing.assert_allclose(prob, np.einsum("AAmbbXY->mXY", expected).reshape(m, -1),
+    snd = np.einsum("mqAbX,mqCdY->ACmbdXY", f, f.conj())
+    np.testing.assert_allclose(prob, np.einsum("AAmbbXY->mXY", snd).reshape(m, -1),
                                rtol=0, atol=1e-15)
+    # the receiver map, and Z their composition over the branches and b, b'
     w = proto.receiver_unitaries.reshape(m, n, p, n, p)
-    expected = np.einsum("mocBb,mOcCd->oOBCmbd", w, w.conj())
-    np.testing.assert_allclose(rcv, expected.reshape(n * n, -1), rtol=0, atol=1e-15)
+    rcv = np.einsum("mocBb,mOcCd->oOBCmbd", w, w.conj())
+    expected = np.einsum("oOBCmbd,DEmbdXY->oOXYBCDE", rcv, snd)
+    np.testing.assert_allclose(z, expected.reshape(n**4, n**4), rtol=0, atol=1e-15)
     # every teleport call reads the one cached qt_protocol(N)'s matrices
     qt = qt_protocol(n)
     teleport(random_state(n, seed=8), ch)
@@ -322,10 +323,20 @@ def test_kept_sender_half_of_effective_choi_is_channel_free(monkeypatch):
     assert calls == []
     with pytest.raises(ValueError, match="channel dim 2 does not match protocol dim 3"):
         effective_choi(proto, depolarizing(0.4))
-    with pytest.raises(ValueError, match="read-only"):
-        proto._psi0_sent.flat[0] = 0.0
     teleportlab.protocol.block_operators(proto)
     assert calls == [proto]
+
+
+def test_protocol_keeps_only_the_control_rows_process_matrix_and_proof_numbers():
+    proto = random_protocol(3, 2, 4, seed=9)
+    ch = random_channel(3, 9, seed=1)
+    apply_protocol(proto, ch, random_state(3, seed=2))
+    effective_choi(proto, ch)
+    control_map(proto, choi(ch))
+    target_overlap(proto, choi(ch))
+    proof_report(proto)
+    kept = set(vars(proto)) - {f.name for f in dataclasses.fields(proto)}
+    assert kept == {"_control_rows", "_operands", "_proof_numbers"}
 
 
 def test_control_map_bare_is_identity_map():
@@ -421,25 +432,14 @@ def test_control_map_matches_operator_sum_reference():
 
 
 def _check_against_dense_reference(n, p, m, seed):
-    # every operator embedded in the full A (x) a (x) b (x) R space, one branch
+    # every operator embedded in the full A (x) R (x) a (x) b space, one branch
     # at a time: rho on A through apply_protocol (R of dim 1) and a mixed
     # state on A (x) R with R of dim N through _run
     proto = random_protocol(n, p, m, seed=seed)
     ch = random_channel(n, 3, seed=seed + 1)
-    pair = projector(proto.resource.state())
     for r, rho in ((1, random_state(n, seed=seed + 2)),
                    (n, random_state(n * n, seed=seed + 3))):
-        t = rho.reshape(n, r, n, r)
-        sigma = np.einsum("xrys,ij->xiryjs", t, pair).reshape(n * p * p * r, -1)
-        expected = np.zeros((n * r, n * r), dtype=complex)
-        for op, w in zip(proto.branches, proto.receiver_unitaries):
-            big = np.kron(op, np.eye(p * r))
-            s = partial_trace(big @ sigma @ big.conj().T, (n, p, p, r),
-                              keep=(0, 2, 3))
-            s = sum(np.kron(k, np.eye(p * r)) @ s @ np.kron(k, np.eye(p * r)).conj().T
-                    for k in ch.kraus)
-            big = np.kron(w, np.eye(r))
-            expected += partial_trace(big @ s @ big.conj().T, (n, p, r), keep=(0, 2))
+        expected = simulate_reference(proto, ch, rho)[0]
         got = apply_protocol(proto, ch, rho) if r == 1 else _run(proto, ch, rho)[0]
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -463,6 +463,25 @@ def simulator_dims(draw):
 @example(dims=(3, 2, 6), seed=101)
 def test_apply_protocol_matches_dense_reference_any_dims(dims, seed):
     _check_against_dense_reference(*dims, seed)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([2, 3]), p=st.integers(1, 3), full=st.booleans(),
+       reference=st.booleans(), rank=st.integers(1, 9), seed=st.integers(0, 2**16))
+def test_run_and_effective_choi_match_simulate_reference_property(
+        n, p, full, reference, rank, seed):
+    # the output and the branch probabilities of _run, on A alone or with a
+    # reference leg R of dim N, and effective_choi, which is _run on psi_0
+    proto = random_protocol(n, p, n * p if full else 1, seed=seed)
+    ch = random_channel(n, min(rank, n * n), seed=[seed, 1])
+    rho = random_state(n * n if reference else n, seed=[seed, 2])
+    out, probs = _run(proto, ch, rho)
+    expected, expected_probs = simulate_reference(proto, ch, rho)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(probs, expected_probs, rtol=0, atol=1e-12)
+    expected = simulate_reference(proto, ch, projector(maximally_entangled(n)))[0]
+    np.testing.assert_allclose(effective_choi(proto, ch).matrix, expected,
+                               rtol=0, atol=1e-12)
 
 
 def test_effective_choi_matches_basis_reference():

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from dense_reference import proof_numbers_reference
-from teleportlab.channels import choi, random_channel
+from teleportlab.channels import ChoiMatrix, choi, depolarizing, random_channel, rank
 from teleportlab.protocol import (
     AncillaResource,
     ResourceProtocol,
@@ -28,6 +29,7 @@ from teleportlab.theorem import (
     no_cc_contradiction,
     proof_report,
 )
+from teleportlab.qmath import assert_density_matrix
 
 FEASIBLE_COMBOS = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 4), (4, 1), (4, 2), (4, 4)]
 
@@ -401,11 +403,13 @@ def test_proof_report_applies_tol_per_call():
                              good.receiver_unitaries, validate=False)
     r13, cs = proof_report(proto)["relation13_max_residual"], cauchy_schwarz_check(proto)
     # Cauchy-Schwarz holds for any operators (cs <= 0 up to rounding), so
-    # only a negative tol fails it
+    # no admissible tol fails it; a negative tol is rejected
     assert 1e-9 < r13 < 1.0 and -1.0 < cs <= 1e-9
     numbers = proto._proof_numbers
+    with pytest.raises(ValueError, match="tol must be finite and >= 0, got -1.0"):
+        proof_report(proto, tol=-1.0)
     for tol, deterministic, cs_ok in ((1.0, True, True), (1e-9, False, True),
-                                      (-1.0, False, False), (1.0, True, True)):
+                                      (1.0, True, True)):
         report = proof_report(proto, tol=tol)
         assert report == _uncached_report(proto, tol)
         assert report["verdicts"]["deterministic"] is deterministic
@@ -420,3 +424,24 @@ def test_proof_report_m1_verdicts():
                                         mu=np.full(2, 1 / np.sqrt(2))))
     assert report["contradiction_rhs"] == 4.0
     assert report["verdicts"]["faithful_correction_possible"] is False
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -1e-3])
+def test_every_validator_rejects_a_bad_tol(tol):
+    # a NaN or infinite tol would turn each check into a no-op
+    proto = qt_protocol(2)
+    ones = 3 * np.ones((4, 4))
+    checks = [
+        lambda: assert_density_matrix([[5, 3j], [1, -7]], tol=tol),
+        lambda: ChoiMatrix(2, 2, ones, tol),
+        lambda: ChoiMatrix.from_matrix(ones, 2, 2, tol=tol),
+        lambda: rank(depolarizing(0.5), tol=tol),
+        lambda: proto.check_determinism(tol),
+        lambda: proof_report(proto, tol=tol),
+        lambda: no_cc_contradiction(bare_protocol(2), tol=tol),
+        lambda: nielsen_convertible(AncillaResource(mu=[0.6, 0.8]),
+                                    AncillaResource(mu=[1.0, 0.0]), tol=tol),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match=re.escape(f"tol must be finite and >= 0, got {tol}")):
+            check()
