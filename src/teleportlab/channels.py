@@ -24,13 +24,12 @@ from .qmath import (
     _check_tol,
     _haar_isometry,
     _operator_stack,
+    _psi0_projector,
     _read_json,
     dagger,
     fix_global_phase,
     matrix_from_pairs,
     matrix_to_pairs,
-    maximally_entangled,
-    projector,
 )
 
 LOCC_SIMULABLE_THRESHOLD = 2.0 / 3.0
@@ -77,10 +76,9 @@ class KrausChannel:
         # (channel (x) id)(|psi_0><psi_0|) with all K_e (x) I at once, entry
         # for entry what np.kron gives, so the sum is bit-identical to adding
         # the operators' terms one at a time
-        psi0 = projector(maximally_entangled(n))
         eye = np.eye(n)[:, None, :]
         kk = (kraus[:, :, None, :, None] * eye).reshape(-1, n * n, n * n)
-        mat = (kk @ psi0 @ kk.conj().swapaxes(-1, -2)).sum(axis=0)
+        mat = (kk @ _psi0_projector(n) @ kk.conj().swapaxes(-1, -2)).sum(axis=0)
         object.__setattr__(self, "choi_state",
                            ChoiMatrix.from_matrix(mat, dim_out=n, dim_in=n))
 
@@ -109,6 +107,9 @@ class ChoiMatrix:
     tol: InitVar[float] = 1e-10
 
     def __post_init__(self, tol: float):
+        for name, value in (("dim_out", self.dim_out), ("dim_in", self.dim_in)):
+            if value < 1:
+                raise ValueError(f"Choi {name} must be >= 1, got {value}")
         matrix = np.array(self.matrix, dtype=complex)
         d = self.dim_out * self.dim_in
         if matrix.shape != (d, d):
@@ -116,7 +117,8 @@ class ChoiMatrix:
                              f"dims {self.dim_out}x{self.dim_in}")
         _check_state(matrix, "Choi matrix", tol)
         marginal = matrix.reshape((self.dim_out, self.dim_in) * 2).trace(axis1=0, axis2=2)
-        marg_dev = float(np.max(np.abs(marginal - np.eye(self.dim_in) / self.dim_in)))
+        marginal.reshape(-1)[:: self.dim_in + 1] -= 1 / self.dim_in  # minus I/N
+        marg_dev = float(abs(marginal).max())
         if marg_dev > tol:
             raise ValueError(
                 "Choi input marginal deviates from I/N "

@@ -28,8 +28,8 @@ import numpy as np
 
 from .channels import ChoiMatrix, KrausChannel, choi
 from .qmath import (_INTEGER, _MATRICES, _MATRIX, _NUMBERS, _check_tol,
-                    _operator_stack, _read_json, haar_unitary, matrix_from_pairs,
-                    matrix_to_pairs, maximally_entangled, projector)
+                    _operator_stack, _psi0_projector, _read_json, haar_unitary,
+                    matrix_from_pairs, matrix_to_pairs)
 
 
 DETERMINISM_TOL = 1e-10  # the determinism gate's default bound on |Gram - I|
@@ -199,10 +199,11 @@ class ResourceProtocol:
 
     @cached_property
     def _operands(self) -> tuple:
-        """What :func:`_run` reads, read-only: the process matrix Z, (N^4, N^4),
-        taking the channel superoperator S (raveled, [B, B', A, A']) to the
-        end-to-end map on a state's input legs, rows [o, o', X, X'], and the
-        (M, N^2) branch-probability map.  Z is the sum over [m, b, b'] of the
+        """What :func:`_run` and :func:`_branch_probabilities` read,
+        read-only: the process matrix Z, (N^4, N^4), taking the channel
+        superoperator S (raveled, [B, B', A, A']) to the end-to-end map on a
+        state's input legs, rows [o, o', X, X'], and the (M, N^2)
+        branch-probability map.  Z is the sum over [m, b, b'] of the
         receiver map, entry sum_b'' W_m[(o b''), (B b)] conj W_m[(o' b''),
         (B' b')], times the sender map, entry sum_a' f[m, a', A, b, X] conj
         f[m, a', A', b', X'] with f[m, a', A, b, X] = sum_a <A a'| L_m |X a>
@@ -260,25 +261,37 @@ def _check_channel_dim(proto: ResourceProtocol, ch: KrausChannel) -> None:
         raise ValueError(f"channel dim {ch.dim} does not match protocol dim {proto.n}")
 
 
-def _run(proto: ResourceProtocol, ch: KrausChannel, rho: np.ndarray) -> tuple:
+def _input_legs(rho: np.ndarray, n: int) -> tuple:
+    """``rho`` on A (x) R as an (N^2, R^2) matrix, rows A's legs (X, X') and
+    columns R's legs, and the dim of R."""
+    r = len(rho) // n
+    return rho.reshape(n, r, n, r).transpose(0, 2, 1, 3).reshape(n * n, r * r), r
+
+
+def _run(proto: ResourceProtocol, ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
     """Run a one-way protocol around one use of the channel.
 
     ``rho`` lives on A (x) R (R a passive reference leg).  The protocol's kept
     process matrix takes the channel superoperator to the end-to-end map on
     A's legs (X, X'), which acts on the state as a matrix whose columns are
-    its R legs.  Returns the output on B (x) R and the branch probabilities.
+    its R legs.  Returns the output on B (x) R.
     """
     _check_channel_dim(proto, ch)
-    if not np.all(np.isfinite(rho)):
+    if not np.isfinite(rho).all():
         raise ValueError("input state has non-finite entries")
-    z, prob = proto._operands
     n = proto.n
-    r = len(rho) // n
-    rho = rho.reshape(n, r, n, r).transpose(0, 2, 1, 3).reshape(n * n, r * r)
-    probs = (prob @ rho[:, :: r + 1].sum(axis=1)).real
-    t = (z @ ch.superoperator.ravel()).reshape(n * n, n * n)
+    rho, r = _input_legs(rho, n)
+    t = (proto._operands[0] @ ch.superoperator.ravel()).reshape(n * n, n * n)
     out = (t @ rho).reshape(n, n, r, r).transpose(0, 2, 1, 3)
-    return out.reshape(n * r, n * r), probs
+    return out.reshape(n * r, n * r)
+
+
+def _branch_probabilities(proto: ResourceProtocol, rho: np.ndarray) -> np.ndarray:
+    """The branch probabilities of a run of the protocol on ``rho`` (on
+    A (x) R, as for :func:`_run`): the kept probability map on the trace of
+    the state over R."""
+    rho, r = _input_legs(rho, proto.n)
+    return (proto._operands[1] @ rho[:, :: r + 1].sum(axis=1)).real
 
 
 def apply_protocol(
@@ -289,7 +302,7 @@ def apply_protocol(
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n, n):
         raise ValueError(f"state shape {rho.shape} does not match protocol dim {n}")
-    return _run(proto, ch, rho)[0]
+    return _run(proto, ch, rho)
 
 
 def _blocks(ops: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -366,7 +379,7 @@ def effective_choi(proto: ResourceProtocol, ch: KrausChannel) -> ChoiMatrix:
     linearity is sum_ij E(|i><j|) (x) |i><j| / N.
     """
     n = proto.n
-    out = _run(proto, ch, projector(maximally_entangled(n)))[0]
+    out = _run(proto, ch, _psi0_projector(n))
     return ChoiMatrix.from_matrix(out, dim_out=n, dim_in=n, tol=1e-8)
 
 
@@ -377,7 +390,7 @@ def residual(proto: ResourceProtocol, ch: KrausChannel) -> float:
 
 def _residual(controlled: ChoiMatrix) -> float:
     """:func:`residual` from the controlled Choi state."""
-    target = projector(maximally_entangled(controlled.dim_out))
+    target = _psi0_projector(controlled.dim_out)
     return float(np.linalg.norm(controlled.matrix - target))
 
 

@@ -8,6 +8,7 @@ are pure; randomness only enters through explicitly passed seeds.
 from __future__ import annotations
 
 import json
+from functools import lru_cache
 
 import numpy as np
 
@@ -153,6 +154,15 @@ def maximally_entangled(n: int) -> np.ndarray:
     return vec
 
 
+@lru_cache(maxsize=8)
+def _psi0_projector(n: int) -> np.ndarray:
+    """|psi_0><psi_0| of :func:`maximally_entangled`, built once per n and
+    shared, read-only."""
+    out = projector(maximally_entangled(n))
+    out.flags.writeable = False
+    return out
+
+
 def random_pure(n: int, seed) -> np.ndarray:
     """Haar-random pure state of dimension n, deterministic per seed."""
     if n < 1:
@@ -223,10 +233,14 @@ def _check_state(matrix: np.ndarray, what: str, tol: float) -> None:
     Hermitian, positive semidefinite and of trace 1, each within ``tol`` and
     checked in that order; the message starts with ``what``."""
     _check_tol(tol)
-    if not np.all(np.isfinite(matrix)):
+    if matrix.size == 0:
+        raise ValueError(f"{what} is empty, shape {matrix.shape}")
+    # ndarray methods, not the np.* wrappers: on the 9 x 9 states a simulation
+    # validates, the wrappers' dispatch costs more than the arithmetic
+    if not np.isfinite(matrix).all():
         raise ValueError(f"{what} has non-finite entries")
-    adjoint = dagger(matrix)
-    herm_dev = float(np.max(np.abs(matrix - adjoint)))
+    adjoint = matrix.conj().T
+    herm_dev = float(abs(matrix - adjoint).max())
     if herm_dev > tol:
         raise ValueError(f"{what} not Hermitian: deviation {herm_dev:.3e}")
     min_val = np.linalg.eigvalsh((matrix + adjoint) / 2.0)[0]
@@ -234,7 +248,7 @@ def _check_state(matrix: np.ndarray, what: str, tol: float) -> None:
         raise ValueError(
             f"{what} not positive semidefinite: min eigenvalue {min_val:.3e}"
         )
-    trace_dev = abs(float(np.trace(matrix).real) - 1.0)
+    trace_dev = abs(float(matrix.trace().real) - 1.0)
     if trace_dev > tol:
         raise ValueError(f"{what} trace deviates from 1 by {trace_dev:.3e}")
 

@@ -17,8 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import KrausChannel, weyl_operator
-from .protocol import (AncillaResource, ResourceProtocol, _run, apply_protocol,
-                       basis_projections)
+from .protocol import (AncillaResource, ResourceProtocol, _branch_probabilities,
+                       _run, apply_protocol, basis_projections)
 
 
 def bell_state(n: int, eta: int) -> np.ndarray:
@@ -112,4 +112,4 @@ def teleport_detailed(
                              f"does not match channel dim {n}")
         # no determinism check: qt_protocol(N) passed it, and it ignores mu
         proto = replace(proto, resource=resource, validate=False)
-    return _run(proto, ch, rho)
+    return _run(proto, ch, rho), _branch_probabilities(proto, rho)

@@ -72,7 +72,7 @@ def proof_report(proto: ResourceProtocol, tol: float = 1e-9) -> dict:
         "relation13_max_residual": r13,
         "entanglement_sum": ent_sum,
         "bound": float(np.sqrt(n)),
-        "branch_scalars": [[float(beta.real), float(beta.imag)] for beta in betas],
+        "branch_scalars": betas.view(float).reshape(-1, 2).tolist(),
         "cauchy_schwarz_violation": cs,
         "contradiction_lhs": lhs,
         "contradiction_rhs": rhs,
@@ -82,7 +82,7 @@ def proof_report(proto: ResourceProtocol, tol: float = 1e-9) -> dict:
 
 def entanglement_bound(resource: AncillaResource, n: int) -> tuple:
     """Sum of Schmidt coefficients and whether it reaches sqrt(N)."""
-    total = float(np.sum(resource.mu))
+    total = float(resource.mu.sum())
     return total, bool(total >= np.sqrt(n) - 1e-12)
 
 

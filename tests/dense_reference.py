@@ -8,12 +8,49 @@ import numpy as np
 
 from teleportlab.optimize import STEP_DECAY, STEP_INIT, STOP_DELTA
 from teleportlab.protocol import _inner_products, block_operators
-from teleportlab.qmath import embed_operator, factor_permutation, partial_trace
+from teleportlab.qmath import (_check_tol, dagger, embed_operator, factor_permutation,
+                               partial_trace)
 
 
 def swap_matrix(dim_a: int, dim_b: int):
     """Unitary exchanging the two factors of an a (x) b product space."""
     return factor_permutation((dim_a, dim_b), (1, 0))
+
+
+def check_state_reference(matrix: np.ndarray, what: str, tol: float) -> None:
+    """The state check in its plain form, through the np.* wrappers: raise
+    ValueError unless the square complex ``matrix`` is a state: finite,
+    Hermitian, positive semidefinite and of trace 1, each within ``tol`` and
+    checked in that order; the message starts with ``what``."""
+    _check_tol(tol)
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"{what} has non-finite entries")
+    adjoint = dagger(matrix)
+    herm_dev = float(np.max(np.abs(matrix - adjoint)))
+    if herm_dev > tol:
+        raise ValueError(f"{what} not Hermitian: deviation {herm_dev:.3e}")
+    min_val = np.linalg.eigvalsh((matrix + adjoint) / 2.0)[0]
+    if min_val < -tol:
+        raise ValueError(
+            f"{what} not positive semidefinite: min eigenvalue {min_val:.3e}"
+        )
+    trace_dev = abs(float(np.trace(matrix).real) - 1.0)
+    if trace_dev > tol:
+        raise ValueError(f"{what} trace deviates from 1 by {trace_dev:.3e}")
+
+
+def choi_check_reference(matrix: np.ndarray, dim_out: int, dim_in: int,
+                         tol: float) -> None:
+    """The Choi state check in its plain form: the state check, then the
+    input marginal against I/N, built with np.eye."""
+    check_state_reference(matrix, "Choi matrix", tol)
+    marginal = matrix.reshape((dim_out, dim_in) * 2).trace(axis1=0, axis2=2)
+    marg_dev = float(np.max(np.abs(marginal - np.eye(dim_in) / dim_in)))
+    if marg_dev > tol:
+        raise ValueError(
+            "Choi input marginal deviates from I/N "
+            f"(map not trace-preserving) by {marg_dev:.3e}"
+        )
 
 
 def simulate_reference(proto, ch, rho):

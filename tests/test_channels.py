@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from dense_reference import check_state_reference, choi_check_reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -329,6 +330,80 @@ def test_states_reject_a_non_finite_entry(check, what, entry, bad):
 def test_states_reject_a_broken_invariant(check, what, matrix, message):
     with pytest.raises(ValueError, match=f"^{what} {message}$"):
         check(matrix)
+
+
+@pytest.mark.parametrize("check, message", [
+    (lambda: ChoiMatrix(0, 0, np.zeros((0, 0))), "Choi dim_out must be >= 1, got 0"),
+    (lambda: ChoiMatrix(-1, -1, np.eye(1)), "Choi dim_out must be >= 1, got -1"),
+    (lambda: ChoiMatrix.from_matrix(np.zeros((0, 0)), 2, 0),
+     "Choi dim_in must be >= 1, got 0"),
+    (lambda: assert_density_matrix(np.zeros((0, 0))),
+     r"density matrix is empty, shape \(0, 0\)"),
+], ids=["choi-zero", "choi-negative", "choi-zero-dim-in", "density-empty"])
+def test_states_reject_empty_and_dimensionless_input_by_name(check, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check()
+
+
+def _verdict(check, *args):
+    """The message of the ValueError a check raises, or None if it passes."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _step(x: float, side: int) -> float:
+    """x, or the float one ulp below (side -1) or above (side 1) it."""
+    return x if side == 0 else float(np.nextafter(x, side * np.inf))
+
+
+@st.composite
+def checked_states(draw):
+    """A d x d matrix for d in {4, 9} with a tol in {0, 1e-12, 1e-8}: a valid
+    Choi state, one with a non-finite entry, one with a random perturbation,
+    or one whose Hermitian deviation, minimum eigenvalue, trace deviation or
+    Choi marginal deviation sits at tol or one ulp either side of it."""
+    n = draw(st.sampled_from([2, 3]), label="N")
+    d = n * n
+    tol = draw(st.sampled_from([0.0, 1e-12, 1e-8]), label="tol")
+    kind = draw(st.sampled_from(["valid", "non-finite", "perturbed", "hermitian",
+                                 "eigenvalue", "trace", "marginal"]), label="kind")
+    side = draw(st.sampled_from([-1, 0, 1]), label="side")
+    seed = draw(st.integers(0, 2**16), label="seed")
+    # I/d has exact zeros off the diagonal, so each deviation below is exact
+    m = np.eye(d, dtype=complex) / d
+    if kind in ("valid", "non-finite", "perturbed"):
+        m = np.array(choi(random_channel(n, draw(st.integers(1, d)), seed)).matrix)
+    if kind == "non-finite":
+        m.flat[draw(st.integers(0, d * d - 1))] = draw(st.sampled_from(
+            [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, -np.inf)]))
+    elif kind == "perturbed":
+        rng = np.random.default_rng(seed)
+        scale = draw(st.sampled_from([1e-13, 1e-11, 1e-9, 1e-7]))
+        m += scale * (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    elif kind == "hermitian":  # |m - m^dag| peaks at |m[0, 1]|
+        m[0, 1] = _step(tol, side)
+    elif kind == "eigenvalue":  # a diagonal entry -e, the minimum eigenvalue
+        m[0, 0] = -_step(tol, side)
+    elif kind == "trace":  # the trace x itself, on the float grid about 1 +- tol
+        m[:] = 0.0
+        m[0, 0] = _step(1.0 + draw(st.sampled_from([-1, 1])) * tol, side)
+    elif kind == "marginal":  # the marginal's off-diagonal entry [0, 1]
+        m[0, 1] = m[1, 0] = _step(tol, side)
+    return n, m, tol
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=checked_states())
+def test_state_checks_match_the_plain_reference_property(case):
+    # the same verdict and message as the np.* form of every check, in order
+    n, m, tol = case
+    assert (_verdict(ChoiMatrix.from_matrix, m, n, n, tol)
+            == _verdict(choi_check_reference, m, n, n, tol))
+    assert (_verdict(assert_density_matrix, m, tol)
+            == _verdict(check_state_reference, m, "density matrix", tol))
 
 
 def test_channel_json_round_trip(tmp_path):

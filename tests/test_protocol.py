@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import sys
 
@@ -21,6 +22,7 @@ from teleportlab.optimize import zero_parameterization
 from teleportlab.protocol import (
     AncillaResource,
     ResourceProtocol,
+    _branch_probabilities,
     _inner_products,
     _run,
     apply_protocol,
@@ -318,7 +320,7 @@ def test_kept_sender_half_of_effective_choi_is_channel_free(monkeypatch):
     psi0 = projector(maximally_entangled(3))
     for ch in (random_channel(3, 9, seed=1), depolarizing(0.4, 3),
                random_channel(3, 9, seed=1)):
-        expected = ChoiMatrix.from_matrix(_run(proto, ch, psi0)[0], 3, 3, tol=1e-8)
+        expected = ChoiMatrix.from_matrix(_run(proto, ch, psi0), 3, 3, tol=1e-8)
         np.testing.assert_array_equal(effective_choi(proto, ch).matrix, expected.matrix)
     assert calls == []
     with pytest.raises(ValueError, match="channel dim 2 does not match protocol dim 3"):
@@ -440,7 +442,7 @@ def _check_against_dense_reference(n, p, m, seed):
     for r, rho in ((1, random_state(n, seed=seed + 2)),
                    (n, random_state(n * n, seed=seed + 3))):
         expected = simulate_reference(proto, ch, rho)[0]
-        got = apply_protocol(proto, ch, rho) if r == 1 else _run(proto, ch, rho)[0]
+        got = apply_protocol(proto, ch, rho) if r == 1 else _run(proto, ch, rho)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
@@ -470,12 +472,12 @@ def test_apply_protocol_matches_dense_reference_any_dims(dims, seed):
        reference=st.booleans(), rank=st.integers(1, 9), seed=st.integers(0, 2**16))
 def test_run_and_effective_choi_match_simulate_reference_property(
         n, p, full, reference, rank, seed):
-    # the output and the branch probabilities of _run, on A alone or with a
+    # the output of _run and the branch probabilities, on A alone or with a
     # reference leg R of dim N, and effective_choi, which is _run on psi_0
     proto = random_protocol(n, p, n * p if full else 1, seed=seed)
     ch = random_channel(n, min(rank, n * n), seed=[seed, 1])
     rho = random_state(n * n if reference else n, seed=[seed, 2])
-    out, probs = _run(proto, ch, rho)
+    out, probs = _run(proto, ch, rho), _branch_probabilities(proto, rho)
     expected, expected_probs = simulate_reference(proto, ch, rho)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
     np.testing.assert_allclose(probs, expected_probs, rtol=0, atol=1e-12)
@@ -670,3 +672,50 @@ def test_array_records_compare_by_identity(make):
     assert hash(x) == hash(x)
     assert x in {x} and twin not in {x}
     assert len({x, twin, x}) == 2
+
+
+def _digest(*values) -> str:
+    """sha256 of arrays' bytes and of strings, in order."""
+    h = hashlib.sha256()
+    for v in values:
+        h.update(v.encode() if isinstance(v, str) else np.ascontiguousarray(v).tobytes())
+    return h.hexdigest()
+
+
+# Bits of the simulate path, so that any change that moves one bit of an output
+# fails here: teleport, teleport_detailed (outputs and probabilities, with the
+# default and a custom resource), apply_protocol, control_map, effective_choi,
+# residual (float.hex) and the proof_report JSON, hashed in that order.  The
+# N=3 cases run an N=P=3, M=9 random protocol through a rank-9 channel, as the
+# simulate benchmark does.  Recorded with numpy 2.4.6 on OpenBLAS 0.3.31
+# (x86_64); another BLAS build may round differently.
+_GOLDEN_SIMULATIONS = {
+    "n3-seed40": (lambda: (random_protocol(3, 3, 9, seed=40),
+                           random_channel(3, 9, seed=41), random_state(3, seed=42)),
+                  [0.2, 0.5, 0.8],
+                  "e895faca076abdcfa91f93e459fada4f48a6d6252c7529d27cf2731070e5b1f9"),
+    "n3-seed50": (lambda: (random_protocol(3, 3, 9, seed=50),
+                           random_channel(3, 9, seed=51), random_state(3, seed=52)),
+                  [0.6, 0.3, 0.1],
+                  "0c14eb312237190648a25fd7d64d6e611e7d8e10f72fe89a22dfc10a994c7635"),
+    "n3-seed60": (lambda: (random_protocol(3, 3, 9, seed=60),
+                           random_channel(3, 9, seed=61), random_state(3, seed=62)),
+                  [1.0, 0.0, 0.0],
+                  "0ed8b9ad35950ac5efa7de435a2b90594f0d9b53b0ea33da72776690dca170b9"),
+    "qt2": (lambda: (qt_protocol(2), random_channel(2, 4, seed=70),
+                     random_state(2, seed=71)),
+            [np.cos(np.pi / 8), np.sin(np.pi / 8)],
+            "756d0184e48dbd3e33df6de3598ce6d61ed53132a96bd5047d89d95662138eb8"),
+}
+
+
+@pytest.mark.parametrize("name", _GOLDEN_SIMULATIONS)
+def test_simulate_path_matches_recorded_bits(name):
+    make, mu, expected = _GOLDEN_SIMULATIONS[name]
+    proto, ch, rho = make()
+    resource = AncillaResource(mu=np.array(mu) / np.linalg.norm(mu))
+    outputs = (teleport(rho, ch), *teleport_detailed(rho, ch),
+               *teleport_detailed(rho, ch, resource), apply_protocol(proto, ch, rho),
+               control_map(proto, choi(ch)).matrix, effective_choi(proto, ch).matrix,
+               float.hex(residual(proto, ch)), json.dumps(proof_report(proto)))
+    assert _digest(*outputs) == expected

@@ -3,6 +3,7 @@ import pytest
 from dense_reference import swap_matrix
 
 from teleportlab.qmath import (
+    _psi0_projector,
     assert_density_matrix,
     embed_operator,
     factor_permutation,
@@ -94,6 +95,16 @@ def test_partial_trace_dim_mismatch():
 def test_partial_trace_rejects_repeated_or_out_of_range_keep(keep, message):
     with pytest.raises(ValueError, match=message):
         partial_trace(np.eye(12), (2, 3, 2), keep=keep)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_kept_psi0_projector_is_shared_read_only_and_exact(n):
+    kept = _psi0_projector(n)
+    assert _psi0_projector(n) is kept
+    np.testing.assert_array_equal(kept, projector(maximally_entangled(n)))
+    assert kept.dtype == complex
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0, 0] = 0.0
 
 
 def test_schmidt_maximally_entangled():
