@@ -108,6 +108,8 @@ class ChoiMatrix:
 
     def __post_init__(self, tol: float):
         for name, value in (("dim_out", self.dim_out), ("dim_in", self.dim_in)):
+            if not isinstance(value, (int, np.integer)) or type(value) is bool:
+                raise ValueError(f"Choi {name} must be an integer, got {value!r}")
             if value < 1:
                 raise ValueError(f"Choi {name} must be >= 1, got {value}")
         matrix = np.array(self.matrix, dtype=complex)

@@ -133,7 +133,7 @@ class ResourceProtocol:
     A (x) a.  Operators that are not (N*P) x (N*P) are rejected here;
     ``validate`` governs only the determinism check.  What depends on the
     protocol alone is built on first use and kept, read-only: the control
-    operators, the simulator's process matrix and branch-probability map,
+    superoperator, the simulator's process matrix and branch-probability map,
     and the numbers of :func:`~teleportlab.theorem.proof_report`, computed
     here from the operator stacks and the inner products G.
     """
@@ -181,21 +181,21 @@ class ResourceProtocol:
         return _check_determinism(self.branches, self.receiver_unitaries, tol)
 
     @cached_property
-    def _control_rows(self) -> np.ndarray:
-        """Control operators Lambda[eta, k, l] = sum_i mu_i B[k,i] (x) A[l,i]^T
-        side by side, as a read-only (N^2, M*P*P*N^2) array with rows
-        (b_out, a_out) and columns (eta, k, l, b_in, a_in)."""
-        n, p = self.n, self.local_dim
-        a = _blocks(self.branches, n, p)
-        b = _blocks(self.receiver_unitaries, n, p)
-        # B[k,i] carries (b_out, b_in), A[l,i]^T carries (a_out, a_in) with
-        # A^T[x, y] = A[y, x].  Each term is (mu_i B) A, the product order of
-        # the three-operand einsum, so the bits match it; a GEMM form does not.
-        mu = self.resource.mu
-        rows = np.einsum("ekibc,elida->baeklcd", b * mu[:, None, None], a)
-        rows = rows.reshape(n * n, -1)
-        rows.flags.writeable = False
-        return rows
+    def _control_superoperator(self) -> np.ndarray:
+        """The control map as a read-only (N^4, N^4) matrix T, rows (o, o')
+        and columns (i, i') with o, i the (b, a) legs of the output (x) input
+        space: T = sum_j Lambda_j (x) conj(Lambda_j) over j = (eta, k, l),
+        so that sum_j Lambda_j R Lambda_j^dag is T times R raveled.  Built
+        from the control operators alone, never from the simulator's
+        process matrix, so the two routes stay independent."""
+        nn = self.n * self.n
+        rows = _lambda_rows(self)  # [o, (j, i)]
+        # [(o, i), j] times its adjoint, the sum over j in one GEMM
+        a = rows.reshape(nn, -1, nn).transpose(0, 2, 1).reshape(nn * nn, -1)
+        t = (a @ a.conj().T).reshape(nn, nn, nn, nn).transpose(0, 2, 1, 3)
+        t = t.reshape(nn * nn, nn * nn)
+        t.flags.writeable = False
+        return t
 
     @cached_property
     def _operands(self) -> tuple:
@@ -345,12 +345,29 @@ def block_operators(proto: ResourceProtocol) -> tuple:
             _blocks(proto.receiver_unitaries, n, p))
 
 
+def _lambda_rows(proto: ResourceProtocol) -> np.ndarray:
+    """Control operators Lambda[eta, k, l] = sum_i mu_i B[k,i] (x) A[l,i]^T
+    side by side, as a read-only (N^2, M*P*P*N^2) array with rows
+    (b_out, a_out) and columns (eta, k, l, b_in, a_in)."""
+    n, p = proto.n, proto.local_dim
+    a = _blocks(proto.branches, n, p)
+    b = _blocks(proto.receiver_unitaries, n, p)
+    # B[k,i] carries (b_out, b_in), A[l,i]^T carries (a_out, a_in) with
+    # A^T[x, y] = A[y, x].  Each term is (mu_i B) A, the product order of
+    # the three-operand einsum, so the bits match it; a GEMM form does not.
+    mu = proto.resource.mu
+    rows = np.einsum("ekibc,elida->baeklcd", b * mu[:, None, None], a)
+    rows = rows.reshape(n * n, -1)
+    rows.flags.writeable = False
+    return rows
+
+
 def lambda_operators(proto: ResourceProtocol) -> np.ndarray:
     """Control operators Lambda[eta, k, l] = sum_i mu_i B[k,i] (x) A[l,i]^T,
-    on the output (x) input space, as a read-only (M, P, P, N^2, N^2) view of
-    the rows the protocol keeps."""
+    on the output (x) input space, as a freshly built, read-only
+    (M, P, P, N^2, N^2) array."""
     nn, p = proto.n * proto.n, proto.local_dim
-    rows = proto._control_rows.reshape(nn, proto.m, p, p, nn)
+    rows = _lambda_rows(proto).reshape(nn, proto.m, p, p, nn)
     return rows.transpose(1, 2, 3, 0, 4)
 
 
@@ -365,9 +382,8 @@ def control_map(proto: ResourceProtocol, r: ChoiMatrix) -> ChoiMatrix:
     """Transform a Choi state through the protocol's control operators."""
     _check_choi_dims(proto, r)
     nn = proto.n * proto.n
-    # [Lam_1 | Lam_2 | ...] times its R-weighted copy: sum_j Lam_j R Lam_j^dag
-    rows = proto._control_rows
-    out = (rows.reshape(-1, nn) @ r.matrix).reshape(nn, -1) @ rows.conj().T
+    # sum_j Lam_j R Lam_j^dag: the kept superoperator on R raveled
+    out = (proto._control_superoperator @ r.matrix.ravel()).reshape(nn, nn)
     return ChoiMatrix.from_matrix(out, dim_out=proto.n, dim_in=proto.n, tol=1e-8)
 
 

@@ -85,6 +85,15 @@ def lambda_reference(proto):
     return ops.reshape(m, p, p, n * n, n * n)
 
 
+def control_map_reference(proto, r):
+    """sum_j Lambda_j R Lambda_j^dag over the control operators of
+    :func:`lambda_reference` by two GEMMs, an (N^2, N^2) matrix: the
+    operators side by side as rows times R, then times the rows' adjoint."""
+    nn = proto.n * proto.n
+    rows = lambda_reference(proto).transpose(3, 0, 1, 2, 4).reshape(nn, -1)
+    return (rows.reshape(-1, nn) @ r.matrix).reshape(nn, -1) @ rows.conj().T
+
+
 def proof_numbers_reference(proto):
     """The numbers :func:`teleportlab.theorem.proof_report` reads of the
     protocol, by the block route and from a freshly built G: the relation-13

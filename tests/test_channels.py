@@ -345,6 +345,19 @@ def test_states_reject_empty_and_dimensionless_input_by_name(check, message):
         check()
 
 
+@pytest.mark.parametrize("dims, matrix, message", [
+    ((1.5, 2), np.eye(3) / 3, r"Choi dim_out must be an integer, got 1\.5"),
+    ((2, 2.0), np.eye(4) / 4, r"Choi dim_in must be an integer, got 2\.0"),
+    ((True, 2), np.eye(2) / 2, r"Choi dim_out must be an integer, got True"),
+], ids=["float-dim-out", "float-dim-in", "bool-dim-out"])
+def test_choi_rejects_non_integer_dims_by_name(dims, matrix, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ChoiMatrix(*dims, matrix)
+    # numpy integers are integers
+    r = ChoiMatrix(np.int64(2), np.int32(2), np.eye(4) / 4)
+    assert (r.dim_out, r.dim_in) == (2, 2)
+
+
 def _verdict(check, *args):
     """The message of the ValueError a check raises, or None if it passes."""
     try:

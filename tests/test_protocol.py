@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from dense_reference import lambda_reference, simulate_reference
+from dense_reference import control_map_reference, lambda_reference, simulate_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -243,14 +243,41 @@ def test_lambda_bits_match_the_three_operand_einsum(n, p, full):
     np.testing.assert_array_equal(lambda_operators(proto), lambda_reference(proto))
 
 
-def test_control_rows_are_built_once_and_read_only():
+def test_control_superoperator_is_built_once_shared_and_read_only():
     proto = random_protocol(3, 3, 9, seed=5)
-    rows = proto._control_rows
-    assert proto._control_rows is rows
+    ch = random_channel(3, 9, seed=6)
+    t = proto._control_superoperator
+    assert t.shape == (81, 81)
     with pytest.raises(ValueError, match="read-only"):
-        rows[0, 0] = 0.0
-    lambda_operators(proto)
-    np.testing.assert_array_equal(lambda_operators(proto), lambda_reference(proto))
+        t[0, 0] = 0.0
+    control_map(proto, choi(ch))
+    residual(proto, ch)
+    assert proto._control_superoperator is t
+    # Lambda is built afresh on each call, read-only, and is not kept
+    lam = lambda_operators(proto)
+    with pytest.raises(ValueError, match="read-only"):
+        lam[0, 0, 0, 0, 0] = 0.0
+    assert not np.shares_memory(lam, lambda_operators(proto))
+    np.testing.assert_array_equal(lam, lambda_reference(proto))
+    assert set(vars(proto)) - {f.name for f in dataclasses.fields(proto)} == {
+        "_control_superoperator"}
+
+
+def test_control_map_and_effective_choi_build_only_their_own_kept_map():
+    # the two routes the consistency checks compare share no kept matrix:
+    # the control superoperator is built from Lambda, not from the process
+    # matrix Z, and the simulator never builds it
+    ch = random_channel(3, 9, seed=1)
+    proto = random_protocol(3, 2, 4, seed=9)
+    control_map(proto, choi(ch))
+    residual(proto, ch)
+    assert "_control_superoperator" in vars(proto)
+    assert "_operands" not in vars(proto)
+    proto = random_protocol(3, 2, 4, seed=9)
+    effective_choi(proto, ch)
+    apply_protocol(proto, ch, random_state(3, seed=2))
+    assert "_operands" in vars(proto)
+    assert "_control_superoperator" not in vars(proto)
 
 
 def test_transfer_matrices_are_built_once_read_only_and_shared():
@@ -329,7 +356,7 @@ def test_kept_sender_half_of_effective_choi_is_channel_free(monkeypatch):
     assert calls == [proto]
 
 
-def test_protocol_keeps_only_the_control_rows_process_matrix_and_proof_numbers():
+def test_protocol_keeps_only_the_control_superoperator_process_matrix_and_proof_numbers():
     proto = random_protocol(3, 2, 4, seed=9)
     ch = random_channel(3, 9, seed=1)
     apply_protocol(proto, ch, random_state(3, seed=2))
@@ -338,7 +365,7 @@ def test_protocol_keeps_only_the_control_rows_process_matrix_and_proof_numbers()
     target_overlap(proto, choi(ch))
     proof_report(proto)
     kept = set(vars(proto)) - {f.name for f in dataclasses.fields(proto)}
-    assert kept == {"_control_rows", "_operands", "_proof_numbers"}
+    assert kept == {"_control_superoperator", "_operands", "_proof_numbers"}
 
 
 def test_control_map_bare_is_identity_map():
@@ -422,6 +449,21 @@ def test_inner_products_give_the_control_map_overlap_property(case):
     np.testing.assert_array_equal(stacked, [
         _inner_products(q.resource.mu, q.branches, q.receiver_unitaries, n, p)
         for q in rows])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.sampled_from([2, 3]), p=st.integers(1, 3), full=st.booleans(),
+       kraus=st.integers(1, 9), seed=st.integers(0, 2**32 - 1))
+def test_control_map_matches_the_two_gemm_reference_property(n, p, full, kraus, seed):
+    # the kept superoperator's one product against sum_j Lam_j R Lam_j^dag by
+    # two GEMMs over the reference control operators, at M = 1 and M = N*P
+    # and for Choi states of every channel rank 1..N^2
+    proto = random_protocol(n, p, n * p if full else 1, seed=seed)
+    ch = random_channel(n, min(kraus, n * n), seed=[seed, 1])
+    assert rank(ch) == min(kraus, n * n)
+    np.testing.assert_allclose(control_map(proto, choi(ch)).matrix,
+                               control_map_reference(proto, choi(ch)),
+                               rtol=0, atol=1e-14)
 
 
 def test_control_map_matches_operator_sum_reference():
@@ -693,15 +735,18 @@ _GOLDEN_SIMULATIONS = {
     "n3-seed40": (lambda: (random_protocol(3, 3, 9, seed=40),
                            random_channel(3, 9, seed=41), random_state(3, seed=42)),
                   [0.2, 0.5, 0.8],
-                  "e895faca076abdcfa91f93e459fada4f48a6d6252c7529d27cf2731070e5b1f9"),
+                  # re-recorded for the control superoperator
+                  "08fabe455b8ee1c33b90b1ec821b77aaadfac34737617361b0e1eb98cfb81bf8"),
     "n3-seed50": (lambda: (random_protocol(3, 3, 9, seed=50),
                            random_channel(3, 9, seed=51), random_state(3, seed=52)),
                   [0.6, 0.3, 0.1],
-                  "0c14eb312237190648a25fd7d64d6e611e7d8e10f72fe89a22dfc10a994c7635"),
+                  # re-recorded for the control superoperator
+                  "5dbe024059a4a0d5a5eb3de2442eba8c0489f5459b86b1e2948896f3236f9d37"),
     "n3-seed60": (lambda: (random_protocol(3, 3, 9, seed=60),
                            random_channel(3, 9, seed=61), random_state(3, seed=62)),
                   [1.0, 0.0, 0.0],
-                  "0ed8b9ad35950ac5efa7de435a2b90594f0d9b53b0ea33da72776690dca170b9"),
+                  # re-recorded for the control superoperator
+                  "57e3db1552a15bd801cb6a5ba3db8f1d6efc3d93c5ec23d3e731eb036660a416"),
     "qt2": (lambda: (qt_protocol(2), random_channel(2, 4, seed=70),
                      random_state(2, seed=71)),
             [np.cos(np.pi / 8), np.sin(np.pi / 8)],
