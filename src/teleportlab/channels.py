@@ -20,6 +20,7 @@ import numpy as np
 from .qmath import (
     _INTEGER,
     _MATRICES,
+    _check_size,
     _check_state,
     _check_tol,
     _haar_isometry,
@@ -55,8 +56,7 @@ class KrausChannel:
     choi_state: ChoiMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError(f"channel dimension must be >= 2, got {self.dim}")
+        _check_size(self.dim, "channel dimension", 2)
         if len(self.kraus) == 0:
             raise ValueError("channel needs at least one Kraus operator")
         kraus = _operator_stack(self.kraus, self.dim, "Kraus operator",
@@ -107,11 +107,8 @@ class ChoiMatrix:
     tol: InitVar[float] = 1e-10
 
     def __post_init__(self, tol: float):
-        for name, value in (("dim_out", self.dim_out), ("dim_in", self.dim_in)):
-            if not isinstance(value, (int, np.integer)) or type(value) is bool:
-                raise ValueError(f"Choi {name} must be an integer, got {value!r}")
-            if value < 1:
-                raise ValueError(f"Choi {name} must be >= 1, got {value}")
+        _check_size(self.dim_out, "Choi dim_out", 1)
+        _check_size(self.dim_in, "Choi dim_in", 1)
         matrix = np.array(self.matrix, dtype=complex)
         d = self.dim_out * self.dim_in
         if matrix.shape != (d, d):
@@ -224,8 +221,7 @@ def depolarizing(p: float, n: int = 2) -> KrausChannel:
     """Depolarizing channel rho -> p I/N + (1-p) rho on an N-level system."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength must lie in [0, 1], got {p}")
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
+    _check_size(n, "dimension", 2)
     ops = [np.sqrt(1.0 - p + p / n**2) * np.eye(n, dtype=complex)]
     scale = np.sqrt(p) / n
     for a in range(n):
@@ -242,8 +238,8 @@ def random_channel(n: int, target_rank: int, seed) -> KrausChannel:
     The isometry maps the system into system (x) environment with environment
     dimension equal to the requested rank; deterministic per seed.
     """
-    if not 1 <= target_rank <= n * n:
-        raise ValueError(f"rank must lie in 1..{n * n}, got {target_rank}")
+    _check_size(n, "channel dimension", 2)
+    _check_size(target_rank, "rank", 1, n * n)
     isometry = _haar_isometry(n * target_rank, n, seed).reshape(n, target_rank, n)
     return KrausChannel(dim=n, kraus=isometry.transpose(1, 0, 2))
 

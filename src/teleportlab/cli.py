@@ -47,6 +47,8 @@ from .qmath import (
     _INTEGER,
     _MATRIX,
     _NUMBERS,
+    _check_size,
+    _check_tol,
     _read_json,
     assert_density_matrix,
     fidelity,
@@ -97,8 +99,10 @@ def _resolve_channel(channel_file, depolarizing_p, dim) -> tuple[KrausChannel, d
 
 
 def _tolerance(ctx, param, tol: float) -> float:
-    if not 0 <= tol < np.inf:  # NaN fails too
-        _fail(EXIT_INPUT_ERROR, f"--tol must be finite and >= 0, got {tol}")
+    try:
+        _check_tol(tol)
+    except ValueError as exc:
+        _fail(EXIT_INPUT_ERROR, f"--{exc}")
     return tol
 
 
@@ -167,9 +171,8 @@ def cmd_teleport(channel_file, depolarizing_p, dim, state_file, random_seed, mu,
     try:
         if state_file is not None:
             rho = _load_state(state_file)
-        elif random_seed < 0:
-            raise ValueError(f"--random must be >= 0, got {random_seed}")
         else:
+            _check_size(random_seed, "--random", 0)
             rho = random_state(ch.dim, random_seed)
         resource = None
         if mu is not None:

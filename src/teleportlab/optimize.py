@@ -26,7 +26,6 @@ points it is bit-identical.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -45,6 +44,7 @@ from .protocol import (
     basis_projections,
     control_map,
 )
+from .qmath import _check_size
 from .teleport import qt_protocol
 
 MEASUREMENT_CHOICES = ("none", "ancilla", "full")
@@ -348,20 +348,9 @@ class OptimizationConfig:
     warm_start: bool = False
 
     def __post_init__(self):
-        for name in ("evaluation_budget", "restarts", "seed"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, bool):  # operator.index(True) is 1
-                    raise TypeError
-                operator.index(value)
-            except TypeError:
-                raise TypeError(f"{name} must be an integer, got {value!r}") from None
-        if self.evaluation_budget < 1:
-            raise ValueError("evaluation budget must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restart count must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_size(self.evaluation_budget, "evaluation_budget", 1)
+        _check_size(self.restarts, "restarts", 1)
+        _check_size(self.seed, "seed", 0)
         if self.restarts > self.evaluation_budget // 4:
             raise ValueError(
                 f"{self.restarts} restarts need an evaluation budget of at least "

@@ -27,9 +27,9 @@ from functools import cached_property
 import numpy as np
 
 from .channels import ChoiMatrix, KrausChannel, choi
-from .qmath import (_INTEGER, _MATRICES, _MATRIX, _NUMBERS, _check_tol,
-                    _operator_stack, _psi0_projector, _read_json, haar_unitary,
-                    matrix_from_pairs, matrix_to_pairs)
+from .qmath import (_INTEGER, _MATRICES, _MATRIX, _NUMBERS, _check_size,
+                    _check_tol, _operator_stack, _psi0_projector, _read_json,
+                    haar_unitary, matrix_from_pairs, matrix_to_pairs)
 
 
 DETERMINISM_TOL = 1e-10  # the determinism gate's default bound on |Gram - I|
@@ -50,10 +50,9 @@ def _check_schmidt(mu: np.ndarray) -> None:
 
 
 def _check_dims(n: int, p: int) -> None:
-    """Raise unless the system dimension N and ancilla dimension P are >= 1."""
-    for name, value in (("system dimension n", n), ("local dimension p", p)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    """Raise unless the dimensions N (system) and P (ancilla) are integers >= 1."""
+    _check_size(n, "system dimension n", 1)
+    _check_size(p, "local dimension p", 1)
 
 
 def _determinism_deviation(ops: np.ndarray, receivers: np.ndarray) -> np.ndarray:
@@ -153,6 +152,7 @@ class ResourceProtocol:
             raise ValueError("sender and receiver operator counts must match")
         if counts == {0}:
             raise ValueError("protocol needs at least one branch")
+        _check_size(self.n, "system dimension n", 1)
         d = self.n * self.local_dim
         expected = f"N*P = {self.n}*{self.local_dim} = {d}"
         for name, kind in (("sender_projections", "sender projection"),
@@ -453,8 +453,7 @@ def basis_projections(labels) -> np.ndarray:
 
 def _partition_projections(dim: int, m: int) -> np.ndarray:
     """Split the computational basis of `dim` into m contiguous projectors."""
-    if not 1 <= m <= dim:
-        raise ValueError(f"branch count must lie in 1..{dim}, got {m}")
+    _check_size(m, "branch count", 1, dim)
     bounds = np.linspace(0, dim, m + 1).astype(int)
     return basis_projections(np.searchsorted(bounds, np.arange(dim), side="right") - 1)
 

@@ -41,17 +41,18 @@ def partial_trace(mat: np.ndarray, dims, keep) -> np.ndarray:
     dims : dimension of each factor; their product must match ``mat``.
     keep : index or iterable of factor indices to retain (original order).
     """
-    dims = [int(d) for d in dims]
-    keep = sorted(int(k) for k in np.atleast_1d(keep))
-    n = len(dims)
+    dims, keep = list(dims), [keep] if np.ndim(keep) == 0 else list(keep)
+    for d in dims:
+        _check_size(d, "factor dimension", 1)
+    for k in keep:
+        _check_size(k, "keep index", 0, len(dims) - 1)
+    n, dims, keep = len(dims), list(map(int, dims)), sorted(map(int, keep))
     total = int(np.prod(dims))
     mat = np.asarray(mat, dtype=complex)
     if mat.shape != (total, total):
         raise ValueError(
             f"matrix shape {mat.shape} does not match factor dims {dims}"
         )
-    if any(k < 0 or k >= n for k in keep):
-        raise ValueError(f"keep indices {keep} out of range for {n} factors")
     for k, k_next in zip(keep, keep[1:]):  # keep is sorted
         if k == k_next:
             raise ValueError(f"keep index {k} is repeated in {keep}")
@@ -99,6 +100,8 @@ def schmidt(psi: np.ndarray, dim_a: int, dim_b: int) -> tuple:
     The coefficients are non-negative and sorted descending; ``basis_a`` and
     ``basis_b`` hold the corresponding orthonormal local vectors as columns.
     """
+    _check_size(dim_a, "dim_a", 1)
+    _check_size(dim_b, "dim_b", 1)
     psi = np.asarray(psi, dtype=complex).reshape(-1)
     if psi.size != dim_a * dim_b:
         raise ValueError(
@@ -117,11 +120,13 @@ def _matrix_sqrt(rho: np.ndarray) -> np.ndarray:
 
 
 def _pair(rho: np.ndarray, sigma: np.ndarray) -> tuple:
-    """Two matrices as complex arrays; raises unless their shapes agree."""
+    """Two matrices as complex arrays; raises unless both are square, one shape."""
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"matrix must be square, got shape {rho.shape}")
     return rho, sigma
 
 
@@ -147,8 +152,7 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
 
 def maximally_entangled(n: int) -> np.ndarray:
     """State vector (1/sqrt(N)) sum_i |i>|i> on an N (x) N space."""
-    if n < 2:
-        raise ValueError(f"local dimension must be >= 2, got {n}")
+    _check_size(n, "local dimension", 2)
     vec = np.zeros(n * n, dtype=complex)
     vec[:: n + 1] = 1.0 / np.sqrt(n)
     return vec
@@ -165,8 +169,7 @@ def _psi0_projector(n: int) -> np.ndarray:
 
 def random_pure(n: int, seed) -> np.ndarray:
     """Haar-random pure state of dimension n, deterministic per seed."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    _check_size(n, "dimension", 1)
     rng = np.random.default_rng(seed)
     amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return amps / np.linalg.norm(amps)
@@ -174,10 +177,8 @@ def random_pure(n: int, seed) -> np.ndarray:
 
 def random_state(n: int, seed) -> np.ndarray:
     """Random density matrix: partial trace of a Haar pure state on n (x) n."""
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
-    purification = random_pure(n * n, seed)
-    return partial_trace(projector(purification), (n, n), keep=0)
+    _check_size(n, "dimension", 1)
+    return partial_trace(projector(random_pure(n * n, seed)), (n, n), keep=0)
 
 
 def _haar_isometry(rows: int, cols: int, rng) -> np.ndarray:
@@ -226,6 +227,19 @@ def _check_tol(tol: float) -> None:
     """Raise ValueError unless a validator's ``tol`` is finite and >= 0."""
     if not 0 <= tol < np.inf:  # NaN fails too
         raise ValueError(f"tol must be finite and >= 0, got {tol}")
+
+
+def _check_size(value, what: str, low: int, high: int | None = None) -> None:
+    """Raise unless ``value`` is an integer (a numpy one too, a bool not) in
+    ``low..high``, ``high`` None for no upper bound: TypeError for a
+    non-integer, ValueError out of range, the message starting with ``what``."""
+    if type(value) is not int and not isinstance(value, np.integer):
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    if high is None:
+        if value < low:
+            raise ValueError(f"{what} must be >= {low}, got {value}")
+    elif not low <= value <= high:
+        raise ValueError(f"{what} must lie in {low}..{high}, got {value}")
 
 
 def _check_state(matrix: np.ndarray, what: str, tol: float) -> None:

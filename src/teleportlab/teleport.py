@@ -19,6 +19,7 @@ import numpy as np
 from .channels import KrausChannel, weyl_operator
 from .protocol import (AncillaResource, ResourceProtocol, _branch_probabilities,
                        _run, apply_protocol, basis_projections)
+from .qmath import _check_size
 
 
 def bell_state(n: int, eta: int) -> np.ndarray:
@@ -34,8 +35,7 @@ def bell_basis(n: int) -> np.ndarray:
     Index convention: row eta = n_*N + m, where n_ sets the phase gradient
     and m the cyclic shift between the two factors.
     """
-    if n < 2:
-        raise ValueError(f"local dimension must be >= 2, got {n}")
+    _check_size(n, "local dimension", 2)
     return np.array([bell_state(n, eta) for eta in range(n * n)])
 
 
@@ -51,15 +51,14 @@ def correction_unitary(n: int, eta: int) -> np.ndarray:
     then moves the recovered state onto the channel-output factor so the
     ancillas can be discarded.
     """
-    if not 0 <= eta < n * n:
-        raise ValueError(f"outcome index must lie in 0..{n * n - 1}, got {eta}")
+    _check_size(eta, "outcome index", 0, n * n - 1)
     undo = weyl_operator(n, *divmod(eta, n)).T
     # <x y| W |z w> = undo[x, w] delta(y, z): undo applied to b lands on the
     # output leg, and the output's old content moves to b
     return np.einsum("yz,xw->xyzw", np.eye(n), undo).reshape(n * n, n * n)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8, typed=True)  # typed: n = 2.0 must miss N = 2 and raise
 def qt_protocol(n: int) -> ResourceProtocol:
     """The teleportation protocol as a resource protocol.
 
@@ -69,8 +68,7 @@ def qt_protocol(n: int) -> ResourceProtocol:
     the Bell states directly, since the measured system is discarded.
     Cached: every caller shares one protocol, whose arrays are read-only.
     """
-    if n < 2:
-        raise ValueError(f"teleportation needs N >= 2, got {n}")
+    _check_size(n, "teleportation dimension N", 2)
     d = n * n
     return ResourceProtocol(
         n=n,

@@ -351,7 +351,7 @@ def test_states_reject_empty_and_dimensionless_input_by_name(check, message):
     ((True, 2), np.eye(2) / 2, r"Choi dim_out must be an integer, got True"),
 ], ids=["float-dim-out", "float-dim-in", "bool-dim-out"])
 def test_choi_rejects_non_integer_dims_by_name(dims, matrix, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(TypeError, match=f"^{message}$"):
         ChoiMatrix(*dims, matrix)
     # numpy integers are integers
     r = ChoiMatrix(np.int64(2), np.int32(2), np.eye(4) / 4)

@@ -139,7 +139,7 @@ def test_protocol_verify_qt_below_2_exits_2(runner, n):
         main, ["protocol-verify", "--qt", str(n), "--depolarizing", "0.5"])
     assert result.exit_code == 2
     assert result.stderr.splitlines() == [
-        f"error: teleportation needs N >= 2, got {n}"]
+        f"error: teleportation dimension N must be >= 2, got {n}"]
 
 
 def test_protocol_verify_qt_against_a_channel_file(runner, tmp_path):

@@ -1,7 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 from dense_reference import swap_matrix
 
+from teleportlab.channels import ChoiMatrix, KrausChannel, depolarizing, random_channel
+from teleportlab.optimize import (OptimizationConfig, qt_parameterization,
+                                  zero_parameterization)
+from teleportlab.protocol import (AncillaResource, ResourceProtocol, bare_protocol,
+                                  random_protocol)
 from teleportlab.qmath import (
     _psi0_projector,
     assert_density_matrix,
@@ -20,6 +27,7 @@ from teleportlab.qmath import (
     tensor,
     trace_distance,
 )
+from teleportlab.teleport import bell_basis, correction_unitary, qt_protocol
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
@@ -90,7 +98,7 @@ def test_partial_trace_dim_mismatch():
 @pytest.mark.parametrize("keep,message", [
     ([0, 0], r"keep index 0 is repeated in \[0, 0\]"),
     ([2, 0, 2], r"keep index 2 is repeated in \[0, 2, 2\]"),
-    ([0, 3], r"keep indices \[0, 3\] out of range for 3 factors"),
+    ([0, 3], r"keep index must lie in 0\.\.2, got 3"),
 ])
 def test_partial_trace_rejects_repeated_or_out_of_range_keep(keep, message):
     with pytest.raises(ValueError, match=message):
@@ -180,6 +188,10 @@ def test_fidelity_symmetric_and_bounded():
 def test_fidelity_dim_mismatch():
     with pytest.raises(ValueError):
         fidelity(np.eye(2) / 2, np.eye(3) / 3)
+    for shape in [(2, 3), (3,), (2, 2, 2)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"matrix must be square, got shape {shape}")):
+            fidelity(np.ones(shape), np.ones(shape))
 
 
 def test_maximally_entangled_explicit():
@@ -263,6 +275,10 @@ def test_trace_distance_basics():
     assert trace_distance(zero, zero) < 1e-14
     with pytest.raises(ValueError, match=r"dimension mismatch: \(2, 2\) vs \(1, 1\)"):
         trace_distance(np.eye(2) / 2, [[1.0]])
+    for shape in [(2, 3), (3,)]:
+        with pytest.raises(ValueError, match=re.escape(
+                f"matrix must be square, got shape {shape}")):
+            trace_distance(np.ones(shape), np.ones(shape))
 
 
 def test_assert_density_matrix_rejections():
@@ -280,3 +296,86 @@ def test_matrix_pairs_round_trip():
     np.testing.assert_allclose(matrix_from_pairs(matrix_to_pairs(m)), m, atol=0)
     with pytest.raises(ValueError):
         matrix_from_pairs([[1.0, 2.0], [3.0, 4.0]])
+
+
+_EYE2 = np.eye(2)[None]
+# Every size, count and index a caller passes in: the call on one value, the
+# name its message starts with, the range low..high (high None: unbounded),
+# a value in range and a fractional one
+_SIZE_SITES = {
+    "maximally_entangled": (maximally_entangled, "local dimension", 2, None, 2, 2.5),
+    "random_pure": (lambda v: random_pure(v, 0), "dimension", 1, None, 2, 2.5),
+    "random_state": (lambda v: random_state(v, 0), "dimension", 1, None, 2, 2.5),
+    "partial_trace-dim": (lambda v: partial_trace(np.eye(4) / 4, (v, 2), 0),
+                          "factor dimension", 1, None, 2, 2.7),
+    "partial_trace-keep": (lambda v: partial_trace(np.eye(4) / 4, (2, 2), v),
+                           "keep index", 0, 1, 0, 0.9),
+    "schmidt-dim_a": (lambda v: schmidt(maximally_entangled(2), v, 2),
+                      "dim_a", 1, None, 2, 2.5),
+    "schmidt-dim_b": (lambda v: schmidt(maximally_entangled(2), 2, v),
+                      "dim_b", 1, None, 2, 2.5),
+    "KrausChannel": (lambda v: KrausChannel(dim=v, kraus=_EYE2),
+                     "channel dimension", 2, None, 2, 2.5),
+    "ChoiMatrix-dim_out": (lambda v: ChoiMatrix(v, 2, np.eye(4) / 4),
+                           "Choi dim_out", 1, None, 2, 2.5),
+    "ChoiMatrix-dim_in": (lambda v: ChoiMatrix(2, v, np.eye(4) / 4),
+                          "Choi dim_in", 1, None, 2, 2.5),
+    "depolarizing": (lambda v: depolarizing(0.3, v), "dimension", 2, None, 2, 2.5),
+    "random_channel-n": (lambda v: random_channel(v, 1, 0),
+                         "channel dimension", 2, None, 2, 2.5),
+    "random_channel-rank": (lambda v: random_channel(2, v, 0), "rank", 1, 4, 2, 2.5),
+    "bare_protocol-n": (bare_protocol, "system dimension n", 1, None, 2, 2.5),
+    "bare_protocol-p": (lambda v: bare_protocol(2, local_dim=v),
+                        "local dimension p", 1, None, 2, 2.5),
+    "random_protocol-n": (lambda v: random_protocol(v, 1, 1, 0),
+                          "system dimension n", 1, None, 2, 2.5),
+    "random_protocol-p": (lambda v: random_protocol(2, v, 1, 0),
+                          "local dimension p", 1, None, 2, 2.5),
+    "random_protocol-m": (lambda v: random_protocol(2, 2, v, 0),
+                          "branch count", 1, 4, 2, 2.5),
+    "zero_parameterization-n": (lambda v: zero_parameterization(v, 1, "full"),
+                                "system dimension n", 1, None, 2, 2.5),
+    "zero_parameterization-p": (lambda v: zero_parameterization(2, v, "full"),
+                                "local dimension p", 1, None, 2, 2.5),
+    "qt_parameterization": (qt_parameterization, "system dimension n", 1, None, 2, 2.5),
+    "ResourceProtocol": (lambda v: ResourceProtocol(
+        n=v, resource=AncillaResource(mu=[1.0]), sender_projections=_EYE2,
+        sender_unitaries=_EYE2, receiver_unitaries=_EYE2),
+        "system dimension n", 1, None, 2, 2.5),
+    "bell_basis": (bell_basis, "local dimension", 2, None, 2, 2.5),
+    "correction_unitary": (lambda v: correction_unitary(2, v),
+                           "outcome index", 0, 3, 1, 1.5),
+    "qt_protocol": (qt_protocol, "teleportation dimension N", 2, None, 2, 2.5),
+    "OptimizationConfig-evaluation_budget": (lambda v: OptimizationConfig(v, 1, 0),
+                                             "evaluation_budget", 1, None, 40, 40.5),
+    "OptimizationConfig-restarts": (lambda v: OptimizationConfig(40, v, 0),
+                                    "restarts", 1, None, 2, 2.5),
+    "OptimizationConfig-seed": (lambda v: OptimizationConfig(40, 1, v),
+                                "seed", 0, None, 0, 0.5),
+}
+
+
+def _size_cases():
+    for site, (call, what, low, high, good, fraction) in _SIZE_SITES.items():
+        for kind, value in [("float", float(good)), ("fraction", fraction),
+                            ("bool", True)]:
+            yield pytest.param(call, value, TypeError,
+                               f"{what} must be an integer, got {value!r}",
+                               id=f"{site}-{kind}")
+        bounds = f"be >= {low}" if high is None else f"lie in {low}..{high}"
+        for kind, value in [("below", low - 1), ("above", None if high is None else high + 1)]:
+            if value is not None:
+                yield pytest.param(call, value, ValueError,
+                                   f"{what} must {bounds}, got {value}",
+                                   id=f"{site}-{kind}")
+        yield pytest.param(call, np.int64(good), None, None, id=f"{site}-int64")
+
+
+@pytest.mark.parametrize("call, value, error, message", _size_cases())
+def test_every_size_is_checked_where_it_is_passed_in(call, value, error, message):
+    # a float, even an integral one, and a bool are no size; a numpy integer is
+    if error is None:
+        call(value)
+        return
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(value)
