@@ -37,6 +37,7 @@ from .protocol import (
     AncillaResource,
     _check_channel_dim,
     _residual,
+    _schmidt_weights,
     control_map,
     effective_choi,
     load_protocol,
@@ -177,22 +178,11 @@ def cmd_teleport(channel_file, depolarizing_p, dim, state_file, random_seed, mu,
         resource = None
         if mu is not None:
             try:
-                coeffs = np.array([float(x) for x in mu.split(",")])
+                coeffs = [float(x) for x in mu.split(",")]
             except ValueError:
                 raise ValueError(
                     f"--mu must be comma-separated numbers, got {mu!r}") from None
-            norm = np.linalg.norm(coeffs)
-            if not 0 < norm < np.inf:  # NaN fails too
-                raise ValueError(f"--mu must be finite and not all zero, got {mu}")
-            coeffs = coeffs / norm
-            if coeffs.size != ch.dim:
-                raise ValueError(
-                    f"--mu needs {ch.dim} coefficients, got {coeffs.size}"
-                )
-            try:
-                resource = AncillaResource(mu=coeffs)
-            except ValueError as exc:  # a negative coefficient
-                raise ValueError(f"--mu: {exc}, got {mu}") from None
+            resource = AncillaResource(mu=_schmidt_weights(coeffs, ch.dim, "--mu"))
         output, probs = teleport_detailed(rho, ch, resource)
     except (ValueError, OSError) as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))

@@ -41,6 +41,7 @@ from .protocol import (
     _inner_products,
     _overlap,
     _residual,
+    _schmidt_weights,
     basis_projections,
     control_map,
 )
@@ -105,6 +106,7 @@ def _hermitian_map(d: int) -> np.ndarray:
 def vec_to_hermitian(vec: np.ndarray, d: int) -> np.ndarray:
     """Inverse of :func:`hermitian_to_vec`; a (..., d^2) stack of vectors
     gives a (..., d, d) stack of matrices (all NaN for a non-finite vector)."""
+    _check_size(d, "matrix dimension d", 1)
     vec = np.asarray(vec, dtype=float)
     if vec.ndim == 0 or vec.shape[-1] != d * d:
         raise ValueError(f"parameter vector shape {vec.shape} does not end in "
@@ -202,21 +204,7 @@ class ProtocolParameterization:
             mu_fixed = np.array(self.mu_fixed, dtype=float).reshape(-1)
             mu_fixed.flags.writeable = False
             object.__setattr__(self, "mu_fixed", mu_fixed)
-            if mu_fixed.size != self.local_dim:
-                raise ValueError(
-                    f"mu_fixed length {mu_fixed.size} does not match "
-                    f"local dim {self.local_dim}"
-                )
-            # mu() divides by the norm: it must be finite and nonzero, and
-            # the quotient a unit vector (a subnormal norm is rounded)
-            with np.errstate(over="ignore"):
-                norm = np.linalg.norm(mu_fixed)
-            if not (mu_fixed.min() >= 0 and 0 < norm < np.inf
-                    and abs((self.mu() ** 2).sum() - 1.0) <= 1e-10):
-                raise ValueError(
-                    "mu_fixed must be non-negative with a finite, nonzero "
-                    f"norm, got {mu_fixed.tolist()}"
-                )
+            _schmidt_weights(mu_fixed, self.local_dim, "mu_fixed")
 
     @property
     def branch_count(self) -> int:

@@ -99,6 +99,31 @@ def _check_determinism(ops: np.ndarray, receivers: np.ndarray,
     )
 
 
+def _schmidt_weights(weights, size: int, what: str) -> np.ndarray:
+    """The Schmidt vector w / |w| of a caller's ``size`` weights w; raises
+    ValueError, the message starting with ``what``, unless they are
+    non-negative with a finite, nonzero norm and the quotient is a unit
+    vector (a subnormal norm is rounded)."""
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if w.size != size:
+        raise ValueError(f"{what} must hold {size} weights, got {w.size}")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(w)
+    if w.min() >= 0 and 0 < norm < np.inf:  # false for NaN too
+        unit = w / norm
+        if abs((unit**2).sum() - 1.0) <= 1e-10:
+            return unit
+    raise ValueError(f"{what} must be non-negative with a finite, nonzero "
+                     f"norm, got {w.tolist()}")
+
+
+def _check_resource(resource) -> None:
+    """Raise TypeError unless ``resource`` is an :class:`AncillaResource`."""
+    if not isinstance(resource, AncillaResource):
+        raise TypeError("resource must be an AncillaResource, got "
+                        f"{type(resource).__name__}")
+
+
 @dataclass(frozen=True, eq=False)
 class AncillaResource:
     """Schmidt coefficients of the shared pure ancilla pair (a read-only copy)."""
@@ -146,6 +171,7 @@ class ResourceProtocol:
     branches: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        _check_resource(self.resource)
         counts = {len(self.sender_projections), len(self.sender_unitaries),
                   len(self.receiver_unitaries)}
         if len(counts) > 1:
@@ -423,20 +449,15 @@ def entanglement_fidelity(proto: ResourceProtocol, ch: KrausChannel) -> float:
     return target_overlap(proto, choi(ch))
 
 
-def bare_protocol(n: int, local_dim: int | None = None, mu=None) -> ResourceProtocol:
-    """Single-branch protocol that just sends the state through the channel.
-    The pair's P is the length of ``mu``, or ``local_dim`` (default 1) with
-    mu = (1, 0, ..., 0); a ``local_dim`` of another length raises."""
-    p = local_dim if mu is None else np.size(mu)
-    p = 1 if p is None else p
-    if local_dim not in (None, p):
-        raise ValueError(f"local_dim {local_dim} does not match the "
-                         f"{p} Schmidt coefficients of mu")
+def bare_protocol(n: int, mu=(1.0,)) -> ResourceProtocol:
+    """Single-branch protocol that just sends the state through the channel;
+    the pair's Schmidt vector is ``mu``, its P the length of ``mu``."""
+    p = np.size(mu)
     _check_dims(n, p)
     eye = np.eye(n * p, dtype=complex)[None]
     return ResourceProtocol(
         n=n,
-        resource=AncillaResource(mu=np.eye(p)[0] if mu is None else mu),
+        resource=AncillaResource(mu=mu),
         sender_projections=eye,
         sender_unitaries=eye,
         receiver_unitaries=eye,

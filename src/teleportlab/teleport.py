@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import KrausChannel, weyl_operator
 from .protocol import (AncillaResource, ResourceProtocol, _branch_probabilities,
-                       _run, apply_protocol, basis_projections)
+                       _check_resource, _run, apply_protocol, basis_projections)
 from .qmath import _check_size
 
 
@@ -26,6 +26,7 @@ def bell_state(n: int, eta: int) -> np.ndarray:
     """Vector (1/sqrt(N)) sum_k exp(2 pi i k n_/N) |k>|(k+m) mod N>, with
     (n_, m) = divmod(eta, N); its coefficient matrix is the transposed Weyl
     operator W(n_, m) over sqrt(N)."""
+    _check_size(eta, "outcome index", 0, n * n - 1)
     return weyl_operator(n, *divmod(eta, n)).T.reshape(-1) / np.sqrt(n)
 
 
@@ -101,10 +102,7 @@ def teleport_detailed(
         raise ValueError(f"state shape {rho.shape} does not match channel dim {n}")
     proto = qt_protocol(n)
     if resource is not None:
-        if not isinstance(resource, AncillaResource):
-            raise TypeError(
-                f"resource must be an AncillaResource, got {type(resource).__name__}"
-            )
+        _check_resource(resource)
         if resource.local_dim != n:
             raise ValueError(f"resource local dim {resource.local_dim} "
                              f"does not match channel dim {n}")

@@ -125,7 +125,7 @@ def test_criterion_05_qt_in_formalism():
 def test_criterion_06_entanglement_bound_instantiation():
     started = time.time()
     corpus = [qt_protocol(2), qt_protocol(3), bare_protocol(2),
-              bare_protocol(3, local_dim=2, mu=np.array([0.8, 0.6]))]
+              bare_protocol(3, mu=np.array([0.8, 0.6]))]
     corpus += [random_protocol(2, p, m, seed=30 + i)
                for i, (p, m) in enumerate(FEASIBLE_COMBOS)]
     faithful = 0

@@ -6,10 +6,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from dense_reference import ascend_reference
 from teleportlab.channels import choi, depolarizing, random_channel
+from teleportlab.cli import main
 from teleportlab.optimize import (
     MEASUREMENT_CHOICES,
     SPECULATE_PARAMETERS,
@@ -161,15 +163,25 @@ def test_qt_parameterization_is_faithful():
         assert objective(params, depolarizing(0.4, n)) > 1 - 1e-9
 
 
-@pytest.mark.parametrize("mu_fixed", [
+@pytest.mark.parametrize("weights", [
     [0.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1.0, -1.0], [1e308, 1e308],
-    [1e-160, 0.0]],
-    ids=["zero", "nan", "inf", "negative", "norm-overflow", "norm-underflow"])
-def test_degenerate_mu_fixed_rejected_before_normalizing(mu_fixed):
-    # mu() divides by the norm; a warning here would fail the test too
-    with pytest.raises(ValueError, match="mu_fixed must be non-negative with "
-                                         "a finite, nonzero norm"):
-        zero_parameterization(2, 2, "full", mu_fixed=np.array(mu_fixed))
+    [1e-160, 0.0], [0.6, 0.8, 0.0]],
+    ids=["zero", "nan", "inf", "negative", "norm-overflow", "norm-underflow",
+         "wrong-length"])
+def test_degenerate_mu_fixed_rejected_before_normalizing(weights):
+    # both doors for a caller's Schmidt weights, a pinned mu_fixed and
+    # teleport --mu, reject them before normalizing, with one message that
+    # names the door; the quotient divides by the norm, and a warning here
+    # would fail the test too
+    reason = (f" must hold 2 weights, got {len(weights)}" if len(weights) != 2
+              else f" must be non-negative with a finite, nonzero norm, got {weights}")
+    with pytest.raises(ValueError, match=f"^mu_fixed{re.escape(reason)}$"):
+        zero_parameterization(2, 2, "full", mu_fixed=np.array(weights))
+    result = CliRunner().invoke(
+        main, ["teleport", "--depolarizing", "0.5", "--random", "3",
+               "--mu=" + ",".join(map(str, weights))], catch_exceptions=False)
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [f"error: --mu{reason}"]
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

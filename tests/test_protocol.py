@@ -131,18 +131,15 @@ def test_qt_protocol_matches_teleport_module(n):
 def test_bare_protocol_is_channel_use():
     ch = depolarizing(0.5)
     rho = random_state(2, seed=3)
-    for local_dim in (1, 2):
-        proto = bare_protocol(2, local_dim=local_dim)
+    for mu in ([1.0], [1.0, 0.0]):
+        proto = bare_protocol(2, mu=mu)
         np.testing.assert_allclose(apply_protocol(proto, ch, rho), ch.apply(rho),
                                    atol=1e-12)
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"local_dim": 3, "mu": [1.0, 0.0]},
-     "local_dim 3 does not match the 2 Schmidt coefficients of mu"),
-    ({"local_dim": 0}, "local dimension p must be >= 1, got 0"),
     ({"mu": []}, "local dimension p must be >= 1, got 0"),
-], ids=["mismatch", "p-0", "empty-mu"])
+], ids=["empty-mu"])
 def test_bare_protocol_rejects_a_bad_local_dim(kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         bare_protocol(2, **kwargs)
@@ -186,7 +183,7 @@ def test_protocol_rejects_non_deterministic():
 
 
 def test_blocks_of_identity_sender():
-    proto = bare_protocol(2, local_dim=2, mu=np.array([1.0, 0.0]))
+    proto = bare_protocol(2, mu=np.array([1.0, 0.0]))
     a, _ = block_operators(proto)
     for i in range(2):
         for j in range(2):

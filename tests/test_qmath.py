@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from dense_reference import swap_matrix
 
-from teleportlab.channels import ChoiMatrix, KrausChannel, depolarizing, random_channel
+from teleportlab.channels import (ChoiMatrix, KrausChannel, depolarizing,
+                                  random_channel, weyl_operator)
 from teleportlab.optimize import (OptimizationConfig, qt_parameterization,
-                                  zero_parameterization)
+                                  vec_to_hermitian, zero_parameterization)
 from teleportlab.protocol import (AncillaResource, ResourceProtocol, bare_protocol,
                                   random_protocol)
 from teleportlab.qmath import (
@@ -27,7 +28,8 @@ from teleportlab.qmath import (
     tensor,
     trace_distance,
 )
-from teleportlab.teleport import bell_basis, correction_unitary, qt_protocol
+from teleportlab.teleport import (bell_basis, bell_state, correction_unitary,
+                                  qt_protocol)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
@@ -321,12 +323,12 @@ _SIZE_SITES = {
     "ChoiMatrix-dim_in": (lambda v: ChoiMatrix(2, v, np.eye(4) / 4),
                           "Choi dim_in", 1, None, 2, 2.5),
     "depolarizing": (lambda v: depolarizing(0.3, v), "dimension", 2, None, 2, 2.5),
+    "weyl_operator-n": (lambda v: weyl_operator(v, 0, 1), "Weyl dimension n",
+                        1, None, 2, 2.5),
     "random_channel-n": (lambda v: random_channel(v, 1, 0),
                          "channel dimension", 2, None, 2, 2.5),
     "random_channel-rank": (lambda v: random_channel(2, v, 0), "rank", 1, 4, 2, 2.5),
     "bare_protocol-n": (bare_protocol, "system dimension n", 1, None, 2, 2.5),
-    "bare_protocol-p": (lambda v: bare_protocol(2, local_dim=v),
-                        "local dimension p", 1, None, 2, 2.5),
     "random_protocol-n": (lambda v: random_protocol(v, 1, 1, 0),
                           "system dimension n", 1, None, 2, 2.5),
     "random_protocol-p": (lambda v: random_protocol(2, v, 1, 0),
@@ -338,6 +340,8 @@ _SIZE_SITES = {
     "zero_parameterization-p": (lambda v: zero_parameterization(2, v, "full"),
                                 "local dimension p", 1, None, 2, 2.5),
     "qt_parameterization": (qt_parameterization, "system dimension n", 1, None, 2, 2.5),
+    "vec_to_hermitian-d": (lambda v: vec_to_hermitian(np.zeros(4), v),
+                           "matrix dimension d", 1, None, 2, 2.5),
     "ResourceProtocol": (lambda v: ResourceProtocol(
         n=v, resource=AncillaResource(mu=[1.0]), sender_projections=_EYE2,
         sender_unitaries=_EYE2, receiver_unitaries=_EYE2),
@@ -345,6 +349,7 @@ _SIZE_SITES = {
     "bell_basis": (bell_basis, "local dimension", 2, None, 2, 2.5),
     "correction_unitary": (lambda v: correction_unitary(2, v),
                            "outcome index", 0, 3, 1, 1.5),
+    "bell_state-eta": (lambda v: bell_state(2, v), "outcome index", 0, 3, 1, 1.5),
     "qt_protocol": (qt_protocol, "teleportation dimension N", 2, None, 2, 2.5),
     "OptimizationConfig-evaluation_budget": (lambda v: OptimizationConfig(v, 1, 0),
                                              "evaluation_budget", 1, None, 40, 40.5),

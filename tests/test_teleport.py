@@ -267,6 +267,19 @@ def test_resource_must_be_an_ancilla_resource():
         teleport_detailed(random_state(2, 0), depolarizing(0.5), maximally_entangled(2))
 
 
+@pytest.mark.parametrize("resource, kind", [
+    (np.full(2, 1 / np.sqrt(2)), "ndarray"), ([0.6, 0.8], "list"), (None, "NoneType")],
+    ids=["ndarray", "list", "none"])
+def test_resource_protocol_takes_only_an_ancilla_resource(resource, kind):
+    # checked before anything reads resource.local_dim (an AttributeError before)
+    qt = qt_protocol(2)
+    with pytest.raises(TypeError, match=f"^resource must be an AncillaResource, got {kind}$"):
+        ResourceProtocol(n=2, resource=resource,
+                         sender_projections=qt.sender_projections,
+                         sender_unitaries=qt.sender_unitaries,
+                         receiver_unitaries=qt.receiver_unitaries)
+
+
 def test_resource_path_skips_the_determinism_check(monkeypatch):
     # the swapped-in pair keeps qt_protocol(N)'s checked operators, and
     # determinism does not involve mu, so a call runs no determinism check

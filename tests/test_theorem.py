@@ -302,7 +302,7 @@ def test_proof_report_serializes():
 
 @pytest.mark.parametrize("proto", [
     qt_protocol(2), qt_protocol(3),
-    bare_protocol(2, local_dim=2, mu=np.full(2, 1 / np.sqrt(2))),
+    bare_protocol(2, mu=np.full(2, 1 / np.sqrt(2))),
     random_protocol(2, 2, 1, seed=80), random_protocol(3, 2, 4, seed=81),
     random_protocol(3, 3, 9, seed=82),
 ], ids=["qt2", "qt3", "bare", "n2m1", "n3m4", "n3m9"])
@@ -420,8 +420,7 @@ def test_proof_report_applies_tol_per_call():
 
 
 def test_proof_report_m1_verdicts():
-    report = proof_report(bare_protocol(2, local_dim=2,
-                                        mu=np.full(2, 1 / np.sqrt(2))))
+    report = proof_report(bare_protocol(2, mu=np.full(2, 1 / np.sqrt(2))))
     assert report["contradiction_rhs"] == 4.0
     assert report["verdicts"]["faithful_correction_possible"] is False
 
