@@ -450,6 +450,17 @@ def test_bad_tol_exits_2(runner, args, tol):
         f"error: --tol must be finite and >= 0, got {float(tol)}"]
 
 
+@pytest.mark.parametrize("mu, weights", [("0,0", "[0.0, 0.0]"),
+                                         ("nan,1", "[nan, 1.0]")],
+                         ids=["0,0", "nan,1"])
+def test_teleport_rejects_zero_or_non_finite_mu(runner, mu, weights):
+    result = runner.invoke(
+        main, ["teleport", "--depolarizing", "0.5", "--random", "3", "--mu", mu])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        f"error: --mu must be non-negative with a finite, nonzero norm, got {weights}"]
+
+
 @pytest.mark.parametrize("mu", ["", "0.6,x"], ids=["empty", "not-a-number"])
 def test_teleport_non_numeric_mu_exits_2_naming_the_option(runner, mu):
     result = runner.invoke(
@@ -457,6 +468,14 @@ def test_teleport_non_numeric_mu_exits_2_naming_the_option(runner, mu):
     assert result.exit_code == 2
     assert result.stderr.splitlines() == [
         f"error: --mu must be comma-separated numbers, got {mu!r}"]
+
+
+def test_teleport_negative_mu_exits_2_with_one_line(runner):
+    result = runner.invoke(main, ["teleport", "--depolarizing", "0.5", "--random",
+                                  "3", "--mu=-0.6,0.8"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: --mu must be non-negative with a finite, nonzero norm, got [-0.6, 0.8]"]
 
 
 @pytest.mark.parametrize("override, message", [
@@ -607,6 +626,15 @@ def test_top_level_json_list_exits_2(tmp_path, kind):
     assert result.exit_code == 2
     [line] = result.stderr.splitlines()
     assert line.endswith("expected a JSON object, got [1, 2]")
+
+
+def test_teleport_mu_whose_norm_overflows_exits_2(runner):
+    result = runner.invoke(main, ["teleport", "--depolarizing", "0.5", "--random",
+                                  "3", "--mu", "1e308,1e308"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: --mu must be non-negative with a finite, nonzero norm, "
+        "got [1e+308, 1e+308]"]
 
 
 @pytest.mark.parametrize("args", [
