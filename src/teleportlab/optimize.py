@@ -19,13 +19,16 @@ builds no protocol objects; only the winning point is decoded into a
 :class:`ResourceProtocol`.  Per evaluation it makes few array calls: one
 product of the parameters with a fixed 0/+-1 generator map, one batched
 ``eigh``, the sender's branches as masked rows (the projections are
-diagonal), the determinism check that ``decode`` runs, and the inner
-products G and overlap of ``target_overlap``, to whose values on decoded
-points it is bit-identical.
+diagonal), one Gram U U^dag of every unitary, which passes the point when it
+is within DETERMINISM_TOL / (2 N P) of the identity and otherwise hands it to
+the determinism check that ``decode`` runs, and the inner products G and
+overlap of ``target_overlap``, to whose values on decoded points it is
+bit-identical.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -33,6 +36,7 @@ import numpy as np
 
 from .channels import KrausChannel, choi
 from .protocol import (
+    DETERMINISM_TOL,
     AncillaResource,
     ResourceProtocol,
     _check_channel_dim,
@@ -275,8 +279,11 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
     with few array calls: the finiteness check of a parameterization, all
     generators in one product with the generator map, one batched ``eigh``,
     the sender branches as masked rows of the sender unitary (the projections
-    are diagonal), the determinism check of ``decode`` (same tolerance, same
-    messages), then the same inner products and overlap.  The Schmidt vector
+    are diagonal), one batched Gram U U^dag - I, then the same inner products
+    and overlap.  A Gram within ``DETERMINISM_TOL / (2d)`` passes the point,
+    since then the determinism check of ``decode`` passes too (see ``fun``);
+    any other point goes to that check, which decides and raises with
+    ``decode``'s messages, so both reject the same points.  The Schmidt vector
     needs no check: the squared softmax of finite parameters is a unit vector.
     """
     _check_channel_dim(base, ch)
@@ -292,6 +299,7 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
     # the projections are diagonal 0/1, so P_eta U keeps the rows of U that
     # P_eta keeps; a single outcome measures nothing (P = I)
     row_mask = None if m == 1 else projections.diagonal(0, 1, 2)[..., None]
+    gate_tol = DETERMINISM_TOL / (2 * d)  # see fun
 
     def fun(theta):
         theta = np.asarray(theta, dtype=float)
@@ -307,7 +315,19 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
         u = _expi((gen @ hermitian_map).view(complex).reshape(-1, 1 + m, d, d))
         senders = u[:, :1] if row_mask is None else u[:, :1] * row_mask
         receivers = u[:, 1:]
-        _check_determinism(senders, receivers)
+        # Every operator in u is exp(iH), so one Gram U U^dag - I decides
+        # nearly every evaluation.  For a square U, U^dag U - I and U U^dag - I
+        # have the same eigenvalues, so max|U^dag U - I| <= ||U U^dag - I||_2
+        # <= d max|U U^dag - I|.  Sum L^dag L over the masked rows of U is
+        # U^dag U, sum L L^dag is the outcome-diagonal blocks of U U^dag and
+        # each W W^dag is a block of this Gram, all up to rounding near 1e-15.
+        # So within gate_tol every determinism residual is at most about
+        # tol/2, and _check_determinism would pass; past it (NaN too), that
+        # check decides and raises with decode's message.
+        gram = u @ u.conj().swapaxes(-1, -2)
+        gram.reshape(-1, d * d)[:, :: d + 1] -= 1
+        if not np.abs(gram).max() <= gate_tol:
+            _check_determinism(senders, receivers)
         # a pinned mu broadcasts over the stack
         mu = _squared_softmax(stack[:, n_gen:]) if pinned is None else pinned
         out = _overlap(_inner_products(mu, senders, receivers, n, p), r_matrix)
@@ -384,7 +404,7 @@ def _ascend(theta, budget, rng):
     # optimize gives a restart at least 4 evaluations, so the first step runs
     delta = rng.integers(0, 2, theta.size) * 2.0 - 1.0
     probes = theta + (step * delta) * signs
-    values, speculate = yield np.vstack([theta, probes])
+    values, speculate = yield np.concatenate([theta[None], probes])
     best = values[0]
     trace = [best]
     ahead = delta, probes, values[1:]  # the next step's probes and their values
@@ -398,7 +418,7 @@ def _ascend(theta, budget, rng):
             ahead = None
         evals += 2
         grad = (up - down) / (2.0 * step) * delta
-        gnorm = float(np.linalg.norm(grad))
+        gnorm = math.sqrt(grad.dot(grad))  # np.linalg.norm's 1-D route
         grown = min(step / STEP_DECAY, STEP_INIT)
         # the state the step leaves unless it accepts a candidate
         if up > best:
@@ -410,7 +430,7 @@ def _ascend(theta, budget, rng):
         if gnorm > 0.0:
             candidate = theta + step * grad / gnorm
             evals += 1
-            rows = [candidate]
+            rows = [candidate[None]]
             if speculate and evals + 3 <= budget:
                 # the next probe pair of the accepted state, then of the
                 # rejected one unless its step ends the ascent
@@ -418,7 +438,7 @@ def _ascend(theta, budget, rng):
                 for point, point_step in ((candidate, grown), (kept[0], kept[2])):
                     if point_step > STOP_DELTA:
                         rows.append(point + (point_step * delta) * signs)
-            values, speculate = yield np.vstack(rows)
+            values, speculate = yield np.concatenate(rows)
             accepted = values[0] > best
             theta, best, step = (candidate, values[0], grown) if accepted else kept
             at = 1 if accepted else 2  # this state's pair among rows[1:]

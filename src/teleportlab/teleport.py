@@ -25,7 +25,8 @@ from .qmath import _check_size
 def bell_state(n: int, eta: int) -> np.ndarray:
     """Vector (1/sqrt(N)) sum_k exp(2 pi i k n_/N) |k>|(k+m) mod N>, with
     (n_, m) = divmod(eta, N); its coefficient matrix is the transposed Weyl
-    operator W(n_, m) over sqrt(N)."""
+    operator W(n_, m) over sqrt(N), for n >= 2."""
+    _check_size(n, "local dimension", 2)
     _check_size(eta, "outcome index", 0, n * n - 1)
     return weyl_operator(n, *divmod(eta, n)).T.reshape(-1) / np.sqrt(n)
 
@@ -52,6 +53,7 @@ def correction_unitary(n: int, eta: int) -> np.ndarray:
     then moves the recovered state onto the channel-output factor so the
     ancillas can be discarded.
     """
+    _check_size(n, "local dimension", 2)
     _check_size(eta, "outcome index", 0, n * n - 1)
     undo = weyl_operator(n, *divmod(eta, n)).T
     # <x y| W |z w> = undo[x, w] delta(y, z): undo applied to b lands on the

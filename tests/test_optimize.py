@@ -31,7 +31,8 @@ from teleportlab.optimize import (
     vec_to_hermitian,
     zero_parameterization,
 )
-from teleportlab.protocol import apply_protocol, residual, target_overlap
+from teleportlab.protocol import (DETERMINISM_TOL, _check_determinism,
+                                  apply_protocol, residual, target_overlap)
 from teleportlab.qmath import haar_unitary, random_state
 
 
@@ -582,6 +583,77 @@ def test_speculating_round_is_one_call_per_step(
     assert len(rows) <= steps
     assert max(rows) <= 5 * restarts
     assert sum(rows) <= result.evaluations_used + 2 * restarts * len(rows)
+
+
+def _spy_determinism(monkeypatch):
+    """Wrap optimize's determinism check; the list it returns gets the
+    (senders, receivers) of every call the objective's Gram gate defers."""
+    calls = []
+    check = _OPTIMIZE._check_determinism
+
+    def spy(senders, receivers):
+        calls.append((senders, receivers))
+        return check(senders, receivers)
+
+    monkeypatch.setattr(_OPTIMIZE, "_check_determinism", spy)
+    return calls
+
+
+@pytest.mark.parametrize("where", ["below-gate", "between", "above-tol"])
+@pytest.mark.parametrize("n, p", [(2, 2), (3, 1)])
+@pytest.mark.parametrize("measured", MEASUREMENT_CHOICES)
+def test_determinism_gate_defers_at_its_bound(monkeypatch, measured, n, p, where):
+    # unitaries scaled by 1 + eps put every Gram deviation near 2 eps: below
+    # tol/(2d) the gate passes alone; from there to tol the determinism check
+    # runs and passes; above tol it raises the message decode raises
+    d = n * p
+    two_eps = {"below-gate": 0.5 * DETERMINISM_TOL / (2 * d),
+               "between": 1.5 * DETERMINISM_TOL / (2 * d),
+               "above-tol": 2 * DETERMINISM_TOL}[where]
+    base = zero_parameterization(n, p, measured)
+    thetas = np.random.default_rng(d).standard_normal((2, base.theta.size))
+    fun = _compile_objective(depolarizing(0.5, n), base)
+    expi = _OPTIMIZE._expi
+    monkeypatch.setattr(_OPTIMIZE, "_expi", lambda h: expi(h) * (1 + two_eps / 2))
+    deferred = _spy_determinism(monkeypatch)
+    if where != "above-tol":
+        assert np.isfinite(fun(thetas)).all()
+        assert len(deferred) == (where == "between")
+        return
+    with pytest.raises(ValueError, match="not deterministic") as decoded:
+        decode(replace(base, theta=thetas[0]))  # its unitaries are scaled too
+    with pytest.raises(ValueError, match=f"^{re.escape(str(decoded.value))}$"):
+        fun(thetas)
+    assert len(deferred) == 1
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(2, 3), p=st.integers(1, 3),
+       measured=st.sampled_from(MEASUREMENT_CHOICES),
+       log_eps=st.floats(-14, -8), seed=st.integers(0, 2**32 - 1))
+@example(n=3, p=3, measured="full", log_eps=-14, seed=0)
+@example(n=2, p=1, measured="none", log_eps=-8, seed=0)
+def test_determinism_gate_passes_only_what_the_check_passes(n, p, measured,
+                                                            log_eps, seed):
+    # nearly unitary operators U (I + eps K), K Hermitian: wherever the Gram
+    # gate passes alone, decode's check passes on the masked branches too
+    d = n * p
+    rng = np.random.default_rng(seed)
+    base = zero_parameterization(n, p, measured)
+    projections = base.projections()
+    k = rng.standard_normal((1 + len(projections), d, d, 2)).view(complex)[..., 0]
+    k = k + k.conj().swapaxes(-1, -2)
+    u = np.array([haar_unitary(d, rng) for _ in k]) @ (np.eye(d) + 10.0**log_eps * k)
+    fun = _compile_objective(depolarizing(0.5, n), base)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_OPTIMIZE, "_expi", lambda h: u[None])
+        deferred = _spy_determinism(mp)
+        try:
+            fun(base.theta)
+        except ValueError:
+            assert deferred  # only the deferred check raises
+    if not deferred:
+        assert _check_determinism(projections @ u[0], u[1:]) <= DETERMINISM_TOL
 
 
 def test_sweep_structure_and_monotonicity():

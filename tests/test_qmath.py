@@ -349,7 +349,10 @@ _SIZE_SITES = {
     "bell_basis": (bell_basis, "local dimension", 2, None, 2, 2.5),
     "correction_unitary": (lambda v: correction_unitary(2, v),
                            "outcome index", 0, 3, 1, 1.5),
+    "correction_unitary-n": (lambda v: correction_unitary(v, 0),
+                             "local dimension", 2, None, 2, 2.5),
     "bell_state-eta": (lambda v: bell_state(2, v), "outcome index", 0, 3, 1, 1.5),
+    "bell_state-n": (lambda v: bell_state(v, 0), "local dimension", 2, None, 2, 2.5),
     "qt_protocol": (qt_protocol, "teleportation dimension N", 2, None, 2, 2.5),
     "OptimizationConfig-evaluation_budget": (lambda v: OptimizationConfig(v, 1, 0),
                                              "evaluation_budget", 1, None, 40, 40.5),
