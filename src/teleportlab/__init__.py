@@ -41,11 +41,9 @@ from .protocol import (
     ResourceProtocol,
     apply_protocol,
     bare_protocol,
-    block_operators,
     control_map,
     effective_choi,
     entanglement_fidelity,
-    lambda_operators,
     load_protocol,
     random_protocol,
     residual,
@@ -63,7 +61,6 @@ from .optimize import (
     OptimizationResult,
     ProtocolParameterization,
     decode,
-    objective,
     optimize,
     qt_parameterization,
     sweep_mu,
@@ -83,7 +80,6 @@ __all__ = [
     "apply_protocol",
     "bare_protocol",
     "bell_basis",
-    "block_operators",
     "cauchy_schwarz_check",
     "choi",
     "control_map",
@@ -97,13 +93,11 @@ __all__ = [
     "fidelity",
     "identity_channel",
     "kraus_from_choi",
-    "lambda_operators",
     "load_channel",
     "load_protocol",
     "maximally_entangled",
     "nielsen_convertible",
     "no_cc_contradiction",
-    "objective",
     "optimize",
     "partial_trace",
     "proof_report",

@@ -12,6 +12,7 @@ Conventions used everywhere in this package:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -79,8 +80,7 @@ class KrausChannel:
         eye = np.eye(n)[:, None, :]
         kk = (kraus[:, :, None, :, None] * eye).reshape(-1, n * n, n * n)
         mat = (kk @ _psi0_projector(n) @ kk.conj().swapaxes(-1, -2)).sum(axis=0)
-        object.__setattr__(self, "choi_state",
-                           ChoiMatrix.from_matrix(mat, dim_out=n, dim_in=n))
+        object.__setattr__(self, "choi_state", ChoiMatrix.from_matrix(mat))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         """Channel action sum_k K rho K^dag."""
@@ -94,29 +94,26 @@ class KrausChannel:
 
 @dataclass(frozen=True, eq=False)
 class ChoiMatrix:
-    """Trace-1 Choi state on the output (x) input space, validated within
-    ``tol`` by the constructor.
+    """Trace-1 Choi state of a channel on one N-level system, on the output
+    (x) input space, validated within ``tol`` by the constructor.
 
-    ``matrix`` is an owned, read-only copy; the eigensystem is computed on
-    first read and cached, also read-only.
+    ``matrix`` is an owned, read-only N^2 x N^2 copy, and ``dim`` the N read
+    from its shape; the eigensystem is computed on first read and cached,
+    also read-only.
     """
 
-    dim_out: int
-    dim_in: int
     matrix: np.ndarray
     tol: InitVar[float] = 1e-10
 
     def __post_init__(self, tol: float):
-        _check_size(self.dim_out, "Choi dim_out", 1)
-        _check_size(self.dim_in, "Choi dim_in", 1)
         matrix = np.array(self.matrix, dtype=complex)
-        d = self.dim_out * self.dim_in
-        if matrix.shape != (d, d):
-            raise ValueError(f"Choi matrix shape {matrix.shape} does not match "
-                             f"dims {self.dim_out}x{self.dim_in}")
+        n = math.isqrt(matrix.shape[0]) if matrix.ndim == 2 else 0
+        if n == 0 or matrix.shape != (n * n, n * n):
+            raise ValueError(f"Choi matrix shape {matrix.shape} is not "
+                             "N^2 x N^2 for an integer N >= 1")
         _check_state(matrix, "Choi matrix", tol)
-        marginal = matrix.reshape((self.dim_out, self.dim_in) * 2).trace(axis1=0, axis2=2)
-        marginal.reshape(-1)[:: self.dim_in + 1] -= 1 / self.dim_in  # minus I/N
+        marginal = matrix.reshape((n,) * 4).trace(axis1=0, axis2=2)
+        marginal.reshape(-1)[:: n + 1] -= 1 / n  # minus I/N
         marg_dev = float(abs(marginal).max())
         if marg_dev > tol:
             raise ValueError(
@@ -127,10 +124,14 @@ class ChoiMatrix:
         object.__setattr__(self, "matrix", matrix)
 
     @classmethod
-    def from_matrix(cls, matrix: np.ndarray, dim_out: int, dim_in: int,
-                    tol: float = 1e-10) -> "ChoiMatrix":
+    def from_matrix(cls, matrix: np.ndarray, tol: float = 1e-10) -> "ChoiMatrix":
         """The validated Choi state of ``matrix``, as the constructor builds it."""
-        return cls(dim_out, dim_in, matrix, tol)
+        return cls(matrix, tol)
+
+    @property
+    def dim(self) -> int:
+        """N, the dimension of the system the channel acts on."""
+        return math.isqrt(len(self.matrix))
 
     @cached_property
     def _eigensystem(self) -> tuple:
@@ -175,9 +176,7 @@ def kraus_from_choi(c: ChoiMatrix, tol: float = 1e-10) -> KrausChannel:
     Operators are ordered by descending eigenvalue and phase-fixed so the
     largest-magnitude entry of each is real non-negative.
     """
-    if c.dim_out != c.dim_in:
-        raise ValueError("only square channels are supported")
-    n = c.dim_out
+    n = c.dim
     k = _rank(c.eigenvalues, tol)
     ops = [fix_global_phase(np.sqrt(n * val) * vec).reshape(n, n)
            for val, vec in zip(c.eigenvalues[:k], c.eigenvectors.T[:k])]

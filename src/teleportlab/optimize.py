@@ -297,8 +297,8 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
     r_matrix = choi(ch).matrix
     hermitian_map = _hermitian_map(d)
     # the projections are diagonal 0/1, so P_eta U keeps the rows of U that
-    # P_eta keeps; a single outcome measures nothing (P = I)
-    row_mask = None if m == 1 else projections.diagonal(0, 1, 2)[..., None]
+    # P_eta keeps
+    row_mask = projections.diagonal(0, 1, 2)[..., None]
     gate_tol = DETERMINISM_TOL / (2 * d)  # see fun
 
     def fun(theta):
@@ -313,7 +313,7 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
         # vec_to_hermitian's product; h is Hermitian by construction, so the
         # symmetrization in unitary_from_generator would not change a bit of it
         u = _expi((gen @ hermitian_map).view(complex).reshape(-1, 1 + m, d, d))
-        senders = u[:, :1] if row_mask is None else u[:, :1] * row_mask
+        senders = u[:, :1] * row_mask
         receivers = u[:, 1:]
         # Every operator in u is exp(iH), so one Gram U U^dag - I decides
         # nearly every evaluation.  For a square U, U^dag U - I and U U^dag - I
@@ -336,11 +336,6 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
     return fun
 
 
-def objective(params: ProtocolParameterization, ch: KrausChannel) -> float:
-    """Entanglement fidelity of the decoded protocol through the channel."""
-    return _compile_objective(ch, params)(params.theta)
-
-
 @dataclass(frozen=True)
 class OptimizationConfig:
     """Search budget and reproducibility knobs.
@@ -359,6 +354,8 @@ class OptimizationConfig:
         _check_size(self.evaluation_budget, "evaluation_budget", 1)
         _check_size(self.restarts, "restarts", 1)
         _check_size(self.seed, "seed", 0)
+        if not isinstance(self.warm_start, (bool, np.bool_)):
+            raise TypeError(f"warm_start must be a bool, got {self.warm_start!r}")
         if self.restarts > self.evaluation_budget // 4:
             raise ValueError(
                 f"{self.restarts} restarts need an evaluation budget of at least "

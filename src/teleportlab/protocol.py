@@ -398,10 +398,9 @@ def lambda_operators(proto: ResourceProtocol) -> np.ndarray:
 
 
 def _check_choi_dims(proto: ResourceProtocol, r: ChoiMatrix) -> None:
-    """Raise unless the Choi state's dims match the protocol's."""
-    if r.dim_out != proto.n or r.dim_in != proto.n:
-        raise ValueError(f"Choi dims {r.dim_out}x{r.dim_in} do not match "
-                         f"protocol dim {proto.n}")
+    """Raise unless the Choi state's dim matches the protocol's."""
+    if r.dim != proto.n:
+        raise ValueError(f"Choi dim {r.dim} does not match protocol dim {proto.n}")
 
 
 def control_map(proto: ResourceProtocol, r: ChoiMatrix) -> ChoiMatrix:
@@ -410,7 +409,7 @@ def control_map(proto: ResourceProtocol, r: ChoiMatrix) -> ChoiMatrix:
     nn = proto.n * proto.n
     # sum_j Lam_j R Lam_j^dag: the kept superoperator on R raveled
     out = (proto._control_superoperator @ r.matrix.ravel()).reshape(nn, nn)
-    return ChoiMatrix.from_matrix(out, dim_out=proto.n, dim_in=proto.n, tol=1e-8)
+    return ChoiMatrix.from_matrix(out, tol=1e-8)
 
 
 def effective_choi(proto: ResourceProtocol, ch: KrausChannel) -> ChoiMatrix:
@@ -420,9 +419,8 @@ def effective_choi(proto: ResourceProtocol, ch: KrausChannel) -> ChoiMatrix:
     |psi_0><psi_0| over the input and a passive reference copy, which by
     linearity is sum_ij E(|i><j|) (x) |i><j| / N.
     """
-    n = proto.n
-    out = _run(proto, ch, _psi0_projector(n))
-    return ChoiMatrix.from_matrix(out, dim_out=n, dim_in=n, tol=1e-8)
+    out = _run(proto, ch, _psi0_projector(proto.n))
+    return ChoiMatrix.from_matrix(out, tol=1e-8)
 
 
 def residual(proto: ResourceProtocol, ch: KrausChannel) -> float:
@@ -432,7 +430,7 @@ def residual(proto: ResourceProtocol, ch: KrausChannel) -> float:
 
 def _residual(controlled: ChoiMatrix) -> float:
     """:func:`residual` from the controlled Choi state."""
-    target = _psi0_projector(controlled.dim_out)
+    target = _psi0_projector(controlled.dim)
     return float(np.linalg.norm(controlled.matrix - target))
 
 

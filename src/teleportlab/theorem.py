@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .protocol import AncillaResource, ResourceProtocol
-from .qmath import _check_tol
+from .qmath import _check_size, _check_tol
 
 
 def beta_scalars(proto: ResourceProtocol) -> np.ndarray:
@@ -82,6 +82,7 @@ def proof_report(proto: ResourceProtocol, tol: float = 1e-9) -> dict:
 
 def entanglement_bound(resource: AncillaResource, n: int) -> tuple:
     """Sum of Schmidt coefficients and whether it reaches sqrt(N)."""
+    _check_size(n, "system dimension n", 1)
     total = float(resource.mu.sum())
     return total, bool(total >= np.sqrt(n) - 1e-12)
 

@@ -39,13 +39,18 @@ def check_state_reference(matrix: np.ndarray, what: str, tol: float) -> None:
         raise ValueError(f"{what} trace deviates from 1 by {trace_dev:.3e}")
 
 
-def choi_check_reference(matrix: np.ndarray, dim_out: int, dim_in: int,
-                         tol: float) -> None:
-    """The Choi state check in its plain form: the state check, then the
-    input marginal against I/N, built with np.eye."""
+def choi_check_reference(matrix: np.ndarray, tol: float) -> None:
+    """The Choi state check in its plain form: N from a d x d shape with
+    d = N^2, the state check, then the input marginal against I/N, built
+    with np.eye."""
+    d = matrix.shape[0] if matrix.ndim == 2 else 0
+    n = round(d ** 0.5)
+    if d == 0 or n * n != d or matrix.shape != (d, d):
+        raise ValueError(f"Choi matrix shape {matrix.shape} is not "
+                         "N^2 x N^2 for an integer N >= 1")
     check_state_reference(matrix, "Choi matrix", tol)
-    marginal = matrix.reshape((dim_out, dim_in) * 2).trace(axis1=0, axis2=2)
-    marg_dev = float(np.max(np.abs(marginal - np.eye(dim_in) / dim_in)))
+    marginal = matrix.reshape((n,) * 4).trace(axis1=0, axis2=2)
+    marg_dev = float(np.max(np.abs(marginal - np.eye(n) / n)))
     if marg_dev > tol:
         raise ValueError(
             "Choi input marginal deviates from I/N "

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -285,26 +286,26 @@ def test_choi_matrix_rejects_non_finite(bad):
     matrix = np.eye(4) / 4
     matrix[0, 0] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        ChoiMatrix.from_matrix(matrix, 2, 2)
+        ChoiMatrix.from_matrix(matrix)
 
 
 def test_choi_matrix_validation():
     with pytest.raises(ValueError, match="trace"):
-        ChoiMatrix.from_matrix(np.eye(4), 2, 2)
+        ChoiMatrix.from_matrix(np.eye(4))
     skew = np.diag([1.2, -0.2, 0.0, 0.0])
     with pytest.raises(ValueError, match=r"positive semidefinite: min eigenvalue -2\.000e-01"):
-        ChoiMatrix.from_matrix(skew, 2, 2)
+        ChoiMatrix.from_matrix(skew)
     # valid Choi but not trace-preserving as a map: marginal != I/N
     bad_marginal = np.diag([0.7, 0.0, 0.0, 0.3])
     with pytest.raises(ValueError, match="marginal"):
-        ChoiMatrix.from_matrix(bad_marginal, 2, 2)
+        ChoiMatrix.from_matrix(bad_marginal)
 
 
 # both kinds of state go through the one state checker, the Choi state by its
 # constructor; each check names the kind of state it rejects
 _STATE_KINDS = pytest.mark.parametrize("check, what", [
     (assert_density_matrix, "density matrix"),
-    (lambda m: ChoiMatrix(2, 2, m), "Choi matrix"),
+    (ChoiMatrix, "Choi matrix"),
 ], ids=["density", "choi"])
 
 
@@ -332,30 +333,37 @@ def test_states_reject_a_broken_invariant(check, what, matrix, message):
         check(matrix)
 
 
+# the one message of a Choi matrix that is not N^2 x N^2, for a shape (regex)
+_CHOI_SHAPE = r"Choi matrix shape {} is not N\^2 x N\^2 for an integer N >= 1"
+
+
 @pytest.mark.parametrize("check, message", [
-    (lambda: ChoiMatrix(0, 0, np.zeros((0, 0))), "Choi dim_out must be >= 1, got 0"),
-    (lambda: ChoiMatrix(-1, -1, np.eye(1)), "Choi dim_out must be >= 1, got -1"),
-    (lambda: ChoiMatrix.from_matrix(np.zeros((0, 0)), 2, 0),
-     "Choi dim_in must be >= 1, got 0"),
+    (lambda: ChoiMatrix(np.zeros((0, 0))), _CHOI_SHAPE.format(r"\(0, 0\)")),
+    (lambda: ChoiMatrix.from_matrix(np.zeros((4, 0))),
+     _CHOI_SHAPE.format(r"\(4, 0\)")),
     (lambda: assert_density_matrix(np.zeros((0, 0))),
      r"density matrix is empty, shape \(0, 0\)"),
-], ids=["choi-zero", "choi-negative", "choi-zero-dim-in", "density-empty"])
+], ids=["choi-zero", "choi-zero-dim-in", "density-empty"])
 def test_states_reject_empty_and_dimensionless_input_by_name(check, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         check()
 
 
-@pytest.mark.parametrize("dims, matrix, message", [
-    ((1.5, 2), np.eye(3) / 3, r"Choi dim_out must be an integer, got 1\.5"),
-    ((2, 2.0), np.eye(4) / 4, r"Choi dim_in must be an integer, got 2\.0"),
-    ((True, 2), np.eye(2) / 2, r"Choi dim_out must be an integer, got True"),
-], ids=["float-dim-out", "float-dim-in", "bool-dim-out"])
-def test_choi_rejects_non_integer_dims_by_name(dims, matrix, message):
-    with pytest.raises(TypeError, match=f"^{message}$"):
-        ChoiMatrix(*dims, matrix)
-    # numpy integers are integers
-    r = ChoiMatrix(np.int64(2), np.int32(2), np.eye(4) / 4)
-    assert (r.dim_out, r.dim_in) == (2, 2)
+@pytest.mark.parametrize("matrix", [
+    np.eye(3) / 3, np.eye(2) / 2, np.eye(4, 2) / 2, np.zeros((0, 0)),
+    np.eye(4)[None] / 4,
+], ids=["3x3", "2x2", "4x2", "0x0", "3-d"])
+def test_choi_rejects_a_shape_that_is_not_n_squared_by_one_message(matrix):
+    # the shape is checked before the state: N is read from it
+    shape = re.escape(str(matrix.shape))
+    with pytest.raises(ValueError, match=f"^{_CHOI_SHAPE.format(shape)}$"):
+        ChoiMatrix(matrix)
+
+
+def test_choi_dim_is_read_from_the_matrix():
+    ch = random_channel(3, 9, seed=1)
+    assert choi(ch).dim == ch.dim == 3
+    assert ChoiMatrix(np.ones((1, 1))).dim == 1
 
 
 def _verdict(check, *args):
@@ -413,8 +421,8 @@ def checked_states(draw):
 def test_state_checks_match_the_plain_reference_property(case):
     # the same verdict and message as the np.* form of every check, in order
     n, m, tol = case
-    assert (_verdict(ChoiMatrix.from_matrix, m, n, n, tol)
-            == _verdict(choi_check_reference, m, n, n, tol))
+    assert (_verdict(ChoiMatrix.from_matrix, m, tol)
+            == _verdict(choi_check_reference, m, tol))
     assert (_verdict(assert_density_matrix, m, tol)
             == _verdict(check_state_reference, m, "density matrix", tol))
 
@@ -472,13 +480,13 @@ def test_choi_state_is_built_once_per_channel():
 
 def test_choi_matrix_is_an_owned_read_only_copy():
     m = np.eye(4, dtype=complex) / 4
-    c = ChoiMatrix.from_matrix(m, 2, 2)
-    direct = ChoiMatrix(2, 2, m)
+    c = ChoiMatrix.from_matrix(m)
+    direct = ChoiMatrix(m)
     m[0, 0] = 7.0
     np.testing.assert_array_equal(c.matrix, np.eye(4) / 4)
     np.testing.assert_array_equal(direct.matrix, np.eye(4) / 4)
     with pytest.raises(ValueError, match="trace deviates from 1 by 1.900e"):
-        ChoiMatrix(2, 2, 5 * np.eye(4))
+        ChoiMatrix(5 * np.eye(4))
     for r in (c, direct, choi(depolarizing(0.5))):
         with pytest.raises(ValueError, match="read-only"):
             r.matrix[0, 0] = 7.0

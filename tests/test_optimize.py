@@ -23,7 +23,6 @@ from teleportlab.optimize import (
     decode,
     generator_from_unitary,
     hermitian_to_vec,
-    objective,
     optimize,
     qt_parameterization,
     sweep_mu,
@@ -32,7 +31,8 @@ from teleportlab.optimize import (
     zero_parameterization,
 )
 from teleportlab.protocol import (DETERMINISM_TOL, _check_determinism,
-                                  apply_protocol, residual, target_overlap)
+                                  apply_protocol, entanglement_fidelity,
+                                  residual, target_overlap)
 from teleportlab.qmath import haar_unitary, random_state
 
 
@@ -142,7 +142,7 @@ def test_zero_parameterization_is_bare_channel():
     rho = random_state(2, seed=2)
     np.testing.assert_allclose(apply_protocol(proto, ch, rho), ch.apply(rho),
                                atol=1e-12)
-    assert abs(objective(params, ch) - (1 - 3 * 0.5 / 4)) < 1e-12
+    assert abs(entanglement_fidelity(proto, ch) - (1 - 3 * 0.5 / 4)) < 1e-12
 
 
 def test_branch_count_per_measurement():
@@ -161,7 +161,7 @@ def test_qt_parameterization_is_faithful():
         params = qt_parameterization(n)
         proto = decode(params)
         assert residual(proto, depolarizing(0.4, n)) < 1e-9
-        assert objective(params, depolarizing(0.4, n)) > 1 - 1e-9
+        assert entanglement_fidelity(proto, depolarizing(0.4, n)) > 1 - 1e-9
 
 
 @pytest.mark.parametrize("weights", [
@@ -243,7 +243,8 @@ def test_objective_invariant_under_phase_winding():
     theta = params.theta.copy()
     theta[:16] = hermitian_to_vec(wound)  # the sender's generator comes first
     wound_params = replace(params, theta=theta)
-    assert abs(objective(params, ch) - objective(wound_params, ch)) < 1e-9
+    assert abs(entanglement_fidelity(decode(params), ch)
+               - entanglement_fidelity(decode(wound_params), ch)) < 1e-9
 
 
 def test_optimize_deterministic_per_seed():
@@ -262,7 +263,7 @@ def test_optimize_deterministic_per_seed():
 def test_optimize_warm_start_dominance():
     ch = depolarizing(0.5)
     base = qt_parameterization(2)
-    start_value = objective(base, ch)
+    start_value = entanglement_fidelity(decode(base), ch)
     cfg = OptimizationConfig(evaluation_budget=400, restarts=2, seed=5,
                              warm_start=True)
     result = optimize(ch, base, cfg)
@@ -318,6 +319,15 @@ def test_config_rejects_non_integer_fields(field, value):
     with pytest.raises(TypeError, match=f"{field} must be an integer, got {value!r}"):
         OptimizationConfig(**{**valid, field: value})
     OptimizationConfig(**{**valid, field: np.int64(valid[field])})  # numpy ints pass
+
+
+@pytest.mark.parametrize("value", ["no", 0, 1, None, np.int64(1)])
+def test_config_rejects_non_bool_warm_start(value):
+    # a truthy string would warm-start restart 0
+    message = f"^warm_start must be a bool, got {re.escape(repr(value))}$"
+    with pytest.raises(TypeError, match=message):
+        OptimizationConfig(8, 1, 0, warm_start=value)
+    assert OptimizationConfig(8, 1, 0, warm_start=np.True_).warm_start  # numpy bools pass
 
 
 @pytest.mark.parametrize("pin", ["free", "fix_mu", "mu_fixed"])

@@ -344,7 +344,7 @@ def test_kept_sender_half_of_effective_choi_is_channel_free(monkeypatch):
     psi0 = projector(maximally_entangled(3))
     for ch in (random_channel(3, 9, seed=1), depolarizing(0.4, 3),
                random_channel(3, 9, seed=1)):
-        expected = ChoiMatrix.from_matrix(_run(proto, ch, psi0), 3, 3, tol=1e-8)
+        expected = ChoiMatrix.from_matrix(_run(proto, ch, psi0), tol=1e-8)
         np.testing.assert_array_equal(effective_choi(proto, ch).matrix, expected.matrix)
     assert calls == []
     with pytest.raises(ValueError, match="channel dim 2 does not match protocol dim 3"):
@@ -420,7 +420,7 @@ def test_control_map_equals_effective_choi_property(case):
     controlled = control_map(proto, choi(ch))
     direct = effective_choi(proto, ch)
     assert np.max(np.abs(controlled.matrix - direct.matrix)) <= 1e-10
-    ChoiMatrix.from_matrix(direct.matrix, dim_out=ch.dim, dim_in=ch.dim)
+    ChoiMatrix.from_matrix(direct.matrix)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -639,7 +639,7 @@ def test_target_overlap_matches_entanglement_fidelity():
 
 def test_target_overlap_rejects_choi_dimension_mismatch():
     qt = qt_protocol(2)
-    message = "Choi dims 3x3 do not match protocol dim 2"
+    message = "Choi dim 3 does not match protocol dim 2"
     with pytest.raises(ValueError, match=message):
         target_overlap(qt, choi(depolarizing(0.5, 3)))
     with pytest.raises(ValueError, match=message):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from dense_reference import swap_matrix
 
-from teleportlab.channels import (ChoiMatrix, KrausChannel, depolarizing,
-                                  random_channel, weyl_operator)
+from teleportlab.channels import (KrausChannel, depolarizing, random_channel,
+                                  weyl_operator)
 from teleportlab.optimize import (OptimizationConfig, qt_parameterization,
                                   vec_to_hermitian, zero_parameterization)
 from teleportlab.protocol import (AncillaResource, ResourceProtocol, bare_protocol,
@@ -30,6 +30,7 @@ from teleportlab.qmath import (
 )
 from teleportlab.teleport import (bell_basis, bell_state, correction_unitary,
                                   qt_protocol)
+from teleportlab.theorem import entanglement_bound
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
@@ -318,10 +319,6 @@ _SIZE_SITES = {
                       "dim_b", 1, None, 2, 2.5),
     "KrausChannel": (lambda v: KrausChannel(dim=v, kraus=_EYE2),
                      "channel dimension", 2, None, 2, 2.5),
-    "ChoiMatrix-dim_out": (lambda v: ChoiMatrix(v, 2, np.eye(4) / 4),
-                           "Choi dim_out", 1, None, 2, 2.5),
-    "ChoiMatrix-dim_in": (lambda v: ChoiMatrix(2, v, np.eye(4) / 4),
-                          "Choi dim_in", 1, None, 2, 2.5),
     "depolarizing": (lambda v: depolarizing(0.3, v), "dimension", 2, None, 2, 2.5),
     "weyl_operator-n": (lambda v: weyl_operator(v, 0, 1), "Weyl dimension n",
                         1, None, 2, 2.5),
@@ -354,6 +351,8 @@ _SIZE_SITES = {
     "bell_state-eta": (lambda v: bell_state(2, v), "outcome index", 0, 3, 1, 1.5),
     "bell_state-n": (lambda v: bell_state(v, 0), "local dimension", 2, None, 2, 2.5),
     "qt_protocol": (qt_protocol, "teleportation dimension N", 2, None, 2, 2.5),
+    "entanglement_bound-n": (lambda v: entanglement_bound(AncillaResource(mu=[1.0]), v),
+                             "system dimension n", 1, None, 2, 2.5),
     "OptimizationConfig-evaluation_budget": (lambda v: OptimizationConfig(v, 1, 0),
                                              "evaluation_budget", 1, None, 40, 40.5),
     "OptimizationConfig-restarts": (lambda v: OptimizationConfig(40, v, 0),

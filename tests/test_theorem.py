@@ -432,8 +432,8 @@ def test_every_validator_rejects_a_bad_tol(tol):
     ones = 3 * np.ones((4, 4))
     checks = [
         lambda: assert_density_matrix([[5, 3j], [1, -7]], tol=tol),
-        lambda: ChoiMatrix(2, 2, ones, tol),
-        lambda: ChoiMatrix.from_matrix(ones, 2, 2, tol=tol),
+        lambda: ChoiMatrix(ones, tol),
+        lambda: ChoiMatrix.from_matrix(ones, tol=tol),
         lambda: rank(depolarizing(0.5), tol=tol),
         lambda: proto.check_determinism(tol),
         lambda: proof_report(proto, tol=tol),
