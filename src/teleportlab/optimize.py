@@ -11,7 +11,9 @@ two-point gradient estimate proposes a move of the current step length, the
 move is accepted only if it improves the objective, and the step decays
 geometrically on rejection.  Restarts are independent and seeded, so runs
 reproduce bit-identically; they run in lockstep, one objective call per
-round for all of them.
+round for all of them.  Each restart draws its random +-1 directions from
+its own generator a block of DIRECTION_BLOCK steps at a time, which reads
+the same stream as one draw per step.
 
 The objective is compiled once per search (:func:`_compile_objective`): it
 maps parameter vectors straight to fidelities with batched array code and
@@ -65,6 +67,9 @@ STEP_DECAY = 0.9
 # to its parameters (measured from N = 2, P = 1 to N = P = 3: speculating
 # pays up to about 100 parameters a round and loses from about 130)
 SPECULATE_PARAMETERS = 100
+# steps of +-1 directions a restart draws at once (see _directions); any
+# value draws the same directions
+DIRECTION_BLOCK = 32
 
 
 def _hermitian_indices(d: int) -> tuple:
@@ -300,19 +305,20 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
     # P_eta keeps
     row_mask = projections.diagonal(0, 1, 2)[..., None]
     gate_tol = DETERMINISM_TOL / (2 * d)  # see fun
+    eye = np.eye(d, dtype=complex)  # the Gram's identity, subtracted in place
 
     def fun(theta):
         theta = np.asarray(theta, dtype=float)
-        if theta.ndim not in (1, 2) or theta.shape[-1] != size:
-            raise ValueError(
-                f"parameter shape {theta.shape} is not (dim,) or (B, dim), dim {size}"
-            )
-        stack = theta.reshape(-1, size)
+        b = len(theta) if theta.ndim == 2 else 1  # the stack size B
+        if theta.ndim not in (1, 2) or theta.shape[-1] != size or b < 1:
+            raise ValueError(f"parameter shape {theta.shape} is not (dim,) or "
+                             f"(B, dim) with B >= 1, dim {size}")
+        stack = theta.reshape(b, size)
         _check_theta(stack)
-        gen = stack[:, :n_gen].reshape(-1, 1 + m, d * d)
+        gen = stack[:, :n_gen].reshape(b, 1 + m, d * d)
         # vec_to_hermitian's product; h is Hermitian by construction, so the
         # symmetrization in unitary_from_generator would not change a bit of it
-        u = _expi((gen @ hermitian_map).view(complex).reshape(-1, 1 + m, d, d))
+        u = _expi((gen @ hermitian_map).view(complex).reshape(b, 1 + m, d, d))
         senders = u[:, :1] * row_mask
         receivers = u[:, 1:]
         # Every operator in u is exp(iH), so one Gram U U^dag - I decides
@@ -325,7 +331,7 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
         # tol/2, and _check_determinism would pass; past it (NaN too), that
         # check decides and raises with decode's message.
         gram = u @ u.conj().swapaxes(-1, -2)
-        gram.reshape(-1, d * d)[:, :: d + 1] -= 1
+        gram -= eye
         if not np.abs(gram).max() <= gate_tol:
             _check_determinism(senders, receivers)
         # a pinned mu broadcasts over the stack
@@ -374,6 +380,19 @@ class OptimizationResult:
     restart_traces: tuple = field(repr=False, default=())
 
 
+def _directions(rng, dim: int):
+    """The ascent's +-1 directions, one row of ``dim`` per step, drawn
+    ``DIRECTION_BLOCK`` rows at a time.
+
+    These are the rows of successive ``rng.integers(0, 2, dim) * 2.0 - 1.0``
+    draws: each value in [0, 2) takes one 32-bit output and range 2 never
+    rejects, and the generator keeps the unused half of a 64-bit output
+    between calls, so a (k, dim) draw reads what k draws of dim read, odd dim
+    too.  Rows drawn past the last step are never read."""
+    while True:
+        yield from rng.integers(0, 2, (DIRECTION_BLOCK, dim)) * 2.0 - 1.0
+
+
 def _ascend(theta, budget, rng):
     """Accept-if-improve SPSA-style ascent of one restart, as a coroutine.
 
@@ -383,7 +402,9 @@ def _ascend(theta, budget, rng):
     is sent ``(values, speculate)``: their k values as floats, and whether
     its next candidate should carry the next probes.  It returns the best
     value and point, the evaluations read, the trace of bests and whether the
-    budget (not the step) ended it.
+    budget (not the step) ended it.  Its directions come from ``rng``, which
+    nothing else draws from once it starts, a block at a time
+    (:func:`_directions`).
 
     The start point goes in one stack with the first probe pair.  A
     speculating candidate goes in one stack with the next probe pair of both
@@ -397,9 +418,10 @@ def _ascend(theta, budget, rng):
     """
     signs = np.array([[1.0], [-1.0]])
     theta = np.asarray(theta, dtype=float).copy()
+    directions = _directions(rng, theta.size)
     step, evals = STEP_INIT, 1
     # optimize gives a restart at least 4 evaluations, so the first step runs
-    delta = rng.integers(0, 2, theta.size) * 2.0 - 1.0
+    delta = next(directions)
     probes = theta + (step * delta) * signs
     values, speculate = yield np.concatenate([theta[None], probes])
     best = values[0]
@@ -407,7 +429,7 @@ def _ascend(theta, budget, rng):
     ahead = delta, probes, values[1:]  # the next step's probes and their values
     while evals + 3 <= budget and step > STOP_DELTA:
         if ahead is None:
-            delta = rng.integers(0, 2, theta.size) * 2.0 - 1.0
+            delta = next(directions)
             probes = theta + (step * delta) * signs
             (up, down), speculate = yield probes
         else:
@@ -431,7 +453,7 @@ def _ascend(theta, budget, rng):
             if speculate and evals + 3 <= budget:
                 # the next probe pair of the accepted state, then of the
                 # rejected one unless its step ends the ascent
-                delta = rng.integers(0, 2, theta.size) * 2.0 - 1.0
+                delta = next(directions)
                 for point, point_step in ((candidate, grown), (kept[0], kept[2])):
                     if point_step > STOP_DELTA:
                         rows.append(point + (point_step * delta) * signs)
@@ -474,7 +496,10 @@ def optimize(
         ascent = _ascend(theta0, budget, rng)
         pending.append((restart, ascent, next(ascent)))
     while pending:
-        values = fun(np.concatenate([rows for _, _, rows in pending])).tolist()
+        # a lone restart's stack goes in as it is: fun never writes its input
+        stack = (pending[0][2] if len(pending) == 1
+                 else np.concatenate([rows for _, _, rows in pending]))
+        values = fun(stack).tolist()
         speculate = len(pending) * base.theta.size <= SPECULATE_PARAMETERS
         live, start = [], 0
         for restart, ascent, rows in pending:

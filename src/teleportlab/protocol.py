@@ -345,22 +345,25 @@ def _inner_products(mu: np.ndarray, ops: np.ndarray, receivers: np.ndarray,
     and of mu index independent protocols): one GEMM per branch, L_eta with
     column (y, i) scaled by mu_i times W_eta with rows (y, i) and columns
     (k, z), viewed as G."""
-    *lead, m, d, _ = receivers.shape
-    scaled = ops.reshape(*lead, m, d, n, p) * mu[..., None, None, None, :]
-    right = (receivers.reshape(*lead, m, n, p, n, p)
-             .swapaxes(-1, -2).swapaxes(-2, -3).reshape(*lead, m, d, d))
+    lead, d = receivers.shape[:-2], receivers.shape[-1]  # lead ends in M
+    a = len(lead)  # W_eta's row and column legs start at axis a
+    scaled = ops.reshape(lead + (d, n, p)) * mu[..., None, None, None, :]
+    # W_eta, rows (y, k) and columns (z, i), relaid in one transpose
+    right = receivers.reshape(lead + (n, p, n, p)).transpose(
+        *range(a), a, a + 3, a + 1, a + 2).reshape(lead + (d, d))
     # rows (x, l), columns (k, z)
-    g = scaled.reshape(*lead, m, d, d) @ right
-    return g.reshape(*lead, m, n, p, p, n).swapaxes(-4, -2)
+    g = scaled.reshape(lead + (d, d)) @ right
+    return g.reshape(lead + (n, p, p, n)).swapaxes(-4, -2)
 
 
 def _overlap(g: np.ndarray, r: np.ndarray) -> np.ndarray:
     """<psi0| sum Lam R Lam^dag |psi0> from G, clipped to [0, 1]: Lam_ekl^dag
     psi0 = vec(G_ekl^dag)/sqrt(N), the conjugate of u[(z, x)] = G[x, z]."""
     n = g.shape[-1]
-    u = g.swapaxes(-1, -2).reshape(*g.shape[:-5], -1, n * n)
-    val = ((u @ r) * u.conj()).sum(axis=(-2, -1))
-    return (val.real / n).clip(0.0, 1.0)
+    u = g.swapaxes(-1, -2).reshape(g.shape[:-5] + (-1, n * n))
+    val = u @ r
+    val *= u.conj()
+    return (val.sum(axis=(-2, -1)).real / n).clip(0.0, 1.0)
 
 
 def block_operators(proto: ResourceProtocol) -> tuple:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .protocol import AncillaResource, ResourceProtocol
+from .protocol import AncillaResource, ResourceProtocol, _check_resource
 from .qmath import _check_size, _check_tol
 
 
@@ -82,6 +82,7 @@ def proof_report(proto: ResourceProtocol, tol: float = 1e-9) -> dict:
 
 def entanglement_bound(resource: AncillaResource, n: int) -> tuple:
     """Sum of Schmidt coefficients and whether it reaches sqrt(N)."""
+    _check_resource(resource)
     _check_size(n, "system dimension n", 1)
     total = float(resource.mu.sum())
     return total, bool(total >= np.sqrt(n) - 1e-12)
@@ -109,6 +110,8 @@ def nielsen_convertible(
     True iff every partial sum of the descending squared source coefficients
     is bounded by the corresponding target partial sum.
     """
+    _check_resource(source)
+    _check_resource(target)
     _check_tol(tol)
     size = max(source.mu.size, target.mu.size)  # zero-padded to one length
     s, t = (np.sort(np.pad(x.mu, (0, size - x.mu.size)) ** 2)[::-1]

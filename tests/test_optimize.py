@@ -1,5 +1,6 @@
 import hashlib
 import importlib
+import itertools
 import re
 from dataclasses import replace
 
@@ -13,11 +14,13 @@ from dense_reference import ascend_reference
 from teleportlab.channels import choi, depolarizing, random_channel
 from teleportlab.cli import main
 from teleportlab.optimize import (
+    DIRECTION_BLOCK,
     MEASUREMENT_CHOICES,
     SPECULATE_PARAMETERS,
     OptimizationConfig,
     ProtocolParameterization,
     _compile_objective,
+    _directions,
     _hermitian_map,
     _squared_softmax,
     decode,
@@ -441,6 +444,14 @@ def test_compiled_objective_rejects_dimension_mismatch():
     fun = _compile_objective(depolarizing(0.3), base)
     with pytest.raises(ValueError, match="parameter shape"):
         fun(np.zeros(3))
+    # a point is (dim,) or a (B, dim) stack with B >= 1; an empty stack
+    # leaked numpy's "zero-size array to reduction operation" error before
+    dim = base.theta.size
+    for shape in ((0, dim), (3, 1, dim), ()):
+        message = (rf"^parameter shape {re.escape(str(shape))} is not \(dim,\) or "
+                   rf"\(B, dim\) with B >= 1, dim {dim}$")
+        with pytest.raises(ValueError, match=message):
+            fun(np.zeros(shape))
 
 
 @pytest.mark.parametrize("index, message", [
@@ -475,6 +486,63 @@ def test_evaluation_budget_is_hard_cap():
 
 # the module itself: the package attribute `optimize` is the function
 _OPTIMIZE = importlib.import_module("teleportlab.optimize")
+
+
+def test_objective_never_writes_its_input():
+    # optimize hands a lone restart's own stack to the objective, and a
+    # point may be a row view of a probe stack: read-only inputs must pass
+    ch = depolarizing(0.5)
+    base = zero_parameterization(2, 2, "none")
+    fun = _compile_objective(ch, base)
+    thetas = np.random.default_rng(4).standard_normal((5, base.theta.size))
+    expected = fun(thetas.copy())
+    thetas.flags.writeable = False
+    np.testing.assert_array_equal(fun(thetas), expected)
+    assert fun(thetas[2]) == expected[2]
+
+
+def test_optimize_result_equals_a_run_on_read_only_views(monkeypatch):
+    ch = depolarizing(0.5)
+    cfg = OptimizationConfig(evaluation_budget=100, restarts=1, seed=9)
+    base = zero_parameterization(2, 2, "none")
+    plain = optimize(ch, base, cfg)
+    compile_objective = _OPTIMIZE._compile_objective
+
+    def read_only(ch, base):
+        fun = compile_objective(ch, base)
+
+        def on_a_view(theta):
+            view = theta.view()
+            view.flags.writeable = False
+            return fun(view)
+
+        return on_a_view
+
+    monkeypatch.setattr(_OPTIMIZE, "_compile_objective", read_only)
+    viewed = optimize(ch, base, cfg)
+    assert viewed.per_restart_bests == plain.per_restart_bests
+    assert viewed.restart_traces == plain.restart_traces
+    assert viewed.evaluations_used == plain.evaluations_used
+    assert viewed.best_residual == plain.best_residual
+    np.testing.assert_array_equal(viewed.best_protocol.receiver_unitaries,
+                                  plain.best_protocol.receiver_unitaries)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(dim=st.integers(1, 400), steps=st.integers(1, 3 * DIRECTION_BLOCK + 1),
+       seed=st.integers(0, 2**32 - 1))
+@example(dim=33, steps=DIRECTION_BLOCK + 1, seed=0)  # search (a): odd dim
+@example(dim=80, steps=2 * DIRECTION_BLOCK, seed=1)  # search (b)
+@example(dim=1, steps=DIRECTION_BLOCK - 1, seed=2)
+def test_block_directions_equal_per_step_draws_property(dim, steps, seed):
+    # the ascent draws its directions a block of rows at a time; the rows
+    # must be the per-step draws of a twin generator, across block ends and
+    # at odd dims (the generator keeps half a 64-bit output between draws)
+    rows = list(itertools.islice(
+        _directions(np.random.default_rng([seed, 1]), dim), steps))
+    twin = np.random.default_rng([seed, 1])
+    per_step = [twin.integers(0, 2, dim) * 2.0 - 1.0 for _ in range(steps)]
+    np.testing.assert_array_equal(rows, per_step)
 
 
 def _sequential_runs(ch, base, cfg):

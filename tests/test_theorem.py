@@ -237,6 +237,21 @@ def test_nielsen_zero_padding():
     assert nielsen_convertible(long, short)
 
 
+@pytest.mark.parametrize("resource, kind", [
+    ([0.6, 0.8], "list"), (np.array([1.0]), "ndarray"), (None, "NoneType")],
+    ids=["list", "ndarray", "none"])
+def test_theorem_checks_take_only_an_ancilla_resource(resource, kind):
+    # each door runs the one resource checker before it reads resource.mu
+    # (an AttributeError before), so every argument gets its TypeError
+    valid = AncillaResource(mu=[1.0])
+    message = f"^resource must be an AncillaResource, got {kind}$"
+    for check in (lambda: entanglement_bound(resource, 2),
+                  lambda: nielsen_convertible(resource, valid),
+                  lambda: nielsen_convertible(valid, resource)):
+        with pytest.raises(TypeError, match=message):
+            check()
+
+
 def test_nielsen_partial_order():
     rng = np.random.default_rng(0)
     resources = []
