@@ -9,8 +9,11 @@ the shared pair is either free (squared-softmax simplex map) or pinned.
 The search itself is a derivative-free ascent: a simultaneous-perturbation
 two-point gradient estimate proposes a move of the current step length, the
 move is accepted only if it improves the objective, and the step decays
-geometrically on rejection.  Restarts are independent and seeded, so runs
-reproduce bit-identically; they run in lockstep, one objective call per
+geometrically on rejection.  The directions are +-1, so the move is taken in
+closed form, step / sqrt(dim) along +-delta by the sign of the difference,
+and both candidates are known before the probe values: a speculating step
+is one objective call of 4 points.  Restarts are independent and seeded, so
+runs reproduce bit-identically; they run in lockstep, one objective call per
 round for all of them.  Each restart draws its random +-1 directions from
 its own generator a block of DIRECTION_BLOCK steps at a time, which reads
 the same stream as one draw per step.
@@ -62,11 +65,12 @@ STEP_INIT = 0.5
 STOP_DELTA = 1e-9
 STEP_DECAY = 0.9
 # a round speculates (see _ascend) while its live restarts hold at most this
-# many parameters in all: each speculating restart adds 2 points to the
-# round's call and saves the next call, and a point costs about in proportion
-# to its parameters (measured from N = 2, P = 1 to N = P = 3: speculating
-# pays up to about 100 parameters a round and loses from about 130)
-SPECULATE_PARAMETERS = 100
+# many parameters in all: each speculating restart adds 1 unread point to
+# the round's call and saves the next call, and a point costs about in
+# proportion to its parameters (measured from N = 2, P = 1 to N = P = 3:
+# speculating pays up to about 200 parameters a round, breaks even near 250
+# and loses from about 300)
+SPECULATE_PARAMETERS = 200
 # steps of +-1 directions a restart draws at once (see _directions); any
 # value draws the same directions
 DIRECTION_BLOCK = 32
@@ -393,78 +397,68 @@ def _directions(rng, dim: int):
         yield from rng.integers(0, 2, (DIRECTION_BLOCK, dim)) * 2.0 - 1.0
 
 
-def _ascend(theta, budget, rng):
+def _ascend(theta, budget, rng, speculate):
     """Accept-if-improve SPSA-style ascent of one restart, as a coroutine.
 
     The step shrinks geometrically on rejected proposals and relaxes back
     toward its initial value on accepted ones, never exceeding it.  The
     coroutine yields each (k, dim) stack of points whose values it needs and
     is sent ``(values, speculate)``: their k values as floats, and whether
-    its next candidate should carry the next probes.  It returns the best
-    value and point, the evaluations read, the trace of bests and whether the
-    budget (not the step) ended it.  Its directions come from ``rng``, which
-    nothing else draws from once it starts, a block at a time
-    (:func:`_directions`).
+    its next stack should carry both candidates (the argument ``speculate``
+    says it for the first).  It returns the best value and point, the
+    evaluations read, the trace of bests and whether the budget (not the
+    step) ended it.  Its directions come from ``rng``, which nothing else
+    draws from once it starts, a block at a time (:func:`_directions`).
 
-    The start point goes in one stack with the first probe pair.  A
-    speculating candidate goes in one stack with the next probe pair of both
-    states the step can leave, candidate accepted or rejected (the next delta
-    is the same draw either way), so the step after it needs no stack of its
-    own: one stack of at most 5 points per step, of which it reads 3.  Only
-    the values read count as evaluations.  The probes are built in one
-    broadcast, ``theta + (step * delta) * [[1], [-1]]``, which is exact (a
-    sign flip rounds nothing and a - b is a + (-b)), and an accepted probe is
-    taken as its row.
+    The directions are +-1, so the normalized gradient estimate is
+    sign(up - down) delta / sqrt(dim): the candidate is one of two points
+    known before the probe values, ``theta + (step * delta) * (+-shrink)``
+    with ``shrink = 1 / sqrt(dim)``, and up == down proposes none.  A step's
+    points are built in one broadcast, ``theta + (step * delta) * [[1], [-1],
+    [shrink], [-shrink]]``, which is exact for the probes (a sign flip rounds
+    nothing and a - b is a + (-b)) and gives each candidate the bits of its
+    own expression; an accepted point is taken as its row.  A speculating
+    step is one stack of the probe pair and both candidates, of which it
+    reads 3; any other step is the pair, then the chosen candidate.  The
+    start point goes in one stack with the first step's points.  Only the
+    values read count as evaluations.
     """
-    signs = np.array([[1.0], [-1.0]])
     theta = np.asarray(theta, dtype=float).copy()
+    shrink = 1.0 / math.sqrt(theta.size)
+    moves = np.array([[1.0], [-1.0], [shrink], [-shrink]])
     directions = _directions(rng, theta.size)
-    step, evals = STEP_INIT, 1
+    step, evals, trace = STEP_INIT, 1, []
     # optimize gives a restart at least 4 evaluations, so the first step runs
-    delta = next(directions)
-    probes = theta + (step * delta) * signs
-    values, speculate = yield np.concatenate([theta[None], probes])
-    best = values[0]
-    trace = [best]
-    ahead = delta, probes, values[1:]  # the next step's probes and their values
     while evals + 3 <= budget and step > STOP_DELTA:
-        if ahead is None:
-            delta = next(directions)
-            probes = theta + (step * delta) * signs
-            (up, down), speculate = yield probes
-        else:
-            delta, probes, (up, down) = ahead
-            ahead = None
+        delta = next(directions)
+        rows = theta + (step * delta) * (moves if speculate else moves[:2])
+        if trace:
+            values, speculate = yield rows
+        else:  # the start point rides with the first step
+            values, speculate = yield np.concatenate([theta[None], rows])
+            best = values.pop(0)
+            trace.append(best)
+        up, down = values[:2]
         evals += 2
-        grad = (up - down) / (2.0 * step) * delta
-        gnorm = math.sqrt(grad.dot(grad))  # np.linalg.norm's 1-D route
         grown = min(step / STEP_DECAY, STEP_INIT)
         # the state the step leaves unless it accepts a candidate
         if up > best:
-            kept = probes[0], up, grown
+            kept = rows[0], up, grown
         elif down > best:
-            kept = probes[1], down, grown
+            kept = rows[1], down, grown
         else:
             kept = theta, best, step * STEP_DECAY
-        if gnorm > 0.0:
-            candidate = theta + step * grad / gnorm
+        if up != down:
             evals += 1
-            rows = [candidate[None]]
-            if speculate and evals + 3 <= budget:
-                # the next probe pair of the accepted state, then of the
-                # rejected one unless its step ends the ascent
-                delta = next(directions)
-                for point, point_step in ((candidate, grown), (kept[0], kept[2])):
-                    if point_step > STOP_DELTA:
-                        rows.append(point + (point_step * delta) * signs)
-            values, speculate = yield np.concatenate(rows)
-            accepted = values[0] > best
-            theta, best, step = (candidate, values[0], grown) if accepted else kept
-            at = 1 if accepted else 2  # this state's pair among rows[1:]
-            if at < len(rows):
-                ahead = delta, rows[at], values[2 * at - 1:2 * at + 1]
-        else:
-            theta, best, step = kept
+            if len(values) == 4:
+                at = 2 if up > down else 3
+                candidate, value = rows[at], values[at]
+            else:
+                candidate = theta + (step * delta) * (shrink if up > down else -shrink)
+                (value,), speculate = yield candidate[None]
+            if value > best:
+                kept = candidate, value, grown
+        theta, best, step = kept
         trace.append(best)
     return best, theta, evals, tuple(trace), step > STOP_DELTA
 
@@ -487,13 +481,14 @@ def optimize(
     r = choi(ch)
     fun = _compile_objective(ch, base)
     budget = cfg.evaluation_budget // cfg.restarts
+    speculate = cfg.restarts * base.theta.size <= SPECULATE_PARAMETERS
     runs = [None] * cfg.restarts
     pending = []  # (restart, its ascent, the stack of points it waits on)
     for restart in range(cfg.restarts):
         rng = np.random.default_rng([cfg.seed, restart])
         warm = cfg.warm_start and restart == 0
         theta0 = base.theta if warm else rng.standard_normal(base.theta.size)
-        ascent = _ascend(theta0, budget, rng)
+        ascent = _ascend(theta0, budget, rng, speculate)
         pending.append((restart, ascent, next(ascent)))
     while pending:
         # a lone restart's stack goes in as it is: fun never writes its input

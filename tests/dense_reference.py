@@ -4,6 +4,8 @@ These build explicit permutation matrices, contract in the plainest form or
 run a search one restart at a time; no path in the package needs them.
 """
 
+import math
+
 import numpy as np
 
 from teleportlab.optimize import STEP_DECAY, STEP_INIT, STOP_DELTA
@@ -138,10 +140,14 @@ def ascend_reference(fun, theta0, budget, rng):
     which still counts as two evaluations.  The probes are built in one
     broadcast, ``theta + (step * delta) * [[1], [-1]]``, which is exact (a
     sign flip rounds nothing and a - b is a + (-b)), and an accepted probe is
-    taken as its row.
+    taken as its row.  The directions are +-1, so the step along the
+    normalized gradient estimate, step (up - down) delta / |(up - down) delta|,
+    is taken in closed form, ``(step * delta) * (+-shrink)`` with
+    ``shrink = 1 / sqrt(dim)``; up == down proposes no candidate.
     """
     signs = np.array([[1.0], [-1.0]])
     theta = np.asarray(theta0, dtype=float).copy()
+    shrink = 1.0 / math.sqrt(theta.size)
     best = fun(theta)
     evals = 1
     trace = [best]
@@ -152,10 +158,8 @@ def ascend_reference(fun, theta0, budget, rng):
         up, down = fun(probes).tolist()
         evals += 2
         improved = False
-        grad = (up - down) / (2.0 * step) * delta
-        gnorm = float(np.linalg.norm(grad))
-        if gnorm > 0.0:
-            candidate = theta + step * grad / gnorm
+        if up != down:
+            candidate = theta + (step * delta) * (shrink if up > down else -shrink)
             value = fun(candidate)
             evals += 1
             if value > best:
