@@ -12,23 +12,24 @@ move is accepted only if it improves the objective, and the step decays
 geometrically on rejection.  The directions are +-1, so the move is taken in
 closed form, step / sqrt(dim) along +-delta by the sign of the difference,
 and both candidates are known before the probe values: a speculating step
-is one objective call of 4 points.  Restarts are independent and seeded, so
-runs reproduce bit-identically; they run in lockstep, one objective call per
-round for all of them.  Each restart draws its random +-1 directions from
-its own generator a block of DIRECTION_BLOCK steps at a time, which reads
-the same stream as one draw per step.
+is one objective call of 4 points, and a search speculates or not
+throughout.  Restarts are independent and seeded, so runs reproduce
+bit-identically; they run in lockstep, one objective call per round for all
+of them.  Each restart draws its random +-1 directions from its own
+generator a block of DIRECTION_BLOCK steps at a time, which reads the same
+stream as one draw per step.
 
 The objective is compiled once per search (:func:`_compile_objective`): it
-maps parameter vectors straight to fidelities with batched array code and
-builds no protocol objects; only the winning point is decoded into a
-:class:`ResourceProtocol`.  Per evaluation it makes few array calls: one
-product of the parameters with a fixed 0/+-1 generator map, one batched
-``eigh``, the sender's branches as masked rows (the projections are
-diagonal), one Gram U U^dag of every unitary, which passes the point when it
-is within DETERMINISM_TOL / (2 N P) of the identity and otherwise hands it to
-the determinism check that ``decode`` runs, and the inner products G and
-overlap of ``target_overlap``, to whose values on decoded points it is
-bit-identical.
+maps (B, dim) stacks of parameter vectors straight to fidelities with
+batched array code and builds no protocol objects; only the winning point
+is decoded into a :class:`ResourceProtocol`.  Per evaluation it makes few
+array calls: one product of the parameters with a fixed 0/+-1 generator
+map, one batched ``eigh``, the sender's branches as masked rows (the
+projections are diagonal), one Gram U U^dag of every unitary, which passes
+the stack when it is within DETERMINISM_TOL / (2 N P) of the identity and
+otherwise hands each point in turn to the determinism check that
+``decode`` runs, and the inner products G and overlap of
+``target_overlap``, to whose values on decoded points it is bit-identical.
 """
 
 from __future__ import annotations
@@ -64,9 +65,9 @@ MEASUREMENT_CHOICES = ("none", "ancilla", "full")
 STEP_INIT = 0.5
 STOP_DELTA = 1e-9
 STEP_DECAY = 0.9
-# a round speculates (see _ascend) while its live restarts hold at most this
-# many parameters in all: each speculating restart adds 1 unread point to
-# the round's call and saves the next call, and a point costs about in
+# a search speculates (see _ascend) when its restarts hold at most this many
+# parameters in all: each speculating restart adds 1 unread point to a
+# round's call and saves the next call, and a point costs about in
 # proportion to its parameters (measured from N = 2, P = 1 to N = P = 3:
 # speculating pays up to about 200 parameters a round, breaks even near 250
 # and loses from about 300)
@@ -172,11 +173,16 @@ def _outcome_labels(measured: str, n: int, p: int) -> np.ndarray:
     return {"none": 0 * states, "ancilla": states % p, "full": states}[measured]
 
 
+def _branch_count(measured: str, n: int, p: int) -> int:
+    """The sender's outcome count M (labels 0..M-1); raises as _outcome_labels."""
+    return int(_outcome_labels(measured, n, p).max()) + 1
+
+
 def _theta_size(n: int, p: int, measured: str, pinned: bool) -> int:
     """Length of a parameter vector: the sender's generator, then one receiver's
     per outcome, as :func:`hermitian_to_vec` lays them out, then P-1 Schmidt
     parameters unless mu is pinned; raises as :func:`_outcome_labels`."""
-    m = int(_outcome_labels(measured, n, p).max()) + 1
+    m = _branch_count(measured, n, p)
     return (1 + m) * (n * p) ** 2 + (0 if pinned else p - 1)
 
 
@@ -221,7 +227,7 @@ class ProtocolParameterization:
 
     @property
     def branch_count(self) -> int:
-        return len(self.projections())
+        return _branch_count(self.measured, self.n, self.local_dim)
 
     def projections(self) -> np.ndarray:
         """The sender's measurement: stacked computational projectors on A (x) a,
@@ -282,18 +288,17 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
 
     Everything that does not depend on the point (the generator map, the
     sender's row mask, the pinned Schmidt vector, ``r = choi(ch)``) is built
-    once here.  The returned function takes one vector, giving a float, or a
-    (B, dim) stack, giving B values, and computes what
-    ``target_overlap(decode(replace(base, theta=theta)), r)`` does, bit for bit,
-    with few array calls: the finiteness check of a parameterization, all
+    once here.  The returned function takes a (B, dim) stack and gives B
+    values, each what ``target_overlap(decode(replace(base, theta=theta)),
+    r)`` gives, bit for bit, with few array calls: the finiteness check of a parameterization, all
     generators in one product with the generator map, one batched ``eigh``,
     the sender branches as masked rows of the sender unitary (the projections
     are diagonal), one batched Gram U U^dag - I, then the same inner products
-    and overlap.  A Gram within ``DETERMINISM_TOL / (2d)`` passes the point,
-    since then the determinism check of ``decode`` passes too (see ``fun``);
-    any other point goes to that check, which decides and raises with
-    ``decode``'s messages, so both reject the same points.  The Schmidt vector
-    needs no check: the squared softmax of finite parameters is a unit vector.
+    and overlap.  A Gram within ``DETERMINISM_TOL / (2d)`` passes the stack,
+    since then the determinism check of ``decode`` passes each point too (see
+    ``fun``); otherwise each point in turn goes to that check, which decides
+    and raises with ``decode``'s messages, so both reject the same points.
+    The squared softmax of finite parameters is a unit vector, unchecked.
     """
     _check_channel_dim(base, ch)
     n, p = base.n, base.local_dim
@@ -313,13 +318,12 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
 
     def fun(theta):
         theta = np.asarray(theta, dtype=float)
-        b = len(theta) if theta.ndim == 2 else 1  # the stack size B
-        if theta.ndim not in (1, 2) or theta.shape[-1] != size or b < 1:
-            raise ValueError(f"parameter shape {theta.shape} is not (dim,) or "
-                             f"(B, dim) with B >= 1, dim {size}")
-        stack = theta.reshape(b, size)
-        _check_theta(stack)
-        gen = stack[:, :n_gen].reshape(b, 1 + m, d * d)
+        if theta.ndim != 2 or theta.shape[1] != size or len(theta) < 1:
+            raise ValueError(f"parameter shape {theta.shape} is not (B, dim) "
+                             f"with B >= 1, dim {size}")
+        _check_theta(theta)
+        b = len(theta)  # the stack size B
+        gen = theta[:, :n_gen].reshape(b, 1 + m, d * d)
         # vec_to_hermitian's product; h is Hermitian by construction, so the
         # symmetrization in unitary_from_generator would not change a bit of it
         u = _expi((gen @ hermitian_map).view(complex).reshape(b, 1 + m, d, d))
@@ -333,15 +337,15 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
         # each W W^dag is a block of this Gram, all up to rounding near 1e-15.
         # So within gate_tol every determinism residual is at most about
         # tol/2, and _check_determinism would pass; past it (NaN too), that
-        # check decides and raises with decode's message.
+        # check decides each point in turn and raises with decode's message.
         gram = u @ u.conj().swapaxes(-1, -2)
         gram -= eye
         if not np.abs(gram).max() <= gate_tol:
-            _check_determinism(senders, receivers)
+            for point in zip(senders, receivers):
+                _check_determinism(*point)
         # a pinned mu broadcasts over the stack
-        mu = _squared_softmax(stack[:, n_gen:]) if pinned is None else pinned
-        out = _overlap(_inner_products(mu, senders, receivers, n, p), r_matrix)
-        return float(out[0]) if theta.ndim == 1 else out
+        mu = _squared_softmax(theta[:, n_gen:]) if pinned is None else pinned
+        return _overlap(_inner_products(mu, senders, receivers, n, p), r_matrix)
 
     return fun
 
@@ -403,39 +407,37 @@ def _ascend(theta, budget, rng, speculate):
     The step shrinks geometrically on rejected proposals and relaxes back
     toward its initial value on accepted ones, never exceeding it.  The
     coroutine yields each (k, dim) stack of points whose values it needs and
-    is sent ``(values, speculate)``: their k values as floats, and whether
-    its next stack should carry both candidates (the argument ``speculate``
-    says it for the first).  It returns the best value and point, the
-    evaluations read, the trace of bests and whether the budget (not the
+    is sent their k values as floats.  It returns the best value and point,
+    the evaluations read, the trace of bests and whether the budget (not the
     step) ended it.  Its directions come from ``rng``, which nothing else
     draws from once it starts, a block at a time (:func:`_directions`).
 
     The directions are +-1, so the normalized gradient estimate is
     sign(up - down) delta / sqrt(dim): the candidate is one of two points
-    known before the probe values, ``theta + (step * delta) * (+-shrink)``
-    with ``shrink = 1 / sqrt(dim)``, and up == down proposes none.  A step's
-    points are built in one broadcast, ``theta + (step * delta) * [[1], [-1],
-    [shrink], [-shrink]]``, which is exact for the probes (a sign flip rounds
-    nothing and a - b is a + (-b)) and gives each candidate the bits of its
-    own expression; an accepted point is taken as its row.  A speculating
-    step is one stack of the probe pair and both candidates, of which it
-    reads 3; any other step is the pair, then the chosen candidate.  The
+    known before the probe values, theta + (step / sqrt(dim)) delta or
+    theta - (step / sqrt(dim)) delta, and up == down proposes none.  Every
+    point of a step is a row of one broadcast, ``theta + (step * delta) *
+    [[1], [-1], [shrink], [-shrink]]`` with ``shrink = 1 / sqrt(dim)``, which
+    is exact for the probes (a sign flip rounds nothing and a - b is
+    a + (-b)); an accepted point is taken as its row.  With ``speculate``
+    each step is one stack of the probe pair and both candidates, of which it
+    reads 3; without, each step is the pair, then the chosen candidate.  The
     start point goes in one stack with the first step's points.  Only the
     values read count as evaluations.
     """
     theta = np.asarray(theta, dtype=float).copy()
     shrink = 1.0 / math.sqrt(theta.size)
     moves = np.array([[1.0], [-1.0], [shrink], [-shrink]])
+    asked = 4 if speculate else 2  # the rows a step asks for first
     directions = _directions(rng, theta.size)
     step, evals, trace = STEP_INIT, 1, []
     # optimize gives a restart at least 4 evaluations, so the first step runs
     while evals + 3 <= budget and step > STOP_DELTA:
-        delta = next(directions)
-        rows = theta + (step * delta) * (moves if speculate else moves[:2])
+        rows = theta + (step * next(directions)) * moves
         if trace:
-            values, speculate = yield rows
+            values = yield rows[:asked]
         else:  # the start point rides with the first step
-            values, speculate = yield np.concatenate([theta[None], rows])
+            values = yield np.concatenate([theta[None], rows[:asked]])
             best = values.pop(0)
             trace.append(best)
         up, down = values[:2]
@@ -450,14 +452,13 @@ def _ascend(theta, budget, rng, speculate):
             kept = theta, best, step * STEP_DECAY
         if up != down:
             evals += 1
-            if len(values) == 4:
-                at = 2 if up > down else 3
-                candidate, value = rows[at], values[at]
+            at = 2 if up > down else 3
+            if speculate:
+                value = values[at]
             else:
-                candidate = theta + (step * delta) * (shrink if up > down else -shrink)
-                (value,), speculate = yield candidate[None]
+                (value,) = yield rows[at:at + 1]
             if value > best:
-                kept = candidate, value, grown
+                kept = rows[at], value, grown
         theta, best, step = kept
         trace.append(best)
     return best, theta, evals, tuple(trace), step > STOP_DELTA
@@ -473,10 +474,10 @@ def optimize(
     The restarts run in lockstep: each round stacks the points that every
     live restart of :func:`_ascend` waits on into one call of the compiled
     objective, and a restart leaves the rounds when its budget or its step
-    runs out.  While the live restarts hold at most ``SPECULATE_PARAMETERS``
-    parameters in all, they speculate.  Each restart draws from its own
-    ``default_rng([seed, restart])``, so the result equals running the
-    restarts one by one.
+    runs out.  Whether they speculate is decided once per search: they do
+    when the restarts hold at most ``SPECULATE_PARAMETERS`` parameters in
+    all.  Each restart draws from its own ``default_rng([seed, restart])``,
+    so the result equals running the restarts one by one.
     """
     r = choi(ch)
     fun = _compile_objective(ch, base)
@@ -495,12 +496,11 @@ def optimize(
         stack = (pending[0][2] if len(pending) == 1
                  else np.concatenate([rows for _, _, rows in pending]))
         values = fun(stack).tolist()
-        speculate = len(pending) * base.theta.size <= SPECULATE_PARAMETERS
         live, start = [], 0
         for restart, ascent, rows in pending:
             batch, start = values[start:start + len(rows)], start + len(rows)
             try:
-                live.append((restart, ascent, ascent.send((batch, speculate))))
+                live.append((restart, ascent, ascent.send(batch)))
             except StopIteration as stop:
                 runs[restart] = stop.value
         pending = live

@@ -36,8 +36,8 @@ DETERMINISM_TOL = 1e-10  # the determinism gate's default bound on |Gram - I|
 
 
 def _check_schmidt(mu: np.ndarray) -> None:
-    """Raise unless every row of mu is a finite, non-negative unit vector."""
-    dev = float(np.abs((mu**2).sum(axis=-1) - 1.0).max())
+    """Raise unless the vector mu is finite, non-negative and of unit norm."""
+    dev = abs(float((mu**2).sum()) - 1.0)
     if dev <= 1e-10 and mu.min() >= 0:  # false for NaN and inf too
         return
     if not np.all(np.isfinite(mu)):
@@ -56,46 +56,37 @@ def _check_dims(n: int, p: int) -> None:
 
 
 def _determinism_deviation(ops: np.ndarray, receivers: np.ndarray) -> np.ndarray:
-    """|Gram - I| of the determinism relations of stacked branch operators and
-    receivers, each (..., M, d, d) with leading axes indexing independent
-    protocols: [..., 0, :, :] is sum L^dag L, [..., 1, :, :] is sum L L^dag
-    and [..., 2:, :, :] is each W W^dag."""
-    *lead, m, d, _ = ops.shape
-    column = ops.reshape(*lead, m * d, d)  # the L_eta stacked vertically
-    row = ops.swapaxes(-3, -2).reshape(*lead, d, m * d)  # and side by side
-    gram = np.concatenate([
-        (column.conj().swapaxes(-1, -2) @ column)[..., None, :, :],
-        (row @ row.conj().swapaxes(-1, -2))[..., None, :, :],
-        receivers @ receivers.conj().swapaxes(-1, -2)], axis=-3)
-    gram.reshape(*gram.shape[:-2], d * d)[..., :: d + 1] -= 1  # minus I
+    """|Gram - I| of the determinism relations of one protocol's (M, d, d)
+    branch operators and receivers: [0] is sum L^dag L, [1] is sum L L^dag
+    and [2:] is each W W^dag."""
+    m, d, _ = ops.shape
+    column = ops.reshape(m * d, d)  # the L_eta stacked vertically
+    row = ops.swapaxes(0, 1).reshape(d, m * d)  # and side by side
+    gram = np.concatenate([(column.conj().T @ column)[None],
+                           (row @ row.conj().T)[None],
+                           receivers @ receivers.conj().swapaxes(-1, -2)])
+    gram.reshape(-1, d * d)[:, :: d + 1] -= 1  # minus I
     return np.abs(gram)
 
 
 def _check_determinism(ops: np.ndarray, receivers: np.ndarray,
                        tol: float = DETERMINISM_TOL) -> float:
-    """Determinism residuals of stacked branch operators and receivers.
-
-    ``ops`` and ``receivers`` are (..., M, d, d); leading axes index
-    independent protocols.  Raises on the first protocol whose worst entry of
-    :func:`_determinism_deviation` exceeds tol, else returns the worst entry.
+    """Determinism residual of one protocol's (M, d, d) branch operators and
+    receivers: the worst entry of :func:`_determinism_deviation`, returned if
+    it is at most tol and raised, with the worst of each relation, if not.
     """
     dev = _determinism_deviation(ops, receivers)
     worst = float(dev.max())
     if worst <= tol:  # false for NaN too
         return worst
-    res_left = dev[..., 0, :, :].max(axis=(-2, -1))
-    res_right = dev[..., 1, :, :].max(axis=(-2, -1))
-    res_recv = dev[..., 2:, :, :].max(axis=(-3, -2, -1))
-    per_protocol = np.maximum(np.maximum(res_left, res_right), res_recv)
-    i = np.flatnonzero(~(per_protocol <= tol))[0]
     if not (np.all(np.isfinite(ops)) and np.all(np.isfinite(receivers))):
         raise ValueError("protocol is not deterministic: operators have "
                          "non-finite entries")
     raise ValueError(
         "protocol is not deterministic: "
-        f"sum L^dag L residual {res_left.flat[i]:.3e}, "
-        f"sum L L^dag residual {res_right.flat[i]:.3e}, "
-        f"receiver unitarity residual {res_recv.flat[i]:.3e}"
+        f"sum L^dag L residual {dev[0].max():.3e}, "
+        f"sum L L^dag residual {dev[1].max():.3e}, "
+        f"receiver unitarity residual {dev[2:].max():.3e}"
     )
 
 

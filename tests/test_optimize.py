@@ -343,7 +343,7 @@ def test_config_rejects_non_bool_warm_start(value):
 @pytest.mark.parametrize("measured", ["none", "ancilla", "full"])
 def test_compiled_objective_equals_decoded_path(measured, n, pin):
     # the compiled objective must reproduce the protocol-object route bit for
-    # bit, for one vector and for a stack of two
+    # bit, for a stack of one point and for a stack of two
     rng = np.random.default_rng([n, len(measured), len(pin)])
     ch = random_channel(n, n * n, seed=n)
     logits = rng.standard_normal(1)
@@ -354,9 +354,8 @@ def test_compiled_objective_equals_decoded_path(measured, n, pin):
     fun = _compile_objective(ch, base)
     thetas = rng.standard_normal((6, base.theta.size))
     ref = [target_overlap(decode(replace(base, theta=t)), choi(ch)) for t in thetas]
-    assert [fun(t) for t in thetas] == ref
+    assert [fun(t[None])[0] for t in thetas] == ref
     assert fun(thetas[:2]).tolist() == ref[:2]
-    assert isinstance(fun(thetas[0]), float)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -372,7 +371,7 @@ def test_compiled_objective_equals_decoded_path_property(n, p, measured, pin, se
                                  mu_fixed=rng.random(p) + 0.01 if pin else None)
     fun = _compile_objective(ch, base)
     thetas = rng.standard_normal((100, base.theta.size))
-    rows = [fun(t) for t in thetas]
+    rows = [fun(t[None])[0] for t in thetas]
     assert rows[:5] == [target_overlap(decode(replace(base, theta=t)), choi(ch))
                         for t in thetas[:5]]
     # 40 and 100 rows: the stacks of a lockstep round of 20 restarts
@@ -449,11 +448,11 @@ def test_compiled_objective_rejects_dimension_mismatch():
     fun = _compile_objective(depolarizing(0.3), base)
     with pytest.raises(ValueError, match="parameter shape"):
         fun(np.zeros(3))
-    # a point is (dim,) or a (B, dim) stack with B >= 1; an empty stack
-    # leaked numpy's "zero-size array to reduction operation" error before
+    # the objective takes a (B, dim) stack with B >= 1 and names any other
+    # shape, a lone point and an empty stack too
     dim = base.theta.size
-    for shape in ((0, dim), (3, 1, dim), ()):
-        message = (rf"^parameter shape {re.escape(str(shape))} is not \(dim,\) or "
+    for shape in ((0, dim), (3, 1, dim), (), (dim,)):
+        message = (rf"^parameter shape {re.escape(str(shape))} is not "
                    rf"\(B, dim\) with B >= 1, dim {dim}$")
         with pytest.raises(ValueError, match=message):
             fun(np.zeros(shape))
@@ -495,7 +494,7 @@ _OPTIMIZE = importlib.import_module("teleportlab.optimize")
 
 def test_objective_never_writes_its_input():
     # optimize hands a lone restart's own stack to the objective, and a
-    # point may be a row view of a probe stack: read-only inputs must pass
+    # candidate is a one-row view of its step's stack: read-only input passes
     ch = depolarizing(0.5)
     base = zero_parameterization(2, 2, "none")
     fun = _compile_objective(ch, base)
@@ -503,7 +502,7 @@ def test_objective_never_writes_its_input():
     expected = fun(thetas.copy())
     thetas.flags.writeable = False
     np.testing.assert_array_equal(fun(thetas), expected)
-    assert fun(thetas[2]) == expected[2]
+    assert fun(thetas[2:3])[0] == expected[2]
 
 
 def test_optimize_result_equals_a_run_on_read_only_views(monkeypatch):
@@ -585,7 +584,7 @@ def test_closed_form_candidate_is_the_normalized_gradient_step_property(
     ascent = _ascend(np.zeros(dim), 10, np.random.default_rng([seed, 0]), False)
     np.testing.assert_array_equal(next(ascent)[1:],
                                   (STEP_INIT * delta) * np.array([[1.0], [-1.0]]))
-    rows = ascent.send(([0.0, up, down], False))
+    rows = ascent.send([0.0, up, down])
     if up == down:
         assert rows.shape == (2, dim)
     else:
@@ -602,9 +601,10 @@ def _sequential_runs(ch, base, cfg):
     for restart in range(cfg.restarts):
         calls = []
 
-        def counted(theta):
+        def counted(theta):  # the reference passes lone points as vectors
             calls.append(theta)
-            return fun(theta)
+            values = fun(np.atleast_2d(theta))
+            return values if theta.ndim == 2 else float(values[0])
 
         rng = np.random.default_rng([cfg.seed, restart])
         warm = cfg.warm_start and restart == 0
@@ -662,7 +662,7 @@ def _count_rows(monkeypatch):
         fun = compile_objective(ch, base)
 
         def counted(theta):
-            rows.append(len(np.atleast_2d(theta)))
+            rows.append(len(theta))
             return fun(theta)
 
         return counted
@@ -673,20 +673,23 @@ def _count_rows(monkeypatch):
 
 @pytest.mark.parametrize("strength, measured, budget, restarts, seed", [
     (0.5, "none", 1400, 7, 2024), (0.5, "full", 300, 3, 1),
-    (0.5, "ancilla", 600, 5, 3), (1.0, "none", 3200, 16, 14)])
+    (0.5, "ancilla", 600, 5, 3), (1.0, "none", 3200, 16, 14),
+    (1.0, "none", 2800, 7, 0)])
 def test_lockstep_round_is_one_call_of_the_rows_read(
         monkeypatch, strength, measured, budget, restarts, seed):
-    # in these searches the restarts that last to the end hold more than
-    # SPECULATE_PARAMETERS parameters, so no round speculates: each restart
-    # needs one stack per reference call, less the start point that rides
-    # with its first probes, and each round is one call.  At depolarizing(1.0)
-    # rounding decides each step, so the restarts end rounds apart (here 5,
-    # 4 and 7 of them after 131, 132 and 133 reference calls)
+    # in these searches the restarts hold more than SPECULATE_PARAMETERS
+    # parameters, so no round speculates, however many restarts have left:
+    # each restart needs one stack per reference call, less the start point
+    # that rides with its first probes, and each round is one call.  At
+    # depolarizing(1.0) rounding decides each step, so the restarts end
+    # rounds apart (here 5, 4 and 7 of them after 131, 132 and 133 reference
+    # calls at budget 3200; at budget 2800 the 7 restarts end after 262 to
+    # 266, and from the first end on, 6 restarts hold 198 parameters)
     ch = depolarizing(strength)
     base = zero_parameterization(2, 2, measured)
     cfg = OptimizationConfig(budget, restarts, seed)
     calls = sorted(count for _, count in _sequential_runs(ch, base, cfg))
-    assert calls.count(calls[-1]) * base.theta.size > SPECULATE_PARAMETERS
+    assert restarts * base.theta.size > SPECULATE_PARAMETERS
     rows = _count_rows(monkeypatch)
     result = optimize(ch, base, cfg)
     assert len(rows) == calls[-1] - 1
@@ -761,7 +764,8 @@ def test_determinism_gate_defers_at_its_bound(monkeypatch, measured, n, p, where
     deferred = _spy_determinism(monkeypatch)
     if where != "above-tol":
         assert np.isfinite(fun(thetas)).all()
-        assert len(deferred) == (where == "between")
+        # past the gate, the check runs on each point of the stack
+        assert len(deferred) == (2 if where == "between" else 0)
         return
     with pytest.raises(ValueError, match="not deterministic") as decoded:
         decode(replace(base, theta=thetas[0]))  # its unitaries are scaled too
@@ -792,7 +796,7 @@ def test_determinism_gate_passes_only_what_the_check_passes(n, p, measured,
         mp.setattr(_OPTIMIZE, "_expi", lambda h: u[None])
         deferred = _spy_determinism(mp)
         try:
-            fun(base.theta)
+            fun(base.theta[None])
         except ValueError:
             assert deferred  # only the deferred check raises
     if not deferred:
