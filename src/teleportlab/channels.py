@@ -211,6 +211,8 @@ def identity_channel(n: int) -> KrausChannel:
 def weyl_operator(n: int, shift_phase: int, shift: int) -> np.ndarray:
     """Generalized Pauli W: |k> -> exp(2 pi i k p / n) |k + s mod n>."""
     _check_size(n, "Weyl dimension n", 1)
+    _check_size(shift_phase, "Weyl phase index", 0, n - 1)
+    _check_size(shift, "Weyl shift index", 0, n - 1)
     w = np.zeros((n, n), dtype=complex)
     for k in range(n):
         w[(k + shift) % n, k] = np.exp(2j * np.pi * k * shift_phase / n)

@@ -216,10 +216,10 @@ class ResourceProtocol:
 
     @cached_property
     def _operands(self) -> tuple:
-        """What :func:`_run` and :func:`_branch_probabilities` read,
+        """What :func:`_end_to_end` and :func:`_branch_probabilities` read,
         read-only: the process matrix Z, (N^4, N^4), taking the channel
-        superoperator S (raveled, [B, B', A, A']) to the end-to-end map on a
-        state's input legs, rows [o, o', X, X'], and the (M, N^2)
+        superoperator S (raveled, [B, B', A, A']) to the end-to-end map on
+        the state's legs, rows [o, o', X, X'], and the (M, N^2)
         branch-probability map.  Z is the sum over [m, b, b'] of the
         receiver map, entry sum_b'' W_m[(o b''), (B b)] conj W_m[(o' b''),
         (B' b')], times the sender map, entry sum_a' f[m, a', A, b, X] conj
@@ -278,55 +278,39 @@ def _check_channel_dim(proto: ResourceProtocol, ch: KrausChannel) -> None:
         raise ValueError(f"channel dim {ch.dim} does not match protocol dim {proto.n}")
 
 
-def _input_legs(rho: np.ndarray, n: int) -> tuple:
-    """``rho`` on A (x) R as an (N^2, R^2) matrix, rows A's legs (X, X') and
-    columns R's legs, and the dim of R."""
-    r = len(rho) // n
-    return rho.reshape(n, r, n, r).transpose(0, 2, 1, 3).reshape(n * n, r * r), r
-
-
-def _run(proto: ResourceProtocol, ch: KrausChannel, rho: np.ndarray) -> np.ndarray:
-    """Run a one-way protocol around one use of the channel.
-
-    ``rho`` lives on A (x) R (R a passive reference leg).  The protocol's kept
-    process matrix takes the channel superoperator to the end-to-end map on
-    A's legs (X, X'), which acts on the state as a matrix whose columns are
-    its R legs.  Returns the output on B (x) R.
-    """
+def _end_to_end(proto: ResourceProtocol, ch: KrausChannel) -> np.ndarray:
+    """The protocol around one use of the channel as an (N^2, N^2) map, rows
+    (o, o') and columns (X, X'): the kept process matrix times the channel
+    superoperator raveled."""
     _check_channel_dim(proto, ch)
-    if not np.isfinite(rho).all():
-        raise ValueError("input state has non-finite entries")
-    n = proto.n
-    rho, r = _input_legs(rho, n)
-    t = (proto._operands[0] @ ch.superoperator.ravel()).reshape(n * n, n * n)
-    out = (t @ rho).reshape(n, n, r, r).transpose(0, 2, 1, 3)
-    return out.reshape(n * r, n * r)
+    nn = proto.n * proto.n
+    return (proto._operands[0] @ ch.superoperator.ravel()).reshape(nn, nn)
 
 
 def _branch_probabilities(proto: ResourceProtocol, rho: np.ndarray) -> np.ndarray:
-    """The branch probabilities of a run of the protocol on ``rho`` (on
-    A (x) R, as for :func:`_run`): the kept probability map on the trace of
-    the state over R."""
-    rho, r = _input_legs(rho, proto.n)
-    return (proto._operands[1] @ rho[:, :: r + 1].sum(axis=1)).real
+    """The branch probabilities of a run of the protocol on the state ``rho``
+    on A: the kept probability map on its entries."""
+    return (proto._operands[1] @ rho.reshape(-1)).real
 
 
 def apply_protocol(
     proto: ResourceProtocol, ch: KrausChannel, rho: np.ndarray
 ) -> np.ndarray:
-    """Run the protocol around one use of the channel, tracing the ancillas."""
+    """Run the protocol around one use of the channel, tracing the ancillas:
+    the end-to-end map times the state on A, raveled."""
     n = proto.n
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (n, n):
         raise ValueError(f"state shape {rho.shape} does not match protocol dim {n}")
-    return _run(proto, ch, rho)
+    t = _end_to_end(proto, ch)
+    if not np.isfinite(rho).all():
+        raise ValueError("input state has non-finite entries")
+    return (t @ rho.reshape(n * n, 1)).reshape(n, n)
 
 
 def _blocks(ops: np.ndarray, n: int, p: int) -> np.ndarray:
-    """[..., i, j] -> the N x N block <i| op |j> of each (..., N*P, N*P) operator."""
-    lead = ops.ndim - 2
-    t = ops.reshape(*ops.shape[:-2], n, p, n, p)
-    return t.transpose(*range(lead), lead + 1, lead + 3, lead, lead + 2)
+    """[eta, i, j] -> the N x N block <i| op |j> of each (M, N*P, N*P) operator."""
+    return ops.reshape(-1, n, p, n, p).transpose(0, 2, 4, 1, 3)
 
 
 def _inner_products(mu: np.ndarray, ops: np.ndarray, receivers: np.ndarray,
@@ -409,11 +393,15 @@ def control_map(proto: ResourceProtocol, r: ChoiMatrix) -> ChoiMatrix:
 def effective_choi(proto: ResourceProtocol, ch: KrausChannel) -> ChoiMatrix:
     """Choi state of the end-to-end map, by direct simulation of the protocol.
 
-    Independent of the control-operator route: runs the full protocol once on
-    |psi_0><psi_0| over the input and a passive reference copy, which by
-    linearity is sum_ij E(|i><j|) (x) |i><j| / N.
+    Independent of the control-operator route: the simulator's end-to-end
+    map, rows (o, o') and columns (X, X'), realigned to rows (o, X) and
+    columns (o', X') and scaled by 1/N, is sum_ij E(|i><j|) (x) |i><j| / N.
     """
-    out = _run(proto, ch, _psi0_projector(proto.n))
+    n = proto.n
+    t = _end_to_end(proto, ch).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    # times the entry 1/N of |psi_0><psi_0|, which rounds as the product with
+    # (1/N) I does, where a division by N would not
+    out = t.reshape(n * n, n * n) * _psi0_projector(n)[0, 0]
     return ChoiMatrix.from_matrix(out, tol=1e-8)
 
 

@@ -107,6 +107,8 @@ def schmidt(psi: np.ndarray, dim_a: int, dim_b: int) -> tuple:
         raise ValueError(
             f"state dim {psi.size} does not factor as {dim_a}x{dim_b}"
         )
+    if not np.isfinite(psi).all():
+        raise ValueError("psi has non-finite entries")
     coeff = psi.reshape(dim_a, dim_b)
     u, s, vh = np.linalg.svd(coeff)
     r = min(dim_a, dim_b)
@@ -120,13 +122,17 @@ def _matrix_sqrt(rho: np.ndarray) -> np.ndarray:
 
 
 def _pair(rho: np.ndarray, sigma: np.ndarray) -> tuple:
-    """Two matrices as complex arrays; raises unless both are square, one shape."""
+    """Two matrices as complex arrays; raises unless both are square, one
+    shape and finite."""
     rho = np.asarray(rho, dtype=complex)
     sigma = np.asarray(sigma, dtype=complex)
     if rho.shape != sigma.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {sigma.shape}")
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"matrix must be square, got shape {rho.shape}")
+    for name, matrix in (("rho", rho), ("sigma", sigma)):
+        if not np.isfinite(matrix).all():
+            raise ValueError(f"{name} has non-finite entries")
     return rho, sigma
 
 
@@ -193,6 +199,7 @@ def _haar_isometry(rows: int, cols: int, rng) -> np.ndarray:
 
 def haar_unitary(n: int, rng) -> np.ndarray:
     """Haar-random unitary."""
+    _check_size(n, "unitary dimension n", 1)
     return _haar_isometry(n, n, rng)
 
 

@@ -6,7 +6,7 @@ A (x) a (R maps the Bell basis onto the computational one), after which a is
 traced out; the noisy channel acts on A only (the system that would traverse
 the channel), and the correction acts on channel-output (x) b, ending with a
 swap that moves the result onto the channel-output leg before b is traced
-out (see ``protocol._run``).
+out (see ``protocol.apply_protocol``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import KrausChannel, weyl_operator
 from .protocol import (AncillaResource, ResourceProtocol, _branch_probabilities,
-                       _check_resource, _run, apply_protocol, basis_projections)
+                       _check_resource, apply_protocol, basis_projections)
 from .qmath import _check_size
 
 
@@ -110,4 +110,4 @@ def teleport_detailed(
                              f"does not match channel dim {n}")
         # no determinism check: qt_protocol(N) passed it, and it ignores mu
         proto = replace(proto, resource=resource, validate=False)
-    return _run(proto, ch, rho), _branch_probabilities(proto, rho)
+    return apply_protocol(proto, ch, rho), _branch_probabilities(proto, rho)

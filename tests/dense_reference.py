@@ -83,6 +83,21 @@ def simulate_reference(proto, ch, rho):
     return out, np.array(probs)
 
 
+def reference_leg_run(proto, ch, rho):
+    """The protocol's end-to-end map run on rho on A (x) R, R a passive
+    reference leg, as an output on B (x) R: the map, rows (o, o') and
+    columns A's legs (X, X'), times rho relaid as an (N^2, R^2) matrix whose
+    columns are R's legs.  On |psi_0><psi_0| it is the product of the map
+    with (1/N) I, which :func:`teleportlab.protocol.effective_choi` must
+    match bit for bit."""
+    n = proto.n
+    r = len(rho) // n
+    legs = rho.reshape(n, r, n, r).transpose(0, 2, 1, 3).reshape(n * n, r * r)
+    t = (proto._operands[0] @ ch.superoperator.ravel()).reshape(n * n, n * n)
+    out = (t @ legs).reshape(n, n, r, r).transpose(0, 2, 1, 3)
+    return out.reshape(n * r, n * r)
+
+
 def lambda_reference(proto):
     """Control operators sum_i mu_i B[k,i] (x) A[l,i]^T by one three-operand
     einsum over the blocks, as an (M, P, P, N^2, N^2) array."""

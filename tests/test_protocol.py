@@ -5,7 +5,8 @@ import sys
 
 import numpy as np
 import pytest
-from dense_reference import control_map_reference, lambda_reference, simulate_reference
+from dense_reference import (control_map_reference, lambda_reference, reference_leg_run,
+                             simulate_reference)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,6 @@ from teleportlab.protocol import (
     ResourceProtocol,
     _branch_probabilities,
     _inner_products,
-    _run,
     apply_protocol,
     bare_protocol,
     block_operators,
@@ -167,6 +167,13 @@ def test_apply_protocol_rejects_non_finite_state():
     rho = np.eye(2) / 2
     rho[1, 1] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
+        apply_protocol(random_protocol(2, 2, 2, seed=1), depolarizing(0.5), rho)
+
+
+def test_apply_protocol_rejects_a_state_with_a_reference_leg():
+    # a run is on A alone: a state on A (x) R, R of dim N, is the wrong shape
+    rho = random_state(4, seed=1)
+    with pytest.raises(ValueError, match=r"^state shape \(4, 4\) does not match protocol dim 2$"):
         apply_protocol(random_protocol(2, 2, 2, seed=1), depolarizing(0.5), rho)
 
 
@@ -344,7 +351,7 @@ def test_kept_sender_half_of_effective_choi_is_channel_free(monkeypatch):
     psi0 = projector(maximally_entangled(3))
     for ch in (random_channel(3, 9, seed=1), depolarizing(0.4, 3),
                random_channel(3, 9, seed=1)):
-        expected = ChoiMatrix.from_matrix(_run(proto, ch, psi0), tol=1e-8)
+        expected = ChoiMatrix.from_matrix(reference_leg_run(proto, ch, psi0), tol=1e-8)
         np.testing.assert_array_equal(effective_choi(proto, ch).matrix, expected.matrix)
     assert calls == []
     with pytest.raises(ValueError, match="channel dim 2 does not match protocol dim 3"):
@@ -473,16 +480,14 @@ def test_control_map_matches_operator_sum_reference():
 
 
 def _check_against_dense_reference(n, p, m, seed):
-    # every operator embedded in the full A (x) R (x) a (x) b space, one branch
-    # at a time: rho on A through apply_protocol (R of dim 1) and a mixed
-    # state on A (x) R with R of dim N through _run
+    # every operator embedded in the full A (x) a (x) b space, one branch at
+    # a time: rho on A through apply_protocol
     proto = random_protocol(n, p, m, seed=seed)
     ch = random_channel(n, 3, seed=seed + 1)
-    for r, rho in ((1, random_state(n, seed=seed + 2)),
-                   (n, random_state(n * n, seed=seed + 3))):
-        expected = simulate_reference(proto, ch, rho)[0]
-        got = apply_protocol(proto, ch, rho) if r == 1 else _run(proto, ch, rho)
-        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    rho = random_state(n, seed=seed + 2)
+    np.testing.assert_allclose(apply_protocol(proto, ch, rho),
+                               simulate_reference(proto, ch, rho)[0],
+                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n,p,m", [(2, 1, 1), (2, 3, 4), (3, 2, 6)])
@@ -508,21 +513,35 @@ def test_apply_protocol_matches_dense_reference_any_dims(dims, seed):
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n=st.sampled_from([2, 3]), p=st.integers(1, 3), full=st.booleans(),
-       reference=st.booleans(), rank=st.integers(1, 9), seed=st.integers(0, 2**16))
-def test_run_and_effective_choi_match_simulate_reference_property(
-        n, p, full, reference, rank, seed):
-    # the output of _run and the branch probabilities, on A alone or with a
-    # reference leg R of dim N, and effective_choi, which is _run on psi_0
+       rank=st.integers(1, 9), seed=st.integers(0, 2**16))
+def test_run_and_effective_choi_match_simulate_reference_property(n, p, full, rank, seed):
+    # the output of apply_protocol and the branch probabilities on a state on
+    # A, and effective_choi, the run on psi_0 over A and a reference copy
     proto = random_protocol(n, p, n * p if full else 1, seed=seed)
     ch = random_channel(n, min(rank, n * n), seed=[seed, 1])
-    rho = random_state(n * n if reference else n, seed=[seed, 2])
-    out, probs = _run(proto, ch, rho), _branch_probabilities(proto, rho)
+    rho = random_state(n, seed=[seed, 2])
+    out, probs = apply_protocol(proto, ch, rho), _branch_probabilities(proto, rho)
     expected, expected_probs = simulate_reference(proto, ch, rho)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
     np.testing.assert_allclose(probs, expected_probs, rtol=0, atol=1e-12)
     expected = simulate_reference(proto, ch, projector(maximally_entangled(n)))[0]
     np.testing.assert_allclose(effective_choi(proto, ch).matrix, expected,
                                rtol=0, atol=1e-12)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(dims=simulator_dims(), kraus=st.integers(1, 16), seed=st.integers(0, 2**16))
+def test_effective_choi_is_the_reference_leg_run_bit_for_bit_property(dims, kraus, seed):
+    # the end-to-end map realigned and scaled against the map times the
+    # relaid psi_0 over A and a reference copy, at M = 1 and M = N*P and for
+    # channels of every rank 1..N^2
+    n, p, m = dims
+    proto = random_protocol(n, p, m, seed=seed)
+    ch = random_channel(n, min(kraus, n * n), seed=[seed, 3])
+    assert rank(ch) == min(kraus, n * n)
+    psi0 = projector(maximally_entangled(n))
+    np.testing.assert_array_equal(effective_choi(proto, ch).matrix,
+                                  reference_leg_run(proto, ch, psi0))
 
 
 def test_effective_choi_matches_basis_reference():

@@ -17,6 +17,7 @@ from teleportlab.qmath import (
     factor_permutation,
     fidelity,
     fix_global_phase,
+    haar_unitary,
     matrix_from_pairs,
     matrix_to_pairs,
     maximally_entangled,
@@ -322,6 +323,11 @@ _SIZE_SITES = {
     "depolarizing": (lambda v: depolarizing(0.3, v), "dimension", 2, None, 2, 2.5),
     "weyl_operator-n": (lambda v: weyl_operator(v, 0, 1), "Weyl dimension n",
                         1, None, 2, 2.5),
+    "weyl_operator-shift_phase": (lambda v: weyl_operator(2, v, 0), "Weyl phase index",
+                                  0, 1, 1, 0.5),
+    "weyl_operator-shift": (lambda v: weyl_operator(2, 0, v), "Weyl shift index",
+                            0, 1, 1, 0.5),
+    "haar_unitary": (lambda v: haar_unitary(v, 0), "unitary dimension n", 1, None, 2, 2.5),
     "random_channel-n": (lambda v: random_channel(v, 1, 0),
                          "channel dimension", 2, None, 2, 2.5),
     "random_channel-rank": (lambda v: random_channel(2, v, 0), "rank", 1, 4, 2, 2.5),
@@ -360,6 +366,27 @@ _SIZE_SITES = {
     "OptimizationConfig-seed": (lambda v: OptimizationConfig(40, 1, v),
                                 "seed", 0, None, 0, 0.5),
 }
+
+
+_HALF = np.eye(2, dtype=complex) / 2
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda bad: fidelity(bad, _HALF), "rho"),
+    (lambda bad: fidelity(_HALF, bad), "sigma"),
+    (lambda bad: trace_distance(bad, _HALF), "rho"),
+    (lambda bad: trace_distance(_HALF, bad), "sigma"),
+    (lambda bad: schmidt(bad.reshape(-1), 2, 2), "psi"),
+], ids=["fidelity-rho", "fidelity-sigma", "trace_distance-rho",
+        "trace_distance-sigma", "schmidt"])
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+def test_metric_helpers_reject_non_finite_input(call, message, value):
+    # a nan or an inf raises, naming the input, before any RuntimeWarning
+    # (which the suite's filter turns into an error)
+    bad = _HALF.copy()
+    bad[1, 1] = value
+    with pytest.raises(ValueError, match=f"^{message} has non-finite entries$"):
+        call(bad)
 
 
 def _size_cases():
