@@ -46,14 +46,12 @@ def _tp_deviation(kraus: np.ndarray) -> float:
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
     """Completely positive trace-preserving map; ``kraus`` is a read-only
-    (E, N, N) stack of the Kraus operators, ``superoperator`` the read-only
-    (N^2, N^2) matrix S[(i, j), (k, l)] = sum_e K_e[i, k] conj(K_e[j, l]), the
-    channel acting on a (row, column) leg pair, and ``choi_state`` its Choi
-    state (see :func:`choi`), all built once, here."""
+    (E, N, N) stack of the Kraus operators and ``choi_state`` its Choi state
+    (see :func:`choi`), the one channel map every route reads, both built
+    once, here."""
 
     dim: int
     kraus: np.ndarray
-    superoperator: np.ndarray = field(init=False, repr=False)
     choi_state: ChoiMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -71,9 +69,6 @@ class KrausChannel:
                 f"channel not trace-preserving: sum K^dag K deviates from I by {dev:.3e}"
             )
         n = self.dim
-        sup = np.einsum("eik,ejl->ijkl", kraus, kraus.conj()).reshape(n * n, n * n)
-        sup.flags.writeable = False
-        object.__setattr__(self, "superoperator", sup)
         # (channel (x) id)(|psi_0><psi_0|) with all K_e (x) I at once, entry
         # for entry what np.kron gives, so the sum is bit-identical to adding
         # the operators' terms one at a time
@@ -154,8 +149,7 @@ class ChoiMatrix:
 
 
 def choi(ch: KrausChannel) -> ChoiMatrix:
-    """Choi state of a channel: (channel (x) id) applied to |psi_0><psi_0|,
-    built when the channel is."""
+    """The channel's Choi state (channel (x) id)(|psi_0><psi_0|), built with it."""
     return ch.choi_state
 
 
@@ -196,9 +190,10 @@ def apply_on_factor(ch: KrausChannel, rho: np.ndarray, dims, which: int) -> np.n
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (total, total):
         raise ValueError(f"state shape {rho.shape} does not match factor dims {dims}")
-    # the channel, as one superoperator, on factor `which`'s row and column legs
+    # the channel as one superoperator, S[i, j, k, l] = sum_e K_e[i, k]
+    # conj(K_e[j, l]), on factor `which`'s row and column legs
     legs = (which, len(dims) + which)
-    sup = ch.superoperator.reshape((ch.dim,) * 4)
+    sup = np.einsum("eik,ejl->ijkl", ch.kraus, ch.kraus.conj())
     out = np.tensordot(sup, rho.reshape(dims * 2), axes=([2, 3], legs))
     return np.moveaxis(out, (0, 1), legs).reshape(total, total)
 

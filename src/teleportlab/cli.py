@@ -215,17 +215,23 @@ def cmd_protocol_verify(protocol_file, channel_file, qt_dim, depolarizing_p,
     try:
         if protocol_file is not None:
             proto = load_protocol(protocol_file, validate=False)
-        else:
-            proto = qt_protocol(qt_dim)
+        else:  # qt_protocol(N) is built once the channel's dim matches N
+            _check_size(qt_dim, "teleportation dimension N", 2)
     except (ValueError, OSError) as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
     ch, echo = _resolve_channel(channel_file, depolarizing_p, dim)
+    try:
+        if qt_dim is not None:
+            _check_channel_dim(qt_dim, ch)
+            proto = qt_protocol(qt_dim)
+    except ValueError as exc:
+        _fail(EXIT_INPUT_ERROR, str(exc))
     try:
         determinism_residual = proto.check_determinism(tol=tol)
     except ValueError as exc:
         _fail(EXIT_SEMANTIC_ERROR, str(exc))
     try:
-        _check_channel_dim(proto, ch)
+        _check_channel_dim(proto.n, ch)
     except ValueError as exc:
         _fail(EXIT_INPUT_ERROR, str(exc))
 
@@ -335,6 +341,8 @@ def cmd_optimize(files, depolarizing_p, dim, seed_override, trace_file, out):
     ch, echo = _resolve_channel(channel_file, depolarizing_p, dim)
     try:
         data, values = _load_config(config_file, seed_override)
+        _check_size(values["n"], "system dimension n", 1)
+        _check_channel_dim(values["n"], ch)  # before a start point of ~(n*p)^3 floats
         base = _parameterization_from_config(values)
         cfg = _search_config(values)
         result = run_optimize(ch, base, cfg)

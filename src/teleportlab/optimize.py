@@ -300,7 +300,7 @@ def _compile_objective(ch: KrausChannel, base: ProtocolParameterization):
     and raises with ``decode``'s messages, so both reject the same points.
     The squared softmax of finite parameters is a unit vector, unchecked.
     """
-    _check_channel_dim(base, ch)
+    _check_channel_dim(base.n, ch)
     n, p = base.n, base.local_dim
     d = n * p
     projections = base.projections()

@@ -148,9 +148,9 @@ class ResourceProtocol:
     A (x) a.  Operators that are not (N*P) x (N*P) are rejected here;
     ``validate`` governs only the determinism check.  What depends on the
     protocol alone is built on first use and kept, read-only: the control
-    superoperator, the simulator's process matrix and branch-probability map,
-    and the numbers of :func:`~teleportlab.theorem.proof_report`, computed
-    here from the operator stacks and the inner products G.
+    superoperator, the simulator's process matrix and the numbers of
+    :func:`~teleportlab.theorem.proof_report`, computed here from the
+    operator stacks and the inner products G.
     """
 
     n: int
@@ -215,17 +215,14 @@ class ResourceProtocol:
         return t
 
     @cached_property
-    def _operands(self) -> tuple:
-        """What :func:`_end_to_end` and :func:`_branch_probabilities` read,
-        read-only: the process matrix Z, (N^4, N^4), taking the channel
-        superoperator S (raveled, [B, B', A, A']) to the end-to-end map on
-        the state's legs, rows [o, o', X, X'], and the (M, N^2)
-        branch-probability map.  Z is the sum over [m, b, b'] of the
-        receiver map, entry sum_b'' W_m[(o b''), (B b)] conj W_m[(o' b''),
-        (B' b')], times the sender map, entry sum_a' f[m, a', A, b, X] conj
-        f[m, a', A', b', X'] with f[m, a', A, b, X] = sum_a <A a'| L_m |X a>
-        psi[a, b] (psi the pair on a (x) b), whose trace over (A, b) is the
-        probability map.  Z has N^8 entries whatever M and P, against
+    def _process_matrix(self) -> np.ndarray:
+        """The simulator's process matrix Z, read-only (N^4, N^4), from a
+        channel's Choi state J, raveled [B, A, B', A'], to the end-to-end map,
+        rows [o, o', X, X']: N (undoing J's 1/N) times the sum over [m, b, b']
+        of the receiver map, sum_b'' W_m[(o b''), (B b)] conj W_m[(o' b''),
+        (B' b')], times the sender map, sum_a' f[m, a', A, b, X] conj f[m, a',
+        A', b', X'], f[m, a', A, b, X] = sum_a <A a'| L_m |X a> psi[a, b] with
+        psi the pair on a (x) b.  Z has N^8 entries whatever M and P, against
         M*P^2*N^4 for each of the two maps, which are not kept."""
         n, p, m = self.n, self.local_dim, self.m
         d, nn = n * p, n * n
@@ -234,17 +231,18 @@ class ResourceProtocol:
         # [m, (A b X), (A' b' X')]: the sum over a', one matmul per branch
         snd = np.matmul(f.transpose(0, 2, 3, 4, 1).reshape(m, d * n, p),
                         f.conj().reshape(m, p, d * n)).reshape(m, n, p, n, n, p, n)
-        prob = np.einsum("mabxaby->mxy", snd).reshape(m, nn)
         snd = snd.transpose(0, 2, 5, 1, 4, 3, 6).reshape(-1, nn * nn)  # [m b b', A A' X X']
         # [m, (o B b), (o' B' b')]: the sum over b'', one matmul per branch
         w = self.receiver_unitaries.reshape(m, n, p, d)
         rcv = np.matmul(w.transpose(0, 1, 3, 2).reshape(m, n * d, p),
                         w.conj().transpose(0, 2, 1, 3).reshape(m, p, n * d))
         rcv = rcv.reshape(m, n, n, p, n, n, p).transpose(1, 4, 2, 5, 0, 3, 6).reshape(nn * nn, -1)
-        z = (rcv @ snd).reshape(nn, nn, nn, nn).transpose(0, 3, 1, 2).reshape(nn * nn, -1)
-        for x in (z, prob):
-            x.flags.writeable = False
-        return z, prob
+        # [o, o', B, B', A, A', X, X'] to rows [o, o', X, X'], columns [B, A, B', A']
+        z = (rcv @ snd).reshape((n,) * 8).transpose(0, 1, 6, 7, 2, 4, 3, 5)
+        z = z.reshape(nn * nn, -1)
+        z *= n  # in place: one more N^8 array cost ~100 page faults a build
+        z.flags.writeable = False
+        return z
 
     @cached_property
     def _proof_numbers(self) -> tuple:
@@ -272,25 +270,28 @@ class ResourceProtocol:
         return r13, cs, betas, lhs
 
 
-def _check_channel_dim(proto: ResourceProtocol, ch: KrausChannel) -> None:
-    """Raise unless the channel acts on ``proto.n`` (a protocol's or a search's)."""
-    if ch.dim != proto.n:
-        raise ValueError(f"channel dim {ch.dim} does not match protocol dim {proto.n}")
+def _check_channel_dim(n: int, x, what: str = "channel") -> None:
+    """Raise unless ``x``, a channel or (``what`` "Choi") its Choi state,
+    acts on the n levels of a protocol, a search or a config."""
+    if x.dim != n:
+        raise ValueError(f"{what} dim {x.dim} does not match protocol dim {n}")
 
 
 def _end_to_end(proto: ResourceProtocol, ch: KrausChannel) -> np.ndarray:
     """The protocol around one use of the channel as an (N^2, N^2) map, rows
-    (o, o') and columns (X, X'): the kept process matrix times the channel
-    superoperator raveled."""
-    _check_channel_dim(proto, ch)
+    (o, o') and columns (X, X'): the kept process matrix times the channel's
+    Choi state raveled."""
+    _check_channel_dim(proto.n, ch)
     nn = proto.n * proto.n
-    return (proto._operands[0] @ ch.superoperator.ravel()).reshape(nn, nn)
+    return (proto._process_matrix @ ch.choi_state.matrix.ravel()).reshape(nn, nn)
 
 
 def _branch_probabilities(proto: ResourceProtocol, rho: np.ndarray) -> np.ndarray:
-    """The branch probabilities of a run of the protocol on the state ``rho``
-    on A: the kept probability map on its entries."""
-    return (proto._operands[1] @ rho.reshape(-1)).real
+    """The branch probabilities tr L_m (rho (x) diag mu^2) L_m^dag of a run of
+    the protocol on the state ``rho`` on A, diag mu^2 the pair's state on a."""
+    n, p = proto.n, proto.local_dim
+    ops = proto.branches.reshape(-1, n, p, n, p)  # [m, A, a', X, a]
+    return np.einsum("mAqXa,XY,a,mAqYa->m", ops, rho, proto.resource.mu**2, ops.conj()).real
 
 
 def apply_protocol(
@@ -375,15 +376,9 @@ def lambda_operators(proto: ResourceProtocol) -> np.ndarray:
     return rows.transpose(1, 2, 3, 0, 4)
 
 
-def _check_choi_dims(proto: ResourceProtocol, r: ChoiMatrix) -> None:
-    """Raise unless the Choi state's dim matches the protocol's."""
-    if r.dim != proto.n:
-        raise ValueError(f"Choi dim {r.dim} does not match protocol dim {proto.n}")
-
-
 def control_map(proto: ResourceProtocol, r: ChoiMatrix) -> ChoiMatrix:
     """Transform a Choi state through the protocol's control operators."""
-    _check_choi_dims(proto, r)
+    _check_channel_dim(proto.n, r, "Choi")
     nn = proto.n * proto.n
     # sum_j Lam_j R Lam_j^dag: the kept superoperator on R raveled
     out = (proto._control_superoperator @ r.matrix.ravel()).reshape(nn, nn)
@@ -394,8 +389,9 @@ def effective_choi(proto: ResourceProtocol, ch: KrausChannel) -> ChoiMatrix:
     """Choi state of the end-to-end map, by direct simulation of the protocol.
 
     Independent of the control-operator route: the simulator's end-to-end
-    map, rows (o, o') and columns (X, X'), realigned to rows (o, X) and
-    columns (o', X') and scaled by 1/N, is sum_ij E(|i><j|) (x) |i><j| / N.
+    map (the kept process matrix times the channel's Choi state), rows
+    (o, o') and columns (X, X'), realigned to rows (o, X) and columns
+    (o', X') and scaled by 1/N, is sum_ij E(|i><j|) (x) |i><j| / N.
     """
     n = proto.n
     t = _end_to_end(proto, ch).reshape(n, n, n, n).transpose(0, 2, 1, 3)
@@ -418,7 +414,7 @@ def _residual(controlled: ChoiMatrix) -> float:
 
 def target_overlap(proto: ResourceProtocol, r: ChoiMatrix) -> float:
     """Overlap of the controlled Choi state with the ideal target."""
-    _check_choi_dims(proto, r)
+    _check_channel_dim(proto.n, r, "Choi")
     g = _inner_products(proto.resource.mu, proto.branches,
                         proto.receiver_unitaries, proto.n, proto.local_dim)
     return float(_overlap(g, r.matrix))

@@ -93,7 +93,7 @@ def reference_leg_run(proto, ch, rho):
     n = proto.n
     r = len(rho) // n
     legs = rho.reshape(n, r, n, r).transpose(0, 2, 1, 3).reshape(n * n, r * r)
-    t = (proto._operands[0] @ ch.superoperator.ravel()).reshape(n * n, n * n)
+    t = (proto._process_matrix @ ch.choi_state.matrix.ravel()).reshape(n * n, n * n)
     out = (t @ legs).reshape(n, n, r, r).transpose(0, 2, 1, 3)
     return out.reshape(n * r, n * r)
 

@@ -504,12 +504,3 @@ def test_choi_eigensystem_is_the_descending_eigh_of_the_hermitian_part(n, k):
         r.eigenvalues[0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         r.eigenvectors[0, 0] = 0.0
-
-
-@pytest.mark.parametrize("ch", [depolarizing(0.3, 3), random_channel(2, 3, seed=5)])
-def test_superoperator_is_read_only_sum_of_kraus_krons(ch):
-    expected = sum(np.kron(k, k.conj()) for k in ch.kraus)
-    assert ch.superoperator.shape == (ch.dim**2, ch.dim**2)
-    np.testing.assert_allclose(ch.superoperator, expected, rtol=0, atol=1e-15)
-    with pytest.raises(ValueError, match="read-only"):
-        ch.superoperator[0, 0] = 0.0

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import teleportlab.cli
 from teleportlab.channels import (_CHANNEL_KEYS, channel_to_dict, depolarizing,
                                   random_channel, save_channel)
 from teleportlab.cli import _CONFIG_KEYS, _STATE_KEYS, _load_config, main
@@ -26,6 +27,10 @@ def runner():
 
 def _invoke(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
+
+
+def _never_built(*args, **kwargs):
+    raise AssertionError("built before the channel-dim check")
 
 
 def test_channel_info_depolarizing(runner):
@@ -258,6 +263,17 @@ def test_protocol_verify_dim_mismatch_exit_2(runner, tmp_path):
         "error: channel dim 2 does not match protocol dim 3"]
 
 
+def test_protocol_verify_qt_checks_the_channel_dim_before_building(runner, monkeypatch):
+    # qt_protocol(N) holds N^2 stacks of N^2 x N^2 operators: a mismatched
+    # N exits 2 before it is built
+    monkeypatch.setattr(teleportlab.cli, "qt_protocol", _never_built)
+    result = runner.invoke(
+        main, ["protocol-verify", "--qt", "3", "--depolarizing", "0.5"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: channel dim 2 does not match protocol dim 3"]
+
+
 def _optimize_config(tmp_path, **overrides):
     config = {
         "n": 2,
@@ -345,6 +361,29 @@ def test_optimize_dimension_mismatch_exits_2(runner, tmp_path):
     assert result.exit_code == 2
     assert "channel dim 3" in result.output and "dim 2" in result.output
     assert "Traceback" not in result.output
+
+
+def test_optimize_checks_n_against_the_channel_before_the_start_point(runner, tmp_path):
+    # a "full" start point holds (1+N*P)*(N*P)^2 floats: n = 10**6 would ask
+    # numpy for an impossible array, so n is checked against the channel first
+    path = _optimize_config(tmp_path, n=10**6)
+    result = runner.invoke(main, ["optimize", "--depolarizing", "0.5", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: invalid config: channel dim 2 does not match protocol dim 1000000"]
+
+
+@pytest.mark.parametrize("override", [{}, {"p": 3, "qt_warm_start": True}],
+                         ids=["zero", "qt-warm-start"])
+def test_optimize_builds_no_parameterization_for_a_mismatched_n(
+        runner, tmp_path, monkeypatch, override):
+    for name in ("zero_parameterization", "qt_parameterization"):
+        monkeypatch.setattr(teleportlab.cli, name, _never_built)
+    path = _optimize_config(tmp_path, n=3, **override)
+    result = runner.invoke(main, ["optimize", "--depolarizing", "0.5", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: invalid config: channel dim 2 does not match protocol dim 3"]
 
 
 def test_sweep_takes_dimension_from_channel(runner, tmp_path):

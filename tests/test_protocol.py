@@ -276,11 +276,11 @@ def test_control_map_and_effective_choi_build_only_their_own_kept_map():
     control_map(proto, choi(ch))
     residual(proto, ch)
     assert "_control_superoperator" in vars(proto)
-    assert "_operands" not in vars(proto)
+    assert "_process_matrix" not in vars(proto)
     proto = random_protocol(3, 2, 4, seed=9)
     effective_choi(proto, ch)
     apply_protocol(proto, ch, random_state(3, seed=2))
-    assert "_operands" in vars(proto)
+    assert "_process_matrix" in vars(proto)
     assert "_control_superoperator" not in vars(proto)
 
 
@@ -288,33 +288,34 @@ def test_transfer_matrices_are_built_once_read_only_and_shared():
     n, p, m = 3, 2, 4
     proto = random_protocol(n, p, m, seed=5)
     ch = random_channel(n, 9, seed=6)
-    operands = proto._operands
-    z, prob = operands
-    assert proto._operands is operands
-    for x in operands:
-        with pytest.raises(ValueError, match="read-only"):
-            x[0, 0] = 0.0
-    apply_protocol(proto, ch, random_state(n, seed=7))
+    z = proto._process_matrix
+    with pytest.raises(ValueError, match="read-only"):
+        z[0, 0] = 0.0
+    rho = random_state(n, seed=7)
+    apply_protocol(proto, ch, rho)
     effective_choi(proto, ch)
-    assert proto._operands is operands
-    # the sender map as defined, f[m, a', A, b, X] = sum_a <A a'| L_m |X a> psi[a, b]
+    assert proto._process_matrix is z
+    # the sender map as defined, f[m, a', A, b, X] = sum_a <A a'| L_m |X a> psi[a, b],
+    # whose trace over (A, b) on rho gives the branch probabilities
     psi = proto.resource.state().reshape(p, p)
     f = np.einsum("mAqXa,ab->mqAbX", proto.branches.reshape(m, n, p, n, p), psi)
     snd = np.einsum("mqAbX,mqCdY->ACmbdXY", f, f.conj())
-    np.testing.assert_allclose(prob, np.einsum("AAmbbXY->mXY", snd).reshape(m, -1),
+    np.testing.assert_allclose(_branch_probabilities(proto, rho),
+                               np.einsum("AAmbbXY,XY->m", snd, rho).real,
                                rtol=0, atol=1e-15)
-    # the receiver map, and Z their composition over the branches and b, b'
+    # the receiver map, and Z N times their composition over the branches
+    # and b, b', its columns the Choi state's raveled legs [B, A, B', A']
     w = proto.receiver_unitaries.reshape(m, n, p, n, p)
     rcv = np.einsum("mocBb,mOcCd->oOBCmbd", w, w.conj())
-    expected = np.einsum("oOBCmbd,DEmbdXY->oOXYBCDE", rcv, snd)
+    expected = n * np.einsum("oOBCmbd,DEmbdXY->oOXYBDCE", rcv, snd)
     np.testing.assert_allclose(z, expected.reshape(n**4, n**4), rtol=0, atol=1e-15)
-    # every teleport call reads the one cached qt_protocol(N)'s matrices
+    # every teleport call reads the one cached qt_protocol(N)'s matrix
     qt = qt_protocol(n)
     teleport(random_state(n, seed=8), ch)
-    operands = qt._operands
+    z = qt._process_matrix
     teleport(random_state(n, seed=9), ch)
     teleport_detailed(random_state(n, seed=9), ch)
-    assert qt_protocol(n)._operands is operands
+    assert qt_protocol(n)._process_matrix is z
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -369,7 +370,7 @@ def test_protocol_keeps_only_the_control_superoperator_process_matrix_and_proof_
     target_overlap(proto, choi(ch))
     proof_report(proto)
     kept = set(vars(proto)) - {f.name for f in dataclasses.fields(proto)}
-    assert kept == {"_control_superoperator", "_operands", "_proof_numbers"}
+    assert kept == {"_control_superoperator", "_process_matrix", "_proof_numbers"}
 
 
 def test_control_map_bare_is_identity_map():
@@ -542,6 +543,20 @@ def test_effective_choi_is_the_reference_leg_run_bit_for_bit_property(dims, krau
     psi0 = projector(maximally_entangled(n))
     np.testing.assert_array_equal(effective_choi(proto, ch).matrix,
                                   reference_leg_run(proto, ch, psi0))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(dims=simulator_dims(), seed=st.integers(0, 2**16))
+def test_process_matrix_is_the_control_superoperator_realigned_property(dims, seed):
+    # the two kept supermaps as matrices, no channel involved: Z, its rows
+    # realigned from (o, o', X, X') to (o, X, o', X') and divided by N, is T
+    # (built from Lambda alone), so by linearity control_map equals
+    # effective_choi on every channel at once, at M = 1 and M = N*P
+    n = dims[0]
+    proto = random_protocol(*dims, seed=seed)
+    z = proto._process_matrix.reshape((n,) * 4 + (-1,)).transpose(0, 2, 1, 3, 4)
+    np.testing.assert_allclose(z.reshape(n**4, n**4) / n, proto._control_superoperator,
+                               rtol=0, atol=1e-15)
 
 
 def test_effective_choi_matches_basis_reference():
@@ -751,22 +766,23 @@ _GOLDEN_SIMULATIONS = {
     "n3-seed40": (lambda: (random_protocol(3, 3, 9, seed=40),
                            random_channel(3, 9, seed=41), random_state(3, seed=42)),
                   [0.2, 0.5, 0.8],
-                  # re-recorded for the control superoperator
-                  "08fabe455b8ee1c33b90b1ec821b77aaadfac34737617361b0e1eb98cfb81bf8"),
+                  # re-recorded for the process matrix read on the Choi state
+                  "828eb6018d55a981fb4719719f75497e5800ee5d78b866f82adf226663f0642c"),
     "n3-seed50": (lambda: (random_protocol(3, 3, 9, seed=50),
                            random_channel(3, 9, seed=51), random_state(3, seed=52)),
                   [0.6, 0.3, 0.1],
-                  # re-recorded for the control superoperator
-                  "5dbe024059a4a0d5a5eb3de2442eba8c0489f5459b86b1e2948896f3236f9d37"),
+                  # re-recorded for the process matrix read on the Choi state
+                  "ccc02e5e7afb4b13c40996880de888a2fb70ba95af34fcae133bbecce84115fd"),
     "n3-seed60": (lambda: (random_protocol(3, 3, 9, seed=60),
                            random_channel(3, 9, seed=61), random_state(3, seed=62)),
                   [1.0, 0.0, 0.0],
-                  # re-recorded for the control superoperator
-                  "57e3db1552a15bd801cb6a5ba3db8f1d6efc3d93c5ec23d3e731eb036660a416"),
+                  # re-recorded for the process matrix read on the Choi state
+                  "94d6004b16f3d5fe614cb8024bc17ce915d7059d6ac1d3e9641d8e33224c9150"),
     "qt2": (lambda: (qt_protocol(2), random_channel(2, 4, seed=70),
                      random_state(2, seed=71)),
             [np.cos(np.pi / 8), np.sin(np.pi / 8)],
-            "756d0184e48dbd3e33df6de3598ce6d61ed53132a96bd5047d89d95662138eb8"),
+            # re-recorded for the process matrix read on the Choi state
+            "b59fdfd774a3a77fb92d40bcadd4993e3cf5ab1d61c1a42c8971573ea490b965"),
 }
 
 
