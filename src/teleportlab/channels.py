@@ -38,9 +38,10 @@ LOCC_SIMULABLE_THRESHOLD = 2.0 / 3.0
 
 
 def _tp_deviation(kraus: np.ndarray) -> float:
-    """Largest entry of |sum_e K_e^dag K_e - I| for an (E, N, N) Kraus stack."""
-    total = sum(dagger(k) @ k for k in kraus)
-    return float(np.max(np.abs(total - np.eye(kraus.shape[-1]))))
+    """Largest entry of |sum_e K_e^dag K_e - I| = |R^dag R - I| for the (E N, N)
+    row stack R of an (E, N, N) Kraus stack."""
+    rows = kraus.reshape(-1, kraus.shape[-1])
+    return float(np.max(np.abs(dagger(rows) @ rows - np.eye(kraus.shape[-1]))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +49,9 @@ class KrausChannel:
     """Completely positive trace-preserving map; ``kraus`` is a read-only
     (E, N, N) stack of the Kraus operators and ``choi_state`` its Choi state
     (see :func:`choi`), the one channel map every route reads, both built
-    once, here."""
+    once, here: for the (E, N^2) matrix V of the raveled K_e, J = (1/N)
+    V^T conj(V), which :func:`kraus_from_choi` inverts as V = (sqrt(N lambda)
+    U)^T, lambda and U the eigenvalues and eigenvector columns of J."""
 
     dim: int
     kraus: np.ndarray
@@ -69,12 +72,9 @@ class KrausChannel:
                 f"channel not trace-preserving: sum K^dag K deviates from I by {dev:.3e}"
             )
         n = self.dim
-        # (channel (x) id)(|psi_0><psi_0|) with all K_e (x) I at once, entry
-        # for entry what np.kron gives, so the sum is bit-identical to adding
-        # the operators' terms one at a time
-        eye = np.eye(n)[:, None, :]
-        kk = (kraus[:, :, None, :, None] * eye).reshape(-1, n * n, n * n)
-        mat = (kk @ _psi0_projector(n) @ kk.conj().swapaxes(-1, -2)).sum(axis=0)
+        # J = (1/N) V^T conj(V), 1/N the entry of |psi_0><psi_0|
+        vecs = kraus.reshape(-1, n * n)
+        mat = (vecs.T * _psi0_projector(n)[0, 0]) @ vecs.conj()
         object.__setattr__(self, "choi_state", ChoiMatrix.from_matrix(mat))
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
@@ -219,13 +219,13 @@ def depolarizing(p: float, n: int = 2) -> KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength must lie in [0, 1], got {p}")
     _check_size(n, "dimension", 2)
-    ops = [np.sqrt(1.0 - p + p / n**2) * np.eye(n, dtype=complex)]
-    scale = np.sqrt(p) / n
-    for a in range(n):
-        for b in range(n):
-            if a == 0 and b == 0:
-                continue
-            ops.append(scale * weyl_operator(n, a, b))
+    # the stack of all weyl_operator(n, a, b), W_ab[(k + b) % N, k] =
+    # exp(2 pi i k a / N), each phase rounded as weyl_operator rounds it
+    a, b, k = np.ix_(*(np.arange(n),) * 3)
+    weyl = np.zeros((n,) * 4, dtype=complex)
+    weyl[a, b, (k + b) % n, k] = np.exp(1j * (2 * np.pi * k * a / n))
+    ops = np.sqrt(p) / n * weyl.reshape(n * n, n, n)
+    ops[0] = np.sqrt(1.0 - p + p / n**2) * np.eye(n, dtype=complex)  # W_00 = I
     return KrausChannel(dim=n, kraus=ops)
 
 

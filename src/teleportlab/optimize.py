@@ -75,6 +75,9 @@ SPECULATE_PARAMETERS = 200
 # steps of +-1 directions a restart draws at once (see _directions); any
 # value draws the same directions
 DIRECTION_BLOCK = 32
+# the largest search dimension d = N P, checked before any array is built:
+# the objective keeps a map of 2 d^4 floats (_hermitian_map; 268 MB at 64)
+SEARCH_DIM_MAX = 64
 
 
 def _hermitian_indices(d: int) -> tuple:
@@ -159,29 +162,21 @@ def generator_from_unitary(u: np.ndarray) -> np.ndarray:
     return (h + h.conj().T) / 2.0
 
 
-def _outcome_labels(measured: str, n: int, p: int) -> np.ndarray:
-    """The sender's outcome for each computational basis state r*P + i of
-    A (x) a: 0 for ``"none"``, i for ``"ancilla"`` (it measures a only), the
-    state itself for ``"full"``; raises for any other ``measured`` and for
-    dimensions below 1."""
-    _check_dims(n, p)
-    if measured not in MEASUREMENT_CHOICES:
-        raise ValueError(
-            f"measured must be one of {MEASUREMENT_CHOICES}, got {measured!r}"
-        )
-    states = np.arange(n * p)
-    return {"none": 0 * states, "ancilla": states % p, "full": states}[measured]
-
-
 def _branch_count(measured: str, n: int, p: int) -> int:
-    """The sender's outcome count M (labels 0..M-1); raises as _outcome_labels."""
-    return int(_outcome_labels(measured, n, p).max()) + 1
+    """The sender's outcome count M; raises for any other ``measured``."""
+    if measured not in MEASUREMENT_CHOICES:
+        raise ValueError(f"measured must be one of {MEASUREMENT_CHOICES}, "
+                         f"got {measured!r}")
+    return {"none": 1, "ancilla": p, "full": n * p}[measured]
 
 
 def _theta_size(n: int, p: int, measured: str, pinned: bool) -> int:
     """Length of a parameter vector: the sender's generator, then one receiver's
     per outcome, as :func:`hermitian_to_vec` lays them out, then P-1 Schmidt
-    parameters unless mu is pinned; raises as :func:`_outcome_labels`."""
+    parameters unless mu is pinned; raises as :func:`_branch_count` and unless
+    n lies in 1..SEARCH_DIM_MAX and p in 1..SEARCH_DIM_MAX // n."""
+    _check_size(n, "system dimension n", 1, SEARCH_DIM_MAX)
+    _check_size(p, "local dimension p", 1, SEARCH_DIM_MAX // n)
     m = _branch_count(measured, n, p)
     return (1 + m) * (n * p) ** 2 + (0 if pinned else p - 1)
 
@@ -231,8 +226,12 @@ class ProtocolParameterization:
 
     def projections(self) -> np.ndarray:
         """The sender's measurement: stacked computational projectors on A (x) a,
-        one per outcome of :func:`_outcome_labels` (``"ancilla"``'s interleave)."""
-        return basis_projections(_outcome_labels(self.measured, self.n, self.local_dim))
+        one per outcome 0..M-1; basis state r*P + i has outcome 0 for
+        ``"none"``, i for ``"ancilla"`` (it measures a only), r*P + i for
+        ``"full"``."""
+        states = np.arange(self.n * self.local_dim)
+        return basis_projections({"none": 0 * states, "ancilla": states % self.local_dim,
+                                  "full": states}[self.measured])
 
     def generators(self) -> np.ndarray:
         """The (1+M, d, d) Hermitian generators: the sender's, then each

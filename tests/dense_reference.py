@@ -11,12 +11,26 @@ import numpy as np
 from teleportlab.optimize import STEP_DECAY, STEP_INIT, STOP_DELTA
 from teleportlab.protocol import _inner_products, block_operators
 from teleportlab.qmath import (_check_tol, dagger, embed_operator, factor_permutation,
-                               partial_trace)
+                               maximally_entangled, partial_trace, projector)
 
 
 def swap_matrix(dim_a: int, dim_b: int):
     """Unitary exchanging the two factors of an a (x) b product space."""
     return factor_permutation((dim_a, dim_b), (1, 0))
+
+
+def choi_kron_reference(kraus: np.ndarray) -> np.ndarray:
+    """The Choi state of an (E, N, N) Kraus stack as the per-operator Kronecker
+    sum sum_e (K_e (x) I)|psi_0><psi_0|(K_e (x) I)^dag."""
+    n = kraus.shape[-1]
+    eye = np.eye(n)
+    psi0 = projector(maximally_entangled(n))
+    return sum(np.kron(k, eye) @ psi0 @ np.kron(k, eye).conj().T for k in kraus)
+
+
+def tp_sum_reference(kraus: np.ndarray) -> np.ndarray:
+    """sum_e K_e^dag K_e of an (E, N, N) Kraus stack, one operator at a time."""
+    return sum(dagger(k) @ k for k in kraus)
 
 
 def check_state_reference(matrix: np.ndarray, what: str, tol: float) -> None:

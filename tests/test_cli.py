@@ -1,4 +1,5 @@
 import copy
+import importlib
 import json
 import re
 from pathlib import Path
@@ -373,6 +374,29 @@ def test_optimize_checks_n_against_the_channel_before_the_start_point(runner, tm
         "error: invalid config: channel dim 2 does not match protocol dim 1000000"]
 
 
+@pytest.mark.parametrize("measured", ["none", "ancilla", "full"])
+def test_optimize_refuses_an_oversized_search_before_building_it(
+        runner, tmp_path, monkeypatch, measured):
+    # at p = 10**6 the start point would hold ~(1 + M) 4 10**12 floats and the
+    # objective's map 2 (2 10**6)^4: N P is checked against SEARCH_DIM_MAX
+    # first, so neither is asked for
+    zeros = np.zeros
+
+    def small_zeros(shape, *args, **kwargs):
+        assert np.prod(shape) <= 10**6, f"np.zeros asked for {shape}"
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", small_zeros)
+    monkeypatch.setattr(importlib.import_module("teleportlab.optimize"), "_hermitian_map",
+                        _never_built)
+    path = _optimize_config(tmp_path, p=10**6, measured=measured,
+                            evaluation_budget=8, restarts=1, seed=1)
+    result = runner.invoke(main, ["optimize", "--depolarizing", "0.5", str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: invalid config: local dimension p must lie in 1..32, got 1000000"]
+
+
 @pytest.mark.parametrize("override", [{}, {"p": 3, "qt_warm_start": True}],
                          ids=["zero", "qt-warm-start"])
 def test_optimize_builds_no_parameterization_for_a_mismatched_n(
@@ -521,7 +545,7 @@ def test_teleport_negative_mu_exits_2_with_one_line(runner):
     ({"mu_fixed": [0, 0]}, "mu_fixed must be non-negative with a finite, "
                            "nonzero norm, got [0.0, 0.0]"),
     ({"n": 0}, "system dimension n must be >= 1, got 0"),
-    ({"p": -1}, "local dimension p must be >= 1, got -1"),
+    ({"p": -1}, "local dimension p must lie in 1..32, got -1"),
 ], ids=["mu_fixed-zero", "n-0", "p-negative"])
 def test_degenerate_config_exits_2_with_one_line(runner, tmp_path, override,
                                                  message):

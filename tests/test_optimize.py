@@ -413,8 +413,9 @@ _GOLDEN_SEARCHES = {
                 "a3801b4e7d98380aed035cca9c9defeca9acff44e2a646548af4e23a98a92aef"),
     "n3-full": (lambda: random_channel(3, 9, seed=3),
                 lambda: zero_parameterization(3, 3, "full"), (100, 1, 11, False),
-                ["0x1.2e54cbcab9029p-3"], "0x1.d2d401f0319c1p-1", 100,
-                "13f259793af76e752023ef7ca620e9396bd8ad591f78e53e549117c3c69217a8"),
+                # re-recorded for the Choi state built as one Gram product
+                ["0x1.2e54cbcab9028p-3"], "0x1.d2d401f0319c2p-1", 100,
+                "e944abe8c9d761e1bdfe86ef72e009578306bf72d70d1dfb24b88c7e45df154f"),
     "zero-warm": (lambda: depolarizing(0.5),
                   lambda: zero_parameterization(2, 2, "full", mu_fixed=_MU_B),
                   (100, 1, 3, True),
@@ -422,9 +423,9 @@ _GOLDEN_SEARCHES = {
                   "64e7075af3ea0b0ec6c227e936b3ed3f805a402a54c569dc29b795b7c6045163"),
     "n3-p1-none": (lambda: random_channel(3, 9, seed=4),
                    lambda: zero_parameterization(3, 1, "none"), (60, 1, 12, False),
-                   # re-recorded for the control superoperator
-                   ["0x1.cc8b69dcb3d05p-3"], "0x1.c13ad076b13efp-1", 58,
-                   "a072778e86759e117008a09235cfa41ec49019e4e3d922977a7544f9df4647fb"),
+                   # re-recorded for the Choi state built as one Gram product
+                   ["0x1.cc8b69dcb3d03p-3"], "0x1.c13ad076b13efp-1", 58,
+                   "17d9a2e8010a11561358a5a391fa57cfc97f445b97fdefa9c7a772a8ad7f52f0"),
 }
 
 

@@ -766,23 +766,23 @@ _GOLDEN_SIMULATIONS = {
     "n3-seed40": (lambda: (random_protocol(3, 3, 9, seed=40),
                            random_channel(3, 9, seed=41), random_state(3, seed=42)),
                   [0.2, 0.5, 0.8],
-                  # re-recorded for the process matrix read on the Choi state
-                  "828eb6018d55a981fb4719719f75497e5800ee5d78b866f82adf226663f0642c"),
+                  # re-recorded for the Choi state built as one Gram product
+                  "287f20b0bdbf5ecce4c3c81d2b3b16b09ab2152c7f821f3f67dd72aabaad2a14"),
     "n3-seed50": (lambda: (random_protocol(3, 3, 9, seed=50),
                            random_channel(3, 9, seed=51), random_state(3, seed=52)),
                   [0.6, 0.3, 0.1],
-                  # re-recorded for the process matrix read on the Choi state
-                  "ccc02e5e7afb4b13c40996880de888a2fb70ba95af34fcae133bbecce84115fd"),
+                  # re-recorded for the Choi state built as one Gram product
+                  "6870d74648b8436c62a36b75465961a1ecee06315cf1fe45ca15c2bbca5045df"),
     "n3-seed60": (lambda: (random_protocol(3, 3, 9, seed=60),
                            random_channel(3, 9, seed=61), random_state(3, seed=62)),
                   [1.0, 0.0, 0.0],
-                  # re-recorded for the process matrix read on the Choi state
-                  "94d6004b16f3d5fe614cb8024bc17ce915d7059d6ac1d3e9641d8e33224c9150"),
+                  # re-recorded for the Choi state built as one Gram product
+                  "06282593de9be6b34e800590dfcaef517904f98138b6137b13ec0d2cb7afb0f5"),
     "qt2": (lambda: (qt_protocol(2), random_channel(2, 4, seed=70),
                      random_state(2, seed=71)),
             [np.cos(np.pi / 8), np.sin(np.pi / 8)],
-            # re-recorded for the process matrix read on the Choi state
-            "b59fdfd774a3a77fb92d40bcadd4993e3cf5ab1d61c1a42c8971573ea490b965"),
+            # re-recorded for the Choi state built as one Gram product
+            "5516e41fe6f67cb2ae98ac069e1b205e1d973e64f0a7cef738b0e1489b6545ac"),
 }
 
 

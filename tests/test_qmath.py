@@ -338,10 +338,13 @@ _SIZE_SITES = {
                           "local dimension p", 1, None, 2, 2.5),
     "random_protocol-m": (lambda v: random_protocol(2, 2, v, 0),
                           "branch count", 1, 4, 2, 2.5),
+    # a search holds N P <= SEARCH_DIM_MAX = 64: n up to 64, p up to 64 // n
     "zero_parameterization-n": (lambda v: zero_parameterization(v, 1, "full"),
-                                "system dimension n", 1, None, 2, 2.5),
+                                "system dimension n", 1, 64, 2, 2.5),
     "zero_parameterization-p": (lambda v: zero_parameterization(2, v, "full"),
-                                "local dimension p", 1, None, 2, 2.5),
+                                "local dimension p", 1, 32, 2, 2.5),
+    "zero_parameterization-p-n3": (lambda v: zero_parameterization(3, v, "ancilla"),
+                                   "local dimension p", 1, 21, 2, 2.5),
     "qt_parameterization": (qt_parameterization, "system dimension n", 1, None, 2, 2.5),
     "vec_to_hermitian-d": (lambda v: vec_to_hermitian(np.zeros(4), v),
                            "matrix dimension d", 1, None, 2, 2.5),
