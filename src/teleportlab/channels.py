@@ -203,15 +203,21 @@ def identity_channel(n: int) -> KrausChannel:
     return KrausChannel(dim=n, kraus=np.eye(n, dtype=complex)[None])
 
 
+def _weyl(n: int, phase, shift) -> np.ndarray:
+    """The (..., n, n) stack of Weyl operators W_ab |k> = exp(2 pi i k a / n)
+    |k + b mod n>, one per entry of the broadcast integer index arrays
+    ``phase`` (a) and ``shift`` (b), unchecked; the one builder of W_ab."""
+    a, b = (np.asarray(x)[..., None, None] for x in (phase, shift))
+    row, k = np.ogrid[:n, :n]
+    return np.where(row == (k + b) % n, np.exp(1j * (2 * np.pi * k * a / n)), 0j)
+
+
 def weyl_operator(n: int, shift_phase: int, shift: int) -> np.ndarray:
     """Generalized Pauli W: |k> -> exp(2 pi i k p / n) |k + s mod n>."""
     _check_size(n, "Weyl dimension n", 1)
     _check_size(shift_phase, "Weyl phase index", 0, n - 1)
     _check_size(shift, "Weyl shift index", 0, n - 1)
-    w = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        w[(k + shift) % n, k] = np.exp(2j * np.pi * k * shift_phase / n)
-    return w
+    return _weyl(n, shift_phase, shift)
 
 
 def depolarizing(p: float, n: int = 2) -> KrausChannel:
@@ -219,12 +225,8 @@ def depolarizing(p: float, n: int = 2) -> KrausChannel:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength must lie in [0, 1], got {p}")
     _check_size(n, "dimension", 2)
-    # the stack of all weyl_operator(n, a, b), W_ab[(k + b) % N, k] =
-    # exp(2 pi i k a / N), each phase rounded as weyl_operator rounds it
-    a, b, k = np.ix_(*(np.arange(n),) * 3)
-    weyl = np.zeros((n,) * 4, dtype=complex)
-    weyl[a, b, (k + b) % n, k] = np.exp(1j * (2 * np.pi * k * a / n))
-    ops = np.sqrt(p) / n * weyl.reshape(n * n, n, n)
+    # every W_ab, scaled, in (a, b) order
+    ops = np.sqrt(p) / n * _weyl(n, *divmod(np.arange(n * n), n))
     ops[0] = np.sqrt(1.0 - p + p / n**2) * np.eye(n, dtype=complex)  # W_00 = I
     return KrausChannel(dim=n, kraus=ops)
 

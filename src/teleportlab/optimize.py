@@ -47,7 +47,6 @@ from .protocol import (
     ResourceProtocol,
     _check_channel_dim,
     _check_determinism,
-    _check_dims,
     _inner_products,
     _overlap,
     _residual,
@@ -260,8 +259,9 @@ def zero_parameterization(
 
 
 def qt_parameterization(n: int) -> ProtocolParameterization:
-    """Generators whose decoded protocol is the teleportation protocol."""
-    _check_dims(n, n)
+    """Generators whose decoded protocol is the teleportation protocol; n
+    (= P) lies in 1..isqrt(SEARCH_DIM_MAX), checked before anything is built."""
+    _check_size(n, "system dimension n", 1, math.isqrt(SEARCH_DIM_MAX))
     qt = qt_protocol(n)
     unitaries = [qt.sender_unitaries[0], *qt.receiver_unitaries]
     theta = np.concatenate([hermitian_to_vec(generator_from_unitary(u))
@@ -521,7 +521,8 @@ def optimize(
 def sweep_mu(ch: KrausChannel, theta_grid, cfg: OptimizationConfig) -> list:
     """Best fidelity per angle, mu(theta) = (cos t, sin t), at N = ch.dim, P = 2,
     as (theta, sum of mu, best fidelity) tuples; every angle must lie in
-    [0, pi/2]."""
+    [0, pi/2], and the channel dim in 2..SEARCH_DIM_MAX // 2."""
+    _check_size(ch.dim, "channel dimension", 2, SEARCH_DIM_MAX // 2)
     grid = [float(theta) for theta in theta_grid]
     for theta in grid:
         if not 0 <= theta <= np.pi / 2:  # NaN fails too

@@ -16,34 +16,30 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channels import KrausChannel, weyl_operator
+from .channels import KrausChannel, _weyl
 from .protocol import (AncillaResource, ResourceProtocol, _branch_probabilities,
                        _check_resource, apply_protocol, basis_projections)
 from .qmath import _check_size
 
 
-def bell_state(n: int, eta: int) -> np.ndarray:
-    """Vector (1/sqrt(N)) sum_k exp(2 pi i k n_/N) |k>|(k+m) mod N>, with
-    (n_, m) = divmod(eta, N); its coefficient matrix is the transposed Weyl
-    operator W(n_, m) over sqrt(N), for n >= 2."""
-    _check_size(n, "local dimension", 2)
-    _check_size(eta, "outcome index", 0, n * n - 1)
-    return weyl_operator(n, *divmod(eta, n)).T.reshape(-1) / np.sqrt(n)
-
-
 def bell_basis(n: int) -> np.ndarray:
-    """The N^2 Bell states of an N (x) N space, one per row, for n >= 2.
-
-    Index convention: row eta = n_*N + m, where n_ sets the phase gradient
-    and m the cyclic shift between the two factors.
-    """
+    """The N^2 Bell states of an N (x) N space, one per row, for n >= 2: row
+    eta = n_*N + m is the transposed Weyl operator W(n_, m) raveled over
+    sqrt(N), n_ the phase gradient and m the cyclic shift between the two
+    factors; its conjugate maps Bell state eta onto basis state eta."""
     _check_size(n, "local dimension", 2)
-    return np.array([bell_state(n, eta) for eta in range(n * n)])
+    weyl = _weyl(n, *divmod(np.arange(n * n), n))
+    return weyl.swapaxes(1, 2).reshape(n * n, n * n) / np.sqrt(n)
 
 
-def bell_rotation(n: int) -> np.ndarray:
-    """Unitary on N (x) N mapping Bell state eta onto computational basis state eta."""
-    return bell_basis(n).conj()
+def _corrections(n: int, eta) -> np.ndarray:
+    """The corrections of an integer or integer array ``eta`` of outcomes, a
+    (..., N^2, N^2) stack, unchecked; see :func:`correction_unitary`."""
+    undo = _weyl(n, *divmod(eta, n)).swapaxes(-1, -2)
+    # <x y| W |z w> = undo[x, w] delta(y, z): undo applied to b lands on the
+    # output leg, and the output's old content moves to b
+    out = np.einsum("yz,...xw->...xyzw", np.eye(n), undo)
+    return out.reshape(np.shape(eta) + (n * n, n * n))
 
 
 def correction_unitary(n: int, eta: int) -> np.ndarray:
@@ -55,10 +51,7 @@ def correction_unitary(n: int, eta: int) -> np.ndarray:
     """
     _check_size(n, "local dimension", 2)
     _check_size(eta, "outcome index", 0, n * n - 1)
-    undo = weyl_operator(n, *divmod(eta, n)).T
-    # <x y| W |z w> = undo[x, w] delta(y, z): undo applied to b lands on the
-    # output leg, and the output's old content moves to b
-    return np.einsum("yz,xw->xyzw", np.eye(n), undo).reshape(n * n, n * n)
+    return _corrections(n, eta)
 
 
 @lru_cache(maxsize=8, typed=True)  # typed: n = 2.0 must miss N = 2 and raise
@@ -77,8 +70,8 @@ def qt_protocol(n: int) -> ResourceProtocol:
         n=n,
         resource=AncillaResource(mu=np.full(n, 1.0 / np.sqrt(n))),
         sender_projections=basis_projections(np.arange(d)),
-        sender_unitaries=np.broadcast_to(bell_rotation(n), (d, d, d)),
-        receiver_unitaries=[correction_unitary(n, eta) for eta in range(d)],
+        sender_unitaries=np.broadcast_to(bell_basis(n).conj(), (d, d, d)),
+        receiver_unitaries=_corrections(n, np.arange(d)),
     )
 
 

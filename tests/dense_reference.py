@@ -19,6 +19,15 @@ def swap_matrix(dim_a: int, dim_b: int):
     return factor_permutation((dim_a, dim_b), (1, 0))
 
 
+def weyl_reference(n: int, shift_phase: int, shift: int) -> np.ndarray:
+    """The Weyl operator W: |k> -> exp(2 pi i k p / n) |k + s mod n>, one
+    column k at a time."""
+    w = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        w[(k + shift) % n, k] = np.exp(2j * np.pi * k * shift_phase / n)
+    return w
+
+
 def choi_kron_reference(kraus: np.ndarray) -> np.ndarray:
     """The Choi state of an (E, N, N) Kraus stack as the per-operator Kronecker
     sum sum_e (K_e (x) I)|psi_0><psi_0|(K_e (x) I)^dag."""

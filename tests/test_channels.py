@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from dense_reference import (check_state_reference, choi_check_reference,
-                             choi_kron_reference, tp_sum_reference)
+                             choi_kron_reference, tp_sum_reference, weyl_reference)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +13,7 @@ from teleportlab.channels import (
     ChoiMatrix,
     KrausChannel,
     _tp_deviation,
+    _weyl,
     apply_on_factor,
     channel_to_dict,
     choi,
@@ -158,9 +159,37 @@ def test_depolarizing_kraus_stack_is_the_scaled_weyl_operators(n):
     # bit, sqrt(1 - p + p/N^2) I first, then each other W_ab in (a, b) order
     for p in (0.0, 0.1, 0.3, 0.5, 0.77, 1.0):
         expected = [np.sqrt(1.0 - p + p / n**2) * np.eye(n, dtype=complex)]
-        expected += [np.sqrt(p) / n * weyl_operator(n, a, b)
+        expected += [np.sqrt(p) / n * weyl_reference(n, a, b)
                      for a in range(n) for b in range(n) if a or b]
         assert depolarizing(p, n).kraus.tobytes() == np.array(expected).tobytes()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_weyl_builder_is_the_per_column_reference_bit_for_bit(n):
+    # one operator, a broadcast index grid and weyl_operator all give the
+    # bits of the per-column loop
+    expected = np.array([[weyl_reference(n, a, b) for b in range(n)] for a in range(n)])
+    grid = _weyl(n, np.arange(n)[:, None], np.arange(n))
+    assert grid.shape == (n, n, n, n)
+    assert grid.tobytes() == expected.tobytes()
+    for a in range(n):
+        for b in range(n):
+            for w in (_weyl(n, a, b), weyl_operator(n, a, b)):
+                assert w.shape == (n, n)
+                assert w.tobytes() == expected[a, b].tobytes()
+
+
+def test_weyl_operator_builds_only_what_it_returns():
+    # one 64 x 64 operator (64 KB) peaks below 4 times its size; a row taken
+    # from the whole stack of 64^2 operators would peak at about 4000 times
+    weyl_operator(2, 1, 1)
+    tracemalloc.start()
+    try:
+        out = weyl_operator(64, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * out.nbytes
 
 
 def test_choi_depolarizing_eigenvalues():

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from hypothesis import strategies as st
 
 from dense_reference import ascend_reference
-from teleportlab.channels import choi, depolarizing, random_channel
+from teleportlab.channels import choi, depolarizing, identity_channel, random_channel
 from teleportlab.cli import main
 from teleportlab.optimize import (
     DIRECTION_BLOCK,
@@ -214,6 +214,26 @@ def test_non_finite_theta_rejected_at_construction(value):
 def test_dimensions_below_one_rejected(build, message):
     with pytest.raises(ValueError, match=message):
         build()
+
+
+def _never_built(*args):
+    raise AssertionError(f"built before the size check: {args}")
+
+
+def test_qt_parameterization_checks_n_before_building(monkeypatch):
+    # N = P = 9 is a search of d = 81 > SEARCH_DIM_MAX: the message names
+    # the n the caller passed, and no teleportation protocol is built first
+    monkeypatch.setattr(_OPTIMIZE, "qt_protocol", _never_built)
+    with pytest.raises(ValueError, match=r"^system dimension n must lie in 1\.\.8, got 9$"):
+        qt_parameterization(9)
+
+
+def test_sweep_checks_the_channel_dim_before_searching(monkeypatch):
+    # a sweep searches at P = 2, so the channel dim is bounded by 64 // 2
+    monkeypatch.setattr(_OPTIMIZE, "zero_parameterization", _never_built)
+    cfg = OptimizationConfig(evaluation_budget=10, restarts=1, seed=0)
+    with pytest.raises(ValueError, match=r"^channel dimension must lie in 2\.\.32, got 33$"):
+        sweep_mu(identity_channel(33), [0.5], cfg)
 
 
 def test_mu_map_uniform_at_zero():

@@ -29,8 +29,7 @@ from teleportlab.qmath import (
     tensor,
     trace_distance,
 )
-from teleportlab.teleport import (bell_basis, bell_state, correction_unitary,
-                                  qt_protocol)
+from teleportlab.teleport import bell_basis, correction_unitary, qt_protocol
 from teleportlab.theorem import entanglement_bound
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -345,7 +344,8 @@ _SIZE_SITES = {
                                 "local dimension p", 1, 32, 2, 2.5),
     "zero_parameterization-p-n3": (lambda v: zero_parameterization(3, v, "ancilla"),
                                    "local dimension p", 1, 21, 2, 2.5),
-    "qt_parameterization": (qt_parameterization, "system dimension n", 1, None, 2, 2.5),
+    # and qt_parameterization N = P up to isqrt(64) = 8
+    "qt_parameterization": (qt_parameterization, "system dimension n", 1, 8, 2, 2.5),
     "vec_to_hermitian-d": (lambda v: vec_to_hermitian(np.zeros(4), v),
                            "matrix dimension d", 1, None, 2, 2.5),
     "ResourceProtocol": (lambda v: ResourceProtocol(
@@ -357,8 +357,6 @@ _SIZE_SITES = {
                            "outcome index", 0, 3, 1, 1.5),
     "correction_unitary-n": (lambda v: correction_unitary(v, 0),
                              "local dimension", 2, None, 2, 2.5),
-    "bell_state-eta": (lambda v: bell_state(2, v), "outcome index", 0, 3, 1, 1.5),
-    "bell_state-n": (lambda v: bell_state(v, 0), "local dimension", 2, None, 2, 2.5),
     "qt_protocol": (qt_protocol, "teleportation dimension N", 2, None, 2, 2.5),
     "entanglement_bound-n": (lambda v: entanglement_bound(AncillaResource(mu=[1.0]), v),
                              "system dimension n", 1, None, 2, 2.5),

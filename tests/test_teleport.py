@@ -1,8 +1,10 @@
+import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from dense_reference import swap_matrix
+from dense_reference import swap_matrix, weyl_reference
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,8 +20,6 @@ from teleportlab.qmath import (
 )
 from teleportlab.teleport import (
     bell_basis,
-    bell_rotation,
-    bell_state,
     correction_unitary,
     qt_protocol,
     teleport,
@@ -28,12 +28,12 @@ from teleportlab.teleport import (
 
 
 def test_bell_state_eta0_is_maximally_entangled():
-    np.testing.assert_allclose(bell_state(2, 0), maximally_entangled(2), atol=1e-15)
+    np.testing.assert_allclose(bell_basis(2)[0], maximally_entangled(2), atol=1e-15)
 
 
 def test_bell_state_eta1_shift():
     expected = np.array([0, 1, 1, 0]) / np.sqrt(2)  # (|01> + |10>)/sqrt2
-    np.testing.assert_allclose(bell_state(2, 1), expected, atol=1e-15)
+    np.testing.assert_allclose(bell_basis(2)[1], expected, atol=1e-15)
 
 
 def test_bell_projectors_match_states():
@@ -78,6 +78,55 @@ def test_correction_unitary_eta2_phases():
 def test_correction_unitary_rejects_bad_eta():
     with pytest.raises(ValueError):
         correction_unitary(2, 4)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_bell_states_and_corrections_are_the_per_outcome_builds_bit_for_bit(n):
+    # row eta of bell_basis is the transposed Weyl operator W(divmod(eta, N))
+    # raveled over sqrt(N), and correction eta the per-outcome einsum of its
+    # transpose with the identity; qt_protocol holds the same bits
+    basis, qt = bell_basis(n), qt_protocol(n)
+    for eta in range(n * n):
+        undo = weyl_reference(n, *divmod(eta, n)).T
+        assert basis[eta].tobytes() == (undo.reshape(-1) / np.sqrt(n)).tobytes()
+        expected = np.einsum("yz,xw->xyzw", np.eye(n), undo).reshape(n * n, n * n)
+        assert correction_unitary(n, eta).tobytes() == expected.tobytes()
+        assert qt.receiver_unitaries[eta].tobytes() == expected.tobytes()
+        assert qt.sender_unitaries[eta].tobytes() == basis.conj().tobytes()
+
+
+def test_correction_unitary_builds_only_what_it_returns():
+    # one 256 x 256 correction (1 MB) peaks below 4 times its size; a row
+    # taken from the stack of all 256 corrections would peak at about 256 MB
+    correction_unitary(2, 1)
+    tracemalloc.start()
+    try:
+        out = correction_unitary(16, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * out.nbytes
+
+
+# sha256 of qt_protocol(N)'s sender projections, sender unitaries, receivers,
+# branches and mu, in that order
+_QT_DIGESTS = {
+    2: "f60a3178a8af7cd3356e00d376fcfd04ae638431781e0270ba679fd03d565429",
+    3: "cdcc855637711afbc81a9c0d30435da126a55ccbcf4b6f1daede11169d542951",
+    4: "128c0bb690611922c4204e3520b4ccefdfa033195768d3bee8f09004c961eed3",
+    5: "857e2b1f6cebc43570e3be2cb1b832e3f311f97f0dee78db8e1e63094401a589",
+    6: "b39b9335978c55966e7c0d5e231bf4de09195e41ff7691cbfb708a7564e31e37",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_QT_DIGESTS))
+def test_qt_protocol_arrays_keep_their_bits(n):
+    qt = qt_protocol(n)
+    digest = hashlib.sha256()
+    for arr in (qt.sender_projections, qt.sender_unitaries, qt.receiver_unitaries,
+                qt.branches, qt.resource.mu):
+        digest.update(np.ascontiguousarray(arr).tobytes())
+    assert digest.hexdigest() == _QT_DIGESTS[n]
 
 
 def test_teleport_through_fully_depolarizing():
@@ -163,10 +212,11 @@ def test_branch_probabilities_partial_resource_any_dim(raw, seed):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_bell_rotation_maps_bell_states_to_basis(n):
-    rotation = bell_rotation(n)
+    basis = bell_basis(n)
+    rotation = basis.conj()
     np.testing.assert_allclose(rotation @ rotation.conj().T, np.eye(n * n), atol=1e-12)
     for eta in range(n * n):
-        np.testing.assert_allclose(rotation @ bell_state(n, eta), np.eye(n * n)[eta],
+        np.testing.assert_allclose(rotation @ basis[eta], np.eye(n * n)[eta],
                                    atol=1e-12)
 
 
