@@ -19,12 +19,14 @@ from functools import cached_property
 import numpy as np
 
 from .qmath import (
+    SEARCH_DIM_MAX,
     _INTEGER,
     _MATRICES,
     _check_size,
     _check_state,
     _check_tol,
     _haar_isometry,
+    _load_json,
     _operator_stack,
     _psi0_projector,
     _read_json,
@@ -58,7 +60,7 @@ class KrausChannel:
     choi_state: ChoiMatrix = field(init=False, repr=False)
 
     def __post_init__(self):
-        _check_size(self.dim, "channel dimension", 2)
+        _check_size(self.dim, "channel dimension", 2, SEARCH_DIM_MAX)
         if len(self.kraus) == 0:
             raise ValueError("channel needs at least one Kraus operator")
         kraus = _operator_stack(self.kraus, self.dim, "Kraus operator",
@@ -200,6 +202,7 @@ def apply_on_factor(ch: KrausChannel, rho: np.ndarray, dims, which: int) -> np.n
 
 def identity_channel(n: int) -> KrausChannel:
     """The noiseless channel on an n-level system."""
+    _check_size(n, "channel dimension", 2, SEARCH_DIM_MAX)
     return KrausChannel(dim=n, kraus=np.eye(n, dtype=complex)[None])
 
 
@@ -224,7 +227,7 @@ def depolarizing(p: float, n: int = 2) -> KrausChannel:
     """Depolarizing channel rho -> p I/N + (1-p) rho on an N-level system."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"depolarizing strength must lie in [0, 1], got {p}")
-    _check_size(n, "dimension", 2)
+    _check_size(n, "dimension", 2, SEARCH_DIM_MAX)
     # every W_ab, scaled, in (a, b) order
     ops = np.sqrt(p) / n * _weyl(n, *divmod(np.arange(n * n), n))
     ops[0] = np.sqrt(1.0 - p + p / n**2) * np.eye(n, dtype=complex)  # W_00 = I
@@ -237,7 +240,7 @@ def random_channel(n: int, target_rank: int, seed) -> KrausChannel:
     The isometry maps the system into system (x) environment with environment
     dimension equal to the requested rank; deterministic per seed.
     """
-    _check_size(n, "channel dimension", 2)
+    _check_size(n, "channel dimension", 2, SEARCH_DIM_MAX)
     _check_size(target_rank, "rank", 1, n * n)
     isometry = _haar_isometry(n * target_rank, n, seed).reshape(n, target_rank, n)
     return KrausChannel(dim=n, kraus=isometry.transpose(1, 0, 2))
@@ -260,8 +263,7 @@ _CHANNEL_KEYS = {"dim": _INTEGER, "kraus": _MATRICES}
 
 def load_channel(path) -> KrausChannel:
     """Read a channel JSON file; rejects invalid files with a diagnostic."""
-    with open(path) as fh:
-        data = _read_json(json.load(fh), _CHANNEL_KEYS)
+    data = _read_json(_load_json(path), _CHANNEL_KEYS)
     return KrausChannel(dim=data["dim"],
                         kraus=[matrix_from_pairs(k) for k in data["kraus"]])
 

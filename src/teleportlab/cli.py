@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 
 import click
 import numpy as np
@@ -50,6 +51,7 @@ from .qmath import (
     _NUMBERS,
     _check_size,
     _check_tol,
+    _load_json,
     _read_json,
     assert_density_matrix,
     fidelity,
@@ -57,7 +59,7 @@ from .qmath import (
     matrix_to_pairs,
     random_state,
 )
-from .teleport import qt_protocol, teleport_detailed
+from .teleport import _check_qt_dim, qt_protocol, teleport_detailed
 from .theorem import proof_report
 
 EXIT_INPUT_ERROR = 2
@@ -69,16 +71,42 @@ def _fail(code: int, message: str):
     sys.exit(code)
 
 
+@contextmanager
+def _exits(code: int = EXIT_INPUT_ERROR, prefix: str = ""):
+    """The one boundary from errors to exit codes: a ValueError or OSError
+    raised in the block exits ``code`` with ``error: <prefix><message>``."""
+    try:
+        yield
+    except (ValueError, OSError) as exc:
+        _fail(code, f"{prefix}{exc}")
+
+
+def _numbers(text: str, option: str) -> list:
+    """The comma-separated numbers of an option's value."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ValueError(
+            f"{option} must be comma-separated numbers, got {text!r}") from None
+
+
+def _channel_options(command):
+    """The --depolarizing P and --dim N options of every command that takes
+    a channel."""
+    command = click.option("--dim", type=int, default=2, show_default=True,
+                           help="System dimension for --depolarizing.")(command)
+    return click.option(
+        "--depolarizing", "depolarizing_p", type=float, default=None,
+        help="Build a depolarizing channel instead of reading a file.")(command)
+
+
 def _emit(text: str, out_path) -> None:
     """Write text to out_path (exit 2 if it cannot be written), else to stdout."""
     if not out_path:
         click.echo(text, nl=False)
         return
-    try:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    except OSError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
+    with _exits(), open(out_path, "w") as fh:
+        fh.write(text)
 
 
 def _command_result(command: str, inputs: dict, outputs: dict, seed=None) -> str:
@@ -90,26 +118,21 @@ def _resolve_channel(channel_file, depolarizing_p, dim) -> tuple[KrausChannel, d
     if (channel_file is None) == (depolarizing_p is None):
         _fail(EXIT_INPUT_ERROR,
               "provide exactly one of CHANNEL_FILE or --depolarizing P")
-    try:
+    with _exits():
         if channel_file is not None:
             return load_channel(channel_file), {"channel_file": str(channel_file)}
         ch = depolarizing(depolarizing_p, dim)
         return ch, {"depolarizing": depolarizing_p, "dim": dim}
-    except (ValueError, OSError) as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
 
 
 def _tolerance(ctx, param, tol: float) -> float:
-    try:
+    with _exits(prefix="--"):
         _check_tol(tol)
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, f"--{exc}")
     return tol
 
 
 def _load_state(path) -> np.ndarray:
-    with open(path) as fh:
-        dim, matrix = _read_json(json.load(fh), _STATE_KEYS).values()
+    dim, matrix = _read_json(_load_json(path), _STATE_KEYS).values()
     rho = matrix_from_pairs(matrix)
     if len(rho) != dim:
         raise ValueError(f"'matrix' shape {rho.shape} does not match 'dim' {dim}")
@@ -128,10 +151,7 @@ def main(ctx):
 
 @main.command("channel-info")
 @click.argument("channel_file", required=False, type=click.Path(exists=False))
-@click.option("--depolarizing", "depolarizing_p", type=float, default=None,
-              help="Build a depolarizing channel instead of reading a file.")
-@click.option("--dim", type=int, default=2, show_default=True,
-              help="System dimension for --depolarizing.")
+@_channel_options
 @click.option("--tol", type=float, default=1e-10, show_default=True,
               callback=_tolerance, help="Relative eigenvalue cutoff for the rank.")
 @click.option("--out", type=click.Path(), default=None, help="Write JSON here.")
@@ -155,8 +175,7 @@ def cmd_channel_info(channel_file, depolarizing_p, dim, tol, out):
 
 @main.command("teleport")
 @click.argument("channel_file", required=False, type=click.Path(exists=False))
-@click.option("--depolarizing", "depolarizing_p", type=float, default=None)
-@click.option("--dim", type=int, default=2, show_default=True)
+@_channel_options
 @click.option("--state", "state_file", type=click.Path(), default=None,
               help="Density-matrix JSON file to teleport.")
 @click.option("--random", "random_seed", type=int, default=None,
@@ -169,23 +188,15 @@ def cmd_teleport(channel_file, depolarizing_p, dim, state_file, random_seed, mu,
     ch, echo = _resolve_channel(channel_file, depolarizing_p, dim)
     if (state_file is None) == (random_seed is None):
         _fail(EXIT_INPUT_ERROR, "provide exactly one of --state or --random SEED")
-    try:
+    with _exits():
         if state_file is not None:
             rho = _load_state(state_file)
         else:
             _check_size(random_seed, "--random", 0)
             rho = random_state(ch.dim, random_seed)
-        resource = None
-        if mu is not None:
-            try:
-                coeffs = [float(x) for x in mu.split(",")]
-            except ValueError:
-                raise ValueError(
-                    f"--mu must be comma-separated numbers, got {mu!r}") from None
-            resource = AncillaResource(mu=_schmidt_weights(coeffs, ch.dim, "--mu"))
+        resource = None if mu is None else AncillaResource(
+            mu=_schmidt_weights(_numbers(mu, "--mu"), ch.dim, "--mu"))
         output, probs = teleport_detailed(rho, ch, resource)
-    except (ValueError, OSError) as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
     outputs = {
         "output_state": matrix_to_pairs(output),
         "fidelity_to_input": fidelity(output, rho),
@@ -199,9 +210,8 @@ def cmd_teleport(channel_file, depolarizing_p, dim, state_file, random_seed, mu,
 @click.argument("protocol_file", required=False, type=click.Path(exists=False))
 @click.argument("channel_file", required=False, type=click.Path(exists=False))
 @click.option("--qt", "qt_dim", type=int, default=None,
-              help="Verify the N-level teleportation protocol (N >= 2).")
-@click.option("--depolarizing", "depolarizing_p", type=float, default=None)
-@click.option("--dim", type=int, default=2, show_default=True)
+              help="Verify the N-level teleportation protocol (N in 2..8).")
+@_channel_options
 @click.option("--tol", type=float, default=1e-9, show_default=True,
               callback=_tolerance)
 @click.option("--out", type=click.Path(), default=None, help="Write JSON here.")
@@ -212,34 +222,25 @@ def cmd_protocol_verify(protocol_file, channel_file, qt_dim, depolarizing_p,
         protocol_file, channel_file = None, protocol_file
     if (protocol_file is None) == (qt_dim is None):
         _fail(EXIT_INPUT_ERROR, "provide exactly one of PROTOCOL_FILE or --qt N")
-    try:
+    with _exits():
         if protocol_file is not None:
             proto = load_protocol(protocol_file, validate=False)
         else:  # qt_protocol(N) is built once the channel's dim matches N
-            _check_size(qt_dim, "teleportation dimension N", 2)
-    except (ValueError, OSError) as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
+            _check_qt_dim(qt_dim)
     ch, echo = _resolve_channel(channel_file, depolarizing_p, dim)
-    try:
-        if qt_dim is not None:
+    if qt_dim is not None:
+        with _exits():
             _check_channel_dim(qt_dim, ch)
             proto = qt_protocol(qt_dim)
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
-    try:
+    with _exits(EXIT_SEMANTIC_ERROR):
         determinism_residual = proto.check_determinism(tol=tol)
-    except ValueError as exc:
-        _fail(EXIT_SEMANTIC_ERROR, str(exc))
-    try:
+    with _exits():
         _check_channel_dim(proto.n, ch)
-    except ValueError as exc:
-        _fail(EXIT_INPUT_ERROR, str(exc))
 
     r = choi(ch)
-    try:  # a loose --tol can pass operators whose Choi state is no state
+    # a loose --tol can pass operators whose Choi state is no state
+    with _exits(EXIT_SEMANTIC_ERROR, "controlled Choi state is not a state: "):
         controlled, direct = control_map(proto, r), effective_choi(proto, ch)
-    except ValueError as exc:
-        _fail(EXIT_SEMANTIC_ERROR, f"controlled Choi state is not a state: {exc}")
     consistency_gap = float(np.linalg.norm(controlled.matrix - direct.matrix))
     res = _residual(controlled)
     ent_fid = target_overlap(proto, r)
@@ -279,8 +280,7 @@ _CONFIG_KEYS = {
 def _load_config(path, seed_override) -> tuple[dict, dict]:
     """The config file's JSON object (``--seed`` applied) and its values by
     key, defaults filled in, as ``_read_json`` reads them."""
-    with open(path) as fh:
-        data = json.load(fh)
+    data = _load_json(path)
     if seed_override is not None and isinstance(data, dict):
         data["seed"] = seed_override
     return data, _read_json(data, _CONFIG_KEYS)
@@ -328,8 +328,7 @@ def _split_channel_and_config(files, depolarizing_p):
 
 @main.command("optimize")
 @click.argument("files", nargs=-1, type=click.Path(exists=False))
-@click.option("--depolarizing", "depolarizing_p", type=float, default=None)
-@click.option("--dim", type=int, default=2, show_default=True)
+@_channel_options
 @click.option("--seed", "seed_override", type=int, default=None,
               help="Override the seed from the config file.")
 @click.option("--trace", "trace_file", type=click.Path(), default=None,
@@ -339,15 +338,13 @@ def cmd_optimize(files, depolarizing_p, dim, seed_override, trace_file, out):
     """Search protocol space for the best fidelity under a resource budget."""
     channel_file, config_file = _split_channel_and_config(files, depolarizing_p)
     ch, echo = _resolve_channel(channel_file, depolarizing_p, dim)
-    try:
+    with _exits(prefix="invalid config: "):
         data, values = _load_config(config_file, seed_override)
         _check_size(values["n"], "system dimension n", 1)
         _check_channel_dim(values["n"], ch)  # before a start point of ~(n*p)^3 floats
         base = _parameterization_from_config(values)
         cfg = _search_config(values)
         result = run_optimize(ch, base, cfg)
-    except (ValueError, OSError) as exc:
-        _fail(EXIT_INPUT_ERROR, f"invalid config: {exc}")
     if trace_file:
         _emit("restart,step,best_fidelity\n" + "".join(
             f"{idx},{step},{value:.12f}\n"
@@ -362,8 +359,7 @@ def cmd_optimize(files, depolarizing_p, dim, seed_override, trace_file, out):
 @click.argument("files", nargs=-1, type=click.Path(exists=False))
 @click.option("--theta-grid", required=True,
               help="Comma-separated entanglement angles in [0, pi/2].")
-@click.option("--depolarizing", "depolarizing_p", type=float, default=None)
-@click.option("--dim", type=int, default=2, show_default=True)
+@_channel_options
 @click.option("--seed", "seed_override", type=int, default=None,
               help="Override the seed from the config file.")
 @click.option("--out", type=click.Path(), default=None, help="Write CSV here.")
@@ -371,19 +367,14 @@ def cmd_sweep(files, theta_grid, depolarizing_p, dim, seed_override, out):
     """Best fidelity per entanglement angle, mu(theta) = (cos t, sin t)."""
     channel_file, config_file = _split_channel_and_config(files, depolarizing_p)
     ch, _ = _resolve_channel(channel_file, depolarizing_p, dim)
-    try:
-        grid = [float(x) for x in theta_grid.split(",")]
-    except ValueError:
-        _fail(EXIT_INPUT_ERROR,
-              f"--theta-grid must be comma-separated numbers, got {theta_grid!r}")
-    try:
+    with _exits():
+        grid = _numbers(theta_grid, "--theta-grid")
+    with _exits(prefix="invalid input: "):
         values = _load_config(config_file, seed_override)[1]
         if values["qt_warm_start"]:
             raise ValueError("qt_warm_start must be false: sweep pins mu, and "
                              "the teleportation warm start needs free mu")
         rows = sweep_mu(ch, grid, _search_config(values))
-    except (ValueError, OSError) as exc:
-        _fail(EXIT_INPUT_ERROR, f"invalid input: {exc}")
     _emit("theta,sumMu,bestFidelity,seed\n" + "".join(
         f"{theta:.12f},{sum_mu:.12f},{best:.12f},{values['seed']}\n"
         for theta, sum_mu, best in rows), out)

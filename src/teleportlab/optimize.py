@@ -54,7 +54,7 @@ from .protocol import (
     basis_projections,
     control_map,
 )
-from .qmath import _check_size
+from .qmath import SEARCH_DIM_MAX, _check_size
 from .teleport import qt_protocol
 
 MEASUREMENT_CHOICES = ("none", "ancilla", "full")
@@ -74,9 +74,6 @@ SPECULATE_PARAMETERS = 200
 # steps of +-1 directions a restart draws at once (see _directions); any
 # value draws the same directions
 DIRECTION_BLOCK = 32
-# the largest search dimension d = N P, checked before any array is built:
-# the objective keeps a map of 2 d^4 floats (_hermitian_map; 268 MB at 64)
-SEARCH_DIM_MAX = 64
 
 
 def _hermitian_indices(d: int) -> tuple:

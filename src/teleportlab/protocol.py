@@ -28,8 +28,8 @@ import numpy as np
 
 from .channels import ChoiMatrix, KrausChannel, choi
 from .qmath import (_INTEGER, _MATRICES, _MATRIX, _NUMBERS, _check_size,
-                    _check_tol, _operator_stack, _psi0_projector, _read_json,
-                    haar_unitary, matrix_from_pairs, matrix_to_pairs)
+                    _check_tol, _load_json, _operator_stack, _psi0_projector,
+                    _read_json, haar_unitary, matrix_from_pairs, matrix_to_pairs)
 
 
 DETERMINISM_TOL = 1e-10  # the determinism gate's default bound on |Gram - I|
@@ -501,8 +501,7 @@ _SENDER_KEYS = {"projection": _MATRIX, "unitary": _MATRIX}
 
 def load_protocol(path, validate: bool = True) -> ResourceProtocol:
     """Read a protocol JSON file, validating determinism by default."""
-    with open(path) as fh:
-        data = _read_json(json.load(fh), _PROTOCOL_KEYS)
+    data = _read_json(_load_json(path), _PROTOCOL_KEYS)
     sender = [_read_json(entry, _SENDER_KEYS, f"sender[{i}].")
               for i, entry in enumerate(data["sender"])]
     for key, declared in (("mu", "P"), ("sender", "M"), ("receiver", "M")):

@@ -12,6 +12,11 @@ from functools import lru_cache
 
 import numpy as np
 
+# the largest d of a kept d^4 array, checked before any is built: a search's
+# map of 2 d^4 floats (d = N P), a channel's Choi state (d = N) and
+# qt_protocol's process matrix (d = N^2) each hold 268 MB at d = 64
+SEARCH_DIM_MAX = 64
+
 
 def tensor(*factors: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more vectors or matrices."""
@@ -317,6 +322,16 @@ _MATRICES = (lambda v: type(v) is list and all(map(_MATRIX[0], v)),
 def _brief(value) -> str:
     text = json.dumps(value)
     return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _load_json(path):
+    """The JSON document in the file at ``path``: OSError if it cannot be
+    read, one ValueError if it is no JSON or nests too deeply to parse."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError("JSON nests too deeply to parse") from None
 
 
 def _read_json(source, keys: dict, where: str = "") -> dict:

@@ -11,6 +11,7 @@ out (see ``protocol.apply_protocol``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 from functools import lru_cache
 
@@ -19,7 +20,7 @@ import numpy as np
 from .channels import KrausChannel, _weyl
 from .protocol import (AncillaResource, ResourceProtocol, _branch_probabilities,
                        _check_resource, apply_protocol, basis_projections)
-from .qmath import _check_size
+from .qmath import SEARCH_DIM_MAX, _check_size
 
 
 def bell_basis(n: int) -> np.ndarray:
@@ -54,6 +55,12 @@ def correction_unitary(n: int, eta: int) -> np.ndarray:
     return _corrections(n, eta)
 
 
+def _check_qt_dim(n: int) -> None:
+    """Raise unless N lies in 2..isqrt(SEARCH_DIM_MAX) = 8: qt_protocol(N)
+    keeps an N^8 process matrix."""
+    _check_size(n, "teleportation dimension N", 2, math.isqrt(SEARCH_DIM_MAX))
+
+
 @lru_cache(maxsize=8, typed=True)  # typed: n = 2.0 must miss N = 2 and raise
 def qt_protocol(n: int) -> ResourceProtocol:
     """The teleportation protocol as a resource protocol.
@@ -64,7 +71,7 @@ def qt_protocol(n: int) -> ResourceProtocol:
     the Bell states directly, since the measured system is discarded.
     Cached: every caller shares one protocol, whose arrays are read-only.
     """
-    _check_size(n, "teleportation dimension N", 2)
+    _check_qt_dim(n)
     d = n * n
     return ResourceProtocol(
         n=n,

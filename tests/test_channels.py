@@ -9,6 +9,7 @@ from dense_reference import (check_state_reference, choi_check_reference,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import teleportlab.channels as channels_module
 from teleportlab.channels import (
     ChoiMatrix,
     KrausChannel,
@@ -190,6 +191,26 @@ def test_weyl_operator_builds_only_what_it_returns():
     finally:
         tracemalloc.stop()
     assert peak < 4 * out.nbytes
+
+
+def _never_built(*args, **kwargs):
+    raise AssertionError("built before the dimension check")
+
+
+def test_depolarizing_checks_the_dimension_before_the_weyl_stack(monkeypatch):
+    # depolarizing(p, 1000) asked for 7.45 GiB in _weyl
+    monkeypatch.setattr(channels_module, "_weyl", _never_built)
+    with pytest.raises(ValueError, match=r"^dimension must lie in 2\.\.64, got 65$"):
+        depolarizing(0.5, 65)
+
+
+def test_kraus_channel_checks_the_dimension_before_the_choi_state(monkeypatch):
+    # at dim 200 the Choi state's Gram product asked for 23.8 GiB
+    for name in ("_operator_stack", "_psi0_projector"):
+        monkeypatch.setattr(channels_module, name, _never_built)
+    with pytest.raises(ValueError,
+                       match=r"^channel dimension must lie in 2\.\.64, got 65$"):
+        KrausChannel(dim=65, kraus=np.eye(65)[None])
 
 
 def test_choi_depolarizing_eigenvalues():

@@ -69,7 +69,7 @@ def test_channel_info_dim_1_file_exits_2_naming_the_channel_dimension(runner, tm
     result = runner.invoke(main, ["channel-info", str(path)])
     assert result.exit_code == 2
     assert result.stderr.splitlines() == [
-        "error: channel dimension must be >= 2, got 1"]
+        "error: channel dimension must lie in 2..64, got 1"]
 
 
 def test_channel_info_requires_one_source(runner):
@@ -145,7 +145,7 @@ def test_protocol_verify_qt_below_2_exits_2(runner, n):
         main, ["protocol-verify", "--qt", str(n), "--depolarizing", "0.5"])
     assert result.exit_code == 2
     assert result.stderr.splitlines() == [
-        f"error: teleportation dimension N must be >= 2, got {n}"]
+        f"error: teleportation dimension N must lie in 2..8, got {n}"]
 
 
 def test_protocol_verify_qt_against_a_channel_file(runner, tmp_path):
@@ -273,6 +273,20 @@ def test_protocol_verify_qt_checks_the_channel_dim_before_building(runner, monke
     assert result.exit_code == 2
     assert result.stderr.splitlines() == [
         "error: channel dim 2 does not match protocol dim 3"]
+
+
+def test_protocol_verify_qt_above_8_builds_neither_channel_nor_protocol(
+        runner, monkeypatch):
+    # qt_protocol(9) would keep a process matrix of 9^8 complex entries
+    # (688 MB): --qt is bounded before the channel or the protocol is built
+    monkeypatch.setattr(importlib.import_module("teleportlab.channels"), "_weyl",
+                        _never_built)
+    monkeypatch.setattr(teleportlab.cli, "qt_protocol", _never_built)
+    result = runner.invoke(main, ["protocol-verify", "--qt", "9", "--dim", "9",
+                                  "--depolarizing", "0.5"])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: teleportation dimension N must lie in 2..8, got 9"]
 
 
 def _optimize_config(tmp_path, **overrides):
@@ -689,6 +703,43 @@ def test_top_level_json_list_exits_2(tmp_path, kind):
     assert result.exit_code == 2
     [line] = result.stderr.splitlines()
     assert line.endswith("expected a JSON object, got [1, 2]")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["channel-info", "--depolarizing", "0.5", "--dim", "1000"],
+     "dimension must lie in 2..64, got 1000"),
+    (["teleport", "--depolarizing", "0.5", "--dim", "40", "--random", "1"],
+     "teleportation dimension N must lie in 2..8, got 40"),
+    (["channel-info", "DIM200"], "channel dimension must lie in 2..64, got 200"),
+    (["channel-info", "NESTED"], "JSON nests too deeply to parse"),
+    (["optimize", "--depolarizing", "0.5", "NESTED"],
+     "invalid config: JSON nests too deeply to parse"),
+], ids=["depolarizing-dim-1000", "teleport-dim-40", "channel-file-dim-200",
+        "nested-channel", "nested-config"])
+def test_oversized_or_deeply_nested_input_exits_2_with_one_line(
+        runner, tmp_path, args, message):
+    # each ended in a MemoryError or a RecursionError traceback: a dim-1000
+    # Weyl stack (7.45 GiB), qt_protocol(40)'s stacks (61 GiB), the Choi state
+    # of a dim-200 channel (23.8 GiB) and 100 000 nested JSON lists
+    dim200 = tmp_path / "dim200.json"
+    dim200.write_text(json.dumps({"dim": 200, "kraus": [matrix_to_pairs(np.eye(200))]}))
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000)
+    args = [{"DIM200": str(dim200), "NESTED": str(nested)}.get(arg, arg)
+            for arg in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_every_command_documents_the_channel_options(runner, command):
+    result = _invoke(runner, [command, "--help"])
+    assert result.exit_code == 0
+    text = " ".join(result.output.split())
+    assert ("--depolarizing FLOAT Build a depolarizing channel instead of "
+            "reading a file.") in text
+    assert "--dim INTEGER System dimension for --depolarizing. [default: 2]" in text
 
 
 def test_teleport_mu_whose_norm_overflows_exits_2(runner):

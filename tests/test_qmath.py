@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from dense_reference import swap_matrix
 
-from teleportlab.channels import (KrausChannel, depolarizing, random_channel,
-                                  weyl_operator)
+from teleportlab.channels import (KrausChannel, depolarizing, identity_channel,
+                                  load_channel, random_channel, weyl_operator)
 from teleportlab.optimize import (OptimizationConfig, qt_parameterization,
                                   vec_to_hermitian, zero_parameterization)
 from teleportlab.protocol import (AncillaResource, ResourceProtocol, bare_protocol,
-                                  random_protocol)
+                                  load_protocol, random_protocol)
 from teleportlab.qmath import (
     _psi0_projector,
     assert_density_matrix,
@@ -317,9 +317,11 @@ _SIZE_SITES = {
                       "dim_a", 1, None, 2, 2.5),
     "schmidt-dim_b": (lambda v: schmidt(maximally_entangled(2), 2, v),
                       "dim_b", 1, None, 2, 2.5),
+    # a channel keeps a d^2 x d^2 Choi state, d up to SEARCH_DIM_MAX = 64
     "KrausChannel": (lambda v: KrausChannel(dim=v, kraus=_EYE2),
-                     "channel dimension", 2, None, 2, 2.5),
-    "depolarizing": (lambda v: depolarizing(0.3, v), "dimension", 2, None, 2, 2.5),
+                     "channel dimension", 2, 64, 2, 2.5),
+    "depolarizing": (lambda v: depolarizing(0.3, v), "dimension", 2, 64, 2, 2.5),
+    "identity_channel": (identity_channel, "channel dimension", 2, 64, 2, 2.5),
     "weyl_operator-n": (lambda v: weyl_operator(v, 0, 1), "Weyl dimension n",
                         1, None, 2, 2.5),
     "weyl_operator-shift_phase": (lambda v: weyl_operator(2, v, 0), "Weyl phase index",
@@ -328,7 +330,7 @@ _SIZE_SITES = {
                             0, 1, 1, 0.5),
     "haar_unitary": (lambda v: haar_unitary(v, 0), "unitary dimension n", 1, None, 2, 2.5),
     "random_channel-n": (lambda v: random_channel(v, 1, 0),
-                         "channel dimension", 2, None, 2, 2.5),
+                         "channel dimension", 2, 64, 2, 2.5),
     "random_channel-rank": (lambda v: random_channel(2, v, 0), "rank", 1, 4, 2, 2.5),
     "bare_protocol-n": (bare_protocol, "system dimension n", 1, None, 2, 2.5),
     "random_protocol-n": (lambda v: random_protocol(v, 1, 1, 0),
@@ -357,7 +359,8 @@ _SIZE_SITES = {
                            "outcome index", 0, 3, 1, 1.5),
     "correction_unitary-n": (lambda v: correction_unitary(v, 0),
                              "local dimension", 2, None, 2, 2.5),
-    "qt_protocol": (qt_protocol, "teleportation dimension N", 2, None, 2, 2.5),
+    # qt_protocol's N^8 process matrix: N up to isqrt(64) = 8
+    "qt_protocol": (qt_protocol, "teleportation dimension N", 2, 8, 2, 2.5),
     "entanglement_bound-n": (lambda v: entanglement_bound(AncillaResource(mu=[1.0]), v),
                              "system dimension n", 1, None, 2, 2.5),
     "OptimizationConfig-evaluation_budget": (lambda v: OptimizationConfig(v, 1, 0),
@@ -414,3 +417,11 @@ def test_every_size_is_checked_where_it_is_passed_in(call, value, error, message
         return
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call(value)
+
+
+@pytest.mark.parametrize("load", [load_channel, load_protocol])
+def test_a_file_nested_too_deep_to_parse_raises_one_value_error(tmp_path, load):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    with pytest.raises(ValueError, match="^JSON nests too deeply to parse$"):
+        load(path)

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import tracemalloc
 from dataclasses import replace
 
@@ -353,6 +354,19 @@ def test_resource_path_skips_the_determinism_check(monkeypatch):
         teleport_detailed(rho, ch, resource.mu)
     with pytest.raises(ValueError, match="resource local dim 2 does not match"):
         teleport_detailed(rho, ch, AncillaResource(mu=[0.6, 0.8]))
+
+
+def test_qt_protocol_checks_n_before_building_its_stacks(monkeypatch):
+    # qt_protocol(40)'s stacks asked for 61 GiB; N is bounded by 8 first
+    def never_built(*args, **kwargs):
+        raise AssertionError("built before the dimension check")
+
+    for name in ("basis_projections", "bell_basis", "_corrections"):
+        monkeypatch.setattr(importlib.import_module("teleportlab.teleport"), name,
+                            never_built)
+    with pytest.raises(ValueError,
+                       match=r"^teleportation dimension N must lie in 2\.\.8, got 9$"):
+        qt_protocol(9)
 
 
 def test_teleport_does_not_depend_on_channel():
