@@ -37,6 +37,7 @@ from .optimize import (
 from .protocol import (
     AncillaResource,
     _check_channel_dim,
+    _check_dims,
     _residual,
     _schmidt_weights,
     control_map,
@@ -340,8 +341,8 @@ def cmd_optimize(files, depolarizing_p, dim, seed_override, trace_file, out):
     ch, echo = _resolve_channel(channel_file, depolarizing_p, dim)
     with _exits(prefix="invalid config: "):
         data, values = _load_config(config_file, seed_override)
-        _check_size(values["n"], "system dimension n", 1)
-        _check_channel_dim(values["n"], ch)  # before a start point of ~(n*p)^3 floats
+        _check_channel_dim(values["n"], ch)  # the built channel names a wrong n first
+        _check_dims(values["n"], values["p"])  # before a start point of ~(n*p)^3 floats
         base = _parameterization_from_config(values)
         cfg = _search_config(values)
         result = run_optimize(ch, base, cfg)

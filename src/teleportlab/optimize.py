@@ -47,6 +47,7 @@ from .protocol import (
     ResourceProtocol,
     _check_channel_dim,
     _check_determinism,
+    _check_dims,
     _inner_products,
     _overlap,
     _residual,
@@ -54,7 +55,7 @@ from .protocol import (
     basis_projections,
     control_map,
 )
-from .qmath import SEARCH_DIM_MAX, _check_size
+from .qmath import PROTOCOL_DIM_MAX, _check_size
 from .teleport import qt_protocol
 
 MEASUREMENT_CHOICES = ("none", "ancilla", "full")
@@ -95,7 +96,7 @@ def hermitian_to_vec(h: np.ndarray) -> np.ndarray:
     return np.concatenate([np.real(np.diagonal(h)), upper.real, upper.imag])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)  # 16 d^4 bytes each, 268 MB at d = 64
 def _hermitian_map(d: int) -> np.ndarray:
     """Real (d^2, 2 d^2) map from one generator's parameters, laid out as
     :func:`hermitian_to_vec`, to the real view of its d x d matrix (real and
@@ -169,10 +170,8 @@ def _branch_count(measured: str, n: int, p: int) -> int:
 def _theta_size(n: int, p: int, measured: str, pinned: bool) -> int:
     """Length of a parameter vector: the sender's generator, then one receiver's
     per outcome, as :func:`hermitian_to_vec` lays them out, then P-1 Schmidt
-    parameters unless mu is pinned; raises as :func:`_branch_count` and unless
-    n lies in 1..SEARCH_DIM_MAX and p in 1..SEARCH_DIM_MAX // n."""
-    _check_size(n, "system dimension n", 1, SEARCH_DIM_MAX)
-    _check_size(p, "local dimension p", 1, SEARCH_DIM_MAX // n)
+    parameters unless mu is pinned; raises as ``_check_dims``, ``_branch_count``."""
+    _check_dims(n, p)
     m = _branch_count(measured, n, p)
     return (1 + m) * (n * p) ** 2 + (0 if pinned else p - 1)
 
@@ -256,9 +255,8 @@ def zero_parameterization(
 
 
 def qt_parameterization(n: int) -> ProtocolParameterization:
-    """Generators whose decoded protocol is the teleportation protocol; n
-    (= P) lies in 1..isqrt(SEARCH_DIM_MAX), checked before anything is built."""
-    _check_size(n, "system dimension n", 1, math.isqrt(SEARCH_DIM_MAX))
+    """Generators that decode to the teleportation protocol, N = P = n checked first."""
+    _check_dims(n, n)
     qt = qt_protocol(n)
     unitaries = [qt.sender_unitaries[0], *qt.receiver_unitaries]
     theta = np.concatenate([hermitian_to_vec(generator_from_unitary(u))
@@ -518,8 +516,8 @@ def optimize(
 def sweep_mu(ch: KrausChannel, theta_grid, cfg: OptimizationConfig) -> list:
     """Best fidelity per angle, mu(theta) = (cos t, sin t), at N = ch.dim, P = 2,
     as (theta, sum of mu, best fidelity) tuples; every angle must lie in
-    [0, pi/2], and the channel dim in 2..SEARCH_DIM_MAX // 2."""
-    _check_size(ch.dim, "channel dimension", 2, SEARCH_DIM_MAX // 2)
+    [0, pi/2], and the channel dim in 2..PROTOCOL_DIM_MAX."""
+    _check_size(ch.dim, "channel dimension", 2, PROTOCOL_DIM_MAX)
     grid = [float(theta) for theta in theta_grid]
     for theta in grid:
         if not 0 <= theta <= np.pi / 2:  # NaN fails too

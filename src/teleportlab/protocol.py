@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from .channels import ChoiMatrix, KrausChannel, choi
-from .qmath import (_INTEGER, _MATRICES, _MATRIX, _NUMBERS, _check_size,
-                    _check_tol, _load_json, _operator_stack, _psi0_projector,
+from .qmath import (_INTEGER, _MATRICES, _MATRIX, _NUMBERS, PROTOCOL_DIM_MAX, SEARCH_DIM_MAX,
+                    _check_size, _check_tol, _load_json, _operator_stack, _psi0_projector,
                     _read_json, haar_unitary, matrix_from_pairs, matrix_to_pairs)
 
 
@@ -50,9 +50,10 @@ def _check_schmidt(mu: np.ndarray) -> None:
 
 
 def _check_dims(n: int, p: int) -> None:
-    """Raise unless the dimensions N (system) and P (ancilla) are integers >= 1."""
-    _check_size(n, "system dimension n", 1)
-    _check_size(p, "local dimension p", 1)
+    """Raise unless N lies in 1..PROTOCOL_DIM_MAX (a protocol keeps two N^8 maps)
+    and P in 1..SEARCH_DIM_MAX // N (its (M, NP, NP) stacks, a search's map)."""
+    _check_size(n, "system dimension n", 1, PROTOCOL_DIM_MAX)
+    _check_size(p, "local dimension p", 1, SEARCH_DIM_MAX // n)
 
 
 def _determinism_deviation(ops: np.ndarray, receivers: np.ndarray) -> np.ndarray:
@@ -169,7 +170,7 @@ class ResourceProtocol:
             raise ValueError("sender and receiver operator counts must match")
         if counts == {0}:
             raise ValueError("protocol needs at least one branch")
-        _check_size(self.n, "system dimension n", 1)
+        _check_dims(self.n, self.local_dim)
         d = self.n * self.local_dim
         expected = f"N*P = {self.n}*{self.local_dim} = {d}"
         for name, kind in (("sender_projections", "sender projection"),

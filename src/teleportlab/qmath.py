@@ -8,14 +8,16 @@ are pure; randomness only enters through explicitly passed seeds.
 from __future__ import annotations
 
 import json
+import math
 from functools import lru_cache
 
 import numpy as np
 
 # the largest d of a kept d^4 array, checked before any is built: a search's
-# map of 2 d^4 floats (d = N P), a channel's Choi state (d = N) and
-# qt_protocol's process matrix (d = N^2) each hold 268 MB at d = 64
+# map of 2 d^4 floats (d = N P), a channel's Choi state (d = N) and a
+# protocol's N^8 maps (d = N^2) each hold 268 MB at d = 64
 SEARCH_DIM_MAX = 64
+PROTOCOL_DIM_MAX = math.isqrt(SEARCH_DIM_MAX)  # the largest N of a protocol, 8
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:

@@ -11,7 +11,6 @@ out (see ``protocol.apply_protocol``).
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 from functools import lru_cache
 
@@ -20,15 +19,15 @@ import numpy as np
 from .channels import KrausChannel, _weyl
 from .protocol import (AncillaResource, ResourceProtocol, _branch_probabilities,
                        _check_resource, apply_protocol, basis_projections)
-from .qmath import SEARCH_DIM_MAX, _check_size
+from .qmath import PROTOCOL_DIM_MAX, SEARCH_DIM_MAX, _check_size
 
 
 def bell_basis(n: int) -> np.ndarray:
-    """The N^2 Bell states of an N (x) N space, one per row, for n >= 2: row
-    eta = n_*N + m is the transposed Weyl operator W(n_, m) raveled over
+    """The N^2 Bell states of an N (x) N space, one per row, n in 2..SEARCH_DIM_MAX:
+    row eta = n_*N + m is the transposed Weyl operator W(n_, m) raveled over
     sqrt(N), n_ the phase gradient and m the cyclic shift between the two
     factors; its conjugate maps Bell state eta onto basis state eta."""
-    _check_size(n, "local dimension", 2)
+    _check_size(n, "local dimension", 2, SEARCH_DIM_MAX)
     weyl = _weyl(n, *divmod(np.arange(n * n), n))
     return weyl.swapaxes(1, 2).reshape(n * n, n * n) / np.sqrt(n)
 
@@ -48,17 +47,16 @@ def correction_unitary(n: int, eta: int) -> np.ndarray:
 
     The b-side factor undoes the phase/shift of Bell outcome eta; the swap
     then moves the recovered state onto the channel-output factor so the
-    ancillas can be discarded.
+    ancillas can be discarded.  An N^4 array: n lies in 2..SEARCH_DIM_MAX.
     """
-    _check_size(n, "local dimension", 2)
+    _check_size(n, "local dimension", 2, SEARCH_DIM_MAX)
     _check_size(eta, "outcome index", 0, n * n - 1)
     return _corrections(n, eta)
 
 
 def _check_qt_dim(n: int) -> None:
-    """Raise unless N lies in 2..isqrt(SEARCH_DIM_MAX) = 8: qt_protocol(N)
-    keeps an N^8 process matrix."""
-    _check_size(n, "teleportation dimension N", 2, math.isqrt(SEARCH_DIM_MAX))
+    """Raise unless N lies in 2..PROTOCOL_DIM_MAX, as qt_protocol(N) needs."""
+    _check_size(n, "teleportation dimension N", 2, PROTOCOL_DIM_MAX)
 
 
 @lru_cache(maxsize=8, typed=True)  # typed: n = 2.0 must miss N = 2 and raise

@@ -411,6 +411,21 @@ def test_optimize_refuses_an_oversized_search_before_building_it(
         "error: invalid config: local dimension p must lie in 1..32, got 1000000"]
 
 
+def test_optimize_refuses_a_protocol_above_n_8_before_searching(
+        runner, tmp_path, monkeypatch):
+    # n = 12 matches a dim-12 channel and is a search of N P = 12, but the
+    # winner's residual builds its N^8 control superoperator (6.41 GiB): N is
+    # bounded before the objective is compiled
+    monkeypatch.setattr(importlib.import_module("teleportlab.optimize"),
+                        "_compile_objective", _never_built)
+    path = _optimize_config(tmp_path, n=12, p=1)
+    result = runner.invoke(main, ["optimize", "--depolarizing", "0.3", "--dim", "12",
+                                  str(path)])
+    assert result.exit_code == 2
+    assert result.stderr.splitlines() == [
+        "error: invalid config: system dimension n must lie in 1..8, got 12"]
+
+
 @pytest.mark.parametrize("override", [{}, {"p": 3, "qt_warm_start": True}],
                          ids=["zero", "qt-warm-start"])
 def test_optimize_builds_no_parameterization_for_a_mismatched_n(
@@ -558,7 +573,7 @@ def test_teleport_negative_mu_exits_2_with_one_line(runner):
 @pytest.mark.parametrize("override, message", [
     ({"mu_fixed": [0, 0]}, "mu_fixed must be non-negative with a finite, "
                            "nonzero norm, got [0.0, 0.0]"),
-    ({"n": 0}, "system dimension n must be >= 1, got 0"),
+    ({"n": 0}, "channel dim 2 does not match protocol dim 0"),
     ({"p": -1}, "local dimension p must lie in 1..32, got -1"),
 ], ids=["mu_fixed-zero", "n-0", "p-negative"])
 def test_degenerate_config_exits_2_with_one_line(runner, tmp_path, override,
@@ -714,18 +729,25 @@ def test_top_level_json_list_exits_2(tmp_path, kind):
     (["channel-info", "NESTED"], "JSON nests too deeply to parse"),
     (["optimize", "--depolarizing", "0.5", "NESTED"],
      "invalid config: JSON nests too deeply to parse"),
+    (["protocol-verify", "P20", "--depolarizing", "0.3", "--dim", "20"],
+     "system dimension n must lie in 1..8, got 20"),
 ], ids=["depolarizing-dim-1000", "teleport-dim-40", "channel-file-dim-200",
-        "nested-channel", "nested-config"])
+        "nested-channel", "nested-config", "protocol-file-n-20"])
 def test_oversized_or_deeply_nested_input_exits_2_with_one_line(
         runner, tmp_path, args, message):
     # each ended in a MemoryError or a RecursionError traceback: a dim-1000
     # Weyl stack (7.45 GiB), qt_protocol(40)'s stacks (61 GiB), the Choi state
-    # of a dim-200 channel (23.8 GiB) and 100 000 nested JSON lists
+    # of a dim-200 channel (23.8 GiB), 100 000 nested JSON lists and the N^8
+    # control superoperator of an N = 20 protocol file (381 GiB)
     dim200 = tmp_path / "dim200.json"
     dim200.write_text(json.dumps({"dim": 200, "kraus": [matrix_to_pairs(np.eye(200))]}))
     nested = tmp_path / "nested.json"
     nested.write_text("[" * 100_000)
-    args = [{"DIM200": str(dim200), "NESTED": str(nested)}.get(arg, arg)
+    eye20 = matrix_to_pairs(np.eye(20))
+    p20 = tmp_path / "p20.json"
+    p20.write_text(json.dumps({"N": 20, "P": 1, "M": 1, "mu": [1.0], "receiver": [eye20],
+                               "sender": [{"projection": eye20, "unitary": eye20}]}))
+    args = [{"DIM200": str(dim200), "NESTED": str(nested), "P20": str(p20)}.get(arg, arg)
             for arg in args]
     result = runner.invoke(main, args)
     assert result.exit_code == 2

@@ -78,6 +78,17 @@ def test_hermitian_map_is_cached_and_read_only():
         _hermitian_map(3)[0, 0] = 2.0
 
 
+def test_hermitian_map_cache_keeps_a_bounded_number_of_maps():
+    # each map holds 16 d^4 bytes: a process that searches many shapes keeps
+    # only the most recent few
+    bound = _hermitian_map.cache_info().maxsize
+    ch = depolarizing(0.5)
+    cfg = OptimizationConfig(evaluation_budget=4, restarts=1, seed=0)
+    for p in range(1, bound + 3):
+        optimize(ch, zero_parameterization(2, p, "none"), cfg)
+    assert _hermitian_map.cache_info().currsize == bound
+
+
 def test_unitary_generator_round_trip():
     rng = np.random.default_rng(1)
     u = haar_unitary(4, rng)
@@ -229,11 +240,11 @@ def test_qt_parameterization_checks_n_before_building(monkeypatch):
 
 
 def test_sweep_checks_the_channel_dim_before_searching(monkeypatch):
-    # a sweep searches at P = 2, so the channel dim is bounded by 64 // 2
+    # a sweep searches protocols of N = the channel dim, so N is bounded by 8
     monkeypatch.setattr(_OPTIMIZE, "zero_parameterization", _never_built)
     cfg = OptimizationConfig(evaluation_budget=10, restarts=1, seed=0)
-    with pytest.raises(ValueError, match=r"^channel dimension must lie in 2\.\.32, got 33$"):
-        sweep_mu(identity_channel(33), [0.5], cfg)
+    with pytest.raises(ValueError, match=r"^channel dimension must lie in 2\.\.8, got 9$"):
+        sweep_mu(identity_channel(9), [0.5], cfg)
 
 
 def test_mu_map_uniform_at_zero():

@@ -138,7 +138,7 @@ def test_bare_protocol_is_channel_use():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"mu": []}, "local dimension p must be >= 1, got 0"),
+    ({"mu": []}, "local dimension p must lie in 1..32, got 0"),
 ], ids=["empty-mu"])
 def test_bare_protocol_rejects_a_bad_local_dim(kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -146,8 +146,8 @@ def test_bare_protocol_rejects_a_bad_local_dim(kwargs, message):
 
 
 @pytest.mark.parametrize("n, local_dim, message", [
-    (2, 0, "local dimension p must be >= 1, got 0"),
-    (0, 2, "system dimension n must be >= 1, got 0"),
+    (2, 0, "local dimension p must lie in 1..32, got 0"),
+    (0, 2, "system dimension n must lie in 1..8, got 0"),
 ], ids=["p-0", "n-0"])
 def test_random_protocol_checks_its_dimensions_first(n, local_dim, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

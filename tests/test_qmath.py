@@ -332,16 +332,18 @@ _SIZE_SITES = {
     "random_channel-n": (lambda v: random_channel(v, 1, 0),
                          "channel dimension", 2, 64, 2, 2.5),
     "random_channel-rank": (lambda v: random_channel(2, v, 0), "rank", 1, 4, 2, 2.5),
-    "bare_protocol-n": (bare_protocol, "system dimension n", 1, None, 2, 2.5),
+    # a protocol keeps two N^8 maps: N up to isqrt(64) = 8, then P up to 64 // N
+    "bare_protocol-n": (bare_protocol, "system dimension n", 1, 8, 2, 2.5),
     "random_protocol-n": (lambda v: random_protocol(v, 1, 1, 0),
-                          "system dimension n", 1, None, 2, 2.5),
+                          "system dimension n", 1, 8, 2, 2.5),
     "random_protocol-p": (lambda v: random_protocol(2, v, 1, 0),
-                          "local dimension p", 1, None, 2, 2.5),
+                          "local dimension p", 1, 32, 2, 2.5),
     "random_protocol-m": (lambda v: random_protocol(2, 2, v, 0),
                           "branch count", 1, 4, 2, 2.5),
-    # a search holds N P <= SEARCH_DIM_MAX = 64: n up to 64, p up to 64 // n
+    # a search is a protocol, and holds N P <= SEARCH_DIM_MAX = 64: n up to 8,
+    # p up to 64 // n
     "zero_parameterization-n": (lambda v: zero_parameterization(v, 1, "full"),
-                                "system dimension n", 1, 64, 2, 2.5),
+                                "system dimension n", 1, 8, 2, 2.5),
     "zero_parameterization-p": (lambda v: zero_parameterization(2, v, "full"),
                                 "local dimension p", 1, 32, 2, 2.5),
     "zero_parameterization-p-n3": (lambda v: zero_parameterization(3, v, "ancilla"),
@@ -353,12 +355,13 @@ _SIZE_SITES = {
     "ResourceProtocol": (lambda v: ResourceProtocol(
         n=v, resource=AncillaResource(mu=[1.0]), sender_projections=_EYE2,
         sender_unitaries=_EYE2, receiver_unitaries=_EYE2),
-        "system dimension n", 1, None, 2, 2.5),
-    "bell_basis": (bell_basis, "local dimension", 2, None, 2, 2.5),
+        "system dimension n", 1, 8, 2, 2.5),
+    # the N^2 x N^2 Bell states and corrections: N up to SEARCH_DIM_MAX = 64
+    "bell_basis": (bell_basis, "local dimension", 2, 64, 2, 2.5),
     "correction_unitary": (lambda v: correction_unitary(2, v),
                            "outcome index", 0, 3, 1, 1.5),
     "correction_unitary-n": (lambda v: correction_unitary(v, 0),
-                             "local dimension", 2, None, 2, 2.5),
+                             "local dimension", 2, 64, 2, 2.5),
     # qt_protocol's N^8 process matrix: N up to isqrt(64) = 8
     "qt_protocol": (qt_protocol, "teleportation dimension N", 2, 8, 2, 2.5),
     "entanglement_bound-n": (lambda v: entanglement_bound(AncillaResource(mu=[1.0]), v),

@@ -369,6 +369,19 @@ def test_qt_protocol_checks_n_before_building_its_stacks(monkeypatch):
         qt_protocol(9)
 
 
+@pytest.mark.parametrize("build", [bell_basis, lambda n: correction_unitary(n, 0)],
+                         ids=["bell_basis", "correction_unitary"])
+def test_bell_arrays_check_n_before_building_the_weyl_stack(monkeypatch, build):
+    # bell_basis(300) asked for an N^4 array of 7.54 GiB; N is bounded by 64 first
+    def never_built(*args, **kwargs):
+        raise AssertionError("built before the dimension check")
+
+    monkeypatch.setattr(importlib.import_module("teleportlab.teleport"), "_weyl",
+                        never_built)
+    with pytest.raises(ValueError, match=r"^local dimension must lie in 2\.\.64, got 300$"):
+        build(300)
+
+
 def test_teleport_does_not_depend_on_channel():
     # the physical channel is never used on the payload path
     rho = random_state(2, seed=40)
